@@ -10,7 +10,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -32,8 +34,20 @@ func New(model *svmrank.Model) *Tuner {
 	return &Tuner{Model: model, Encoder: feature.NewEncoder()}
 }
 
-// encode validates and feature-encodes a candidate set for an instance.
-func (t *Tuner) encode(q stencil.Instance, cands []tunespace.Vector) ([]feature.Vector, error) {
+// scoreParallelThreshold is the candidate count above which Scores fans
+// out; below it the goroutine handoff costs more than the encoding. Both
+// predefined sets (1600 and 8640 vectors) lie above it.
+const scoreParallelThreshold = 1024
+
+// Scores returns the model score of every candidate (higher ranks better).
+// It validates the instance and every candidate, then scores each
+// candidate from one encoding plan: the instance-only head of the feature
+// vector is built once, and each candidate adds only its tuning-dependent
+// tail. No feature vector is materialised, and every score is bit-identical
+// to Model.Score(Encoder.Encode(q, cand)). Large sets are scored in chunks
+// on GOMAXPROCS goroutines; each score depends only on its own candidate,
+// so the output is identical to a sequential loop.
+func (t *Tuner) Scores(q stencil.Instance, cands []tunespace.Vector) ([]float64, error) {
 	if t.Model == nil {
 		return nil, errors.New("core: tuner has no model")
 	}
@@ -43,57 +57,60 @@ func (t *Tuner) encode(q stencil.Instance, cands []tunespace.Vector) ([]feature.
 	if len(cands) == 0 {
 		return nil, errors.New("core: empty candidate set")
 	}
-	xs := make([]feature.Vector, len(cands))
+	dims := q.Kernel.Dims()
 	for i, tv := range cands {
-		if err := tv.Validate(q.Kernel.Dims()); err != nil {
+		if err := tv.Validate(dims); err != nil {
 			return nil, fmt.Errorf("core: candidate %d: %w", i, err)
 		}
-		xs[i] = t.Encoder.Encode(q, tv)
 	}
-	return xs, nil
+	plan := t.Encoder.Plan(q)
+	w := t.Model.W
+	out := make([]float64, len(cands))
+	workers := runtime.GOMAXPROCS(0)
+	if len(cands) < scoreParallelThreshold || workers == 1 {
+		plan.ScoreInto(out, w, cands)
+		return out, nil
+	}
+	chunk := (len(cands) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for s := 0; s < len(cands); s += chunk {
+		e := min(s+chunk, len(cands))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plan.ScoreInto(out[s:e], w, cands[s:e])
+		}()
+	}
+	wg.Wait()
+	return out, nil
 }
 
 // Rank returns the candidate indices ordered best-first according to the
-// model. No execution happens; scoring runs through Model.ScoreBatch.
+// model. No execution happens; equal scores keep input order.
 func (t *Tuner) Rank(q stencil.Instance, cands []tunespace.Vector) ([]int, error) {
-	xs, err := t.encode(q, cands)
-	if err != nil {
-		return nil, err
-	}
-	return t.Model.Rank(xs), nil
+	order, _, err := t.RankScored(q, cands)
+	return order, err
 }
 
 // Best returns the top-ranked candidate. Unlike Rank it never sorts — an
-// ArgBestBatch scan over the scores suffices (ties resolve to the earliest
+// argmax scan over the scores suffices (ties resolve to the earliest
 // candidate, exactly like Rank's first entry).
 func (t *Tuner) Best(q stencil.Instance, cands []tunespace.Vector) (tunespace.Vector, error) {
-	xs, err := t.encode(q, cands)
+	scores, err := t.Scores(q, cands)
 	if err != nil {
 		return tunespace.Vector{}, err
 	}
-	return cands[t.Model.ArgBestBatch(xs)], nil
-}
-
-// Scores returns the model score of every candidate (higher ranks better),
-// encoded and scored in one ScoreBatch call. The tuning server's scoring
-// endpoint is backed by it.
-func (t *Tuner) Scores(q stencil.Instance, cands []tunespace.Vector) ([]float64, error) {
-	xs, err := t.encode(q, cands)
-	if err != nil {
-		return nil, err
-	}
-	return t.Model.ScoreBatch(xs), nil
+	return cands[svmrank.ArgMax(scores)], nil
 }
 
 // RankScored returns Rank's permutation together with every candidate's
 // score (index-aligned with cands), paying encoding and scoring once.
 func (t *Tuner) RankScored(q stencil.Instance, cands []tunespace.Vector) ([]int, []float64, error) {
-	xs, err := t.encode(q, cands)
+	scores, err := t.Scores(q, cands)
 	if err != nil {
 		return nil, nil, err
 	}
-	order, scores := t.Model.RankWithScores(xs)
-	return order, scores, nil
+	return svmrank.Order(scores), scores, nil
 }
 
 // TunePredefined runs the standalone mode of Sec. VI-A: rank the
@@ -116,6 +133,11 @@ type HybridResult struct {
 	BestValue   float64
 	Evaluations int // objective calls actually spent
 	RankedFrom  int // candidate-set size that was ranked for free
+	// ModelBest is the model's unmeasured top-1: the head of the ranking,
+	// the same vector Best returns for the candidate set.
+	ModelBest tunespace.Vector
+	// RankTime is the time spent ranking, measurement excluded.
+	RankTime time.Duration
 }
 
 // HybridTopK implements the paper's future-work coupling of the ranking
@@ -130,16 +152,18 @@ func (t *Tuner) HybridTopK(q stencil.Instance, cands []tunespace.Vector, k int, 
 	if k <= 0 {
 		return HybridResult{}, fmt.Errorf("core: k = %d must be positive", k)
 	}
+	start := time.Now()
 	order, err := t.Rank(q, cands)
 	if err != nil {
 		return HybridResult{}, err
 	}
+	res := HybridResult{RankedFrom: len(cands), ModelBest: cands[order[0]], RankTime: time.Since(start)}
 	k = min(k, len(order))
+	res.Evaluations = k
 	top := make([]tunespace.Vector, k)
 	for i := range top {
 		top[i] = cands[order[i]]
 	}
-	res := HybridResult{RankedFrom: len(cands), Evaluations: k}
 	for i, val := range obj(top) {
 		if i == 0 || val < res.BestValue {
 			res.Best = top[i]

@@ -7,6 +7,15 @@
 // pairs): the dominant block is the dense 7×7×7 binary pattern matrix of
 // Sec. III-A, of which a typical stencil touches only a handful of cells.
 //
+// Scoring note. A vector is a head that depends on the instance alone
+// (pattern block, kernel summary, size block) followed by a tail that
+// depends on the tuning vector, and every head index lies below every tail
+// index. Encoder.Plan builds the head once per instance; Plan.ScoreInto then
+// scores a whole candidate set by adding each candidate's tail to the
+// head's partial dot product, without building or allocating a vector. The
+// sum runs in the same order as Vector.Dot, so the scores are bit-identical
+// to Encode followed by Dot.
+//
 // Implementation refinement (documented in DESIGN.md): the ordinal-regression
 // training of Sec. IV-D only compares executions of the *same* instance q, so
 // any feature depending on q alone cancels out of every within-query pair
@@ -156,8 +165,12 @@ func (v Vector) NNZ() int { return len(v.Idx) }
 // feature had zero weight, which keeps persisted models valid across encoding
 // growth. Indices are sorted ascending, so the scan stops at the first
 // out-of-range one.
-func (v Vector) Dot(w []float64) float64 {
-	var s float64
+func (v Vector) Dot(w []float64) float64 { return v.dotFrom(0, w) }
+
+// dotFrom continues a dot product from the partial sum s. It is the one
+// summation loop of the package: Plan.ScoreInto adds a tail to a head's
+// partial sum through it, so both paths add the same terms in the same order.
+func (v Vector) dotFrom(s float64, w []float64) float64 {
 	for i, idx := range v.Idx {
 		if int(idx) >= len(w) {
 			break
@@ -223,6 +236,12 @@ type builder struct {
 	val []float64
 }
 
+func newBuilder(capHint int) builder {
+	return builder{idx: make([]int32, 0, capHint), val: make([]float64, 0, capHint)}
+}
+
+func (b *builder) vector() Vector { return Vector{Idx: b.idx, Val: b.val} }
+
 func (b *builder) put(i int, v float64) {
 	if v == 0 {
 		return
@@ -277,18 +296,81 @@ func NewEncoder() *Encoder { return &Encoder{blocks: AllBlocks()} }
 // (feature-ablation support).
 func NewEncoderWithBlocks(b Blocks) *Encoder { return &Encoder{blocks: b} }
 
-// Encode produces the feature vector for the execution (q.Kernel, q.Size, t).
+// Encode produces the feature vector for the execution (q.Kernel, q.Size, t):
+// the instance's head followed by t's tail, the same components Plan scores.
 // Every emitted component lies in [0, 1].
 func (e *Encoder) Encode(q stencil.Instance, t tunespace.Vector) Vector {
-	k := q.Kernel
-	sz := q.Size
-
 	// Size the builder exactly once: at most one pattern cell per shape
 	// point plus the fixed named blocks. Dataset generation calls Encode
 	// once per training point, so append-regrowth here is a dominant
 	// allocation source.
-	capHint := k.Shape.Size() + 64
-	b := builder{idx: make([]int32, 0, capHint), val: make([]float64, 0, capHint)}
+	b := newBuilder(q.Kernel.Shape.Size() + headNamed + maxTail)
+	p := e.plan(q, &b)
+	var tl tail
+	p.emitTail(t, &tl)
+	for i, idx := range tl.idx[:tl.n] {
+		b.put(int(idx), tl.val[i])
+	}
+	return b.vector()
+}
+
+// Plan is the per-instance half of the encoding. Ranking a candidate set
+// encodes one instance q against thousands of tuning vectors; everything
+// that depends on q alone is computed once here: the head (pattern block,
+// kernel summary and size block) and the q-derived constants the tail
+// reads. Each tuning vector then pays only for its tail.
+//
+// Every head index lies below idxBx and every tail index at or above it, so
+// an encoded vector is its head followed by its tail in ascending index
+// order. Dot sums in that order, which makes ScoreInto bit-identical to
+// Encode followed by Dot, including the rule that indices beyond an older,
+// narrower weight vector count as zero.
+//
+// A Plan is read-only once built and safe for concurrent use.
+type Plan struct {
+	blocks  Blocks
+	head    Vector
+	size    stencil.Size
+	density float64 // per-cell loads over maxAccesses
+	// Element size and buffer count stay separate factors: the tile working
+	// set's left-to-right product fixes its rounding, and persisted models
+	// were trained on exactly those bits.
+	bytes   float64 // element size in bytes
+	buffers float64 // input buffers read
+	dtype   float64 // data type feature value
+}
+
+// headNamed is the number of named (non-pattern) head components: six
+// kernel-summary and four size features.
+const headNamed = 10
+
+// Plan returns the encoding plan of instance q.
+func (e *Encoder) Plan(q stencil.Instance) *Plan {
+	b := newBuilder(q.Kernel.Shape.Size() + headNamed)
+	p := e.plan(q, &b)
+	p.head = b.vector()
+	return &p
+}
+
+// ScoreInto sets out[i] to Encode(q, cands[i]).Dot(w) for the plan's
+// instance q, bit for bit, without building any vector: the head's partial
+// sum is taken once and each candidate adds only its tail. It allocates
+// nothing. out must be at least as long as cands.
+func (p *Plan) ScoreInto(out, w []float64, cands []tunespace.Vector) {
+	head := p.head.dotFrom(0, w)
+	var tl tail
+	for i, t := range cands {
+		p.emitTail(t, &tl)
+		out[i] = Vector{Idx: tl.idx[:tl.n], Val: tl.val[:tl.n]}.dotFrom(head, w)
+	}
+}
+
+// plan emits q's head into b and returns the plan's constants; the caller
+// decides whether the head becomes the plan's or the start of a vector.
+func (e *Encoder) plan(q stencil.Instance, b *builder) Plan {
+	k := q.Kernel
+	sz := q.Size
+	accesses := k.Shape.TotalAccesses()
 
 	if e.blocks.Pattern {
 		// Dense pattern block: cell (x,y,z) at flat index
@@ -304,7 +386,7 @@ func (e *Encoder) Encode(q stencil.Instance, t tunespace.Vector) Vector {
 			b.put(flat, clamp01(m/maxMultiplicity))
 		}
 		b.put(idxPoints, clamp01(float64(k.Shape.Size())/maxPoints))
-		b.put(idxAccesses, clamp01(float64(k.Shape.TotalAccesses())/maxAccesses))
+		b.put(idxAccesses, clamp01(float64(accesses)/maxAccesses))
 		b.put(idxMaxOffset, clamp01(float64(k.Shape.MaxOffset())/PatternRadius))
 		b.put(idxDims, float64(k.Dims()-2)) // 0 for 2-D, 1 for 3-D
 		b.put(idxBuffers, clamp01(float64(k.Buffers)/maxBuffers))
@@ -318,119 +400,142 @@ func (e *Encoder) Encode(q stencil.Instance, t tunespace.Vector) Vector {
 		b.put(idxSizeTotal, clamp01(log2(float64(sz.Points()))/maxLogTotal))
 	}
 
-	lbx := log2(float64(t.Bx)) / maxLogBlock
-	lby := log2(float64(t.By)) / maxLogBlock
-	lbz := log2(float64(t.Bz)) / maxLogBlock
-	un := float64(t.U) / tunespace.MaxUnroll
-	lch := log2(float64(t.C)) / maxLogChunk
+	return Plan{
+		blocks:  e.blocks,
+		size:    sz,
+		density: float64(accesses) / maxAccesses,
+		bytes:   float64(k.Type.Bytes()),
+		buffers: float64(k.Buffers),
+		dtype:   k.Type.FeatureValue(),
+	}
+}
 
-	if e.blocks.Tuning {
-		b.put(idxBx, clamp01(lbx))
-		b.put(idxBy, clamp01(lby))
-		b.put(idxBz, clamp01(lbz))
-		b.put(idxUnroll, clamp01(un))
-		b.put(idxChunk, clamp01(lch))
-		b.put(idxBx2, clamp01(lbx*lbx))
-		b.put(idxBy2, clamp01(lby*lby))
-		b.put(idxBz2, clamp01(lbz*lbz))
-		b.put(idxUnroll2, clamp01(un*un))
-		b.put(idxChunk2, clamp01(lch*lch))
+// maxTail bounds a tail's components: 10 tuning terms, 14 interaction
+// terms, 5 tuning bins, 1 balance bin and 5 fusion terms.
+const maxTail = 35
+
+// tail holds one tuning vector's components in ascending index order. It is
+// a fixed-size value so that scoring loops keep it on the stack.
+type tail struct {
+	n   int
+	idx [maxTail]int32
+	val [maxTail]float64
+}
+
+func (tl *tail) put(i int, v float64) {
+	if v == 0 {
+		return
+	}
+	tl.idx[tl.n] = int32(i)
+	tl.val[tl.n] = v
+	tl.n++
+}
+
+// emitTail overwrites out with the components of t under the plan: every
+// term that depends on the tuning vector, all at indices ≥ idxBx.
+func (p *Plan) emitTail(t tunespace.Vector, out *tail) {
+	out.n = 0
+	sz := p.size
+
+	l2bx := log2(float64(t.Bx))
+	l2by := log2(float64(t.By))
+	l2bz := log2(float64(t.Bz))
+	l2c := log2(float64(t.C))
+	lbx := l2bx / maxLogBlock
+	lby := l2by / maxLogBlock
+	lbz := l2bz / maxLogBlock
+	un := float64(t.U) / tunespace.MaxUnroll
+	lch := l2c / maxLogChunk
+
+	if p.blocks.Tuning {
+		out.put(idxBx, clamp01(lbx))
+		out.put(idxBy, clamp01(lby))
+		out.put(idxBz, clamp01(lbz))
+		out.put(idxUnroll, clamp01(un))
+		out.put(idxChunk, clamp01(lch))
+		out.put(idxBx2, clamp01(lbx*lbx))
+		out.put(idxBy2, clamp01(lby*lby))
+		out.put(idxBz2, clamp01(lbz*lbz))
+		out.put(idxUnroll2, clamp01(un*un))
+		out.put(idxChunk2, clamp01(lch*lch))
 	}
 
-	if e.blocks.Interactions {
+	// Tile working set (log2 bytes) and log2 of the dispatch groups, shared
+	// by the interaction, balance and fusion terms.
+	var l2ws, l2groups float64
+	if p.blocks.Interactions {
 		// Effective tile extents never exceed the grid.
 		ebx := min(t.Bx, sz.X)
 		eby := min(t.By, sz.Y)
 		ebz := min(t.Bz, sz.Z)
 
-		ws := float64(ebx) * float64(eby) * float64(ebz) *
-			float64(k.Type.Bytes()) * float64(k.Buffers)
-		lws := log2(ws) / maxLogWS
-		b.put(idxTileWS, clamp01(lws))
-		b.put(idxTileWS2, clamp01(lws*lws))
+		l2ws = log2(float64(ebx) * float64(eby) * float64(ebz) * p.bytes * p.buffers)
+		lws := l2ws / maxLogWS
+		out.put(idxTileWS, clamp01(lws))
+		out.put(idxTileWS2, clamp01(lws*lws))
 
-		b.put(idxFracX, clamp01(float64(ebx)/float64(sz.X)))
-		b.put(idxFracY, clamp01(float64(eby)/float64(sz.Y)))
-		b.put(idxFracZ, clamp01(float64(ebz)/float64(sz.Z)))
+		out.put(idxFracX, clamp01(float64(ebx)/float64(sz.X)))
+		out.put(idxFracY, clamp01(float64(eby)/float64(sz.Y)))
+		out.put(idxFracZ, clamp01(float64(ebz)/float64(sz.Z)))
 
 		tiles := float64(ceilDiv(sz.X, t.Bx)) * float64(ceilDiv(sz.Y, t.By)) *
 			float64(ceilDiv(sz.Z, max(1, t.Bz)))
 		ltiles := log2(tiles) / maxLogTiles
-		b.put(idxNumTiles, clamp01(ltiles))
+		out.put(idxNumTiles, clamp01(ltiles))
 
-		groups := tiles / float64(t.C)
-		lgroups := log2(math.Max(1, groups)) / maxLogTiles
-		b.put(idxTileGroups, clamp01(lgroups))
-		b.put(idxTileGroups2, clamp01(lgroups*lgroups))
+		l2groups = log2(math.Max(1, tiles/float64(t.C)))
+		lgroups := l2groups / maxLogTiles
+		out.put(idxTileGroups, clamp01(lgroups))
+		out.put(idxTileGroups2, clamp01(lgroups*lgroups))
 
-		density := float64(k.Shape.TotalAccesses()) / maxAccesses
-		b.put(idxUnrollDensity, clamp01(un*density))
+		out.put(idxUnrollDensity, clamp01(un*p.density))
 
 		inner := log2(float64(ebx)*float64(t.U+1)) / maxLogInner
-		b.put(idxInnerStream, clamp01(inner))
-		b.put(idxInnerStream2, clamp01(inner*inner))
+		out.put(idxInnerStream, clamp01(inner))
+		out.put(idxInnerStream2, clamp01(inner*inner))
 
-		b.put(idxDTypeBx, clamp01(k.Type.FeatureValue()*lbx))
-		b.put(idxDensityWS, clamp01(density*lws))
+		out.put(idxDTypeBx, clamp01(p.dtype*lbx))
+		out.put(idxDensityWS, clamp01(p.density*lws))
 
 		// Working-set bin: log2(WS bytes) mapped to 8 bins over [10, 26).
-		wsBin := binIndex(log2(ws), 10, 26, wsBins)
-		b.put(idxWSBin0+wsBin, 1)
+		out.put(idxWSBin0+binIndex(l2ws, 10, 26, wsBins), 1)
 	}
 
-	if e.blocks.Tuning {
+	if p.blocks.Tuning {
 		// One-hot power-of-two block bins: log2(b) in [1, 10] → bins 0..9.
-		b.put(idxBxBin0+binIndex(log2(float64(t.Bx)), 1, 11, blockBins), 1)
-		b.put(idxByBin0+binIndex(log2(float64(t.By)), 1, 11, blockBins), 1)
+		out.put(idxBxBin0+binIndex(l2bx, 1, 11, blockBins), 1)
+		out.put(idxByBin0+binIndex(l2by, 1, 11, blockBins), 1)
 		if t.Bz > 1 {
-			b.put(idxBzBin0+binIndex(log2(float64(t.Bz)), 1, 11, blockBins), 1)
+			out.put(idxBzBin0+binIndex(l2bz, 1, 11, blockBins), 1)
 		}
-		u := t.U
-		if u < 0 {
-			u = 0
-		} else if u >= unrollBins {
-			u = unrollBins - 1
-		}
-		b.put(idxUnrollBin0+u, 1)
-		b.put(idxChunkBin0+binIndex(log2(float64(t.C)), 0, 5, chunkBins), 1)
+		out.put(idxUnrollBin0+min(max(t.U, 0), unrollBins-1), 1)
+		out.put(idxChunkBin0+binIndex(l2c, 0, 5, chunkBins), 1)
 	}
 
-	if e.blocks.Interactions {
+	if p.blocks.Interactions {
 		// Parallel-balance bin: log2(dispatch groups) over [0, 18).
-		ebx := min(t.Bx, sz.X)
-		eby := min(t.By, sz.Y)
-		_ = ebx
-		_ = eby
-		tiles := float64(ceilDiv(sz.X, t.Bx)) * float64(ceilDiv(sz.Y, t.By)) *
-			float64(ceilDiv(sz.Z, max(1, t.Bz)))
-		groups := math.Max(1, tiles/float64(t.C))
-		b.put(idxBalanceBin0+binIndex(log2(groups), 0, 18, balanceBins), 1)
+		out.put(idxBalanceBin0+binIndex(l2groups, 0, 18, balanceBins), 1)
 	}
 
 	// Temporal-fusion block: emitted only for genuinely fused vectors, so an
 	// unfused vector's encoding is byte-identical to the pre-fusion one.
 	if kf := t.EffFuse(); kf > 1 {
 		fu := float64(kf-1) / float64(tunespace.MaxFuse-1)
-		if e.blocks.Tuning {
-			b.put(idxFuse, clamp01(fu))
-			b.put(idxFuse2, clamp01(fu*fu))
+		if p.blocks.Tuning {
+			out.put(idxFuse, clamp01(fu))
+			out.put(idxFuse2, clamp01(fu*fu))
 		}
-		if e.blocks.Interactions {
+		if p.blocks.Interactions {
 			// Fusion pays off in proportion to how DRAM-bound the sweep is:
 			// the interactions couple depth to stencil density and to the
 			// spatial tile's working set.
-			density := float64(k.Shape.TotalAccesses()) / maxAccesses
-			b.put(idxFuseDensity, clamp01(fu*density))
-			ws := float64(min(t.Bx, sz.X)) * float64(min(t.By, sz.Y)) *
-				float64(min(t.Bz, sz.Z)) * float64(k.Type.Bytes()) * float64(k.Buffers)
-			b.put(idxFuseWS, clamp01(fu*log2(ws)/maxLogWS))
+			out.put(idxFuseDensity, clamp01(fu*p.density))
+			out.put(idxFuseWS, clamp01(fu*l2ws/maxLogWS))
 		}
-		if e.blocks.Tuning {
-			b.put(idxFuseBin0+kf-2, 1)
+		if p.blocks.Tuning {
+			out.put(idxFuseBin0+kf-2, 1)
 		}
 	}
-
-	return Vector{Idx: b.idx, Val: b.val}
 }
 
 // binIndex maps v into n equal bins spanning [lo, hi), clamping outliers

@@ -749,42 +749,47 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		lm.info.Name, lm.info.ContentHash, kernelFingerprint(q.Kernel), q.Size, req.TopK, mode)
 	s.serveCached(w, r, key, func(ctx context.Context) (any, error) {
 		cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
-		start := time.Now()
-		best, err := lm.tuner.Best(q, cands)
-		if err != nil {
-			return nil, err
-		}
 		resp := &tuneResponse{
 			Model:            lm.info.Name,
 			Instance:         q.ID(),
-			Best:             fromVector(best),
 			RankedCandidates: len(cands),
-			RankMicros:       time.Since(start).Microseconds(),
 		}
-		if req.TopK > 0 {
-			eval, release, err := s.evaluatorFor(ctx, lm, mode)
+		if req.TopK == 0 {
+			start := time.Now()
+			best, err := lm.tuner.Best(q, cands)
 			if err != nil {
 				return nil, err
 			}
-			defer release()
-			hres, err := lm.tuner.HybridTopK(q, cands, req.TopK, core.BatchObjectiveFor(eval, q))
-			if err != nil {
-				return nil, err
-			}
-			// A cancelled fan-out reports +Inf sentinels; never serve or
-			// cache such a poisoned result.
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			resp.Hybrid = &hybridJSON{
-				TopK:      hres.Evaluations,
-				Mode:      mode,
-				Best:      fromVector(hres.Best),
-				BestValue: hres.BestValue,
-			}
-			if mode == "measure" {
-				s.record(q, "measure", s.machine, time.Now().UnixNano(), hres.Best, hres.BestValue)
-			}
+			resp.Best = fromVector(best)
+			resp.RankMicros = time.Since(start).Microseconds()
+			return resp, nil
+		}
+		// A hybrid tune ranks once: the model's top-1 is the head of the
+		// same ranking the top-k measurements are drawn from.
+		eval, release, err := s.evaluatorFor(ctx, lm, mode)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		hres, err := lm.tuner.HybridTopK(q, cands, req.TopK, core.BatchObjectiveFor(eval, q))
+		if err != nil {
+			return nil, err
+		}
+		// A cancelled fan-out reports +Inf sentinels; never serve or
+		// cache such a poisoned result.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		resp.Best = fromVector(hres.ModelBest)
+		resp.RankMicros = hres.RankTime.Microseconds()
+		resp.Hybrid = &hybridJSON{
+			TopK:      hres.Evaluations,
+			Mode:      mode,
+			Best:      fromVector(hres.Best),
+			BestValue: hres.BestValue,
+		}
+		if mode == "measure" {
+			s.record(q, "measure", s.machine, time.Now().UnixNano(), hres.Best, hres.BestValue)
 		}
 		return resp, nil
 	})
@@ -1029,15 +1034,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	rs := s.reg.snapshot()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
-		"status":           "ok",
-		"version":          s.build.Version,
-		"commit":           s.build.Commit,
-		"go":               s.build.GoVersion,
-		"models":           len(rs.names),
+		"status":              "ok",
+		"version":             s.build.Version,
+		"commit":              s.build.Commit,
+		"go":                  s.build.GoVersion,
+		"models":              len(rs.names),
 		"default_model":       rs.defaultName,
 		"registry_version":    rs.version,
 		"registry_generation": rs.generation,
-		"uptime_seconds":   int64(time.Since(s.start).Seconds()),
+		"uptime_seconds":      int64(time.Since(s.start).Seconds()),
 	})
 }
 

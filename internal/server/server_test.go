@@ -533,3 +533,29 @@ func BenchmarkServeTuneCold(b *testing.B) {
 		}
 	}
 }
+
+// TestHybridTuneBestIsModelTop1: a hybrid tune ranks the predefined set
+// once, and its "best" is still the model's top-1 — the same answer as a
+// plain tune — next to the measured winner of the top-k.
+func TestHybridTuneBestIsModelTop1(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	w, plain := postJSON(t, h, "/v1/tune", `{"model":"tiny","kernel":"laplacian","size":"100x100x100"}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("tune: status %d: %v", w.Code, plain)
+	}
+	w, hyb := postJSON(t, h, "/v1/tune", `{"model":"tiny","kernel":"laplacian","size":"100x100x100","topk":4}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("hybrid tune: status %d: %v", w.Code, hyb)
+	}
+	if got, want := vectorFrom(t, hyb, "best"), vectorFrom(t, plain, "best"); got != want {
+		t.Errorf("hybrid best %v, plain tune best %v", got, want)
+	}
+	hj, ok := hyb["hybrid"].(map[string]any)
+	if !ok || hj["topk"] != float64(4) {
+		t.Fatalf("hybrid block = %v, want topk 4", hyb["hybrid"])
+	}
+	if us, _ := hyb["rank_micros"].(float64); us <= 0 {
+		t.Errorf("rank_micros = %v, want the ranking time", hyb["rank_micros"])
+	}
+}

@@ -296,19 +296,28 @@ func (m *Model) Rank(xs []feature.Vector) []int {
 // both — the serving API's scored rankings — pay one ScoreBatch pass.
 func (m *Model) RankWithScores(xs []feature.Vector) ([]int, []float64) {
 	scores := m.ScoreBatch(xs)
-	idx := make([]int, len(xs))
+	return Order(scores), scores
+}
+
+// Order returns the indices of scores ordered best-first (descending
+// score); equal scores keep input order.
+func Order(scores []float64) []int {
+	idx := make([]int, len(scores))
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
-	return idx, scores
+	return idx
 }
 
 // ArgBestBatch returns the index of the highest-scoring vector without
 // sorting (-1 for empty input); ties keep the earliest index, matching
 // Rank's first entry.
-func (m *Model) ArgBestBatch(xs []feature.Vector) int {
-	scores := m.ScoreBatch(xs)
+func (m *Model) ArgBestBatch(xs []feature.Vector) int { return ArgMax(m.ScoreBatch(xs)) }
+
+// ArgMax returns the index of the highest score (-1 for empty input); ties
+// keep the earliest index, matching Order's first entry.
+func ArgMax(scores []float64) int {
 	best, bestScore := -1, math.Inf(-1)
 	for i, s := range scores {
 		if s > bestScore {

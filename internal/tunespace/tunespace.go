@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // Parameter ranges from Sec. V: each blocking size ranges over 2..1024, the
@@ -257,11 +258,26 @@ func powersOfTwo(lo, hi int) []int {
 //
 //	z-blocks are never profitable on this class of machine),
 //	u ∈ {0,2,4,8}, c ∈ {1,2,4,8} → 10·9·6·4·4 = 8640.
+//
+// Each set is built once per dimensionality and shared by every caller;
+// callers must not modify the returned slice (copy it first).
 func (s Space) Predefined() []Vector {
+	if s.Dims == 2 {
+		return predefined2D()
+	}
+	return predefined3D()
+}
+
+var (
+	predefined2D = sync.OnceValue(func() []Vector { return buildPredefined(2) })
+	predefined3D = sync.OnceValue(func() []Vector { return buildPredefined(3) })
+)
+
+func buildPredefined(dims int) []Vector {
 	unrolls := []int{0, 2, 4, 8}
 	chunks := []int{1, 2, 4, 8}
-	var out []Vector
-	if s.Dims == 2 {
+	if dims == 2 {
+		out := make([]Vector, 0, 10*10*len(unrolls)*len(chunks))
 		for _, bx := range powersOfTwo(1, 10) {
 			for _, by := range powersOfTwo(1, 10) {
 				for _, u := range unrolls {
@@ -273,6 +289,7 @@ func (s Space) Predefined() []Vector {
 		}
 		return out
 	}
+	out := make([]Vector, 0, 10*9*6*len(unrolls)*len(chunks))
 	for _, bx := range powersOfTwo(1, 10) {
 		for _, by := range powersOfTwo(2, 10) {
 			for _, bz := range powersOfTwo(1, 6) {

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -405,9 +406,9 @@ func (t *Tuner) HybridTune(q Instance, k int, eval Evaluator) (TuningVector, flo
 }
 
 // PredefinedCandidates returns the paper's predefined configuration set for
-// a stencil dimensionality (2 or 3).
+// a stencil dimensionality (2 or 3). The slice is the caller's own copy.
 func PredefinedCandidates(dims int) []TuningVector {
-	return tunespace.NewSpace(dims).Predefined()
+	return slices.Clone(tunespace.NewSpace(dims).Predefined())
 }
 
 // SearchEngines returns the four iterative-compilation baselines of the

@@ -103,6 +103,12 @@ func TestPredefinedCandidatesSizes(t *testing.T) {
 	if got := len(PredefinedCandidates(3)); got != 8640 {
 		t.Errorf("3-D candidates = %d, want 8640", got)
 	}
+	// The internal set is shared; the public copy is the caller's to edit.
+	mine := PredefinedCandidates(2)
+	mine[0].Bx = 999
+	if PredefinedCandidates(2)[0].Bx == 999 {
+		t.Error("editing PredefinedCandidates' result changed the shared set")
+	}
 }
 
 func TestSearchEnginesExposed(t *testing.T) {
