@@ -240,6 +240,21 @@ func asym2DExec() *exec.LinearKernel {
 	}}
 }
 
+// offsets12Exec is a 12-term 3-D offset kernel of radius 2. Twelve terms
+// match no structural fast path, so it runs the generic term-plan passes,
+// like the offset kernels that measure-mode tunes time.
+func offsets12Exec() *exec.LinearKernel {
+	pts := []shape.Point{
+		{}, {X: 1}, {X: -2}, {Y: 1}, {Y: -1}, {Z: 2},
+		{Z: -1}, {X: 1, Y: 1}, {X: -1, Z: 1}, {Y: -2, Z: -1}, {X: 2, Y: -1}, {X: -1, Y: 2, Z: 1},
+	}
+	k := &exec.LinearKernel{Name: "offsets12", Buffers: 1}
+	for i, p := range pts {
+		k.Terms = append(k.Terms, exec.Term{Offset: p, Weight: 0.05 + 0.01*float64(i)})
+	}
+	return k
+}
+
 // execBenchCase is one (kernel, geometry, precision) point of the executor
 // benchmarks.
 type execBenchCase struct {
@@ -270,6 +285,10 @@ func execBenchCases() []execBenchCase {
 		cases = append(cases, execBenchCase{fmt.Sprintf("asym2d-n=%d", n), asym2DExec(), n, 1, tv2, false})
 	}
 	cases = append(cases, execBenchCase{"gradient-n=64", exec.GradientExec(), 64, 64, tv3, false})
+	// Short generic rows: the 16-wide tiles a measure-mode tune typically
+	// picks, where per-row cost is about half the run.
+	cases = append(cases, execBenchCase{"offsets12-n=64", offsets12Exec(), 64, 64,
+		tunespace.Vector{Bx: 16, By: 8, Bz: 8, U: 4, C: 1}, false})
 	// DRAM-resident laplacian (192³ ≈ 113 MB of float64 across the two
 	// grids): the canonical bandwidth-bound case where halving the element
 	// size must show up as throughput.

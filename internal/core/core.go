@@ -136,14 +136,17 @@ type HybridResult struct {
 	// ModelBest is the model's unmeasured top-1: the head of the ranking,
 	// the same vector Best returns for the candidate set.
 	ModelBest tunespace.Vector
-	// RankTime is the time spent ranking, measurement excluded.
+	// RankTime is the time spent scoring the set and selecting its top-k,
+	// measurement excluded.
 	RankTime time.Duration
 }
 
 // HybridTopK implements the paper's future-work coupling of the ranking
-// model with iterative compilation: rank the full candidate set without
+// model with iterative compilation: score the full candidate set without
 // executing anything, then spend the measurement budget only on the top-k
-// ranked candidates and return the measured best. With k ≪ |cands| this
+// ranked candidates and return the measured best. The top-k is selected
+// from the scores (svmrank.TopK), never by sorting the whole set, and is
+// exactly the head of Rank's order. With k ≪ |cands| this
 // turns a 1024-evaluation search into a handful of runs. The k measurements
 // are submitted as one batch (a concurrency-capable objective overlaps
 // them); the winner is picked in rank order, so results never depend on the
@@ -153,16 +156,16 @@ func (t *Tuner) HybridTopK(q stencil.Instance, cands []tunespace.Vector, k int, 
 		return HybridResult{}, fmt.Errorf("core: k = %d must be positive", k)
 	}
 	start := time.Now()
-	order, err := t.Rank(q, cands)
+	scores, err := t.Scores(q, cands)
 	if err != nil {
 		return HybridResult{}, err
 	}
+	order := svmrank.TopK(scores, k)
 	res := HybridResult{RankedFrom: len(cands), ModelBest: cands[order[0]], RankTime: time.Since(start)}
-	k = min(k, len(order))
-	res.Evaluations = k
-	top := make([]tunespace.Vector, k)
-	for i := range top {
-		top[i] = cands[order[i]]
+	res.Evaluations = len(order)
+	top := make([]tunespace.Vector, len(order))
+	for i, o := range order {
+		top[i] = cands[o]
 	}
 	for i, val := range obj(top) {
 		if i == 0 || val < res.BestValue {

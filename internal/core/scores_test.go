@@ -131,3 +131,58 @@ func TestHybridModelBestIsBest(t *testing.T) {
 		t.Errorf("RankTime = %v, want the ranking time", res.RankTime)
 	}
 }
+
+// TestHybridTopKMatchesRankThenSlice checks the selected top-k against the
+// reference that sorts the whole set: rank, keep the first k, measure them
+// and keep the first strict minimum in rank order. The zero and sparse
+// models make most scores tie, and the objective ties too, so both the
+// selection's and the winner's tie-breaking are exercised.
+func TestHybridTopKMatchesRankThenSlice(t *testing.T) {
+	obj := func(vs []tunespace.Vector) []float64 {
+		out := make([]float64, len(vs))
+		for i, v := range vs {
+			out[i] = float64((v.Bx*7+v.By*13+v.Bz*3+v.U*5+v.C)%11) + 0.5
+		}
+		return out
+	}
+	sparse := make([]float64, feature.Dim)
+	for i := len(sparse) - 8; i < len(sparse); i++ {
+		sparse[i] = float64(i % 3)
+	}
+	tuners := []*Tuner{
+		randomTuner(7),
+		New(&svmrank.Model{W: make([]float64, feature.Dim)}),
+		New(&svmrank.Model{W: sparse}),
+	}
+	for ti, tu := range tuners {
+		for _, q := range []stencil.Instance{lap128(), {Kernel: stencil.Blur(), Size: stencil.Size2D(1023, 768)}} {
+			cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
+			order, err := tu.Rank(q, cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{1, 2, 4, 16, len(cands), len(cands) + 3} {
+				got, err := tu.HybridTopK(q, cands, k, obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				top := make([]tunespace.Vector, min(k, len(order)))
+				for i := range top {
+					top[i] = cands[order[i]]
+				}
+				want := HybridResult{ModelBest: top[0], Evaluations: len(top)}
+				for i, v := range obj(top) {
+					if i == 0 || v < want.BestValue {
+						want.Best, want.BestValue = top[i], v
+					}
+				}
+				if got.Best != want.Best || got.BestValue != want.BestValue ||
+					got.ModelBest != want.ModelBest || got.Evaluations != want.Evaluations {
+					t.Errorf("tuner %d %s k=%d: got best %v (%g) model-best %v evals %d, want %v (%g) %v %d",
+						ti, q.ID(), k, got.Best, got.BestValue, got.ModelBest, got.Evaluations,
+						want.Best, want.BestValue, want.ModelBest, want.Evaluations)
+				}
+			}
+		}
+	}
+}

@@ -196,6 +196,46 @@ func (m *Measurer) MeasureBatch(q stencil.Instance, ts []tunespace.Vector) ([]fl
 	return out, firstErr
 }
 
+// Session is one caller's view of a Measurer with the evaluator contract
+// of the perfmodel simulator: Runtime and RuntimeBatch report seconds, and a
+// configuration the executor cannot run reports math.Inf(1) at its slot.
+// The session keeps the executor's first such error, so a caller whose
+// every measurement failed can report why instead of an infinite time.
+// Measurements still serialize on the shared Measurer.
+type Session struct {
+	m   *Measurer
+	mu  sync.Mutex
+	err error
+}
+
+// Session returns a fresh per-caller session on the measurer.
+func (m *Measurer) Session() *Session { return &Session{m: m} }
+
+// Runtime measures one tuning vector.
+func (s *Session) Runtime(q stencil.Instance, t tunespace.Vector) float64 {
+	return s.RuntimeBatch(q, []tunespace.Vector{t})[0]
+}
+
+// RuntimeBatch measures a batch through MeasureBatch, keeping its error.
+func (s *Session) RuntimeBatch(q stencil.Instance, ts []tunespace.Vector) []float64 {
+	out, err := s.m.MeasureBatch(q, ts)
+	if err != nil {
+		s.mu.Lock()
+		if s.err == nil {
+			s.err = err
+		}
+		s.mu.Unlock()
+	}
+	return out
+}
+
+// Err returns the first measurement error of the session, or nil.
+func (s *Session) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
 // measureLocked is Measure's body; callers hold m.mu. It dispatches to the
 // runner and workspace cache matching the stencil's declared element type.
 func (m *Measurer) measureLocked(q stencil.Instance, t tunespace.Vector) (float64, error) {

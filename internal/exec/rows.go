@@ -17,12 +17,19 @@ import "repro/internal/grid"
 // The output row round-trips through dst between passes, but a row is at
 // most Bx elements and stays in L1.
 //
-// Bounds-check elimination. Every pass reslices its operands to a common
-// length first (dst = out[base : base+n]; src = data[base+off:][:n:n]), then
-// walks them with the slice-advance idiom (operate on s[:4], then s = s[4:]),
-// which the compiler provably needs no bounds checks for. The halo guarantee
-// makes the reslices themselves safe: base is an interior index, so
-// base+off ≥ 0 and base+off+n ≤ len(data) for every in-halo term offset.
+// Index loops. Every pass clips its operands to the row length n first
+// (dst = out[base : base+n : base+n]; src = data[o : o+n : o+n] with
+// o = base+off, one three-index reslice per term and row), then walks a
+// single index i in steps of four over s[i:i+4:i+4] windows of each
+// operand. Because i+4 <= n and every operand has length n, the element
+// accesses carry no bounds checks, and the loop keeps one counter live
+// rather than one slice header per operand. The slice-advance idiom this
+// replaces (s = s[4:] on every operand each step) was check-free too, but a
+// 4-term pass kept five headers — fifteen words — live across the loop and
+// spilled registers, which on the short rows the tuner favours (bx=16) cost
+// about as much as the arithmetic. The halo guarantee makes the reslices
+// themselves safe: base is an interior index, so base+off ≥ 0 and
+// base+off+n ≤ len(data) for every in-halo term offset.
 //
 // Summation order. Passes accumulate terms in plan order, and every fused
 // variant folds its terms left-to-right, so the result is the value Reference
@@ -50,45 +57,43 @@ func fuseWidth(u int) int {
 	}
 }
 
-// src returns term t's source row for the span [base, base+n), with the
-// capacity clamped so the compiler knows later reslices cannot grow it.
-func (p *plan[T]) src(t, base, n int) []T {
-	return p.data[t][base+p.idxOff[t]:][:n:n]
-}
-
 // runRowPlan computes the row span out[base : base+n] as the in-order
 // weighted sum of the plan's terms, as term-major passes of the given fuse
-// width.
+// width. The plan's tables are loaded once per row and clipped to the term
+// count, so each term's source row costs one three-index reslice.
 func runRowPlan[T grid.Float](p *plan[T], out []T, base, n, fuse int) {
-	dst := out[base : base+n]
+	dst := out[base : base+n : base+n]
 	w := p.weight
 	nt := len(w)
+	off, data := p.idxOff[:nt], p.data[:nt]
+	src := func(t int) []T {
+		o := base + off[t]
+		return data[t][o : o+n : o+n]
+	}
 	var t int
 	switch {
 	case fuse >= 4 && nt >= 4:
-		rowScale4(dst, p.src(0, base, n), p.src(1, base, n), p.src(2, base, n), p.src(3, base, n),
-			w[0], w[1], w[2], w[3])
+		rowScale4(dst, src(0), src(1), src(2), src(3), w[0], w[1], w[2], w[3])
 		t = 4
 	case fuse >= 2 && nt >= 2:
-		rowScale2(dst, p.src(0, base, n), p.src(1, base, n), w[0], w[1])
+		rowScale2(dst, src(0), src(1), w[0], w[1])
 		t = 2
 	default:
-		rowScale1(dst, p.src(0, base, n), w[0])
+		rowScale1(dst, src(0), w[0])
 		t = 1
 	}
 	if fuse >= 4 {
 		for ; nt-t >= 4; t += 4 {
-			rowAxpy4(dst, p.src(t, base, n), p.src(t+1, base, n), p.src(t+2, base, n), p.src(t+3, base, n),
-				w[t], w[t+1], w[t+2], w[t+3])
+			rowAxpy4(dst, src(t), src(t+1), src(t+2), src(t+3), w[t], w[t+1], w[t+2], w[t+3])
 		}
 	}
 	if fuse >= 2 {
 		for ; nt-t >= 2; t += 2 {
-			rowAxpy2(dst, p.src(t, base, n), p.src(t+1, base, n), w[t], w[t+1])
+			rowAxpy2(dst, src(t), src(t+1), w[t], w[t+1])
 		}
 	}
 	for ; t < nt; t++ {
-		rowAxpy1(dst, p.src(t, base, n), w[t])
+		rowAxpy1(dst, src(t), w[t])
 	}
 }
 
@@ -102,16 +107,17 @@ func runSpans[T grid.Float](p *plan[T], out []T, spans []int32, fuse int) {
 
 // rowScale1 is the head pass: dst = w·a.
 func rowScale1[T grid.Float](dst, a []T, w T) {
-	a = a[:len(dst)]
-	for len(dst) >= 4 {
-		d, x := dst[:4], a[:4]
+	n := len(dst)
+	a = a[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
 		d[0] = w * x[0]
 		d[1] = w * x[1]
 		d[2] = w * x[2]
 		d[3] = w * x[3]
-		dst, a = dst[4:], a[4:]
 	}
-	for i := range dst {
+	for ; i < n; i++ {
 		dst[i] = w * a[i]
 	}
 }
@@ -120,15 +126,15 @@ func rowScale1[T grid.Float](dst, a []T, w T) {
 func rowScale2[T grid.Float](dst, a, b []T, wa, wb T) {
 	n := len(dst)
 	a, b = a[:n], b[:n]
-	for len(dst) >= 4 {
-		d, x, y := dst[:4], a[:4], b[:4]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
 		d[0] = wa*x[0] + wb*y[0]
 		d[1] = wa*x[1] + wb*y[1]
 		d[2] = wa*x[2] + wb*y[2]
 		d[3] = wa*x[3] + wb*y[3]
-		dst, a, b = dst[4:], a[4:], b[4:]
 	}
-	for i := range dst {
+	for ; i < n; i++ {
 		dst[i] = wa*a[i] + wb*b[i]
 	}
 }
@@ -137,31 +143,32 @@ func rowScale2[T grid.Float](dst, a, b []T, wa, wb T) {
 func rowScale4[T grid.Float](dst, a, b, c, e []T, wa, wb, wc, wd T) {
 	n := len(dst)
 	a, b, c, e = a[:n], b[:n], c[:n], e[:n]
-	for len(dst) >= 4 {
-		d, x, y, z, u := dst[:4], a[:4], b[:4], c[:4], e[:4]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d, x, y, z, u := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4], c[i:i+4:i+4], e[i:i+4:i+4]
 		d[0] = wa*x[0] + wb*y[0] + wc*z[0] + wd*u[0]
 		d[1] = wa*x[1] + wb*y[1] + wc*z[1] + wd*u[1]
 		d[2] = wa*x[2] + wb*y[2] + wc*z[2] + wd*u[2]
 		d[3] = wa*x[3] + wb*y[3] + wc*z[3] + wd*u[3]
-		dst, a, b, c, e = dst[4:], a[4:], b[4:], c[4:], e[4:]
 	}
-	for i := range dst {
+	for ; i < n; i++ {
 		dst[i] = wa*a[i] + wb*b[i] + wc*c[i] + wd*e[i]
 	}
 }
 
 // rowAxpy1 accumulates one term: dst += w·a.
 func rowAxpy1[T grid.Float](dst, a []T, w T) {
-	a = a[:len(dst)]
-	for len(dst) >= 4 {
-		d, x := dst[:4], a[:4]
+	n := len(dst)
+	a = a[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d, x := dst[i:i+4:i+4], a[i:i+4:i+4]
 		d[0] += w * x[0]
 		d[1] += w * x[1]
 		d[2] += w * x[2]
 		d[3] += w * x[3]
-		dst, a = dst[4:], a[4:]
 	}
-	for i := range dst {
+	for ; i < n; i++ {
 		dst[i] += w * a[i]
 	}
 }
@@ -173,15 +180,15 @@ func rowAxpy1[T grid.Float](dst, a []T, w T) {
 func rowAxpy2[T grid.Float](dst, a, b []T, wa, wb T) {
 	n := len(dst)
 	a, b = a[:n], b[:n]
-	for len(dst) >= 4 {
-		d, x, y := dst[:4], a[:4], b[:4]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d, x, y := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4]
 		d[0] = d[0] + wa*x[0] + wb*y[0]
 		d[1] = d[1] + wa*x[1] + wb*y[1]
 		d[2] = d[2] + wa*x[2] + wb*y[2]
 		d[3] = d[3] + wa*x[3] + wb*y[3]
-		dst, a, b = dst[4:], a[4:], b[4:]
 	}
-	for i := range dst {
+	for ; i < n; i++ {
 		dst[i] = dst[i] + wa*a[i] + wb*b[i]
 	}
 }
@@ -191,15 +198,15 @@ func rowAxpy2[T grid.Float](dst, a, b []T, wa, wb T) {
 func rowAxpy4[T grid.Float](dst, a, b, c, e []T, wa, wb, wc, wd T) {
 	n := len(dst)
 	a, b, c, e = a[:n], b[:n], c[:n], e[:n]
-	for len(dst) >= 4 {
-		d, x, y, z, u := dst[:4], a[:4], b[:4], c[:4], e[:4]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d, x, y, z, u := dst[i:i+4:i+4], a[i:i+4:i+4], b[i:i+4:i+4], c[i:i+4:i+4], e[i:i+4:i+4]
 		d[0] = d[0] + wa*x[0] + wb*y[0] + wc*z[0] + wd*u[0]
 		d[1] = d[1] + wa*x[1] + wb*y[1] + wc*z[1] + wd*u[1]
 		d[2] = d[2] + wa*x[2] + wb*y[2] + wc*z[2] + wd*u[2]
 		d[3] = d[3] + wa*x[3] + wb*y[3] + wc*z[3] + wd*u[3]
-		dst, a, b, c, e = dst[4:], a[4:], b[4:], c[4:], e[4:]
 	}
-	for i := range dst {
+	for ; i < n; i++ {
 		dst[i] = dst[i] + wa*a[i] + wb*b[i] + wc*c[i] + wd*e[i]
 	}
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -152,4 +153,90 @@ func TestFuseWidths(t *testing.T) {
 			t.Errorf("fuseWidth(%d) = %d, want %d", u, got, want)
 		}
 	}
+}
+
+// rowBody is one of the six row bodies behind a uniform signature: src
+// holds its term sources and w their weights, in plan order.
+type rowBody[T grid.Float] struct {
+	name  string
+	terms int
+	head  bool // overwrites dst instead of accumulating into it
+	run   func(dst []T, src [][]T, w []T)
+}
+
+func rowBodies[T grid.Float]() []rowBody[T] {
+	return []rowBody[T]{
+		{"rowScale1", 1, true, func(d []T, s [][]T, w []T) { rowScale1(d, s[0], w[0]) }},
+		{"rowScale2", 2, true, func(d []T, s [][]T, w []T) { rowScale2(d, s[0], s[1], w[0], w[1]) }},
+		{"rowScale4", 4, true, func(d []T, s [][]T, w []T) {
+			rowScale4(d, s[0], s[1], s[2], s[3], w[0], w[1], w[2], w[3])
+		}},
+		{"rowAxpy1", 1, false, func(d []T, s [][]T, w []T) { rowAxpy1(d, s[0], w[0]) }},
+		{"rowAxpy2", 2, false, func(d []T, s [][]T, w []T) { rowAxpy2(d, s[0], s[1], w[0], w[1]) }},
+		{"rowAxpy4", 4, false, func(d []T, s [][]T, w []T) {
+			rowAxpy4(d, s[0], s[1], s[2], s[3], w[0], w[1], w[2], w[3])
+		}},
+	}
+}
+
+// testRowBodies checks every row body against a scalar loop that folds the
+// terms left to right, as Reference does, for every row length 0..37: the
+// 4-wide main loop, the n%4 tails and rows shorter than one step. Values
+// span many binades so any reassociation changes the bits. Sources are
+// longer than the row and dst sits in a larger buffer, so a body that reads
+// or writes past n fails too.
+func testRowBodies[T grid.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	val := func() T { return T(rng.NormFloat64() * math.Ldexp(1, rng.Intn(40)-20)) }
+	const sentinel = 12345
+	for _, b := range rowBodies[T]() {
+		for n := 0; n <= 37; n++ {
+			src := make([][]T, b.terms)
+			w := make([]T, b.terms)
+			for ti := range src {
+				src[ti] = make([]T, n+3)
+				for i := range src[ti] {
+					src[ti][i] = val()
+				}
+				w[ti] = val()
+			}
+			buf := make([]T, n+4)
+			for i := range buf {
+				buf[i] = sentinel
+			}
+			dst := buf[:n]
+			for i := range dst {
+				dst[i] = val()
+			}
+			want := make([]T, n)
+			for i := range want {
+				acc := dst[i]
+				if b.head {
+					acc = w[0] * src[0][i]
+				} else {
+					acc += w[0] * src[0][i]
+				}
+				for ti := 1; ti < b.terms; ti++ {
+					acc += w[ti] * src[ti][i]
+				}
+				want[i] = acc
+			}
+			b.run(dst, src, w)
+			for i := range want {
+				if math.Float64bits(float64(dst[i])) != math.Float64bits(float64(want[i])) {
+					t.Fatalf("%s n=%d: point %d = %v, want %v", b.name, n, i, dst[i], want[i])
+				}
+			}
+			for i := n; i < len(buf); i++ {
+				if buf[i] != sentinel {
+					t.Fatalf("%s n=%d: wrote past the row at %d", b.name, n, i)
+				}
+			}
+		}
+	}
+}
+
+func TestRowBodiesMatchScalarLoop(t *testing.T) {
+	t.Run("float64", testRowBodies[float64])
+	t.Run("float32", testRowBodies[float32])
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,6 +159,47 @@ func TestMeasurePredictLogsToWAL(t *testing.T) {
 	if s.MetricValue("wal_appended") != 2 || s.MetricValue("wal_dropped") != 0 {
 		t.Fatalf("wal metrics appended=%d dropped=%d, want 2/0",
 			s.MetricValue("wal_appended"), s.MetricValue("wal_dropped"))
+	}
+}
+
+// unrunnableKernel's offsets all lie in one plane, so its predefined set
+// is the 2-D one (bz=1), which the executor rejects on a 3-D grid: every
+// candidate of a measured tune on a 3-D size fails to run.
+const unrunnableKernel = `{"name":"p","offsets":[[0,0,0],[1,0,0],[0,1,0]],"dtype":"float64"}`
+
+// TestMeasureTuneWithNoRunnableCandidate: when no top-k candidate runs, the
+// reply is a 400 naming the executor's error, not a JSON encoding failure of
+// an infinite best time. Nothing is cached and nothing reaches the WAL.
+func TestMeasureTuneWithNoRunnableCandidate(t *testing.T) {
+	s, read := walServer(t, Config{CacheSize: 16})
+	body := `{"model":"tiny","kernel":` + unrunnableKernel + `,"size":"16x16x16","topk":2,"mode":"measure"}`
+	for i := 0; i < 2; i++ {
+		w, out := postJSON(t, s.Handler(), "/v1/tune", body)
+		msg, _ := out["error"].(string)
+		if w.Code != http.StatusBadRequest || !strings.Contains(msg, "bz=1") || strings.Contains(msg, "Inf") {
+			t.Fatalf("request %d: %d %v, want 400 with the executor's error", i, w.Code, out)
+		}
+	}
+	if got := s.MetricValue("inferences"); got != 2 {
+		t.Errorf("inferences = %d, want 2 (a failed tune must not be cached)", got)
+	}
+	if recs := read(); len(recs) != 0 {
+		t.Errorf("WAL holds %d records, want none", len(recs))
+	}
+}
+
+// TestMeasurePredictWithUnrunnableVector: a measured prediction the
+// executor cannot run answers 400 with the executor's error.
+func TestMeasurePredictWithUnrunnableVector(t *testing.T) {
+	s, read := walServer(t, Config{})
+	body := `{"model":"tiny","kernel":` + unrunnableKernel + `,"size":"16x16x16","mode":"measure",
+		"vectors":[{"bx":8,"by":4,"bz":1,"u":1,"c":1}]}`
+	w, out := postJSON(t, s.Handler(), "/v1/predict", body)
+	if msg, _ := out["error"].(string); w.Code != http.StatusBadRequest || !strings.Contains(msg, "bz=1") {
+		t.Fatalf("predict: %d %v, want 400 with the executor's error", w.Code, out)
+	}
+	if recs := read(); len(recs) != 0 {
+		t.Errorf("WAL holds %d records, want none", len(recs))
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"sort"
@@ -624,22 +625,26 @@ func (s *Server) respond(w http.ResponseWriter, source string, body []byte) {
 
 // evaluatorFor builds the per-request evaluation stack for a mode:
 // request-scoped memoization over a context-honoring fan-out of the model's
-// simulator, or the shared wall-clock measurer (which batches natively,
-// serialized for timing fidelity). Measure mode passes through the
+// simulator, or a session on the shared wall-clock measurer (which batches
+// natively, serialized for timing fidelity). Measure mode passes through the
 // admission gate, so the caller must invoke release (always non-nil) once
-// the evaluation is done; a full queue fails with a 503 shed error.
-func (s *Server) evaluatorFor(ctx context.Context, lm *loadedModel, mode string) (eval dataset.BatchEvaluator, release func(), err error) {
+// the evaluation is done; a full queue fails with a 503 shed error. failure
+// (always non-nil) reports the executor's first error of this request's
+// measurements, nil in sim mode: a configuration the executor cannot run
+// evaluates to +Inf, and failure says why.
+func (s *Server) evaluatorFor(ctx context.Context, lm *loadedModel, mode string) (eval dataset.BatchEvaluator, failure func() error, release func(), err error) {
 	noop := func() {}
+	none := func() error { return nil }
 	switch mode {
 	case "", "sim":
-		return dataset.Memoized(dataset.BatchedContext(ctx, lm.sim, s.workers)), noop, nil
+		return dataset.Memoized(dataset.BatchedContext(ctx, lm.sim, s.workers)), none, noop, nil
 	case "measure":
 		s.m.measureRequests.Inc()
 		waitStart := time.Now()
 		release, err := s.admitMeasure()
 		s.recordSpan(ctx, "queue_wait", waitStart, time.Since(waitStart))
 		if err != nil {
-			return nil, noop, err
+			return nil, none, noop, err
 		}
 		if s.testHookMeasure != nil {
 			s.testHookMeasure()
@@ -647,26 +652,13 @@ func (s *Server) evaluatorFor(ctx context.Context, lm *loadedModel, mode string)
 		m := s.getMeasurer()
 		if m == nil {
 			release()
-			return nil, noop, fmt.Errorf("server is shutting down")
+			return nil, none, noop, fmt.Errorf("server is shutting down")
 		}
-		return dataset.Memoized(spanEval{measuredEval{m}, ctx, s}), release, nil
+		sess := m.Session()
+		return dataset.Memoized(spanEval{sess, ctx, s}), sess.Err, release, nil
 	default:
-		return nil, noop, fmt.Errorf("unknown mode %q (want sim or measure)", mode)
+		return nil, none, noop, fmt.Errorf("unknown mode %q (want sim or measure)", mode)
 	}
-}
-
-// measuredEval adapts the shared executor; MeasureBatch serializes the whole
-// batch under one lock so interleaved timings cannot corrupt each other.
-type measuredEval struct{ m *exec.Measurer }
-
-func (e measuredEval) Runtime(q stencil.Instance, t tunespace.Vector) float64 {
-	out, _ := e.m.MeasureBatch(q, []tunespace.Vector{t})
-	return out[0]
-}
-
-func (e measuredEval) RuntimeBatch(q stencil.Instance, ts []tunespace.Vector) []float64 {
-	out, _ := e.m.MeasureBatch(q, ts)
-	return out
 }
 
 // spanEval records a "measure" span around each real evaluation. It sits
@@ -766,7 +758,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		}
 		// A hybrid tune ranks once: the model's top-1 is the head of the
 		// same ranking the top-k measurements are drawn from.
-		eval, release, err := s.evaluatorFor(ctx, lm, mode)
+		eval, failure, release, err := s.evaluatorFor(ctx, lm, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -779,6 +771,15 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		// cache such a poisoned result.
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		// No top-k candidate ran: answer with the executor's reason. An
+		// error is neither cached nor logged to the WAL.
+		if math.IsInf(hres.BestValue, 1) {
+			err := failure()
+			if err == nil {
+				err = errors.New("no finite runtime")
+			}
+			return nil, fmt.Errorf("none of the top-%d candidates could be evaluated: %w", hres.Evaluations, err)
 		}
 		resp.Best = fromVector(hres.ModelBest)
 		resp.RankMicros = hres.RankTime.Microseconds()
@@ -938,7 +939,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			}
 			return resp, nil
 		}
-		eval, release, err := s.evaluatorFor(ctx, lm, mode)
+		eval, failure, release, err := s.evaluatorFor(ctx, lm, mode)
 		if err != nil {
 			return nil, err
 		}
@@ -946,6 +947,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		resp.Values = eval.RuntimeBatch(q, vs)
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		// A vector the executor cannot run has no runtime to report.
+		if err := failure(); err != nil {
+			return nil, fmt.Errorf("measuring: %w", err)
 		}
 		// Fresh wall-clock measurements are durable training signal: ship
 		// them to the WAL off the request path. Cached and coalesced answers

@@ -16,11 +16,13 @@
 package svmrank
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -300,14 +302,54 @@ func (m *Model) RankWithScores(xs []feature.Vector) ([]int, []float64) {
 }
 
 // Order returns the indices of scores ordered best-first (descending
-// score); equal scores keep input order.
+// score); equal scores keep input order. Breaking ties on the index makes
+// the order total, so an unstable sort of the index slice yields exactly
+// the stable order without the reflection-based swapper sort.SliceStable
+// pays per move.
 func Order(scores []float64) []int {
 	idx := make([]int, len(scores))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
+	slices.SortFunc(idx, func(a, b int) int {
+		switch sa, sb := scores[a], scores[b]; {
+		case sa > sb:
+			return -1
+		case sb > sa:
+			return 1
+		}
+		return cmp.Compare(a, b)
+	})
 	return idx
+}
+
+// TopK returns the first min(k, len(scores)) entries of Order(scores) —
+// the k best indices, descending score, equal scores in input order — in
+// one pass over the scores with a k-slot insertion buffer instead of a
+// full sort. A score enters the buffer only if it strictly beats the
+// current k-th best, so an equal later score never displaces an earlier
+// one.
+func TopK(scores []float64, k int) []int {
+	k = max(0, min(k, len(scores)))
+	top := make([]int, 0, k)
+	if k == 0 {
+		return top
+	}
+	for i, s := range scores {
+		j := len(top)
+		if j < k {
+			top = top[:j+1]
+		} else if s > scores[top[k-1]] {
+			j = k - 1
+		} else {
+			continue
+		}
+		for ; j > 0 && s > scores[top[j-1]]; j-- {
+			top[j] = top[j-1]
+		}
+		top[j] = i
+	}
+	return top
 }
 
 // ArgBestBatch returns the index of the highest-scoring vector without

@@ -37,6 +37,7 @@ package stenciltune
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -392,15 +393,29 @@ func (t *Tuner) TunePredefined(q Instance) (TuningVector, time.Duration, error) 
 // predefined set for free, then measure only the top-k candidates with the
 // given evaluator and return the measured best. The k measurements are
 // submitted as one batch: pass a BatchedEvaluator (or any BatchEvaluator)
-// to overlap them; plain evaluators run sequentially.
+// to overlap them; plain evaluators run sequentially. If no candidate
+// evaluates to a finite time the call fails; with a Measured evaluator the
+// error carries the executor's reason.
 func (t *Tuner) HybridTune(q Instance, k int, eval Evaluator) (TuningVector, float64, error) {
 	if eval == nil {
 		eval = Simulator()
+	}
+	var sess *exec.Session
+	if m, ok := eval.(measuredEvaluator); ok {
+		sess = m.m.Session()
+		eval = sess
 	}
 	cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
 	res, err := t.inner.HybridTopK(q, cands, k, core.BatchObjectiveFor(dataset.Batched(eval, 1), q))
 	if err != nil {
 		return TuningVector{}, 0, err
+	}
+	if math.IsInf(res.BestValue, 1) {
+		err := errors.New("no finite runtime")
+		if sess != nil && sess.Err() != nil {
+			err = sess.Err()
+		}
+		return TuningVector{}, 0, fmt.Errorf("stenciltune: none of the top-%d candidates could be evaluated: %w", res.Evaluations, err)
 	}
 	return res.Best, res.BestValue, nil
 }

@@ -2,6 +2,7 @@ package stenciltune
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -166,6 +167,16 @@ func TestHybridTune(t *testing.T) {
 	}
 	if val > Simulator().Runtime(q, top1)+1e-12 {
 		t.Error("hybrid worse than pure top-1")
+	}
+
+	// A 2-D kernel on a 3-D grid: the 2-D predefined set has bz=1, which
+	// the executor rejects, so no candidate can be measured and the error
+	// says why instead of returning an infinite best time.
+	eval := Measured()
+	defer CloseEvaluator(eval)
+	flat := Instance{Kernel: Edge(), Size: Size3D(16, 16, 16)}
+	if _, v, err := tuner.HybridTune(flat, 2, eval); err == nil || !strings.Contains(err.Error(), "bz=1") {
+		t.Errorf("unrunnable hybrid tune = %v, %v; want the executor's error", v, err)
 	}
 }
 
