@@ -396,38 +396,6 @@ func BenchmarkRunFused(b *testing.B) {
 	}
 }
 
-// benchRunLegacy is the BenchmarkRunLegacyPath body for one element type.
-func benchRunLegacy[T grid.Float](b *testing.B, tc execBenchCase) {
-	r := exec.NewRunnerOf[T]()
-	defer r.Close()
-	out, ins := execBenchWorkspace[T](tc.k, tc.n, tc.nz)
-	if err := r.RunLegacy(tc.k, out, ins, tc.tv); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(tc.n * tc.n * tc.nz * out.ElemBytes()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := r.RunLegacy(tc.k, out, ins, tc.tv); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkRunLegacyPath measures the pre-compile baseline: tile list, term
-// plan and fast-path detection rebuilt and goroutines spawned on every call.
-func BenchmarkRunLegacyPath(b *testing.B) {
-	for _, tc := range execBenchCases() {
-		b.Run(tc.name, func(b *testing.B) {
-			if tc.f32 {
-				benchRunLegacy[float32](b, tc)
-			} else {
-				benchRunLegacy[float64](b, tc)
-			}
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md §4)
 

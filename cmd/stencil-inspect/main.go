@@ -5,7 +5,7 @@
 // Usage:
 //
 //	stencil-inspect -kernel laplacian -size 128x128x128 -tuning 32,16,4,4,2
-//	stencil-inspect -model model.gob -top 20
+//	stencil-inspect -model models -top 20
 package main
 
 import (
@@ -21,28 +21,9 @@ import (
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
 	"repro/internal/stencil"
-	"repro/internal/svmrank"
+	"repro/internal/store"
 	"repro/internal/tunespace"
 )
-
-func parseSize(s string) (stencil.Size, error) {
-	parts := strings.Split(s, "x")
-	vals := make([]int, 0, 3)
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v <= 0 {
-			return stencil.Size{}, fmt.Errorf("bad size component %q", p)
-		}
-		vals = append(vals, v)
-	}
-	switch len(vals) {
-	case 2:
-		return stencil.Size2D(vals[0], vals[1]), nil
-	case 3:
-		return stencil.Size3D(vals[0], vals[1], vals[2]), nil
-	}
-	return stencil.Size{}, fmt.Errorf("size %q must be NxM or NxMxK", s)
-}
 
 func parseTuning(s string) (tunespace.Vector, error) {
 	parts := strings.Split(s, ",")
@@ -71,7 +52,7 @@ func main() {
 	kernelName := flag.String("kernel", "", "benchmark kernel to cost-model (with -size and -tuning)")
 	sizeStr := flag.String("size", "128x128x128", "grid size")
 	tuningStr := flag.String("tuning", "32,16,4,4,2", "tuning vector bx,by,bz,u,c[,k]")
-	modelPath := flag.String("model", "", "trained model to explain")
+	modelPath := flag.String("model", "", "trained model to explain: a store directory written by stencil-train -save, or one of its artifact directories")
 	top := flag.Int("top", 16, "how many weights to show per sign")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -103,7 +84,7 @@ func breakdown(kernelName, sizeStr, tuningStr string) error {
 	if err != nil {
 		return err
 	}
-	size, err := parseSize(sizeStr)
+	size, err := stencil.ParseSize(sizeStr)
 	if err != nil {
 		return err
 	}
@@ -142,10 +123,11 @@ func breakdown(kernelName, sizeStr, tuningStr string) error {
 
 // explain prints the strongest learned weights with feature names.
 func explain(path string, top int) error {
-	model, err := svmrank.LoadFile(path)
+	a, err := store.LoadPath(path)
 	if err != nil {
 		return err
 	}
+	model := a.Model
 	type wf struct {
 		idx int
 		w   float64

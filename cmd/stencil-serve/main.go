@@ -12,11 +12,10 @@
 //	curl -X POST -d '{"kernel":"laplacian","size":"128x128x128"}' localhost:8080/v1/tune
 //
 // Endpoints: POST /v1/tune, /v1/rank, /v1/predict, /v1/observe; GET
-// /v1/models, /healthz, /readyz, /metrics (Prometheus text format; the
-// legacy flat-JSON counters live on at /debug/vars). See the README's
-// "Serving tuned models", "Operating under load", "Online learning & model
-// lifecycle" and "Observability" sections for the schema, the overload
-// semantics, the retrain loop and the metric catalog.
+// /v1/models, /healthz, /readyz, /metrics (Prometheus text format). See the
+// README's "Serving tuned models", "Operating under load", "Online learning
+// & model lifecycle" and "Observability" sections for the schema, the
+// overload semantics, the retrain loop and the metric catalog.
 //
 // With -wal the daemon keeps a durable observation log and serves
 // /v1/observe; adding -retrain-every or -retrain-min starts a background

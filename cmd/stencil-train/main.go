@@ -1,18 +1,18 @@
 // Command stencil-train builds a training set per Section V-B of the paper
 // (60 generated stencil codes, 200 instances, random tuning vectors), trains
-// the ordinal-regression ranking model and saves it to disk.
+// the ordinal-regression ranking model and saves it as an artifact of a
+// model store directory: the format stencil-serve -models, stencil-tune
+// -model and stencil-inspect -model load.
 //
 // Usage:
 //
-//	stencil-train -points 3840 -seed 1 -out model.gob [-mode sim|measure]
-//	stencil-train -points 3840 -save models [-name default]   # store format, for stencil-serve
+//	stencil-train -points 3840 -seed 1 -save models [-name default] [-mode sim|measure]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	stenciltune "repro"
 	"repro/internal/buildinfo"
@@ -24,8 +24,7 @@ func main() {
 
 	points := flag.Int("points", 3840, "training-set size (Table II uses 960..32000)")
 	seed := flag.Int64("seed", 1, "random seed for reproducible training")
-	out := flag.String("out", "model.gob", "output path for the trained model (legacy gob format)")
-	saveDir := flag.String("save", "", "also save into this model store directory (versioned format with provenance; what stencil-serve -models and stencil-tune -model load)")
+	saveDir := flag.String("save", "models", "model store directory to save into (versioned format with provenance; what stencil-serve -models and stencil-tune -model load)")
 	name := flag.String("name", "default", "artifact name within the -save store")
 	mode := flag.String("mode", "sim", "evaluation substrate: sim (deterministic Xeon model) or measure (real timed execution)")
 	cParam := flag.Float64("c", 0, "override the ranking-SVM regularization C (0 = default)")
@@ -63,20 +62,9 @@ func main() {
 	fmt.Printf("accounted testbed cost: compile %v, execution %v\n",
 		report.SimulatedCompileTime.Round(1e9), report.SimulatedExecTime.Round(1e9))
 
-	if err := model.Save(*out); err != nil {
+	if err := stenciltune.SaveModel(*saveDir, *name, model); err != nil {
 		log.Fatal(err)
 	}
-	info, err := os.Stat(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("model saved to %s (%d bytes)\n", *out, info.Size())
-
-	if *saveDir != "" {
-		if err := stenciltune.SaveModel(*saveDir, *name, model); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("model artifact %q saved to store %s (serve with: stencil-serve -models %s)\n",
-			*name, *saveDir, *saveDir)
-	}
+	fmt.Printf("model artifact %q saved to store %s (serve with: stencil-serve -models %s)\n",
+		*name, *saveDir, *saveDir)
 }

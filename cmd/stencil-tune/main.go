@@ -11,7 +11,7 @@
 //
 // Usage:
 //
-//	stencil-tune -kernel laplacian -size 128x128x128 [-model model.gob] [-topk 8]
+//	stencil-tune -kernel laplacian -size 128x128x128 [-model models] [-topk 8]
 //	stencil-tune -kernel laplacian -size 128x128x128 -server http://127.0.0.1:8080
 package main
 
@@ -21,14 +21,13 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	stenciltune "repro"
 	"repro/internal/buildinfo"
 	"repro/internal/client"
 	"repro/internal/dsl"
+	"repro/internal/stencil"
 )
 
 // kernelFromDSL parses a DSL file and returns the named definition (or the
@@ -90,26 +89,6 @@ func tuneViaServer(baseURL, clientID string, timeout time.Duration, kernelName, 
 	return nil
 }
 
-func parseSize(s string) (stenciltune.Size, error) {
-	parts := strings.Split(s, "x")
-	dims := make([]int, 0, 3)
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v <= 0 {
-			return stenciltune.Size{}, fmt.Errorf("bad size component %q", p)
-		}
-		dims = append(dims, v)
-	}
-	switch len(dims) {
-	case 2:
-		return stenciltune.Size2D(dims[0], dims[1]), nil
-	case 3:
-		return stenciltune.Size3D(dims[0], dims[1], dims[2]), nil
-	default:
-		return stenciltune.Size{}, fmt.Errorf("size %q must be NxM or NxMxK", s)
-	}
-}
-
 // effFuse normalizes a wire-format fusion depth: older servers omit the
 // field, and 0 means unfused (depth 1).
 func effFuse(k int) int {
@@ -126,7 +105,7 @@ func main() {
 	kernelName := flag.String("kernel", "laplacian", "benchmark kernel name (Table III): blur, edge, game-of-life, wave-1, tricubic, divergence, gradient, laplacian, laplacian6")
 	dslPath := flag.String("dsl", "", "tune a custom stencil from a DSL file instead of a named benchmark (first definition, or select with -kernel)")
 	sizeStr := flag.String("size", "128x128x128", "grid size, e.g. 1024x1024 or 128x128x128")
-	modelPath := flag.String("model", "", "trained model: a gob file or a store directory written by stencil-train -save (empty = train a fresh 3840-point model)")
+	modelPath := flag.String("model", "", "trained model: a store directory written by stencil-train -save (empty = train a fresh 3840-point model)")
 	points := flag.Int("points", 3840, "training points when training fresh")
 	seed := flag.Int64("seed", 1, "seed for fresh training")
 	topk := flag.Int("topk", 0, "hybrid mode: additionally evaluate the top-k ranked candidates and pick the measured best")
@@ -161,7 +140,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	size, err := parseSize(*sizeStr)
+	size, err := stencil.ParseSize(*sizeStr)
 	if err != nil {
 		log.Fatal(err)
 	}

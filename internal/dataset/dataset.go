@@ -23,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/codegen"
 	"repro/internal/feature"
 	"repro/internal/shape"
 	"repro/internal/stencil"
@@ -367,7 +366,7 @@ func (p *partial) add(enc *feature.Encoder, q stencil.Instance, tv tunespace.Vec
 	p.executions = append(p.executions, Execution{Instance: q, Tuning: tv, Runtime: rt})
 	p.examples = append(p.examples, svmrank.Example{Query: q.ID(), X: enc.Encode(q, tv), Y: rt})
 	p.execTime += time.Duration(rt * float64(time.Second))
-	p.compileTime += codegen.CompileCost(q.Kernel, tv)
+	p.compileTime += CompileCost(q.Kernel, tv)
 }
 
 // heuristicSample implements the HeuristicMixed draw: ~half random, ~quarter

@@ -1,8 +1,10 @@
-// Package exec is the real stencil execution engine: it applies linear
-// stencil kernels over grids with the same code transformations PATUS
-// exposes — loop blocking (bx, by, bz), innermost-loop unrolling (u) and
-// chunked multithreaded tile scheduling (c) — implemented with goroutine
-// workers instead of OpenMP threads.
+// Package exec is the real stencil execution engine and this repository's
+// stand-in for PATUS: it turns a linear stencil kernel plus a tuning vector
+// into a specialized code variant and runs it over grids, with the same code
+// transformations PATUS exposes — loop blocking (bx, by, bz), innermost-loop
+// unrolling (u), chunked multithreaded tile scheduling (c) and temporal
+// blocking (fusion depth K) — implemented with goroutine workers instead of
+// OpenMP threads.
 //
 // The engine is generic over the element type: Runner[float32] executes and
 // times single-precision stencils in genuine float32 arithmetic and memory
@@ -10,29 +12,30 @@
 // (LinearKernel) stay type-neutral — weights are declared in float64 and
 // converted to the execution type when a plan is built — so one kernel
 // definition serves both precisions. NewRunner returns the double-precision
-// runner (the historical default); NewRunnerOf selects the type explicitly,
-// and Measurer picks the runner matching each stencil's declared DataType.
+// runner; NewRunnerOf selects the type explicitly, and Measurer picks the
+// runner matching each stencil's declared DataType.
 //
-// Execution is split into a compile step and an execute step. Compile takes
-// a kernel, a grid geometry and a tuning vector and produces a *Program: the
-// exact-size tile decomposition, its flattened (base, n) row-span plan, the
-// flattened term plan, and the structural fast-path selection are all
-// precomputed once, so execution walks rows linearly with no index
-// arithmetic. Kernels without a structural fast path run through term-major
-// unit-stride passes with bounds checks compiled away (see rows.go).
-// Programs are cached inside the Runner (keyed by kernel identity, geometry
-// and tuning vector), and the Runner owns a persistent pool of worker
-// goroutines fed by an atomic chunk counter, so steady-state Run calls are
-// allocation-free and spawn nothing. This matters because the Measure
-// evaluation mode calls Run thousands of times per search: fixed per-call
-// overhead both pollutes small-grid timings (the training signal) and caps
-// autotuning throughput.
+// Specialization happens at compile time. Runner.Compile takes a kernel, a
+// grid geometry and a tuning vector and produces a *Program: the exact-size
+// tile decomposition, its flattened (base, n) row-span plan, the flattened
+// term plan and the structural fast-path selection are all precomputed
+// once, so execution walks rows linearly with no index arithmetic.
+// Runner.CompileFused builds the temporal-blocking FusedProgram (fused.go).
+// Both engines run the same inner loops: the shape-specialized bodies of
+// fastpath.go (star5, star7, row3, box9, box27) when the kernel's structure
+// matches one, and otherwise the term-major unit-stride passes of rows.go,
+// whose bounds checks are compiled away. Programs are cached inside the
+// Runner (keyed by kernel identity, geometry and tuning vector), and the
+// Runner owns a persistent pool of worker goroutines fed by an atomic chunk
+// counter, so steady-state Run calls are allocation-free and spawn nothing.
+// This matters because the Measure evaluation mode calls Run thousands of
+// times per search: fixed per-call overhead both pollutes small-grid timings
+// (the training signal) and caps autotuning throughput.
 //
-// Runner.Run is the convenience wrapper (compile-or-lookup, then execute);
-// Runner.RunLegacy preserves the original rebuild-everything, spawn-per-call
-// path as a benchmark baseline. Call Runner.Close when discarding a Runner
-// before process exit to stop its worker pool; the pool is tiny and idle
-// workers cost nothing, so long-lived Runners may simply be kept.
+// Runner.Run is the convenience wrapper (compile-or-lookup, then execute).
+// Call Runner.Close when discarding a Runner before process exit to stop its
+// worker pool; the pool is tiny and idle workers cost nothing, so long-lived
+// Runners may simply be kept.
 //
 // The package serves two roles: the "Measure" evaluation mode (wall-clock
 // timing of actual Go execution, for users who want real measurements
@@ -44,7 +47,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/grid"
 	"repro/internal/shape"
@@ -277,78 +279,8 @@ func (r *Runner[T]) Run(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid[T],
 	return pr.Run(out, ins)
 }
 
-// RunLegacy executes without the program cache or the persistent pool: the
-// tile list, term plan and fast-path detection are rebuilt and a fresh set
-// of goroutines is spawned on every call, and row bases are computed on the
-// fly instead of walking a precompiled span plan. It shares the rows.go
-// inner loops with the compiled path, so BenchmarkRunLegacyPath isolates
-// the per-call setup and dispatch overhead Compile amortizes — not the
-// inner-loop rewrite, whose effect shows up in the BenchmarkRunCompiled
-// trajectory across PRs.
-func (r *Runner[T]) RunLegacy(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid[T], tv tunespace.Vector) error {
-	if err := k.Validate(); err != nil {
-		return err
-	}
-	if err := checkGeometry(k, out, ins); err != nil {
-		return err
-	}
-	dims := 3
-	if out.NZ == 1 {
-		dims = 2
-		tv.Bz = 1
-	}
-	if err := tv.Validate(dims); err != nil {
-		return err
-	}
-
-	tiles := decompose(geomOf(out), tv)
-	p := buildPlan(k, out, ins)
-	fp := detectFast(k, p)
-	if fp != nil {
-		fp.data = p.data[0]
-	}
-
-	workers := r.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(tiles) {
-		workers = len(tiles)
-	}
-
-	var next int64
-	chunk := tv.C
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				start := int(atomic.AddInt64(&next, int64(chunk))) - chunk
-				if start >= len(tiles) {
-					return
-				}
-				end := start + chunk
-				if end > len(tiles) {
-					end = len(tiles)
-				}
-				for _, t := range tiles[start:end] {
-					if fp != nil {
-						runTileFast(fp, out, t, tv.U)
-					} else {
-						runTile(p, out, t, tv.U)
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return nil
-}
-
 // decompose splits the interior into tiles in z-major order with an
-// exact-size allocation. It is the single tile decomposition shared by
-// Compile and RunLegacy; operating on the element-type-free geom keeps it
+// exact-size allocation. Operating on the element-type-free geom keeps it
 // (and its fuzz target) independent of the grid instantiation.
 func decompose(g geom, tv tunespace.Vector) []tile {
 	n := ceilDiv(g.nx, tv.Bx) * ceilDiv(g.ny, tv.By) * ceilDiv(g.nz, tv.Bz)
@@ -369,9 +301,9 @@ func decompose(g geom, tv tunespace.Vector) []tile {
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // runTile sweeps one tile through the term-plan passes, computing row bases
-// on the fly. It serves RunLegacy and the oversize-grid fallback of the
-// compiled path; compiled programs normally execute precomputed row spans
-// instead (see pool.drain).
+// on the fly: the fallback for grids too large for the int32 span plan.
+// Compiled programs normally execute precomputed row spans instead (see
+// pool.drain).
 func runTile[T grid.Float](p *plan[T], out *grid.Grid[T], t tile, unroll int) {
 	dst := out.Data()
 	fuse := fuseWidth(unroll)

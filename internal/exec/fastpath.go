@@ -4,14 +4,19 @@ import "repro/internal/grid"
 
 // Fast paths: fully specialized inner loops for the most common stencil
 // shapes. The generic runRow* loops iterate over a term table; for hot
-// kernels like the 7-point laplacian that indirection dominates, so the
-// runner dispatches to a shape-specialized body when one matches. The
+// kernels like the 7-point laplacian that indirection dominates, so both
+// engines dispatch to a shape-specialized body when one matches. The
 // specialization is detected structurally (offsets and weights), never by
 // name, so DSL-defined kernels benefit too.
 //
 // Detection happens at compile time and is data-independent: the fastPlan
-// carries only weights and flat-index offsets, and the data slice is bound
-// by Program.Run (or RunLegacy) before execution.
+// carries only weights and flat-index offsets, and callers pass the source
+// data with every row. There is one body per shape, shared by single-step
+// Programs and FusedPrograms: each takes its stream-axis sources as separate
+// slices and adds the compiled off entry to every tap. A Program passes its
+// contiguous input grid for every source and compiles full flat offsets; a
+// FusedProgram passes the level below's planes and compiles in-plane offsets
+// (the stream-axis displacement removed), so both read the same elements.
 //
 // Summation order: each specialized body accumulates terms in the canonical
 // order of its offset table below. When a kernel lists its terms in that
@@ -66,19 +71,17 @@ func boxOffsets(zr int) [][3]int {
 	return out
 }
 
-// fastPlan holds the precomputed data of a specialized kernel. w and off are
-// indexed by the slot order of the kind's canonical offset table; data is
-// bound per run.
+// fastPlan holds the precomputed weights and offsets of a specialized
+// kernel, indexed by the slot order of the kind's canonical offset table.
 type fastPlan[T grid.Float] struct {
 	kind fastKind
-	data []T
 	w    [27]T
 	off  [27]int
 }
 
 // detectFast inspects a kernel's term plan and returns a specialization when
 // it matches one of the known shapes exactly. Only weights and index offsets
-// are captured; bind data before executing.
+// are captured.
 func detectFast[T grid.Float](k *LinearKernel, p *plan[T]) *fastPlan[T] {
 	if k.Buffers != 1 {
 		return nil
@@ -124,101 +127,131 @@ func matchTerms[T grid.Float](k *LinearKernel, p *plan[T], kind fastKind, want [
 	return fp
 }
 
-// runRowStar7 computes one row of the 7-point star without the term table.
-// The unroll parameter selects the blocked body width like the generic path.
-// Each tap is re-sliced to an exactly-n window so every access inside the
+// row computes one row through the kind's specialized body. src holds the
+// sources one stream-axis step below, at and above the row (z for 3-D
+// sweeps, y for 2-D ones). A single-step program passes its contiguous input
+// grid as all three, because its compiled offsets already span the stream
+// axis; a fused program passes the level below's planes, and its compiled
+// offsets are in-plane. This is the one kind dispatch shared by
+// runSpansFast, runTileFast and FusedProgram.runRow. The sources travel as
+// one pointer so a call's arguments fit in registers.
+func (fp *fastPlan[T]) row(dst []T, src *[3][]T, base, n, unroll int) {
+	switch fp.kind {
+	case fastStar7:
+		fp.star7(dst, src, base, n, unroll)
+	case fastStar5:
+		fp.star5(dst, src, base, n, unroll)
+	case fastRow3:
+		fp.row3(dst, src[1], base, n, unroll)
+	case fastBox9:
+		fp.box(dst, src, base, n, 3, unroll)
+	case fastBox27:
+		fp.box(dst, src, base, n, 9, unroll)
+	}
+}
+
+// tap returns the exactly-n window of s read by canonical slot for the row
+// starting at base.
+func (fp *fastPlan[T]) tap(s []T, slot, base, n int) []T {
+	j := base + fp.off[slot]
+	return s[j : j+n]
+}
+
+// star7 computes one row of the 7-point star: the centre and x and y
+// neighbours from src[1], the z neighbours from src[2] (z+1) and src[0]
+// (z-1). The unroll parameter selects the blocked body width like the
+// generic path. Each tap is re-sliced to an exactly-n window so every access inside the
 // loop is s[x] with x < len(s): the compiler proves the bounds once per row
-// instead of checking seven loads per point, which is worth ~1.6× on the
-// compute-bound interior (the same trick the fused bodies use).
-func (fp *fastPlan[T]) runRowStar7(dst []T, base, n, unroll int) {
-	d := fp.data
+// instead of checking seven loads per point, which is worth ~1.6x on the
+// compute-bound interior.
+func (fp *fastPlan[T]) star7(dst []T, src *[3][]T, base, n, unroll int) {
 	wc, wxp, wxm, wyp, wym, wzp, wzm := fp.w[0], fp.w[1], fp.w[2], fp.w[3], fp.w[4], fp.w[5], fp.w[6]
-	oyp, oym, ozp, ozm := fp.off[3], fp.off[4], fp.off[5], fp.off[6]
-	dw := dst[base : base+n]
-	c := d[base : base+n]
-	xp := d[base+1 : base+1+n]
-	xm := d[base-1 : base-1+n]
-	yp := d[base+oyp : base+oyp+n]
-	ym := d[base+oym : base+oym+n]
-	zp := d[base+ozp : base+ozp+n]
-	zm := d[base+ozm : base+ozm+n]
+	d := dst[base : base+n]
+	c := fp.tap(src[1], 0, base, n)
+	xp := fp.tap(src[1], 1, base, n)
+	xm := fp.tap(src[1], 2, base, n)
+	yp := fp.tap(src[1], 3, base, n)
+	ym := fp.tap(src[1], 4, base, n)
+	zp := fp.tap(src[2], 5, base, n)
+	zm := fp.tap(src[0], 6, base, n)
 	x := 0
 	if unroll >= 2 {
 		for ; x+2 <= n; x += 2 {
-			dw[x] = wc*c[x] + wxp*xp[x] + wxm*xm[x] +
+			d[x] = wc*c[x] + wxp*xp[x] + wxm*xm[x] +
 				wyp*yp[x] + wym*ym[x] + wzp*zp[x] + wzm*zm[x]
 			j := x + 1
-			dw[j] = wc*c[j] + wxp*xp[j] + wxm*xm[j] +
+			d[j] = wc*c[j] + wxp*xp[j] + wxm*xm[j] +
 				wyp*yp[j] + wym*ym[j] + wzp*zp[j] + wzm*zm[j]
 		}
 	}
 	for ; x < n; x++ {
-		dw[x] = wc*c[x] + wxp*xp[x] + wxm*xm[x] +
+		d[x] = wc*c[x] + wxp*xp[x] + wxm*xm[x] +
 			wyp*yp[x] + wym*ym[x] + wzp*zp[x] + wzm*zm[x]
 	}
 }
 
-// runRowStar5 computes one row of the 2-D 5-point star.
-func (fp *fastPlan[T]) runRowStar5(dst []T, base, n, unroll int) {
-	d := fp.data
+// star5 computes one row of the 2-D 5-point star: the centre and x
+// neighbours from src[1], the y neighbours from src[2] (y+1) and src[0]
+// (y-1).
+func (fp *fastPlan[T]) star5(dst []T, src *[3][]T, base, n, unroll int) {
 	wc, wxp, wxm, wyp, wym := fp.w[0], fp.w[1], fp.w[2], fp.w[3], fp.w[4]
-	oyp, oym := fp.off[3], fp.off[4]
-	dw := dst[base : base+n]
-	c := d[base : base+n]
-	xp := d[base+1 : base+1+n]
-	xm := d[base-1 : base-1+n]
-	yp := d[base+oyp : base+oyp+n]
-	ym := d[base+oym : base+oym+n]
+	d := dst[base : base+n]
+	c := fp.tap(src[1], 0, base, n)
+	xp := fp.tap(src[1], 1, base, n)
+	xm := fp.tap(src[1], 2, base, n)
+	yp := fp.tap(src[2], 3, base, n)
+	ym := fp.tap(src[0], 4, base, n)
 	x := 0
 	if unroll >= 2 {
 		for ; x+2 <= n; x += 2 {
-			dw[x] = wc*c[x] + wxp*xp[x] + wxm*xm[x] + wyp*yp[x] + wym*ym[x]
+			d[x] = wc*c[x] + wxp*xp[x] + wxm*xm[x] + wyp*yp[x] + wym*ym[x]
 			j := x + 1
-			dw[j] = wc*c[j] + wxp*xp[j] + wxm*xm[j] + wyp*yp[j] + wym*ym[j]
+			d[j] = wc*c[j] + wxp*xp[j] + wxm*xm[j] + wyp*yp[j] + wym*ym[j]
 		}
 	}
 	for ; x < n; x++ {
-		dw[x] = wc*c[x] + wxp*xp[x] + wxm*xm[x] + wyp*yp[x] + wym*ym[x]
+		d[x] = wc*c[x] + wxp*xp[x] + wxm*xm[x] + wyp*yp[x] + wym*ym[x]
 	}
 }
 
-// runRowRow3 computes one row of the 3-point x stencil.
-func (fp *fastPlan[T]) runRowRow3(dst []T, base, n, unroll int) {
-	d := fp.data
+// row3 computes one row of the 3-point x stencil; its stream radius is zero,
+// so the row's own source s0 is its only one.
+func (fp *fastPlan[T]) row3(dst, s0 []T, base, n, unroll int) {
 	wc, wxp, wxm := fp.w[0], fp.w[1], fp.w[2]
-	dw := dst[base : base+n]
-	c := d[base : base+n]
-	xp := d[base+1 : base+1+n]
-	xm := d[base-1 : base-1+n]
+	d := dst[base : base+n]
+	c := fp.tap(s0, 0, base, n)
+	xp := fp.tap(s0, 1, base, n)
+	xm := fp.tap(s0, 2, base, n)
 	x := 0
 	if unroll >= 2 {
 		for ; x+2 <= n; x += 2 {
-			dw[x] = wc*c[x] + wxp*xp[x] + wxm*xm[x]
-			dw[x+1] = wc*c[x+1] + wxp*xp[x+1] + wxm*xm[x+1]
+			d[x] = wc*c[x] + wxp*xp[x] + wxm*xm[x]
+			d[x+1] = wc*c[x+1] + wxp*xp[x+1] + wxm*xm[x+1]
 		}
 	}
 	for ; x < n; x++ {
-		dw[x] = wc*c[x] + wxp*xp[x] + wxm*xm[x]
+		d[x] = wc*c[x] + wxp*xp[x] + wxm*xm[x]
 	}
 }
 
-// runRowBox computes one row of a box kernel (rows = 3 for the 2-D 3×3 box,
-// 9 for the 3-D 3×3×3 box). Slot 3r+1 of the offset table is the centre of
-// x-contiguous row r, so each row contributes d[j-1], d[j], d[j+1]. Terms
-// accumulate one statement at a time to preserve the canonical summation
-// order (bit-compatible with Reference for canonically ordered kernels).
-func (fp *fastPlan[T]) runRowBox(dst []T, base, n, rows, unroll int) {
-	d := fp.data
+// box computes one row of a box kernel (rows = 3 for the 2-D 3x3 box, 9 for
+// the 3-D 3x3x3 box). Slot 3r+1 of the offset table is the centre of
+// x-contiguous row r, so each row contributes its centre's left, centre and
+// right neighbours. Row r reads source src[3r/rows]: each x-row of the 2-D
+// box sits on its own stream row, three x-rows of the 3-D box share each z
+// plane. Terms accumulate one statement at a time to preserve the canonical
+// summation order (bit-compatible with Reference for canonically ordered
+// kernels).
+func (fp *fastPlan[T]) box(dst []T, src *[3][]T, base, n, rows, unroll int) {
 	// Hoist each canonical row's window out of the x loop: window r starts at
 	// its leftmost tap and spans n+2 elements, so point x's taps are w[x],
-	// w[x+1], w[x+2] — provably in-bounds, no per-element checks. The r-inner
-	// statement-per-term accumulation order is unchanged.
+	// w[x+1], w[x+2]: provably in-bounds, no per-element checks.
 	var win [9][]T
 	for r := 0; r < rows; r++ {
 		j := base + fp.off[3*r+1]
-		win[r] = d[j-1 : j+n+1]
+		win[r] = src[3*r/rows][j-1 : j+n+1]
 	}
-	dw := dst[base : base+n]
+	d := dst[base : base+n]
 	x := 0
 	if unroll >= 2 {
 		for ; x+2 <= n; x += 2 {
@@ -233,8 +266,8 @@ func (fp *fastPlan[T]) runRowBox(dst []T, base, n, rows, unroll int) {
 				a1 += wc * w[x+2]
 				a1 += wr * w[x+3]
 			}
-			dw[x] = a0
-			dw[x+1] = a1
+			d[x] = a0
+			d[x+1] = a1
 		}
 	}
 	for ; x < n; x++ {
@@ -245,58 +278,29 @@ func (fp *fastPlan[T]) runRowBox(dst []T, base, n, rows, unroll int) {
 			acc += fp.w[3*r+1] * w[x+1]
 			acc += fp.w[3*r+2] * w[x+2]
 		}
-		dw[x] = acc
+		d[x] = acc
 	}
 }
 
-// runTileFast sweeps one tile through the specialized body, computing row
-// bases on the fly (RunLegacy and the oversize-grid fallback; compiled
-// programs walk precomputed spans via runSpansFast).
-func runTileFast[T grid.Float](fp *fastPlan[T], out *grid.Grid[T], t tile, unroll int) {
+// runTileFast sweeps one tile of a single-step program through the
+// specialized body, computing row bases on the fly: the fallback for grids
+// too large for the int32 span plan.
+func runTileFast[T grid.Float](fp *fastPlan[T], out *grid.Grid[T], src []T, t tile, unroll int) {
 	dst := out.Data()
+	n := t.x1 - t.x0
+	srcs := [3][]T{src, src, src}
 	for z := t.z0; z < t.z1; z++ {
 		for y := t.y0; y < t.y1; y++ {
-			base := out.Index(t.x0, y, z)
-			n := t.x1 - t.x0
-			switch fp.kind {
-			case fastStar7:
-				fp.runRowStar7(dst, base, n, unroll)
-			case fastRow3:
-				fp.runRowRow3(dst, base, n, unroll)
-			case fastStar5:
-				fp.runRowStar5(dst, base, n, unroll)
-			case fastBox9:
-				fp.runRowBox(dst, base, n, 3, unroll)
-			case fastBox27:
-				fp.runRowBox(dst, base, n, 9, unroll)
-			}
+			fp.row(dst, &srcs, out.Index(t.x0, y, z), n, unroll)
 		}
 	}
 }
 
-// runSpansFast sweeps a run of precompiled (base, n) row-span pairs through
-// the specialized body, with the kind dispatch hoisted out of the row loop.
-func runSpansFast[T grid.Float](fp *fastPlan[T], dst []T, spans []int32, unroll int) {
-	switch fp.kind {
-	case fastStar7:
-		for i := 0; i+1 < len(spans); i += 2 {
-			fp.runRowStar7(dst, int(spans[i]), int(spans[i+1]), unroll)
-		}
-	case fastRow3:
-		for i := 0; i+1 < len(spans); i += 2 {
-			fp.runRowRow3(dst, int(spans[i]), int(spans[i+1]), unroll)
-		}
-	case fastStar5:
-		for i := 0; i+1 < len(spans); i += 2 {
-			fp.runRowStar5(dst, int(spans[i]), int(spans[i+1]), unroll)
-		}
-	case fastBox9:
-		for i := 0; i+1 < len(spans); i += 2 {
-			fp.runRowBox(dst, int(spans[i]), int(spans[i+1]), 3, unroll)
-		}
-	case fastBox27:
-		for i := 0; i+1 < len(spans); i += 2 {
-			fp.runRowBox(dst, int(spans[i]), int(spans[i+1]), 9, unroll)
-		}
+// runSpansFast sweeps a run of precompiled (base, n) row-span pairs of a
+// single-step program through the specialized body.
+func runSpansFast[T grid.Float](fp *fastPlan[T], dst, src []T, spans []int32, unroll int) {
+	srcs := [3][]T{src, src, src}
+	for i := 0; i+1 < len(spans); i += 2 {
+		fp.row(dst, &srcs, int(spans[i]), int(spans[i+1]), unroll)
 	}
 }

@@ -36,10 +36,10 @@ import (
 // Bit-identity. Every intermediate value is materialized from the same
 // inputs, with the same per-point accumulation order, as the corresponding
 // sequential step: the generic path reuses runRowPlan with per-plane rebound
-// term data, and the specialized fused bodies in fusedrows.go mirror the
-// canonical accumulation order of their single-step counterparts. Periodic
-// halos on intermediate planes are refilled with the same wrap rule the
-// driver applies between sequential steps. TestFusedMatchesSequential pins
+// term data, and the specialized path runs the single-step bodies of
+// fastpath.go on plane sources with in-plane offsets. Periodic halos on
+// intermediate planes are refilled with the same wrap rule the driver
+// applies between sequential steps. TestFusedMatchesSequential pins
 // this across kernels, dimensionalities, depths and element types.
 
 // maxCachedFused bounds the fused-program cache per Runner. Fused programs
@@ -135,9 +135,9 @@ func fastKindName(k fastKind) string {
 }
 
 // Fingerprint returns the structural specialization class of a kernel — the
-// key the codegen backend selects fused bodies by. Detection is structural
-// (offsets, buffer count), never by name, so DSL-defined kernels fingerprint
-// identically to the built-in benchmarks.
+// key both engines select their specialized bodies by. Detection is
+// structural (offsets, buffer count), never by name, so DSL-defined kernels
+// fingerprint identically to the built-in benchmarks.
 func Fingerprint(k *LinearKernel) string {
 	p := plan[float64]{
 		idxOff: make([]int, len(k.Terms)),
@@ -267,9 +267,9 @@ func compileFused[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[T]
 	fp.skew = 2*fp.rs + 1
 	fp.ring = 2*fp.rs + 2
 
-	// Specialized fused body, selected structurally like the single-step
-	// fast path; the in-plane offsets land in fastPlan.off so the bodies can
-	// reuse the canonical slot layout.
+	// Specialized body, selected structurally like the single-step fast
+	// path; the in-plane offsets land in fastPlan.off, so the shared bodies
+	// read the stream-axis neighbours from the planes runRow passes them.
 	probe := plan[T]{idxOff: inOff, weight: weights}
 	fp.fp = detectFast(k, &probe)
 	if fp.fp == nil {
@@ -407,19 +407,8 @@ func (fp *FusedProgram[T]) drainRows(next *int64) {
 func (fp *FusedProgram[T]) runRow(t *fusedTask[T], y int) {
 	base := fp.rowB0 + y*fp.sx
 	if f := fp.fp; f != nil {
-		rs := fp.rs
-		switch f.kind {
-		case fastStar7:
-			f.fusedRowStar7(t.dst, t.src[0], t.src[1], t.src[2], base, fp.nx, fp.unroll)
-		case fastStar5:
-			f.fusedRowStar5(t.dst, t.src[0], t.src[1], t.src[2], base, fp.nx, fp.unroll)
-		case fastRow3:
-			f.fusedRowRow3(t.dst, t.src[rs], base, fp.nx, fp.unroll)
-		case fastBox9:
-			f.fusedRowBox(t.dst, t.src, 3, 1, base, fp.nx, fp.unroll)
-		case fastBox27:
-			f.fusedRowBox(t.dst, t.src, 9, 3, base, fp.nx, fp.unroll)
-		}
+		src := [3][]T{t.src[0], t.src[fp.rs], t.src[2*fp.rs]}
+		f.row(t.dst, &src, base, fp.nx, fp.unroll)
 		return
 	}
 	runRowPlan(t.plan, t.dst, base, fp.nx, fp.fuse)

@@ -129,6 +129,7 @@ func (p *workerPool[T]) drain() {
 	tiles := prog.tiles
 	chunk := prog.tv.C
 	dst := out.Data()
+	src := prog.p.data[0] // a fast path's only input: detectFast wants one buffer
 	for {
 		start := int(atomic.AddInt64(&p.job.next, int64(chunk))) - chunk
 		if start >= len(tiles) {
@@ -141,7 +142,7 @@ func (p *workerPool[T]) drain() {
 		if prog.spans == nil {
 			for _, t := range tiles[start:end] {
 				if prog.fp != nil {
-					runTileFast(prog.fp, out, t, prog.tv.U)
+					runTileFast(prog.fp, out, src, t, prog.tv.U)
 				} else {
 					runTile(&prog.p, out, t, prog.tv.U)
 				}
@@ -150,7 +151,7 @@ func (p *workerPool[T]) drain() {
 		}
 		spans := prog.spans[2*int(prog.spanStart[start]) : 2*int(prog.spanStart[end])]
 		if prog.fp != nil {
-			runSpansFast(prog.fp, dst, spans, prog.tv.U)
+			runSpansFast(prog.fp, dst, src, spans, prog.tv.U)
 		} else {
 			runSpans(&prog.p, dst, spans, prog.fuse)
 		}

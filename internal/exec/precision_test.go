@@ -330,28 +330,6 @@ func TestCompiledRunZeroAllocsFloat32(t *testing.T) {
 	}
 }
 
-// TestFloat32LegacyMatchesCompiled keeps RunLegacy equivalent to the
-// compiled path on the float32 instantiation too.
-func TestFloat32LegacyMatchesCompiled(t *testing.T) {
-	r := NewRunnerOf[float32]()
-	defer r.Close()
-	rng := rand.New(rand.NewSource(29))
-	for _, k := range []*LinearKernel{LaplacianExec(), TricubicExec()} {
-		legacy, ins := buildWorkspaceOf[float32](k, 21, 15, 9)
-		tv := tunespace.NewSpace(3).Random(rng)
-		if err := r.RunLegacy(k, legacy, ins, tv); err != nil {
-			t.Fatalf("%s legacy: %v", k.Name, err)
-		}
-		compiled := grid.NewOf[float32](21, 15, 9, k.MaxOffset(), legacy.HaloZ)
-		if err := r.Run(k, compiled, ins, tv); err != nil {
-			t.Fatalf("%s compiled: %v", k.Name, err)
-		}
-		if d := grid.MaxAbsDiff(legacy, compiled); d != 0 {
-			t.Errorf("%s: float32 legacy vs compiled diff %g", k.Name, d)
-		}
-	}
-}
-
 // TestPerTypeGridPoolsDisjoint guards the pooling split: a released float64
 // grid must never be handed back for a float32 acquire of the same geometry.
 func TestPerTypeGridPoolsDisjoint(t *testing.T) {

@@ -222,9 +222,6 @@ func (pr *Program[T]) Run(out *grid.Grid[T], ins []*grid.Grid[T]) error {
 	for i, b := range pr.termBuf {
 		pr.p.data[i] = ins[b].Data()
 	}
-	if pr.fp != nil {
-		pr.fp.data = ins[0].Data()
-	}
 	r.poolLocked().run(pr, out)
 	r.mu.Unlock()
 	return nil

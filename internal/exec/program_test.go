@@ -274,36 +274,6 @@ func TestProgramRejectsForeignGeometry(t *testing.T) {
 	}
 }
 
-// TestRunLegacyMatchesCompiled keeps the baseline path equivalent to the
-// compiled path.
-func TestRunLegacyMatchesCompiled(t *testing.T) {
-	r := NewRunner()
-	defer r.Close()
-	rng := rand.New(rand.NewSource(9))
-	for _, k := range []*LinearKernel{LaplacianExec(), BlurExec(), TricubicExec()} {
-		nz := 9
-		if k.Name == "blur" {
-			nz = 1
-		}
-		legacy, ins := buildWorkspace(t, k, 25, 17, nz)
-		dims := 3
-		if nz == 1 {
-			dims = 2
-		}
-		tv := tunespace.NewSpace(dims).Random(rng)
-		if err := r.RunLegacy(k, legacy, ins, tv); err != nil {
-			t.Fatalf("%s legacy: %v", k.Name, err)
-		}
-		compiled := grid.New(25, 17, nz, k.MaxOffset(), legacy.HaloZ)
-		if err := r.Run(k, compiled, ins, tv); err != nil {
-			t.Fatalf("%s compiled: %v", k.Name, err)
-		}
-		if d := grid.MaxAbsDiff(legacy, compiled); d != 0 {
-			t.Errorf("%s: legacy vs compiled diff %g", k.Name, d)
-		}
-	}
-}
-
 // TestRunnerCloseAndReuse checks Close is safe to call repeatedly and the
 // runner restarts its pool transparently.
 func TestRunnerCloseAndReuse(t *testing.T) {

@@ -133,7 +133,7 @@ func TestPanicLeavesServerServing(t *testing.T) {
 			t.Errorf("panic response Content-Type = %q, want application/json", ct)
 		}
 	}
-	if got := s.MetricValue("panics_total"); got != 3 {
+	if got := int64(s.ObsRegistry().Value("stencilserve_panics_total")); got != 3 {
 		t.Errorf("panics_total = %d, want 3", got)
 	}
 
@@ -198,7 +198,7 @@ func TestRateLimitShedsAndRecoversOverHTTP(t *testing.T) {
 	if resp := tune(); resp.StatusCode != http.StatusOK {
 		t.Errorf("request after honoring Retry-After: status %d, want 200", resp.StatusCode)
 	}
-	if got := s.MetricValue("rate_limited_total"); got == 0 {
+	if got := int64(s.ObsRegistry().Value("stencilserve_rate_limited_total")); got == 0 {
 		t.Error("rate_limited_total never incremented")
 	}
 }

@@ -1,11 +1,8 @@
 package server
 
 import (
-	"bufio"
 	"context"
-	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -239,120 +236,4 @@ type reqTrack struct {
 	statusWriter
 	trace  obs.Trace
 	fields [9]obs.Field
-}
-
-// ---------------------------------------------------------------------------
-// Legacy expvar-shaped surface (/debug/vars)
-
-// legacyMetricNames is the flat counter set the pre-observability /metrics
-// endpoint exposed, in expvar's sorted-key order. /debug/vars preserves it
-// for dashboards and scripts built against the old surface.
-var legacyMetricNames = []string{
-	"body_too_large_total",
-	"cache_entries",
-	"cache_hits",
-	"cache_misses",
-	"coalesced",
-	"errors",
-	"flight_retries",
-	"flight_waiting",
-	"inferences",
-	"measure_admitted",
-	"measure_queue_capacity",
-	"measure_queue_depth",
-	"measure_requests",
-	"measure_shed",
-	"observations",
-	"panics_total",
-	"rate_limited_total",
-	"requests",
-	"wal_appended",
-	"wal_dropped",
-	"wal_fsync_seconds",
-	"wal_sync_errors",
-}
-
-// legacyValue maps one pre-observability counter name to its value in the
-// new registry, preserving the old semantics exactly:
-//
-//   - "requests" counted requests reaching serveCached (i.e. after
-//     validation — exactly one cache hit or miss) plus every /v1/models and
-//     /v1/observe arrival, NOT probe endpoints or 405s, so it is derived
-//     from those series rather than the new per-endpoint counter.
-//   - "wal_fsync_seconds" was a cumulative float; the histogram's sum is the
-//     same number.
-func (s *Server) legacyValue(name string) float64 {
-	reg := s.m.reg
-	switch name {
-	case "requests":
-		return s.m.cacheHits.Value() + s.m.cacheMisses.Value() +
-			reg.Value("stencilserve_requests_total", "models") +
-			reg.Value("stencilserve_requests_total", "observe")
-	case "cache_hits":
-		return s.m.cacheHits.Value()
-	case "cache_misses":
-		return s.m.cacheMisses.Value()
-	case "coalesced":
-		return s.m.coalesced.Value()
-	case "inferences":
-		return s.m.inferences.Value()
-	case "flight_retries":
-		return s.m.flightRetries.Value()
-	case "errors":
-		return s.m.errors.Value()
-	case "measure_requests":
-		return s.m.measureRequests.Value()
-	case "measure_admitted":
-		return s.m.measureAdmitted.Value()
-	case "measure_shed":
-		return s.m.measureShed.Value()
-	case "wal_appended":
-		return s.m.walAppended.Value()
-	case "wal_dropped":
-		return s.m.walDropped.Value()
-	case "wal_sync_errors":
-		return s.m.walSyncErrors.Value()
-	case "wal_fsync_seconds":
-		return s.m.walFsync.Sum()
-	case "observations":
-		return s.m.observations.Value()
-	case "cache_entries":
-		return float64(s.cache.Len())
-	case "flight_waiting":
-		return float64(s.flight.Waiting())
-	case "measure_queue_depth":
-		return float64(s.MeasureQueueDepth())
-	case "measure_queue_capacity":
-		return float64(s.MeasureQueueCapacity())
-	case "panics_total":
-		return reg.Value("stencilserve_panics_total")
-	case "rate_limited_total":
-		return reg.Value("stencilserve_rate_limited_total")
-	case "body_too_large_total":
-		return reg.Value("stencilserve_body_too_large_total")
-	}
-	return 0
-}
-
-// handleDebugVars serves the pre-observability JSON surface — the flat
-// {"stencilserve": {...}} object the old /metrics endpoint produced — so
-// existing tooling keeps working unchanged at /debug/vars.
-func (s *Server) handleDebugVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	bw := bufio.NewWriter(w)
-	bw.WriteString(`{"stencilserve": {`)
-	for i, name := range legacyMetricNames {
-		if i > 0 {
-			bw.WriteString(", ")
-		}
-		fmt.Fprintf(bw, "%q: ", name)
-		v := s.legacyValue(name)
-		if name == "wal_fsync_seconds" {
-			bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
-		} else {
-			bw.WriteString(strconv.FormatInt(int64(v), 10))
-		}
-	}
-	bw.WriteString("}}\n")
-	bw.Flush()
 }

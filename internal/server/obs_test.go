@@ -146,52 +146,6 @@ func TestMetricsSchemaGolden(t *testing.T) {
 	}
 }
 
-// TestDebugVarsBackCompat asserts the legacy flat-JSON surface at
-// /debug/vars preserves the original counter semantics: "requests" counts
-// validated serveCached traffic plus models/observe arrivals — probe
-// endpoints do not count, exactly as before the obs migration.
-func TestDebugVarsBackCompat(t *testing.T) {
-	s := newTestServer(t)
-	h := s.Handler()
-	driveTraffic(t, h)
-
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/vars", nil))
-	if w.Code != http.StatusOK {
-		t.Fatalf("GET /debug/vars: status %d", w.Code)
-	}
-	var out map[string]map[string]float64
-	if err := json.Unmarshal(w.Body.Bytes(), &out); err != nil {
-		t.Fatalf("/debug/vars is not flat JSON: %v\n%s", err, w.Body.String())
-	}
-	mm, ok := out["stencilserve"]
-	if !ok {
-		t.Fatalf("/debug/vars lacks the stencilserve object: %s", w.Body.String())
-	}
-	// tune x2 + rank + predict = 4 serveCached calls, + 1 models arrival.
-	// healthz/readyz/metrics/debug-vars never counted and must not now.
-	if mm["requests"] != 5 {
-		t.Errorf("legacy requests = %v, want 5", mm["requests"])
-	}
-	if mm["cache_hits"] != 1 || mm["cache_misses"] != 3 || mm["inferences"] != 3 {
-		t.Errorf("legacy cache counters = hits %v misses %v inferences %v, want 1/3/3",
-			mm["cache_hits"], mm["cache_misses"], mm["inferences"])
-	}
-	if mm["cache_entries"] != 3 {
-		t.Errorf("legacy cache_entries = %v, want 3", mm["cache_entries"])
-	}
-	// The full legacy key set stays present for old dashboards.
-	for _, name := range legacyMetricNames {
-		if _, ok := mm[name]; !ok {
-			t.Errorf("/debug/vars lost legacy key %q", name)
-		}
-	}
-	// MetricValue (the programmatic legacy accessor) agrees.
-	if got := s.MetricValue("requests"); got != 5 {
-		t.Errorf("MetricValue(requests) = %d, want 5", got)
-	}
-}
-
 // TestAccessLogCarriesCorrelationIDAndSpans asserts the per-request log
 // line: structured JSON with the X-Request-ID correlation ID, endpoint,
 // status, latency, cache disposition and the pipeline spans.
@@ -298,7 +252,7 @@ func TestConcurrentScrapeWhileServing(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got := s.MetricValue("cache_hits"); got != 4*200 {
+	if got := int64(s.ObsRegistry().Value("stencilserve_cache_hits_total")); got != 4*200 {
 		t.Errorf("cache_hits = %d, want %d (lost increments under concurrency)", got, 4*200)
 	}
 }

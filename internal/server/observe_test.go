@@ -156,9 +156,9 @@ func TestMeasurePredictLogsToWAL(t *testing.T) {
 			t.Fatalf("record %d runtime %v", i, r.RuntimeSeconds)
 		}
 	}
-	if s.MetricValue("wal_appended") != 2 || s.MetricValue("wal_dropped") != 0 {
+	if int64(s.ObsRegistry().Value("stencilserve_wal_appended_total")) != 2 || int64(s.ObsRegistry().Value("stencilserve_wal_dropped_total")) != 0 {
 		t.Fatalf("wal metrics appended=%d dropped=%d, want 2/0",
-			s.MetricValue("wal_appended"), s.MetricValue("wal_dropped"))
+			int64(s.ObsRegistry().Value("stencilserve_wal_appended_total")), int64(s.ObsRegistry().Value("stencilserve_wal_dropped_total")))
 	}
 }
 
@@ -180,7 +180,7 @@ func TestMeasureTuneWithNoRunnableCandidate(t *testing.T) {
 			t.Fatalf("request %d: %d %v, want 400 with the executor's error", i, w.Code, out)
 		}
 	}
-	if got := s.MetricValue("inferences"); got != 2 {
+	if got := int64(s.ObsRegistry().Value("stencilserve_inferences_total")); got != 2 {
 		t.Errorf("inferences = %d, want 2 (a failed tune must not be cached)", got)
 	}
 	if recs := read(); len(recs) != 0 {

@@ -78,7 +78,7 @@ func TestMeasureQueueShedsAndRecovers(t *testing.T) {
 	if w.Header().Get("Retry-After") == "" {
 		t.Error("shed response lacks Retry-After")
 	}
-	if n := s.MetricValue("measure_shed"); n != 1 {
+	if n := int64(s.ObsRegistry().Value("stencilserve_measure_shed_total")); n != 1 {
 		t.Errorf("measure_shed = %d, want 1", n)
 	}
 

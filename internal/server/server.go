@@ -11,8 +11,7 @@
 //	GET  /v1/models   list the loaded models with their provenance
 //	GET  /healthz     liveness + build identity
 //	GET  /metrics     Prometheus text exposition (counters, gauges, latency
-//	                  and pipeline-stage histograms); the pre-observability
-//	                  flat JSON surface remains at /debug/vars
+//	                  and pipeline-stage histograms)
 //
 // Hot-path economics: responses are cached in a sharded LRU keyed by (model,
 // kernel structure, size, vector set, mode), and concurrent identical
@@ -252,13 +251,6 @@ func (s *Server) RegistryVersion() int64 { return s.reg.Version() }
 // verifies a fleet serves one model set.
 func (s *Server) RegistryGeneration() string { return s.reg.Generation() }
 
-// MetricValue returns a counter's current value by its pre-observability
-// flat name (0 when never touched), preserving the original accessor for
-// tests and callers that predate the obs registry.
-func (s *Server) MetricValue(name string) int64 {
-	return int64(s.legacyValue(name))
-}
-
 // FlightWaiting reports how many requests are currently parked behind an
 // in-flight identical computation.
 func (s *Server) FlightWaiting() int { return s.flight.Waiting() }
@@ -276,7 +268,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/healthz", s.instrument("healthz", s.handleHealthz))
 	mux.HandleFunc("/readyz", s.instrument("readyz", s.handleReadyz))
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/vars", s.handleDebugVars)
 	return mux
 }
 
@@ -353,7 +344,7 @@ func (r *instanceRequest) instance() (stencil.Instance, error) {
 	if err != nil {
 		return stencil.Instance{}, err
 	}
-	size, err := parseSize(r.Size)
+	size, err := stencil.ParseSize(r.Size)
 	if err != nil {
 		return stencil.Instance{}, err
 	}
@@ -410,17 +401,6 @@ func buildKernel(spec kernelSpec) (*stencil.Kernel, error) {
 	default:
 		return nil, fmt.Errorf("kernel needs a name, dsl or offsets")
 	}
-}
-
-func parseSize(s string) (stencil.Size, error) {
-	var x, y, z int
-	if n, err := fmt.Sscanf(s, "%dx%dx%d", &x, &y, &z); err == nil && n == 3 {
-		return stencil.Size3D(x, y, z), nil
-	}
-	if n, err := fmt.Sscanf(s, "%dx%d", &x, &y); err == nil && n == 2 {
-		return stencil.Size2D(x, y), nil
-	}
-	return stencil.Size{}, fmt.Errorf("size %q must be NxM or NxMxK", s)
 }
 
 // ---------------------------------------------------------------------------

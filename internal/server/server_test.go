@@ -103,7 +103,7 @@ func TestTuneMatchesInProcessAndCaches(t *testing.T) {
 	if served != want {
 		t.Errorf("served best %v differs from in-process tuner %v", served, want)
 	}
-	if n := s.MetricValue("inferences"); n != 1 {
+	if n := int64(s.ObsRegistry().Value("stencilserve_inferences_total")); n != 1 {
 		t.Errorf("inferences after first request = %d, want 1", n)
 	}
 
@@ -118,10 +118,10 @@ func TestTuneMatchesInProcessAndCaches(t *testing.T) {
 	if v := vectorFrom(t, resp2, "best"); v != served {
 		t.Errorf("cached answer %v differs from first %v", v, served)
 	}
-	if n := s.MetricValue("inferences"); n != 1 {
+	if n := int64(s.ObsRegistry().Value("stencilserve_inferences_total")); n != 1 {
 		t.Errorf("inferences after cached repeat = %d, want still 1", n)
 	}
-	if n := s.MetricValue("cache_hits"); n != 1 {
+	if n := int64(s.ObsRegistry().Value("stencilserve_cache_hits_total")); n != 1 {
 		t.Errorf("cache_hits = %d, want 1", n)
 	}
 
@@ -191,10 +191,10 @@ func TestCoalescing(t *testing.T) {
 			t.Errorf("request %d got different bytes than request 0", i)
 		}
 	}
-	if n := s.MetricValue("inferences"); n != 1 {
+	if n := int64(s.ObsRegistry().Value("stencilserve_inferences_total")); n != 1 {
 		t.Errorf("herd of %d cost %d inferences, want exactly 1", herd, n)
 	}
-	if n := s.MetricValue("coalesced"); n != herd-1 {
+	if n := int64(s.ObsRegistry().Value("stencilserve_coalesced_total")); n != herd-1 {
 		t.Errorf("coalesced = %d, want %d", n, herd-1)
 	}
 }
@@ -260,7 +260,7 @@ func TestCancelledLeaderDoesNotPoisonWaiters(t *testing.T) {
 	if waiterCode != http.StatusOK {
 		t.Errorf("healthy waiter: status %d, want 200 via flight retry", waiterCode)
 	}
-	if n := s.MetricValue("flight_retries"); n != 1 {
+	if n := int64(s.ObsRegistry().Value("stencilserve_flight_retries_total")); n != 1 {
 		t.Errorf("flight_retries = %d, want 1", n)
 	}
 }
@@ -412,11 +412,32 @@ func TestModelsHealthzMetrics(t *testing.T) {
 	}
 
 	postJSON(t, h, "/v1/tune", `{"model":"tiny","kernel":"edge","size":"256x256"}`)
-	// The pre-observability flat JSON surface lives on at /debug/vars.
-	vars := get("/debug/vars")
-	mm := vars["stencilserve"].(map[string]any)
-	if mm["requests"].(float64) < 1 || mm["inferences"].(float64) < 1 {
-		t.Errorf("legacy metrics after a request = %v", mm)
+	if n := s.ObsRegistry().Value("stencilserve_inferences_total"); n < 1 {
+		t.Errorf("inferences after a request = %v", n)
+	}
+}
+
+// TestMalformedSizesRejected pins the strict size grammar on the wire:
+// exactly two or three positive decimal components and nothing else. Each
+// of these sizes is answered 400 and is unroutable for a 3-D and a 2-D
+// kernel, never served as a prefix of itself.
+func TestMalformedSizesRejected(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	for _, size := range []string{
+		"64x64x64junk", "64x64x64x64", "64x64x", "x64x64", "64xx64", "64",
+		"64x64 ", " 64x64", "+64x64x64", "64x-64", "0x64x64", "64X64X64",
+		"64x64x99999999999999999999",
+	} {
+		for _, kernel := range []string{"laplacian", "edge"} {
+			body := `{"model":"tiny","kernel":"` + kernel + `","size":"` + size + `"}`
+			if w, _ := postJSON(t, h, "/v1/tune", body); w.Code != http.StatusBadRequest {
+				t.Errorf("%s size %q: /v1/tune status %d, want 400", kernel, size, w.Code)
+			}
+			if key, ok := RoutingKey([]byte(body)); ok {
+				t.Errorf("%s size %q: RoutingKey = %q, ok=true; want unroutable", kernel, size, key)
+			}
+		}
 	}
 }
 
@@ -476,7 +497,7 @@ func TestMeasurePredict(t *testing.T) {
 	if sec := vals[0].(float64); sec <= 0 {
 		t.Errorf("measured runtime = %v, want > 0", sec)
 	}
-	if n := s.MetricValue("measure_requests"); n != 1 {
+	if n := int64(s.ObsRegistry().Value("stencilserve_measure_requests_total")); n != 1 {
 		t.Errorf("measure_requests = %d, want 1", n)
 	}
 }

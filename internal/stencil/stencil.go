@@ -5,7 +5,10 @@
 package stencil
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/shape"
 )
@@ -118,6 +121,49 @@ func (s Size) String() string {
 
 // Valid reports whether all extents are positive.
 func (s Size) Valid() bool { return s.X > 0 && s.Y > 0 && s.Z > 0 }
+
+// ParseSize parses a size written as NxM (2-D) or NxMxK (3-D): exactly two
+// or three positive decimal components separated by 'x', and nothing else.
+// It is the one size parser of the service and the command-line tools.
+func ParseSize(s string) (Size, error) {
+	parts := strings.SplitN(s, "x", 4)
+	if len(parts) < 2 || len(parts) > 3 {
+		return Size{}, fmt.Errorf("size %q must be NxM or NxMxK", s)
+	}
+	var dims [3]int
+	for i, p := range parts {
+		v, err := parsePositive(p)
+		if err != nil {
+			return Size{}, fmt.Errorf("size %q: component %q %v", s, p, err)
+		}
+		dims[i] = v
+	}
+	if len(parts) == 2 {
+		return Size2D(dims[0], dims[1]), nil
+	}
+	return Size3D(dims[0], dims[1], dims[2]), nil
+}
+
+// parsePositive parses a non-empty run of decimal digits with a value above
+// zero; signs, spaces and any other characters are rejected.
+func parsePositive(s string) (int, error) {
+	if s == "" {
+		return 0, errors.New("is empty")
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, errors.New("is not a decimal number")
+		}
+	}
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, errors.New("is out of range")
+	}
+	if v == 0 {
+		return 0, errors.New("must be positive")
+	}
+	return v, nil
+}
 
 // Instance is q = (k, s): a kernel applied to a concrete input size. It is
 // the unit over which the paper defines partial rankings — executions of the

@@ -214,3 +214,27 @@ func TestKernelString(t *testing.T) {
 		}
 	}
 }
+
+func TestParseSize(t *testing.T) {
+	for in, want := range map[string]Size{
+		"1024x768":    Size2D(1024, 768),
+		"64x64x64":    Size3D(64, 64, 64),
+		"128x64x1":    Size3D(128, 64, 1),
+		"007x8":       Size2D(7, 8),
+		"3x5x2147483": Size3D(3, 5, 2147483),
+	} {
+		got, err := ParseSize(in)
+		if err != nil || got != want {
+			t.Errorf("ParseSize(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{
+		"", "x", "64", "64x", "x64", "64x64x", "64xx64", "64x64x64x64",
+		"64x64x64junk", "64x64 ", " 64x64", "+64x64", "-64x64", "64x0",
+		"64X64", "64x6.4", "64x99999999999999999999",
+	} {
+		if got, err := ParseSize(in); err == nil {
+			t.Errorf("ParseSize(%q) = %v, want an error", in, got)
+		}
+	}
+}

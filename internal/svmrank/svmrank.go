@@ -241,9 +241,10 @@ type Stats struct {
 // Model is the learned linear ranking function r(q,t) = w·φ(q,t); *higher*
 // scores rank better (Sec. IV-C's projection onto w).
 //
-// A Model is read-only after Train/LoadFile returns: every method only reads
-// W, so one model may score, rank and batch-score from any number of
-// goroutines concurrently. (Mutating W while scoring is the caller's race.)
+// A Model is read-only after Train or a store load returns: every method
+// only reads W, so one model may score, rank and batch-score from any number
+// of goroutines concurrently. (Mutating W while scoring is the caller's
+// race.)
 type Model struct {
 	W []float64
 	// C records the regularization used, for provenance.

@@ -1,7 +1,6 @@
 package svmrank
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"sync"
@@ -279,58 +278,6 @@ func TestStatsPopulated(t *testing.T) {
 	}
 }
 
-func TestSaveLoadRoundTrip(t *testing.T) {
-	d := synthDataset(3, 20, 6)
-	m, _, err := Train(d, Options{C: 0.01, Epochs: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.C != m.C {
-		t.Errorf("C = %v, want %v", loaded.C, m.C)
-	}
-	for i := range m.W {
-		if loaded.W[i] != m.W[i] {
-			t.Fatal("weights differ after round trip")
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a model"))); err == nil {
-		t.Error("garbage accepted")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	d := synthDataset(2, 15, 7)
-	m, _, err := Train(d, Options{C: 0.01, Epochs: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/model.gob"
-	if err := m.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.W) != len(m.W) {
-		t.Fatal("dim mismatch after file round trip")
-	}
-	if _, err := LoadFile(t.TempDir() + "/missing.gob"); err == nil {
-		t.Error("missing file accepted")
-	}
-}
-
 func TestDatasetQueriesAndGroups(t *testing.T) {
 	d := &Dataset{}
 	d.Add(Example{Query: "b", Y: 1})
@@ -353,50 +300,6 @@ func TestStrategyAndSolverStrings(t *testing.T) {
 	}
 	if DualCoordinateDescent.String() != "dcd" || SGD.String() != "sgd" || Solver(9).String() != "?" {
 		t.Error("solver names wrong")
-	}
-}
-
-func TestDatasetSaveLoadRoundTrip(t *testing.T) {
-	d := synthDataset(3, 20, 8)
-	var buf bytes.Buffer
-	if err := SaveDataset(&buf, d); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadDataset(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Len() != d.Len() {
-		t.Fatalf("len %d, want %d", loaded.Len(), d.Len())
-	}
-	for i := range d.Examples {
-		a, b := d.Examples[i], loaded.Examples[i]
-		if a.Query != b.Query || a.Y != b.Y || a.X.NNZ() != b.X.NNZ() {
-			t.Fatal("examples differ after round trip")
-		}
-	}
-	// A model trained on the loaded set matches one trained on the original.
-	m1, _, err := Train(d, Options{C: 0.01, Seed: 5, Epochs: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err2 := func() (*Model, error) {
-		m, _, err := Train(loaded, Options{C: 0.01, Seed: 5, Epochs: 10})
-		return m, err
-	}()
-	if err2 != nil {
-		t.Fatal(err2)
-	}
-	for i := range m1.W {
-		if m1.W[i] != m2.W[i] {
-			t.Fatal("models differ after dataset round trip")
-		}
-	}
-}
-
-func TestLoadDatasetRejectsGarbage(t *testing.T) {
-	if _, err := LoadDataset(bytes.NewReader([]byte("junk"))); err == nil {
-		t.Error("garbage dataset accepted")
 	}
 }
 

@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"slices"
 	"time"
 
@@ -322,11 +321,6 @@ func Train(opt TrainOptions) (*Model, TrainReport, error) {
 	return &Model{inner: res.Model, meta: meta, mach: mach}, report, nil
 }
 
-// Save persists the bare model weights to a single gob file (the legacy
-// format). Prefer SaveModel, which writes the versioned store format with
-// full training provenance — the format the serving subsystem loads.
-func (m *Model) Save(path string) error { return m.inner.SaveFile(path) }
-
 // SaveModel persists the model into the store directory dir under the given
 // artifact name ("default" when empty): a content-hashed, atomically written
 // set of JSON documents holding the weights, the trainer provenance and the
@@ -343,22 +337,15 @@ func SaveModel(dir, name string, m *Model) error {
 	return st.Save(&store.Artifact{Name: name, Model: m.inner, Meta: m.meta, Machine: m.mach})
 }
 
-// LoadModel reads a persisted model from either a store directory written by
-// SaveModel (an artifact directory, or a store root holding a "default" or
-// single artifact) or a legacy gob file written by Model.Save.
+// LoadModel reads a model persisted by SaveModel from a store directory: an
+// artifact directory, or a store root holding a "default" or single
+// artifact.
 func LoadModel(path string) (*Model, error) {
-	if isDir(path) {
-		a, err := store.LoadPath(path)
-		if err != nil {
-			return nil, err
-		}
-		return &Model{inner: a.Model, meta: a.Meta, mach: a.Machine}, nil
-	}
-	inner, err := svmrank.LoadFile(path)
+	a, err := store.LoadPath(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Model{inner: inner}, nil
+	return &Model{inner: a.Model, meta: a.Meta, mach: a.Machine}, nil
 }
 
 // Tuner returns the autotuner around this model.
@@ -492,10 +479,4 @@ func validateSearch(q Instance, budget int) error {
 		return fmt.Errorf("stenciltune: budget %d must be positive", budget)
 	}
 	return nil
-}
-
-// isDir reports whether path names an existing directory.
-func isDir(path string) bool {
-	fi, err := os.Stat(path)
-	return err == nil && fi.IsDir()
 }

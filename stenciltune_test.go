@@ -46,11 +46,11 @@ func TestSaveLoadModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/m.gob"
-	if err := model.Save(path); err != nil {
+	dir := t.TempDir()
+	if err := SaveModel(dir, "", model); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadModel(path)
+	loaded, err := LoadModel(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
