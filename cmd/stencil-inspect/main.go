@@ -20,9 +20,9 @@ import (
 	"repro/internal/feature"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
-	"repro/internal/stencil"
 	"repro/internal/store"
 	"repro/internal/tunespace"
+	"repro/internal/wire"
 )
 
 func parseTuning(s string) (tunespace.Vector, error) {
@@ -80,11 +80,7 @@ func main() {
 
 // breakdown prints the performance-model cost decomposition.
 func breakdown(kernelName, sizeStr, tuningStr string) error {
-	k, err := stencil.KernelByName(kernelName)
-	if err != nil {
-		return err
-	}
-	size, err := stencil.ParseSize(sizeStr)
+	q, err := (&wire.Instance{Kernel: wire.Named(kernelName), Size: sizeStr}).Build()
 	if err != nil {
 		return err
 	}
@@ -92,11 +88,7 @@ func breakdown(kernelName, sizeStr, tuningStr string) error {
 	if err != nil {
 		return err
 	}
-	q := stencil.Instance{Kernel: k, Size: size}
-	if err := q.Validate(); err != nil {
-		return err
-	}
-	if err := tv.Validate(k.Dims()); err != nil {
+	if err := tv.Validate(q.Kernel.Dims()); err != nil {
 		return err
 	}
 

@@ -42,6 +42,7 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/client"
+	"repro/internal/wire"
 )
 
 type options struct {
@@ -102,7 +103,7 @@ func main() {
 // catalogEntry is one distinct kernel structure + problem size; the Zipf
 // draw selects entries, so entry 0 is the hottest key in the stream.
 type catalogEntry struct {
-	kernel client.Kernel
+	kernel wire.Kernel
 	size   string
 	dims   int
 }
@@ -122,11 +123,11 @@ func buildCatalog(n int) []catalogEntry {
 		if i%3 == 2 {
 			name := kernelNames2[(i/3)%len(kernelNames2)]
 			side := 256 + 32*(i%24)
-			out[i] = catalogEntry{kernel: client.NamedKernel(name), size: fmt.Sprintf("%dx%d", side, side), dims: 2}
+			out[i] = catalogEntry{kernel: wire.Named(name), size: fmt.Sprintf("%dx%d", side, side), dims: 2}
 		} else {
 			name := kernelNames3[(i/3*2+i%3)%len(kernelNames3)]
 			side := 48 + 8*(i%24)
-			out[i] = catalogEntry{kernel: client.NamedKernel(name), size: fmt.Sprintf("%dx%dx%d", side, side, side), dims: 3}
+			out[i] = catalogEntry{kernel: wire.Named(name), size: fmt.Sprintf("%dx%dx%d", side, side, side), dims: 3}
 		}
 	}
 	return out
@@ -307,21 +308,18 @@ func pickOp(mix [numOps]float64, u float64) int {
 func doOne(ctx context.Context, cl *client.Client, e catalogEntry, a arrival, t *tally) {
 	var cache string
 	var err error
+	in := wire.Instance{Kernel: e.kernel, Size: e.size}
 	switch a.op {
 	case opTune:
-		var resp *client.TuneResponse
-		resp, err = cl.Tune(ctx, client.TuneRequest{Kernel: e.kernel, Size: e.size})
-		if resp != nil {
-			cache = resp.Cache
-		}
+		var r *client.Reply[wire.TuneResponse]
+		r, err = cl.Tune(ctx, wire.TuneRequest{Instance: in})
+		cache = r.Cache
 	case opRank:
-		var resp *client.RankResponse
-		resp, err = cl.Rank(ctx, client.RankRequest{Kernel: e.kernel, Size: e.size})
-		if resp != nil {
-			cache = resp.Cache
-		}
+		var r *client.Reply[wire.RankResponse]
+		r, err = cl.Rank(ctx, wire.RankRequest{Instance: in})
+		cache = r.Cache
 	case opPredict:
-		vectors := []client.Vector{
+		vectors := []wire.Vector{
 			{Bx: 16, By: 16, Bz: 4, U: 1, C: 1},
 			{Bx: 32, By: 8, Bz: 2, U: 2, C: 2},
 		}
@@ -330,11 +328,9 @@ func doOne(ctx context.Context, cl *client.Client, e catalogEntry, a arrival, t 
 				vectors[i].Bz = 0 // normalized to the required bz=1 server-side
 			}
 		}
-		var resp *client.PredictResponse
-		resp, err = cl.Predict(ctx, client.PredictRequest{Kernel: e.kernel, Size: e.size, Vectors: vectors})
-		if resp != nil {
-			cache = resp.Cache
-		}
+		var r *client.Reply[wire.PredictResponse]
+		r, err = cl.Predict(ctx, wire.PredictRequest{Instance: in, Vectors: vectors})
+		cache = r.Cache
 	}
 	lat := time.Since(a.sched)
 	t.mu.Lock()

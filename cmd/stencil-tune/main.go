@@ -26,43 +26,13 @@ import (
 	stenciltune "repro"
 	"repro/internal/buildinfo"
 	"repro/internal/client"
-	"repro/internal/dsl"
-	"repro/internal/stencil"
+	"repro/internal/wire"
 )
 
-// kernelFromDSL parses a DSL file and returns the named definition (or the
-// only/first one when name doesn't match a definition).
-func kernelFromDSL(path, name string) (*stenciltune.Kernel, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	defs, err := dsl.Parse(f)
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range defs {
-		if d.Name == name {
-			return d.Kernel(), nil
-		}
-	}
-	return defs[0].Kernel(), nil
-}
-
 // tuneViaServer routes the tune through a stencil-serve instance via the
-// retrying client. A DSL file is shipped inline so the server parses it
-// with the same parser the local path uses; -kernel still selects the
-// definition by name inside it.
-func tuneViaServer(baseURL, clientID string, timeout time.Duration, kernelName, dslPath, size, model string, topk int, mode string) error {
-	spec := client.NamedKernel(kernelName)
-	if dslPath != "" {
-		src, err := os.ReadFile(dslPath)
-		if err != nil {
-			return err
-		}
-		spec.DSL = string(src)
-	}
+// retrying client. The request carries the same kernel spec the local path
+// builds, so a DSL file is shipped inline and parsed by the same code.
+func tuneViaServer(baseURL, clientID string, timeout time.Duration, req wire.TuneRequest, dims int) error {
 	c, err := client.New(client.Config{BaseURL: baseURL, ClientID: clientID})
 	if err != nil {
 		return err
@@ -70,32 +40,20 @@ func tuneViaServer(baseURL, clientID string, timeout time.Duration, kernelName, 
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
 
-	resp, err := c.Tune(ctx, client.TuneRequest{
-		Model: model, Kernel: spec, Size: size, TopK: topk, Mode: mode,
-	})
+	reply, err := c.Tune(ctx, req)
 	if err != nil {
 		return err
 	}
+	resp := reply.Body
 	fmt.Printf("%s: tuned by %s with model %q (cache %s, %d attempts)\n",
-		resp.Instance, baseURL, resp.Model, resp.Cache, c.Attempts())
+		resp.Instance, baseURL, resp.Model, reply.Cache, c.Attempts())
 	fmt.Printf("ranked %d configurations in %v\n",
 		resp.RankedCandidates, time.Duration(resp.RankMicros)*time.Microsecond)
-	fmt.Printf("top-ranked tuning: {bx:%d by:%d bz:%d u:%d c:%d k:%d}\n",
-		resp.Best.Bx, resp.Best.By, resp.Best.Bz, resp.Best.U, resp.Best.C, effFuse(resp.Best.K))
+	fmt.Printf("top-ranked tuning: %v\n", resp.Best.Tuning(dims))
 	if h := resp.Hybrid; h != nil {
-		fmt.Printf("hybrid top-%d tuning (%s): {bx:%d by:%d bz:%d u:%d c:%d k:%d} (%.6f s)\n",
-			h.TopK, h.Mode, h.Best.Bx, h.Best.By, h.Best.Bz, h.Best.U, h.Best.C, effFuse(h.Best.K), h.BestValue)
+		fmt.Printf("hybrid top-%d tuning (%s): %v (%.6f s)\n", h.TopK, h.Mode, h.Best.Tuning(dims), h.BestValue)
 	}
 	return nil
-}
-
-// effFuse normalizes a wire-format fusion depth: older servers omit the
-// field, and 0 means unfused (depth 1).
-func effFuse(k int) int {
-	if k < 1 {
-		return 1
-	}
-	return k
 }
 
 func main() {
@@ -122,31 +80,27 @@ func main() {
 		return
 	}
 
+	spec := wire.Named(*kernelName)
+	if *dslPath != "" {
+		src, err := os.ReadFile(*dslPath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		spec.DSL = string(src)
+	}
+	in := wire.Instance{Kernel: spec, Size: *sizeStr}
+	q, err := in.Build()
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	if *serverURL != "" {
-		if err := tuneViaServer(*serverURL, *clientID, *serverTimeout,
-			*kernelName, *dslPath, *sizeStr, *modelPath, *topk, *mode); err != nil {
+		in.Model = *modelPath
+		req := wire.TuneRequest{Instance: in, TopK: *topk, Mode: *mode}
+		if err := tuneViaServer(*serverURL, *clientID, *serverTimeout, req, q.Kernel.Dims()); err != nil {
 			log.Fatal(err)
 		}
 		return
-	}
-
-	var kernel *stenciltune.Kernel
-	var err error
-	if *dslPath != "" {
-		kernel, err = kernelFromDSL(*dslPath, *kernelName)
-	} else {
-		kernel, err = stenciltune.KernelByName(*kernelName)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	size, err := stencil.ParseSize(*sizeStr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	q := stenciltune.Instance{Kernel: kernel, Size: size}
-	if err := q.Validate(); err != nil {
-		log.Fatal(err)
 	}
 
 	var model *stenciltune.Model
@@ -184,7 +138,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	nCands := len(stenciltune.PredefinedCandidates(kernel.Dims()))
+	nCands := len(stenciltune.PredefinedCandidates(q.Kernel.Dims()))
 	fmt.Printf("%s: ranked %d configurations in %v\n", q.ID(), nCands, elapsed.Round(1000))
 	fmt.Printf("top-ranked tuning: %v\n", best)
 	fmt.Printf("evaluated runtime (%s): %.6f s\n", *mode, eval.Runtime(q, best))

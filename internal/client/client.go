@@ -9,6 +9,10 @@
 // is always safe; a definitive 4xx is the caller's bug and is returned
 // immediately, never retried.
 //
+// Request and response bodies are the internal/wire types the server
+// decodes and encodes; a Reply adds the X-Cache verdict and the request ID
+// beside the body.
+//
 // The zero backoff policy (100ms base doubling to a 5s cap, full jitter)
 // keeps a retrying fleet from synchronizing into thundering herds: each
 // client waits a uniformly random fraction of the current cap, which is the
@@ -32,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Config shapes a Client; the zero value plus BaseURL is production-ready.
@@ -114,110 +119,17 @@ func (c *Client) Attempts() int64 { return c.attempts.Load() }
 func (c *Client) Retries() int64  { return c.retries.Load() }
 
 // ---------------------------------------------------------------------------
-// Wire types (mirrors of the server's JSON schema)
+// Replies
 
-// Vector is a tuning vector on the wire; Bz may stay 0 for 2-D stencils and
-// K (temporal fusion depth) may stay 0 for unfused vectors.
-type Vector struct {
-	Bx int `json:"bx"`
-	By int `json:"by"`
-	Bz int `json:"bz,omitempty"`
-	U  int `json:"u"`
-	C  int `json:"c"`
-	K  int `json:"k,omitempty"`
-}
-
-// Kernel selects the stencil: a Table III benchmark name, an inline DSL
-// source, or an explicit offset list with buffer count and dtype.
-type Kernel struct {
-	Name    string  `json:"name,omitempty"`
-	DSL     string  `json:"dsl,omitempty"`
-	Offsets [][]int `json:"offsets,omitempty"`
-	Buffers int     `json:"buffers,omitempty"`
-	DType   string  `json:"dtype,omitempty"`
-}
-
-// NamedKernel is shorthand for a benchmark-name kernel spec.
-func NamedKernel(name string) Kernel { return Kernel{Name: name} }
-
-type TuneRequest struct {
-	Model  string `json:"model,omitempty"`
-	Kernel Kernel `json:"kernel"`
-	Size   string `json:"size"`
-	TopK   int    `json:"topk,omitempty"`
-	Mode   string `json:"mode,omitempty"`
-}
-
-type HybridResult struct {
-	TopK      int     `json:"topk"`
-	Mode      string  `json:"mode"`
-	Best      Vector  `json:"best"`
-	BestValue float64 `json:"best_value_seconds"`
-}
-
-type TuneResponse struct {
-	Model            string        `json:"model"`
-	Instance         string        `json:"instance"`
-	Best             Vector        `json:"best"`
-	RankedCandidates int           `json:"ranked_candidates"`
-	RankMicros       int64         `json:"rank_micros"`
-	Hybrid           *HybridResult `json:"hybrid,omitempty"`
+// Reply is a decoded response body with the transport facts beside it.
+type Reply[T any] struct {
+	Body T
 	// Cache reports the server's X-Cache verdict: hit, miss or coalesced.
-	Cache string `json:"-"`
+	Cache string
 	// RequestID is the X-Request-ID correlation ID the client generated for
 	// this logical call and sent on every retry attempt; grep server logs for
 	// it to find the matching request lines.
-	RequestID string `json:"-"`
-}
-
-type RankRequest struct {
-	Model        string   `json:"model,omitempty"`
-	Kernel       Kernel   `json:"kernel"`
-	Size         string   `json:"size"`
-	Candidates   []Vector `json:"candidates,omitempty"`
-	ReturnScores bool     `json:"return_scores,omitempty"`
-}
-
-type RankResponse struct {
-	Model      string    `json:"model"`
-	Instance   string    `json:"instance"`
-	Candidates int       `json:"candidates"`
-	Order      []int     `json:"order"`
-	Best       Vector    `json:"best"`
-	Scores     []float64 `json:"scores,omitempty"`
-	Cache      string    `json:"-"`
-	RequestID  string    `json:"-"`
-}
-
-type PredictRequest struct {
-	Model   string   `json:"model,omitempty"`
-	Kernel  Kernel   `json:"kernel"`
-	Size    string   `json:"size"`
-	Vectors []Vector `json:"vectors"`
-	Mode    string   `json:"mode,omitempty"`
-}
-
-type PredictResponse struct {
-	Model     string    `json:"model"`
-	Instance  string    `json:"instance"`
-	Mode      string    `json:"mode"`
-	Unit      string    `json:"unit"`
-	Values    []float64 `json:"values"`
-	Cache     string    `json:"-"`
-	RequestID string    `json:"-"`
-}
-
-type ModelInfo struct {
-	Name        string `json:"name"`
-	ContentHash string `json:"content_hash"`
-	FeatureDim  int    `json:"feature_dim"`
-	Machine     string `json:"machine,omitempty"`
-}
-
-type ModelsResponse struct {
-	Default   string      `json:"default"`
-	Models    []ModelInfo `json:"models"`
-	RequestID string      `json:"-"`
+	RequestID string
 }
 
 // APIError is a definitive (non-retried or retries-exhausted) server error.
@@ -241,71 +153,62 @@ func (e *APIError) Retryable() bool {
 // Calls
 
 // Tune asks the server for the best tuning vector for a stencil instance.
-func (c *Client) Tune(ctx context.Context, req TuneRequest) (*TuneResponse, error) {
-	var out TuneResponse
-	cache, id, err := c.call(ctx, "/v1/tune", req, &out)
-	out.Cache, out.RequestID = cache, id
-	return &out, err
+func (c *Client) Tune(ctx context.Context, req wire.TuneRequest) (*Reply[wire.TuneResponse], error) {
+	return call[wire.TuneResponse](ctx, c, "/v1/tune", req)
 }
 
 // Rank orders a candidate set (or the predefined one) best-first.
-func (c *Client) Rank(ctx context.Context, req RankRequest) (*RankResponse, error) {
-	var out RankResponse
-	cache, id, err := c.call(ctx, "/v1/rank", req, &out)
-	out.Cache, out.RequestID = cache, id
-	return &out, err
+func (c *Client) Rank(ctx context.Context, req wire.RankRequest) (*Reply[wire.RankResponse], error) {
+	return call[wire.RankResponse](ctx, c, "/v1/rank", req)
 }
 
 // Predict returns per-vector runtimes or scores.
-func (c *Client) Predict(ctx context.Context, req PredictRequest) (*PredictResponse, error) {
-	var out PredictResponse
-	cache, id, err := c.call(ctx, "/v1/predict", req, &out)
-	out.Cache, out.RequestID = cache, id
-	return &out, err
+func (c *Client) Predict(ctx context.Context, req wire.PredictRequest) (*Reply[wire.PredictResponse], error) {
+	return call[wire.PredictResponse](ctx, c, "/v1/predict", req)
 }
 
 // Models lists the models the server loaded.
-func (c *Client) Models(ctx context.Context) (*ModelsResponse, error) {
-	var out ModelsResponse
-	_, id, err := c.call(ctx, "/v1/models", nil, &out)
-	out.RequestID = id
-	return &out, err
+func (c *Client) Models(ctx context.Context) (*Reply[wire.ModelsResponse], error) {
+	return call[wire.ModelsResponse](ctx, c, "/v1/models", nil)
 }
 
 // call runs one API call through the retry loop. body == nil issues a GET.
 // One X-Request-ID is generated per logical call and reused on every retry
 // attempt, so all attempts of the same call correlate to the same server log
-// lines; the ID is returned so callers can surface it next to errors.
-func (c *Client) call(ctx context.Context, path string, body any, out any) (cache, requestID string, err error) {
+// lines. The reply is never nil: it carries the ID even when the call fails,
+// so callers can surface it next to errors.
+func call[T any](ctx context.Context, c *Client, path string, body any) (*Reply[T], error) {
+	out := &Reply[T]{RequestID: obs.NewRequestID()}
 	var payload []byte
 	if body != nil {
+		var err error
 		if payload, err = json.Marshal(body); err != nil {
-			return "", "", fmt.Errorf("client: encoding request: %v", err)
+			return out, fmt.Errorf("client: encoding request: %v", err)
 		}
 	}
-	requestID = obs.NewRequestID()
 
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
 			if err := c.sleep(ctx, c.backoff(attempt, lastErr)); err != nil {
-				return "", requestID, err
+				return out, err
 			}
 		}
-		cache, retry, err := c.attempt(ctx, path, requestID, payload, out)
+		cache, retry, err := c.attempt(ctx, path, out.RequestID, payload, &out.Body)
 		if err == nil {
-			return cache, requestID, nil
+			out.Cache = cache
+			return out, nil
 		}
 		if ctx.Err() != nil {
-			return "", requestID, ctx.Err()
+			return out, ctx.Err()
 		}
 		if !retry {
-			return "", requestID, err
+			return out, err
 		}
 		lastErr = err
 	}
-	return "", requestID, fmt.Errorf("client: giving up after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
+	return out, fmt.Errorf("client: giving up after %d attempts: %w", c.cfg.MaxAttempts, lastErr)
 }
 
 // attempt issues a single HTTP exchange under its own timeout and reports

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/middleware"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 func fastCfg(url string) Config {
@@ -51,12 +52,12 @@ func TestRetriesTransientThenSucceeds(t *testing.T) {
 	defer ts.Close()
 
 	c := mustClient(t, fastCfg(ts.URL))
-	resp, err := c.Tune(context.Background(), TuneRequest{Kernel: NamedKernel("laplacian"), Size: "64x64x64"})
+	resp, err := c.Tune(context.Background(), wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("laplacian"), Size: "64x64x64"}})
 	if err != nil {
 		t.Fatalf("Tune through transient faults: %v", err)
 	}
-	if resp.Best != (Vector{Bx: 32, By: 4, Bz: 4, U: 1, C: 2}) {
-		t.Errorf("decoded best = %+v", resp.Best)
+	if resp.Body.Best != (wire.Vector{Bx: 32, By: 4, Bz: 4, U: 1, C: 2}) {
+		t.Errorf("decoded best = %+v", resp.Body.Best)
 	}
 	if got := c.Attempts(); got != 3 {
 		t.Errorf("attempts = %d, want 3 (503, drop, success)", got)
@@ -72,7 +73,7 @@ func TestNeverRetriesDefinitive4xx(t *testing.T) {
 	defer ts.Close()
 
 	c := mustClient(t, fastCfg(ts.URL))
-	_, err := c.Tune(context.Background(), TuneRequest{Size: "64x64x64"})
+	_, err := c.Tune(context.Background(), wire.TuneRequest{Instance: wire.Instance{Size: "64x64x64"}})
 	apiErr, ok := err.(*APIError)
 	if !ok {
 		t.Fatalf("error = %v (%T), want *APIError", err, err)
@@ -94,7 +95,7 @@ func TestBoundedRetriesOnPersistentFault(t *testing.T) {
 	defer ts.Close()
 
 	c := mustClient(t, fastCfg(ts.URL))
-	_, err := c.Tune(context.Background(), TuneRequest{Kernel: NamedKernel("blur"), Size: "64x64"})
+	_, err := c.Tune(context.Background(), wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("blur"), Size: "64x64"}})
 	if err == nil {
 		t.Fatal("persistent 500 produced no error")
 	}
@@ -120,7 +121,7 @@ func TestHonorsRetryAfter(t *testing.T) {
 
 	c := mustClient(t, fastCfg(ts.URL)) // jitter cap 5ms << the 1s hint
 	start := time.Now()
-	if _, err := c.Tune(context.Background(), TuneRequest{Kernel: NamedKernel("blur"), Size: "64x64"}); err != nil {
+	if _, err := c.Tune(context.Background(), wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("blur"), Size: "64x64"}}); err != nil {
 		t.Fatalf("Tune after 429: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
@@ -148,7 +149,7 @@ func TestPerAttemptTimeoutRecovers(t *testing.T) {
 	cfg := fastCfg(ts.URL)
 	cfg.PerAttemptTimeout = 50 * time.Millisecond
 	c := mustClient(t, cfg)
-	if _, err := c.Tune(context.Background(), TuneRequest{Kernel: NamedKernel("blur"), Size: "64x64"}); err != nil {
+	if _, err := c.Tune(context.Background(), wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("blur"), Size: "64x64"}}); err != nil {
 		t.Fatalf("Tune through a hung first attempt: %v", err)
 	}
 	if got := c.Attempts(); got != 2 {
@@ -170,7 +171,7 @@ func TestCallerContextCancelStopsRetrying(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Tune(ctx, TuneRequest{Kernel: NamedKernel("blur"), Size: "64x64"})
+	_, err := c.Tune(ctx, wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("blur"), Size: "64x64"}})
 	if err == nil || ctx.Err() == nil {
 		t.Fatalf("err = %v, want failure once the caller context expired", err)
 	}
@@ -197,39 +198,39 @@ func TestAgainstRealServer(t *testing.T) {
 	c := mustClient(t, fastCfg(ts.URL))
 	ctx := context.Background()
 
-	tune, err := c.Tune(ctx, TuneRequest{Model: "tiny", Kernel: NamedKernel("laplacian"), Size: "100x100x100"})
+	tune, err := c.Tune(ctx, wire.TuneRequest{Instance: wire.Instance{Model: "tiny", Kernel: wire.Named("laplacian"), Size: "100x100x100"}})
 	if err != nil {
 		t.Fatalf("Tune: %v", err)
 	}
-	if tune.Best.Bx <= 0 || tune.RankedCandidates <= 0 || tune.Instance == "" {
+	if tune.Body.Best.Bx <= 0 || tune.Body.RankedCandidates <= 0 || tune.Body.Instance == "" {
 		t.Errorf("tune response incompletely decoded: %+v", tune)
 	}
 	if tune.Cache != "miss" {
 		t.Errorf("first tune X-Cache = %q, want miss", tune.Cache)
 	}
-	if again, _ := c.Tune(ctx, TuneRequest{Model: "tiny", Kernel: NamedKernel("laplacian"), Size: "100x100x100"}); again.Cache != "hit" {
+	if again, _ := c.Tune(ctx, wire.TuneRequest{Instance: wire.Instance{Model: "tiny", Kernel: wire.Named("laplacian"), Size: "100x100x100"}}); again.Cache != "hit" {
 		t.Errorf("repeat tune X-Cache = %q, want hit", again.Cache)
 	}
 
-	cands := []Vector{{Bx: 32, By: 32, Bz: 4, U: 2, C: 2}, {Bx: 8, By: 512, Bz: 2, U: 0, C: 1}}
-	rank, err := c.Rank(ctx, RankRequest{Model: "tiny", Kernel: NamedKernel("laplacian"), Size: "128x128x128", Candidates: cands, ReturnScores: true})
+	cands := []wire.Vector{{Bx: 32, By: 32, Bz: 4, U: 2, C: 2}, {Bx: 8, By: 512, Bz: 2, U: 0, C: 1}}
+	rank, err := c.Rank(ctx, wire.RankRequest{Instance: wire.Instance{Model: "tiny", Kernel: wire.Named("laplacian"), Size: "128x128x128"}, Candidates: cands, ReturnScores: true})
 	if err != nil {
 		t.Fatalf("Rank: %v", err)
 	}
-	if len(rank.Order) != 2 || len(rank.Scores) != 2 {
+	if len(rank.Body.Order) != 2 || len(rank.Body.Scores) != 2 {
 		t.Errorf("rank response incompletely decoded: %+v", rank)
 	}
 
-	pred, err := c.Predict(ctx, PredictRequest{Model: "tiny", Kernel: NamedKernel("laplacian"), Size: "128x128x128", Vectors: cands, Mode: "score"})
+	pred, err := c.Predict(ctx, wire.PredictRequest{Instance: wire.Instance{Model: "tiny", Kernel: wire.Named("laplacian"), Size: "128x128x128"}, Vectors: cands, Mode: "score"})
 	if err != nil {
 		t.Fatalf("Predict: %v", err)
 	}
-	if len(pred.Values) != 2 || pred.Unit != "score" {
+	if len(pred.Body.Values) != 2 || pred.Body.Unit != "score" {
 		t.Errorf("predict response incompletely decoded: %+v", pred)
 	}
-	for i, s := range rank.Scores {
-		if pred.Values[i] != s {
-			t.Errorf("score[%d]: rank %v != predict %v", i, s, pred.Values[i])
+	for i, s := range rank.Body.Scores {
+		if pred.Body.Values[i] != s {
+			t.Errorf("score[%d]: rank %v != predict %v", i, s, pred.Body.Values[i])
 		}
 	}
 
@@ -237,13 +238,13 @@ func TestAgainstRealServer(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Models: %v", err)
 	}
-	if models.Default != "tiny" || len(models.Models) != 1 || models.Models[0].ContentHash == "" {
+	if models.Body.Default != "tiny" || len(models.Body.Models) != 1 || models.Body.Models[0].ContentHash == "" {
 		t.Errorf("models response incompletely decoded: %+v", models)
 	}
 
 	// A malformed request is rejected definitively — no retry storm.
 	before := c.Attempts()
-	if _, err := c.Tune(ctx, TuneRequest{Kernel: NamedKernel("no-such-kernel"), Size: "64x64"}); err == nil {
+	if _, err := c.Tune(ctx, wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("no-such-kernel"), Size: "64x64"}}); err == nil {
 		t.Error("unknown kernel tuned successfully?")
 	} else if apiErr, ok := err.(*APIError); !ok || apiErr.StatusCode != http.StatusBadRequest {
 		t.Errorf("unknown kernel error = %v, want APIError 400", err)
@@ -273,7 +274,7 @@ func TestRequestIDStableAcrossRetries(t *testing.T) {
 	defer ts.Close()
 
 	c := mustClient(t, fastCfg(ts.URL))
-	resp, err := c.Tune(context.Background(), TuneRequest{Kernel: NamedKernel("blur"), Size: "64x64"})
+	resp, err := c.Tune(context.Background(), wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("blur"), Size: "64x64"}})
 	if err != nil {
 		t.Fatalf("Tune through sheds: %v", err)
 	}
@@ -293,7 +294,7 @@ func TestRequestIDStableAcrossRetries(t *testing.T) {
 		t.Errorf("response RequestID = %q, want the wire ID %q", resp.RequestID, attempts[0])
 	}
 
-	again, err := c.Tune(context.Background(), TuneRequest{Kernel: NamedKernel("blur"), Size: "64x64"})
+	again, err := c.Tune(context.Background(), wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("blur"), Size: "64x64"}})
 	if err != nil {
 		t.Fatalf("second Tune: %v", err)
 	}
@@ -368,7 +369,7 @@ func TestTruncatedResponseIsDefinitive(t *testing.T) {
 	cfg := fastCfg(ts.URL)
 	cfg.MaxResponseBytes = 1024
 	c := mustClient(t, cfg)
-	_, err := c.Tune(context.Background(), TuneRequest{Kernel: NamedKernel("blur"), Size: "64x64"})
+	_, err := c.Tune(context.Background(), wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("blur"), Size: "64x64"}})
 	if err == nil {
 		t.Fatal("over-limit response produced no error")
 	}
@@ -393,12 +394,12 @@ func TestAtLimitResponseStillDecodes(t *testing.T) {
 	cfg := fastCfg(ts.URL)
 	cfg.MaxResponseBytes = int64(len(payload)) // exactly at the limit
 	c := mustClient(t, cfg)
-	resp, err := c.Tune(context.Background(), TuneRequest{Kernel: NamedKernel("blur"), Size: "64x64"})
+	resp, err := c.Tune(context.Background(), wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("blur"), Size: "64x64"}})
 	if err != nil {
 		t.Fatalf("at-limit response: %v", err)
 	}
-	if resp.Best != (Vector{Bx: 8, By: 8, U: 0, C: 1}) {
-		t.Errorf("decoded best = %+v", resp.Best)
+	if resp.Body.Best != (wire.Vector{Bx: 8, By: 8, U: 0, C: 1}) {
+		t.Errorf("decoded best = %+v", resp.Body.Best)
 	}
 }
 
@@ -419,7 +420,7 @@ func TestHonorsRetryAfterHTTPDate(t *testing.T) {
 
 	c := mustClient(t, fastCfg(ts.URL)) // jitter cap 5ms << the ~1.2s hint
 	start := time.Now()
-	if _, err := c.Tune(context.Background(), TuneRequest{Kernel: NamedKernel("blur"), Size: "64x64"}); err != nil {
+	if _, err := c.Tune(context.Background(), wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("blur"), Size: "64x64"}}); err != nil {
 		t.Fatalf("Tune after dated 503: %v", err)
 	}
 	// HTTP-dates have whole-second resolution, so the observed floor can be

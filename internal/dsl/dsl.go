@@ -190,14 +190,11 @@ func Parse(r io.Reader) ([]*Definition, error) {
 			if cur == nil {
 				return nil, errf(lineNo, "'type' outside stencil block")
 			}
-			switch field(fields, 1) {
-			case "float":
-				cur.Type = stencil.Float32
-			case "double":
-				cur.Type = stencil.Float64
-			default:
-				return nil, errf(lineNo, "bad type %q (want float or double)", field(fields, 1))
+			dt, err := stencil.ParseDataType(field(fields, 1))
+			if err != nil {
+				return nil, errf(lineNo, "bad type: %v", err)
 			}
+			cur.Type = dt
 		case "buffers":
 			if cur == nil {
 				return nil, errf(lineNo, "'buffers' outside stencil block")

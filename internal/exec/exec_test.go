@@ -3,6 +3,7 @@ package exec
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/grid"
@@ -245,6 +246,18 @@ func TestExecutableFallsBackToGeneric(t *testing.T) {
 	known := Executable(stencil.Blur())
 	if len(known.Terms) != 25 || known.Terms[0].Weight != 1.0/25 {
 		t.Error("Executable should use the hand-written blur")
+	}
+	for _, k := range stencil.BenchmarkKernels() {
+		want, _ := ExecutableByName(k.Name)
+		if got := Executable(k); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Executable did not pick the hand-written kernel", k.Name)
+		}
+	}
+	// A custom structure under a Table III name is not that kernel: the
+	// 3-D laplacian's z taps would read outside a planar grid.
+	borrowed := &stencil.Kernel{Name: "laplacian", Shape: shape.Square(1), Buffers: 1, Type: stencil.Float64}
+	if lk := Executable(borrowed); !lk.Shape().Equal(borrowed.Shape) {
+		t.Errorf("a planar kernel named laplacian got the terms %v", lk.Terms)
 	}
 }
 

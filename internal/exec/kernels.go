@@ -184,10 +184,12 @@ func ExecutableByName(name string) (*LinearKernel, error) {
 }
 
 // Executable returns the executable realization of a model kernel: the
-// hand-written benchmark version when the name matches Table III, otherwise
-// the generic uniform-weight conversion.
+// hand-written benchmark version when the name and the structure (access
+// pattern and buffer count) match a Table III kernel, otherwise the generic
+// uniform-weight conversion. A custom kernel that only borrows a Table III
+// name must not run that kernel's terms: they may reach outside its grid.
 func Executable(k *stencil.Kernel) *LinearKernel {
-	if lk, err := ExecutableByName(k.Name); err == nil {
+	if lk, err := ExecutableByName(k.Name); err == nil && lk.Buffers == k.Buffers && lk.Shape().Equal(k.Shape) {
 		return lk
 	}
 	return FromStencil(k)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/middleware"
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // This file is the integration half of the resilience suite: the real
@@ -79,16 +80,16 @@ func TestClientConvergesThroughFaultyProxy(t *testing.T) {
 	const calls = 30
 	ctx := context.Background()
 	for i := 0; i < calls; i++ {
-		resp, err := c.Tune(ctx, client.TuneRequest{
+		resp, err := c.Tune(ctx, wire.TuneRequest{Instance: wire.Instance{
 			Model:  "tiny",
-			Kernel: client.NamedKernel("laplacian"),
+			Kernel: wire.Named("laplacian"),
 			Size:   fmt.Sprintf("%dx96x96", 64+i), // distinct instances: real inferences, not one cached answer
-		})
+		}})
 		if err != nil {
 			t.Fatalf("tune %d failed through the fault proxy: %v", i, err)
 		}
-		if resp.Best.Bx <= 0 || resp.Best.By <= 0 {
-			t.Fatalf("tune %d: implausible best vector %+v", i, resp.Best)
+		if resp.Body.Best.Bx <= 0 || resp.Body.Best.By <= 0 {
+			t.Fatalf("tune %d: implausible best vector %+v", i, resp.Body.Best)
 		}
 	}
 

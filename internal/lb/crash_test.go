@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // Resilience with a real process kill: one replica of a two-backend fleet
@@ -146,7 +147,7 @@ func TestReplicaSIGKILLMidRun(t *testing.T) {
 		for i := 0; i < n; i++ {
 			size := fmt.Sprintf("%dx%dx%d", 40+sent%32, 40+sent%32, 40+sent%32)
 			sent++
-			if _, err := cl.Tune(ctx, client.TuneRequest{Kernel: client.NamedKernel("laplacian"), Size: size}); err != nil {
+			if _, err := cl.Tune(ctx, wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("laplacian"), Size: size}}); err != nil {
 				t.Fatalf("%s: request %d lost: %v", phase, sent, err)
 			}
 		}

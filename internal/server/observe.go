@@ -7,9 +7,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/stencil"
 	"repro/internal/tunespace"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // obsSink ships observations to the durable WAL off the request path. The
@@ -105,19 +105,21 @@ func (o *obsSink) close() {
 	<-o.done
 }
 
-// record builds a WAL observation for an evaluated (instance, vector,
-// runtime) triple and offers it to the sink; structurally invalid or
-// non-finite measurements are rejected before they can pollute training.
-func (s *Server) record(q stencil.Instance, source, machine string, nowNano int64, v tunespace.Vector, runtimeSeconds float64) {
-	if s.sink == nil {
-		return
-	}
-	rec := wal.NewRecord(q, v, runtimeSeconds)
-	rec.Fingerprint = kernelFingerprint(q.Kernel)
+// observation builds the WAL record of one evaluated vector of the
+// request's instance.
+func (res resolved) observation(v tunespace.Vector, runtimeSeconds float64, source, machine string, nowNano int64) wal.Record {
+	rec := wal.NewRecord(res.q, v, runtimeSeconds)
+	rec.Fingerprint = res.fp
 	rec.Machine = machine
 	rec.Source = source
 	rec.UnixNano = nowNano
-	if rec.Validate() != nil {
+	return rec
+}
+
+// record offers a measured observation to the sink; structurally invalid or
+// non-finite measurements are rejected before they can pollute training.
+func (s *Server) record(rec wal.Record) {
+	if s.sink == nil || rec.Validate() != nil {
 		return
 	}
 	s.sink.offer(rec)
@@ -126,46 +128,21 @@ func (s *Server) record(q stencil.Instance, source, machine string, nowNano int6
 // ---------------------------------------------------------------------------
 // /v1/observe
 
-// observation is one client-reported execution of the request's instance.
-type observation struct {
-	Vector         vectorJSON `json:"vector"`
-	RuntimeSeconds float64    `json:"runtime_seconds"`
-}
-
-// observeRequest reports real measured runtimes from a client's own machine:
-// the instance it ran (kernel + size, same schema as every other endpoint)
-// and the (vector, runtime) pairs it observed. Observations feed the retrain
-// loop; they are validated strictly and never affect the current request's
-// answer.
-type observeRequest struct {
-	instanceRequest
-	Observations []observation `json:"observations"`
-	// Machine tags which host measured; defaults to the server's own id.
-	Machine string `json:"machine,omitempty"`
-}
-
-type observeResponse struct {
-	Accepted int `json:"accepted"`
-	Dropped  int `json:"dropped"`
-}
-
 // maxObservations bounds one report; bulk uploads should batch requests.
 const maxObservations = 1024
 
+// handleObserve takes real runtimes measured on a client's own machine
+// (wire.ObserveRequest). Observations feed the retrain loop; they are
+// validated strictly and never affect any answer of the current model.
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if s.sink == nil {
 		s.fail(w, http.StatusServiceUnavailable,
 			fmt.Errorf("observation log not enabled on this server (start with -wal)"))
 		return
 	}
-	var req observeRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	q, err := req.instance()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+	var req wire.ObserveRequest
+	res, ok := s.resolve(w, r, &req, &req.Instance)
+	if !ok {
 		return
 	}
 	if len(req.Observations) == 0 {
@@ -182,23 +159,18 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		machineID = s.machine
 	}
 	now := time.Now().UnixNano()
-	fp := kernelFingerprint(q.Kernel)
 	// Validate everything before accepting anything, so a 400 never
 	// half-ingests a report.
 	records := make([]wal.Record, 0, len(req.Observations))
 	for i, o := range req.Observations {
-		rec := wal.NewRecord(q, o.Vector.toVector(q.Kernel.Dims()), o.RuntimeSeconds)
-		rec.Fingerprint = fp
-		rec.Machine = machineID
-		rec.Source = "observe"
-		rec.UnixNano = now
+		rec := res.observation(o.Vector.Tuning(res.q.Kernel.Dims()), o.RuntimeSeconds, "observe", machineID, now)
 		if err := rec.Validate(); err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("observation %d: %v", i, err))
 			return
 		}
 		records = append(records, rec)
 	}
-	resp := observeResponse{}
+	resp := wire.ObserveResponse{}
 	for _, rec := range records {
 		if s.sink.offer(rec) {
 			resp.Accepted++

@@ -163,25 +163,29 @@ func TestMeasurePredictLogsToWAL(t *testing.T) {
 }
 
 // unrunnableKernel's offsets all lie in one plane, so its predefined set
-// is the 2-D one (bz=1), which the executor rejects on a 3-D grid: every
-// candidate of a measured tune on a 3-D size fails to run.
+// is the 2-D one (bz=1), which the executor cannot run on a 3-D grid. Such
+// an instance is malformed and is rejected before anything is measured.
 const unrunnableKernel = `{"name":"p","offsets":[[0,0,0],[1,0,0],[0,1,0]],"dtype":"float64"}`
 
-// TestMeasureTuneWithNoRunnableCandidate: when no top-k candidate runs, the
-// reply is a 400 naming the executor's error, not a JSON encoding failure of
-// an infinite best time. Nothing is cached and nothing reaches the WAL.
+// TestMeasureTuneWithNoRunnableCandidate: a measured tune whose candidates
+// cannot run on the grid is a 400 naming the dimensionality mismatch, never
+// a JSON encoding failure of an infinite best time. It takes no admission
+// slot, nothing is cached and nothing reaches the WAL.
 func TestMeasureTuneWithNoRunnableCandidate(t *testing.T) {
 	s, read := walServer(t, Config{CacheSize: 16})
 	body := `{"model":"tiny","kernel":` + unrunnableKernel + `,"size":"16x16x16","topk":2,"mode":"measure"}`
 	for i := 0; i < 2; i++ {
 		w, out := postJSON(t, s.Handler(), "/v1/tune", body)
 		msg, _ := out["error"].(string)
-		if w.Code != http.StatusBadRequest || !strings.Contains(msg, "bz=1") || strings.Contains(msg, "Inf") {
-			t.Fatalf("request %d: %d %v, want 400 with the executor's error", i, w.Code, out)
+		if w.Code != http.StatusBadRequest || !strings.Contains(msg, "2-D kernel") || strings.Contains(msg, "Inf") {
+			t.Fatalf("request %d: %d %v, want 400 naming the dimensionality mismatch", i, w.Code, out)
 		}
 	}
-	if got := int64(s.ObsRegistry().Value("stencilserve_inferences_total")); got != 2 {
-		t.Errorf("inferences = %d, want 2 (a failed tune must not be cached)", got)
+	if got := int64(s.ObsRegistry().Value("stencilserve_measure_requests_total")); got != 0 {
+		t.Errorf("measure_requests = %d, want 0 (rejected before admission)", got)
+	}
+	if got := int64(s.ObsRegistry().Value("stencilserve_inferences_total")); got != 0 {
+		t.Errorf("inferences = %d, want 0", got)
 	}
 	if recs := read(); len(recs) != 0 {
 		t.Errorf("WAL holds %d records, want none", len(recs))
@@ -189,14 +193,17 @@ func TestMeasureTuneWithNoRunnableCandidate(t *testing.T) {
 }
 
 // TestMeasurePredictWithUnrunnableVector: a measured prediction the
-// executor cannot run answers 400 with the executor's error.
+// executor cannot run on the grid answers 400 before anything is measured.
 func TestMeasurePredictWithUnrunnableVector(t *testing.T) {
 	s, read := walServer(t, Config{})
 	body := `{"model":"tiny","kernel":` + unrunnableKernel + `,"size":"16x16x16","mode":"measure",
 		"vectors":[{"bx":8,"by":4,"bz":1,"u":1,"c":1}]}`
 	w, out := postJSON(t, s.Handler(), "/v1/predict", body)
-	if msg, _ := out["error"].(string); w.Code != http.StatusBadRequest || !strings.Contains(msg, "bz=1") {
-		t.Fatalf("predict: %d %v, want 400 with the executor's error", w.Code, out)
+	if msg, _ := out["error"].(string); w.Code != http.StatusBadRequest || !strings.Contains(msg, "2-D kernel") {
+		t.Fatalf("predict: %d %v, want 400 naming the dimensionality mismatch", w.Code, out)
+	}
+	if got := int64(s.ObsRegistry().Value("stencilserve_measure_requests_total")); got != 0 {
+		t.Errorf("measure_requests = %d, want 0 (rejected before admission)", got)
 	}
 	if recs := read(); len(recs) != 0 {
 		t.Errorf("WAL holds %d records, want none", len(recs))

@@ -37,6 +37,7 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,14 +45,12 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/dsl"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/shape"
 	"repro/internal/stencil"
-	"repro/internal/store"
 	"repro/internal/tunespace"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Config sizes a server instance.
@@ -283,124 +282,39 @@ func (s *Server) ObsRegistry() *obs.Registry { return s.obsReg }
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
 // ---------------------------------------------------------------------------
-// Wire types
+// Request resolution
 
-// vectorJSON is the tuning vector on the wire. A 2-D request may omit bz
-// (normalized to the required bz=1); k may be omitted for unfused vectors
-// (normalized to the equivalent k=1).
-type vectorJSON struct {
-	Bx int `json:"bx"`
-	By int `json:"by"`
-	Bz int `json:"bz,omitempty"`
-	U  int `json:"u"`
-	C  int `json:"c"`
-	K  int `json:"k,omitempty"`
+// resolved is a request bound to what it addresses: the model it answers
+// from, the stencil instance and the kernel's structural fingerprint.
+type resolved struct {
+	lm *loadedModel
+	q  stencil.Instance
+	fp string
 }
 
-func fromVector(v tunespace.Vector) vectorJSON {
-	return vectorJSON{Bx: v.Bx, By: v.By, Bz: v.Bz, U: v.U, C: v.C, K: v.EffFuse()}
-}
-
-func (v vectorJSON) toVector(dims int) tunespace.Vector {
-	out := tunespace.Vector{Bx: v.Bx, By: v.By, Bz: v.Bz, U: v.U, C: v.C, K: v.K}
-	if dims == 2 && out.Bz == 0 {
-		out.Bz = 1
+// resolve is the one request parse of the instance endpoints: it decodes
+// body, a wire request embedding in, snapshots the registry generation and
+// resolves the model in it, builds the instance (wire.Instance.Build, which
+// RoutingKey shares) and fingerprints its kernel. On failure it has
+// answered the request and reports ok=false.
+func (s *Server) resolve(w http.ResponseWriter, r *http.Request, body any, in *wire.Instance) (res resolved, ok bool) {
+	if err := s.decode(w, r, body); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return res, false
 	}
-	if out.K == 0 {
-		out.K = 1
-	}
-	return out
-}
-
-// kernelSpec selects the stencil kernel: a Table III benchmark name (the
-// JSON may also be a bare string), an inline DSL source, or an explicit
-// offset list.
-type kernelSpec struct {
-	Name    string  `json:"name,omitempty"`
-	DSL     string  `json:"dsl,omitempty"`
-	Offsets [][]int `json:"offsets,omitempty"`
-	Buffers int     `json:"buffers,omitempty"`
-	DType   string  `json:"dtype,omitempty"`
-}
-
-type instanceRequest struct {
-	Model  string          `json:"model,omitempty"`
-	Kernel json.RawMessage `json:"kernel"`
-	Size   string          `json:"size"`
-}
-
-func (r *instanceRequest) instance() (stencil.Instance, error) {
-	if len(r.Kernel) == 0 {
-		return stencil.Instance{}, fmt.Errorf("missing kernel")
-	}
-	var spec kernelSpec
-	var name string
-	if err := json.Unmarshal(r.Kernel, &name); err == nil {
-		spec.Name = name
-	} else if err := json.Unmarshal(r.Kernel, &spec); err != nil {
-		return stencil.Instance{}, fmt.Errorf("kernel must be a name or an object: %v", err)
-	}
-	k, err := buildKernel(spec)
+	// Snapshot the registry generation once: this request answers from the
+	// model set it started on, even if a retrain promotes mid-request.
+	lm, err := s.reg.snapshot().resolve(in.Model)
 	if err != nil {
-		return stencil.Instance{}, err
+		s.fail(w, http.StatusNotFound, err)
+		return res, false
 	}
-	size, err := stencil.ParseSize(r.Size)
+	q, err := in.Build()
 	if err != nil {
-		return stencil.Instance{}, err
+		s.fail(w, http.StatusBadRequest, err)
+		return res, false
 	}
-	q := stencil.Instance{Kernel: k, Size: size}
-	if err := q.Validate(); err != nil {
-		return stencil.Instance{}, err
-	}
-	return q, nil
-}
-
-func buildKernel(spec kernelSpec) (*stencil.Kernel, error) {
-	switch {
-	case spec.DSL != "":
-		defs, err := dsl.ParseString(spec.DSL)
-		if err != nil {
-			return nil, fmt.Errorf("parsing kernel DSL: %v", err)
-		}
-		for _, d := range defs {
-			if d.Name == spec.Name {
-				return d.Kernel(), nil
-			}
-		}
-		return defs[0].Kernel(), nil
-	case len(spec.Offsets) > 0:
-		sh := shape.New()
-		for _, o := range spec.Offsets {
-			p := shape.Point{}
-			switch len(o) {
-			case 2:
-				p = shape.Point{X: o[0], Y: o[1]}
-			case 3:
-				p = shape.Point{X: o[0], Y: o[1], Z: o[2]}
-			default:
-				return nil, fmt.Errorf("offset %v must have 2 or 3 components", o)
-			}
-			sh.Add(p, 1)
-		}
-		name := spec.Name
-		if name == "" {
-			name = "custom"
-		}
-		buffers := max(spec.Buffers, 1)
-		dt := stencil.Float32
-		switch spec.DType {
-		case "", "float", "float32":
-		case "double", "float64":
-			dt = stencil.Float64
-		default:
-			return nil, fmt.Errorf("unknown dtype %q (want float or double)", spec.DType)
-		}
-		return &stencil.Kernel{Name: name, Shape: sh, Buffers: buffers, Type: dt}, nil
-	case spec.Name != "":
-		return stencil.KernelByName(spec.Name)
-	default:
-		return nil, fmt.Errorf("kernel needs a name, dsl or offsets")
-	}
+	return resolved{lm: lm, q: q, fp: kernelFingerprint(q.Kernel)}, true
 }
 
 // ---------------------------------------------------------------------------
@@ -440,15 +354,24 @@ func kernelFingerprint(k *stencil.Kernel) string {
 // request (they would 4xx anyway) report ok=false; the balancer falls back
 // to spreading them.
 func RoutingKey(body []byte) (key string, ok bool) {
-	var req instanceRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	var in wire.Instance
+	if err := json.Unmarshal(body, &in); err != nil {
 		return "", false
 	}
-	q, err := req.instance()
+	q, err := in.Build()
 	if err != nil {
 		return "", false
 	}
-	return req.Model + "|" + kernelFingerprint(q.Kernel) + "|" + q.Size.String(), true
+	return in.Model + "|" + kernelFingerprint(q.Kernel) + "|" + q.Size.String(), true
+}
+
+// cacheKey formats the response cache key of an endpoint: the model by name
+// and content hash (so a hot-swapped model never answers from its
+// predecessor's entries), the kernel fingerprint, the size, then the
+// endpoint's own fields.
+func (res resolved) cacheKey(endpoint string, fields ...string) string {
+	lm := res.lm.info
+	return strings.Join(append([]string{endpoint, lm.Name + "@" + lm.ContentHash, res.fp, res.q.Size.String()}, fields...), "|")
 }
 
 func vectorSetHash(vs []tunespace.Vector) string {
@@ -664,46 +587,10 @@ func (e spanEval) RuntimeBatch(q stencil.Instance, ts []tunespace.Vector) []floa
 // ---------------------------------------------------------------------------
 // Endpoints
 
-type tuneRequest struct {
-	instanceRequest
-	// TopK > 0 switches to hybrid tuning: evaluate the top-k ranked
-	// candidates with Mode's evaluator and return the evaluated best.
-	TopK int    `json:"topk,omitempty"`
-	Mode string `json:"mode,omitempty"`
-}
-
-type tuneResponse struct {
-	Model            string      `json:"model"`
-	Instance         string      `json:"instance"`
-	Best             vectorJSON  `json:"best"`
-	RankedCandidates int         `json:"ranked_candidates"`
-	RankMicros       int64       `json:"rank_micros"`
-	Hybrid           *hybridJSON `json:"hybrid,omitempty"`
-}
-
-type hybridJSON struct {
-	TopK      int        `json:"topk"`
-	Mode      string     `json:"mode"`
-	Best      vectorJSON `json:"best"`
-	BestValue float64    `json:"best_value_seconds"`
-}
-
 func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
-	var req tuneRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	// Snapshot the registry generation once: this request answers from the
-	// model set it started on, even if a retrain promotes mid-request.
-	lm, err := s.reg.snapshot().resolve(req.Model)
-	if err != nil {
-		s.fail(w, http.StatusNotFound, err)
-		return
-	}
-	q, err := req.instance()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+	var req wire.TuneRequest
+	res, ok := s.resolve(w, r, &req, &req.Instance)
+	if !ok {
 		return
 	}
 	if req.TopK < 0 {
@@ -715,13 +602,10 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	// The model's content hash keys the cache, so a hot-swapped model never
-	// answers from its predecessor's cached responses.
-	key := fmt.Sprintf("tune|%s@%s|%s|%s|%d|%s",
-		lm.info.Name, lm.info.ContentHash, kernelFingerprint(q.Kernel), q.Size, req.TopK, mode)
-	s.serveCached(w, r, key, func(ctx context.Context) (any, error) {
+	lm, q := res.lm, res.q
+	s.serveCached(w, r, res.cacheKey("tune", strconv.Itoa(req.TopK), mode), func(ctx context.Context) (any, error) {
 		cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
-		resp := &tuneResponse{
+		resp := &wire.TuneResponse{
 			Model:            lm.info.Name,
 			Instance:         q.ID(),
 			RankedCandidates: len(cands),
@@ -732,7 +616,7 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			resp.Best = fromVector(best)
+			resp.Best = wire.FromTuning(best)
 			resp.RankMicros = time.Since(start).Microseconds()
 			return resp, nil
 		}
@@ -761,16 +645,16 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 			}
 			return nil, fmt.Errorf("none of the top-%d candidates could be evaluated: %w", hres.Evaluations, err)
 		}
-		resp.Best = fromVector(hres.ModelBest)
+		resp.Best = wire.FromTuning(hres.ModelBest)
 		resp.RankMicros = hres.RankTime.Microseconds()
-		resp.Hybrid = &hybridJSON{
+		resp.Hybrid = &wire.Hybrid{
 			TopK:      hres.Evaluations,
 			Mode:      mode,
-			Best:      fromVector(hres.Best),
+			Best:      wire.FromTuning(hres.Best),
 			BestValue: hres.BestValue,
 		}
 		if mode == "measure" {
-			s.record(q, "measure", s.machine, time.Now().UnixNano(), hres.Best, hres.BestValue)
+			s.record(res.observation(hres.Best, hres.BestValue, "measure", s.machine, time.Now().UnixNano()))
 		}
 		return resp, nil
 	})
@@ -791,49 +675,21 @@ func normalizeMode(mode string, allowed ...string) (string, error) {
 	return "", fmt.Errorf("unknown mode %q (want one of %v)", mode, allowed)
 }
 
-type rankRequest struct {
-	instanceRequest
-	// Candidates to rank; empty ranks the predefined set for the kernel's
-	// dimensionality.
-	Candidates []vectorJSON `json:"candidates,omitempty"`
-	// ReturnScores includes the model score of every candidate.
-	ReturnScores bool `json:"return_scores,omitempty"`
-}
-
-type rankResponse struct {
-	Model      string     `json:"model"`
-	Instance   string     `json:"instance"`
-	Candidates int        `json:"candidates"`
-	Order      []int      `json:"order"`
-	Best       vectorJSON `json:"best"`
-	Scores     []float64  `json:"scores,omitempty"`
-}
-
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	var req rankRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+	var req wire.RankRequest
+	res, ok := s.resolve(w, r, &req, &req.Instance)
+	if !ok {
 		return
 	}
-	lm, err := s.reg.snapshot().resolve(req.Model)
-	if err != nil {
-		s.fail(w, http.StatusNotFound, err)
-		return
-	}
-	q, err := req.instance()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
+	lm, q := res.lm, res.q
 	cands := make([]tunespace.Vector, len(req.Candidates))
 	for i, v := range req.Candidates {
-		cands[i] = v.toVector(q.Kernel.Dims())
+		cands[i] = v.Tuning(q.Kernel.Dims())
 	}
 	if len(cands) == 0 {
 		cands = tunespace.NewSpace(q.Kernel.Dims()).Predefined()
 	}
-	key := fmt.Sprintf("rank|%s@%s|%s|%s|%s|%t",
-		lm.info.Name, lm.info.ContentHash, kernelFingerprint(q.Kernel), q.Size, vectorSetHash(cands), req.ReturnScores)
+	key := res.cacheKey("rank", vectorSetHash(cands), strconv.FormatBool(req.ReturnScores))
 	s.serveCached(w, r, key, func(context.Context) (any, error) {
 		var order []int
 		var scores []float64
@@ -846,57 +702,31 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return &rankResponse{
+		return &wire.RankResponse{
 			Model:      lm.info.Name,
 			Instance:   q.ID(),
 			Candidates: len(cands),
 			Order:      order,
-			Best:       fromVector(cands[order[0]]),
+			Best:       wire.FromTuning(cands[order[0]]),
 			Scores:     scores,
 		}, nil
 	})
 }
 
-type predictRequest struct {
-	instanceRequest
-	Vectors []vectorJSON `json:"vectors"`
-	// Mode selects the predicted quantity: "sim" (default) simulated
-	// runtime seconds, "measure" wall-clock seconds, "score" raw model
-	// ranking scores (higher ranks better).
-	Mode string `json:"mode,omitempty"`
-}
-
-type predictResponse struct {
-	Model    string    `json:"model"`
-	Instance string    `json:"instance"`
-	Mode     string    `json:"mode"`
-	Unit     string    `json:"unit"`
-	Values   []float64 `json:"values"`
-}
-
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req predictRequest
-	if err := s.decode(w, r, &req); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+	var req wire.PredictRequest
+	res, ok := s.resolve(w, r, &req, &req.Instance)
+	if !ok {
 		return
 	}
-	lm, err := s.reg.snapshot().resolve(req.Model)
-	if err != nil {
-		s.fail(w, http.StatusNotFound, err)
-		return
-	}
-	q, err := req.instance()
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
+	lm, q := res.lm, res.q
 	if len(req.Vectors) == 0 {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("missing vectors"))
 		return
 	}
 	vs := make([]tunespace.Vector, len(req.Vectors))
 	for i, v := range req.Vectors {
-		vs[i] = v.toVector(q.Kernel.Dims())
+		vs[i] = v.Tuning(q.Kernel.Dims())
 		if err := vs[i].Validate(q.Kernel.Dims()); err != nil {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("vector %d: %v", i, err))
 			return
@@ -907,10 +737,8 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	key := fmt.Sprintf("predict|%s@%s|%s|%s|%s|%s",
-		lm.info.Name, lm.info.ContentHash, kernelFingerprint(q.Kernel), q.Size, vectorSetHash(vs), mode)
-	s.serveCached(w, r, key, func(ctx context.Context) (any, error) {
-		resp := &predictResponse{Model: lm.info.Name, Instance: q.ID(), Mode: mode, Unit: "seconds"}
+	s.serveCached(w, r, res.cacheKey("predict", vectorSetHash(vs), mode), func(ctx context.Context) (any, error) {
+		resp := &wire.PredictResponse{Model: lm.info.Name, Instance: q.ID(), Mode: mode, Unit: "seconds"}
 		if mode == "score" {
 			resp.Unit = "score"
 			var err error
@@ -938,26 +766,11 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		if mode == "measure" {
 			now := time.Now().UnixNano()
 			for i, v := range vs {
-				s.record(q, "measure", s.machine, now, v, resp.Values[i])
+				s.record(res.observation(v, resp.Values[i], "measure", s.machine, now))
 			}
 		}
 		return resp, nil
 	})
-}
-
-// modelInfo is the /v1/models row: provenance without the bulky per-weight
-// feature-name list.
-type modelInfo struct {
-	Name               string  `json:"name"`
-	ContentHash        string  `json:"content_hash"`
-	FeatureDim         int     `json:"feature_dim"`
-	TrainingPoints     int     `json:"training_points,omitempty"`
-	Seed               int64   `json:"seed,omitempty"`
-	Mode               string  `json:"mode,omitempty"`
-	C                  float64 `json:"c,omitempty"`
-	Pairs              int     `json:"pairs,omitempty"`
-	DatasetFingerprint string  `json:"dataset_fingerprint,omitempty"`
-	Machine            string  `json:"machine,omitempty"`
 }
 
 // handleModels lists the served model set on GET. POST is the SIGHUP
@@ -977,14 +790,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rs := s.reg.snapshot()
-	out := struct {
-		Default            string            `json:"default"`
-		RegistryVersion    int64             `json:"registry_version"`
-		RegistryGeneration string            `json:"registry_generation"`
-		Models             []modelInfo       `json:"models"`
-		Skipped            []string          `json:"skipped,omitempty"`
-		Promotions         []store.Promotion `json:"promotions,omitempty"`
-	}{
+	out := wire.ModelsResponse{
 		Default:            rs.defaultName,
 		RegistryVersion:    rs.version,
 		RegistryGeneration: rs.generation,
@@ -995,7 +801,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	sort.Strings(names)
 	for _, name := range names {
 		lm := rs.models[name]
-		mi := modelInfo{
+		mi := wire.ModelInfo{
 			Name:               name,
 			ContentHash:        lm.info.ContentHash,
 			FeatureDim:         lm.info.Meta.FeatureDim,

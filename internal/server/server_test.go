@@ -417,6 +417,14 @@ func TestModelsHealthzMetrics(t *testing.T) {
 	}
 }
 
+// malformedSizes break the size grammar: TestMalformedSizesRejected and
+// the FuzzInstanceRequest seeds use them.
+var malformedSizes = []string{
+	"64x64x64junk", "64x64x64x64", "64x64x", "x64x64", "64xx64", "64",
+	"64x64 ", " 64x64", "+64x64x64", "64x-64", "0x64x64", "64X64X64",
+	"64x64x99999999999999999999",
+}
+
 // TestMalformedSizesRejected pins the strict size grammar on the wire:
 // exactly two or three positive decimal components and nothing else. Each
 // of these sizes is answered 400 and is unroutable for a 3-D and a 2-D
@@ -424,11 +432,7 @@ func TestModelsHealthzMetrics(t *testing.T) {
 func TestMalformedSizesRejected(t *testing.T) {
 	s := newTestServer(t)
 	h := s.Handler()
-	for _, size := range []string{
-		"64x64x64junk", "64x64x64x64", "64x64x", "x64x64", "64xx64", "64",
-		"64x64 ", " 64x64", "+64x64x64", "64x-64", "0x64x64", "64X64X64",
-		"64x64x99999999999999999999",
-	} {
+	for _, size := range malformedSizes {
 		for _, kernel := range []string{"laplacian", "edge"} {
 			body := `{"model":"tiny","kernel":"` + kernel + `","size":"` + size + `"}`
 			if w, _ := postJSON(t, h, "/v1/tune", body); w.Code != http.StatusBadRequest {
@@ -438,6 +442,74 @@ func TestMalformedSizesRejected(t *testing.T) {
 				t.Errorf("%s size %q: RoutingKey = %q, ok=true; want unroutable", kernel, size, key)
 			}
 		}
+	}
+	// A size whose dimensionality disagrees with the kernel's is malformed
+	// too, both ways round: neither a sim nor a measure tune is admitted.
+	for _, instance := range []string{
+		`"kernel":{"offsets":[[1,0],[-1,0],[0,1],[0,-1]]},"size":"48x48x48"`,
+		`"kernel":"laplacian","size":"48x48"`,
+	} {
+		for _, body := range []string{
+			`{"model":"tiny",` + instance + `}`,
+			`{"model":"tiny",` + instance + `,"topk":2,"mode":"measure"}`,
+		} {
+			if w, out := postJSON(t, h, "/v1/tune", body); w.Code != http.StatusBadRequest {
+				t.Errorf("%s: /v1/tune status %d %v, want 400", body, w.Code, out)
+			}
+			if key, ok := RoutingKey([]byte(body)); ok {
+				t.Errorf("%s: RoutingKey = %q, ok=true; want unroutable", body, key)
+			}
+		}
+	}
+	if n := s.ObsRegistry().Value("stencilserve_measure_requests_total"); n != 0 {
+		t.Errorf("measure_requests = %v, want 0: a malformed instance took the measure path", n)
+	}
+}
+
+// TestBufferCountBounded: a kernel reading more than stencil.MaxBuffers
+// buffers is rejected on every endpoint, before anything is measured or
+// logged; the bound itself is accepted.
+func TestBufferCountBounded(t *testing.T) {
+	s, read := walServer(t, Config{})
+	h := s.Handler()
+	kernel := func(buffers int) string {
+		return fmt.Sprintf(`"kernel":{"offsets":[[1,0,0],[-1,0,0],[0,1,0],[0,-1,0],[0,0,1],[0,0,-1]],"buffers":%d},"size":"32x32x32"`, buffers)
+	}
+	vector := `{"bx":8,"by":8,"bz":4,"u":1,"c":1}`
+	for path, fields := range map[string]string{
+		"/v1/tune":    `"topk":2,"mode":"measure"`,
+		"/v1/predict": `"mode":"measure","vectors":[` + vector + `]`,
+		"/v1/observe": `"observations":[{"vector":` + vector + `,"runtime_seconds":0.01}]`,
+	} {
+		body := `{"model":"tiny",` + kernel(stencil.MaxBuffers+1) + `,` + fields + `}`
+		if w, out := postJSON(t, h, path, body); w.Code != http.StatusBadRequest {
+			t.Errorf("%s with %d buffers: status %d %v, want 400", path, stencil.MaxBuffers+1, w.Code, out)
+		}
+	}
+	if n := s.ObsRegistry().Value("stencilserve_measure_requests_total"); n != 0 {
+		t.Errorf("measure_requests = %v, want 0", n)
+	}
+	body := `{"model":"tiny",` + kernel(stencil.MaxBuffers) + `,"observations":[{"vector":` + vector + `,"runtime_seconds":0.01}]}`
+	if w, out := postJSON(t, h, "/v1/observe", body); w.Code != http.StatusAccepted {
+		t.Errorf("observe with %d buffers: status %d %v, want 202", stencil.MaxBuffers, w.Code, out)
+	}
+	if recs := read(); len(recs) != 1 || recs[0].Buffers != stencil.MaxBuffers {
+		t.Errorf("WAL holds %+v, want the one %d-buffer observation", recs, stencil.MaxBuffers)
+	}
+}
+
+// TestMeasureBorrowedBenchmarkName: a custom kernel that reuses a Table III
+// name runs its own structure, not the named kernel's terms. A planar
+// kernel named laplacian used to run the 3-D laplacian on a planar grid and
+// crash the executor's worker.
+func TestMeasureBorrowedBenchmarkName(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real execution")
+	}
+	s := newTestServer(t)
+	body := `{"model":"tiny","kernel":{"name":"laplacian","offsets":[[0,0],[1,0],[-1,0],[0,1],[0,-1]]},"size":"32x32","topk":2,"mode":"measure"}`
+	if w, out := postJSON(t, s.Handler(), "/v1/tune", body); w.Code != http.StatusOK {
+		t.Fatalf("measure tune: status %d %v, want 200", w.Code, out)
 	}
 }
 

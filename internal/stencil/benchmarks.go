@@ -131,20 +131,36 @@ func Laplacian6() *Kernel {
 	}
 }
 
+// tableIII lists the constructors of the nine Table III kernels in table
+// order; kernelByName indexes the same constructors by kernel name.
+var (
+	tableIII = []func() *Kernel{
+		Blur, Edge, GameOfLife, Wave, Tricubic,
+		Divergence, Gradient, Laplacian, Laplacian6,
+	}
+	kernelByName = func() map[string]func() *Kernel {
+		m := make(map[string]func() *Kernel, len(tableIII))
+		for _, build := range tableIII {
+			m[build().Name] = build
+		}
+		return m
+	}()
+)
+
 // BenchmarkKernels returns the nine kernels of Table III in table order.
 func BenchmarkKernels() []*Kernel {
-	return []*Kernel{
-		Blur(), Edge(), GameOfLife(), Wave(), Tricubic(),
-		Divergence(), Gradient(), Laplacian(), Laplacian6(),
+	out := make([]*Kernel, len(tableIII))
+	for i, build := range tableIII {
+		out[i] = build()
 	}
+	return out
 }
 
-// KernelByName looks up one of the Table III kernels by its name.
+// KernelByName builds the named Table III kernel. Each call returns a fresh
+// kernel the caller may modify.
 func KernelByName(name string) (*Kernel, error) {
-	for _, k := range BenchmarkKernels() {
-		if k.Name == name {
-			return k, nil
-		}
+	if build, ok := kernelByName[name]; ok {
+		return build(), nil
 	}
 	return nil, fmt.Errorf("stencil: unknown benchmark kernel %q", name)
 }

@@ -42,6 +42,19 @@ func (d DataType) String() string {
 	return "float"
 }
 
+// ParseDataType parses a dtype name: "float" or "float32" for Float32,
+// "double" or "float64" for Float64. It is the one dtype parser of the wire
+// schema, the observation log and the DSL.
+func ParseDataType(s string) (DataType, error) {
+	switch s {
+	case "float", "float32":
+		return Float32, nil
+	case "double", "float64":
+		return Float64, nil
+	}
+	return 0, fmt.Errorf("unknown dtype %q (want float or double)", s)
+}
+
 // FeatureValue returns the paper's [0,1] encoding of the type (Sec. III-A.2).
 func (d DataType) FeatureValue() float64 {
 	if d == Float64 {
@@ -75,13 +88,16 @@ func (k *Kernel) Flops() int {
 	return 2 * k.Shape.TotalAccesses()
 }
 
+// MaxBuffers bounds how many input buffers a kernel may read.
+const MaxBuffers = 16
+
 // Validate checks structural invariants of the kernel.
 func (k *Kernel) Validate() error {
 	if k.Shape == nil || k.Shape.Size() == 0 {
 		return fmt.Errorf("stencil: kernel %q has empty shape", k.Name)
 	}
-	if k.Buffers < 1 {
-		return fmt.Errorf("stencil: kernel %q has %d buffers, need >= 1", k.Name, k.Buffers)
+	if k.Buffers < 1 || k.Buffers > MaxBuffers {
+		return fmt.Errorf("stencil: kernel %q has %d buffers, want [1,%d]", k.Name, k.Buffers, MaxBuffers)
 	}
 	if k.Type != Float32 && k.Type != Float64 {
 		return fmt.Errorf("stencil: kernel %q has invalid data type %d", k.Name, k.Type)
@@ -111,6 +127,14 @@ func (s Size) Points() int { return s.X * s.Y * s.Z }
 
 // Is2D reports whether the size is planar.
 func (s Size) Is2D() bool { return s.Z == 1 }
+
+// Dims returns 2 for a planar size and 3 otherwise.
+func (s Size) Dims() int {
+	if s.Is2D() {
+		return 2
+	}
+	return 3
+}
 
 func (s Size) String() string {
 	if s.Is2D() {
@@ -186,8 +210,8 @@ func (q Instance) Validate() error {
 	if !q.Size.Valid() {
 		return fmt.Errorf("stencil: invalid size %v", q.Size)
 	}
-	if q.Kernel.Dims() == 3 && q.Size.Is2D() {
-		return fmt.Errorf("stencil: 3-D kernel %q with 2-D size %v", q.Kernel.Name, q.Size)
+	if q.Kernel.Dims() != q.Size.Dims() {
+		return fmt.Errorf("stencil: %d-D kernel %q with %d-D size %v", q.Kernel.Dims(), q.Kernel.Name, q.Size.Dims(), q.Size)
 	}
 	off := q.Kernel.Shape.MaxOffset()
 	if q.Size.X <= 2*off || q.Size.Y <= 2*off || (!q.Size.Is2D() && q.Size.Z <= 2*off) {

@@ -17,6 +17,16 @@ func TestDataType(t *testing.T) {
 	if Float32.FeatureValue() != 0 || Float64.FeatureValue() != 1 {
 		t.Error("feature encoding wrong (paper Sec. III-A.2)")
 	}
+	for in, want := range map[string]DataType{"float": Float32, "float32": Float32, "double": Float64, "float64": Float64} {
+		if got, err := ParseDataType(in); err != nil || got != want {
+			t.Errorf("ParseDataType(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "quad", "Float", "int"} {
+		if _, err := ParseDataType(bad); err == nil {
+			t.Errorf("ParseDataType(%q) accepted", bad)
+		}
+	}
 }
 
 func TestKernelValidate(t *testing.T) {
@@ -28,6 +38,7 @@ func TestKernelValidate(t *testing.T) {
 		{Name: "nilshape", Shape: nil, Buffers: 1},
 		{Name: "empty", Shape: shape.New(), Buffers: 1},
 		{Name: "nobuf", Shape: shape.Laplacian3D(1), Buffers: 0},
+		{Name: "toomanybufs", Shape: shape.Laplacian3D(1), Buffers: MaxBuffers + 1},
 		{Name: "badtype", Shape: shape.Laplacian3D(1), Buffers: 1, Type: DataType(7)},
 	}
 	for _, k := range cases {
@@ -72,6 +83,9 @@ func TestInstanceValidate(t *testing.T) {
 	}
 	if err := (Instance{Laplacian(), Size2D(128, 128)}).Validate(); err == nil {
 		t.Error("3-D kernel with 2-D size accepted")
+	}
+	if err := (Instance{Edge(), Size3D(48, 48, 48)}).Validate(); err == nil {
+		t.Error("2-D kernel with 3-D size accepted")
 	}
 	if err := (Instance{Laplacian6(), Size3D(6, 6, 6)}).Validate(); err == nil {
 		t.Error("size smaller than twice the offset accepted")
@@ -174,6 +188,23 @@ func TestKernelByName(t *testing.T) {
 	}
 	if _, err := KernelByName("nope"); err == nil || !strings.Contains(err.Error(), "unknown") {
 		t.Errorf("expected unknown-kernel error, got %v", err)
+	}
+	// The lookup and the table order build the same nine kernels.
+	for _, want := range BenchmarkKernels() {
+		got, err := KernelByName(want.Name)
+		if err != nil {
+			t.Fatalf("%s: %v", want.Name, err)
+		}
+		if !got.Shape.Equal(want.Shape) || got.Buffers != want.Buffers || got.Type != want.Type || got.Flops() != want.Flops() {
+			t.Errorf("KernelByName(%q) = %v, want %v", want.Name, got, want)
+		}
+	}
+	// Every lookup returns a fresh kernel: reshaping one leaves the next
+	// lookup untouched.
+	k.Shape.Add(shape.Point{X: 9, Y: 9, Z: 9}, 1)
+	again, _ := KernelByName("tricubic")
+	if again.Shape.Contains(shape.Point{X: 9, Y: 9, Z: 9}) || again.Shape.Size() != 64 {
+		t.Errorf("a modified lookup result leaked into the next lookup: %v", again)
 	}
 }
 

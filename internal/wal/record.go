@@ -68,12 +68,6 @@ func (r *Record) Validate() error {
 	if len(r.Offsets) == 0 {
 		return fmt.Errorf("wal: record has no offsets")
 	}
-	if r.Buffers < 1 || r.Buffers > 16 {
-		return fmt.Errorf("wal: record buffers %d outside [1,16]", r.Buffers)
-	}
-	if _, err := r.dataType(); err != nil {
-		return err
-	}
 	q, err := r.Instance()
 	if err != nil {
 		return err
@@ -93,21 +87,11 @@ func (r *Record) Validate() error {
 	return nil
 }
 
-func (r *Record) dataType() (stencil.DataType, error) {
-	switch r.DType {
-	case "float", "float32":
-		return stencil.Float32, nil
-	case "double", "float64":
-		return stencil.Float64, nil
-	}
-	return 0, fmt.Errorf("wal: record dtype %q (want float or double)", r.DType)
-}
-
 // Instance reconstructs the stencil instance the record observed.
 func (r *Record) Instance() (stencil.Instance, error) {
-	dt, err := r.dataType()
+	dt, err := stencil.ParseDataType(r.DType)
 	if err != nil {
-		return stencil.Instance{}, err
+		return stencil.Instance{}, fmt.Errorf("wal: record %w", err)
 	}
 	sh := shape.New()
 	for _, o := range r.Offsets {

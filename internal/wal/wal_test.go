@@ -341,6 +341,7 @@ func TestRecordValidation(t *testing.T) {
 		{"bad dtype", func(r *Record) { r.DType = "quad" }},
 		{"bad vector", func(r *Record) { r.Vector = [6]int{0, 0, 0, 0, 0, 0} }},
 		{"bad buffers", func(r *Record) { r.Buffers = 0 }},
+		{"too many buffers", func(r *Record) { r.Buffers = 17 }},
 		{"size too small", func(r *Record) { r.Size = [3]int{2, 2, 2} }},
 	}
 	for _, tc := range cases {

@@ -170,13 +170,19 @@ func TestHybridTune(t *testing.T) {
 	}
 
 	// A 2-D kernel on a 3-D grid: the 2-D predefined set has bz=1, which
-	// the executor rejects, so no candidate can be measured and the error
-	// says why instead of returning an infinite best time.
+	// the executor cannot run there, so the instance is rejected before
+	// anything is measured.
 	eval := Measured()
 	defer CloseEvaluator(eval)
 	flat := Instance{Kernel: Edge(), Size: Size3D(16, 16, 16)}
-	if _, v, err := tuner.HybridTune(flat, 2, eval); err == nil || !strings.Contains(err.Error(), "bz=1") {
-		t.Errorf("unrunnable hybrid tune = %v, %v; want the executor's error", v, err)
+	if _, v, err := tuner.HybridTune(flat, 2, eval); err == nil || !strings.Contains(err.Error(), "2-D kernel") {
+		t.Errorf("unrunnable hybrid tune = %v, %v; want the dimensionality mismatch", v, err)
+	}
+	// When no candidate evaluates to a finite time the error says so
+	// instead of returning an infinite best time.
+	never := evalFunc(func(Instance, TuningVector) float64 { return math.Inf(1) })
+	if _, v, err := tuner.HybridTune(q, 2, never); err == nil || !strings.Contains(err.Error(), "no finite runtime") {
+		t.Errorf("hybrid tune without a finite runtime = %v, %v; want an error", v, err)
 	}
 }
 
