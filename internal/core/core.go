@@ -34,10 +34,12 @@ func New(model *svmrank.Model) *Tuner {
 	return &Tuner{Model: model, Encoder: feature.NewEncoder()}
 }
 
-// scoreParallelThreshold is the candidate count above which Scores fans
-// out; below it the goroutine handoff costs more than the encoding. Both
-// predefined sets (1600 and 8640 vectors) lie above it.
-const scoreParallelThreshold = 1024
+// scoreParallelThreshold is the candidate count from which Scores fans
+// out; below it the goroutine handoff costs more than the scoring
+// (BenchmarkScoresFanOut times both sides: on two CPUs one goroutine wins
+// at 1,024 candidates, and fanning out wins at 8,640). Both predefined sets
+// (1600 and 8640 vectors) are fanned out.
+const scoreParallelThreshold = 1600
 
 // Scores returns the model score of every candidate (higher ranks better).
 // It validates the instance and every candidate, then scores each
@@ -63,13 +65,21 @@ func (t *Tuner) Scores(q stencil.Instance, cands []tunespace.Vector) ([]float64,
 			return nil, fmt.Errorf("core: candidate %d: %w", i, err)
 		}
 	}
-	plan := t.Encoder.Plan(q)
-	w := t.Model.W
 	out := make([]float64, len(cands))
 	workers := runtime.GOMAXPROCS(0)
-	if len(cands) < scoreParallelThreshold || workers == 1 {
+	if len(cands) < scoreParallelThreshold {
+		workers = 1
+	}
+	scoreChunks(t.Encoder.Plan(q), out, t.Model.W, cands, workers)
+	return out, nil
+}
+
+// scoreChunks scores cands into out from plan, cutting the set into one
+// contiguous chunk per worker and each chunk on its own goroutine.
+func scoreChunks(plan *feature.Plan, out, w []float64, cands []tunespace.Vector, workers int) {
+	if workers <= 1 {
 		plan.ScoreInto(out, w, cands)
-		return out, nil
+		return
 	}
 	chunk := (len(cands) + workers - 1) / workers
 	var wg sync.WaitGroup
@@ -82,7 +92,6 @@ func (t *Tuner) Scores(q stencil.Instance, cands []tunespace.Vector) ([]float64,
 		}()
 	}
 	wg.Wait()
-	return out, nil
 }
 
 // Rank returns the candidate indices ordered best-first according to the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -91,8 +92,13 @@ func BenchmarkTunerBest(b *testing.B) {
 	}{
 		{"2D", stencil.Instance{Kernel: stencil.Blur(), Size: stencil.Size2D(1024, 768)}},
 		{"3D", lap128()},
+		{"3D-fused", lap128()},
 	} {
 		cands := tunespace.NewSpace(bc.q.Kernel.Dims()).Predefined()
+		if bc.name == "3D-fused" {
+			// 34,560 candidates: every depth K = 1..4 of the 3-D set.
+			cands = tunespace.NewSpace(3).PredefinedFused(1, 2, 3, 4)
+		}
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -101,6 +107,36 @@ func BenchmarkTunerBest(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkScoresFanOut times scoring n candidates on one goroutine against
+// fanning them out over GOMAXPROCS chunks, the two sides of
+// scoreParallelThreshold. n=1600 is the 2-D predefined set and n=8640 the
+// 3-D one; the smaller sizes are prefixes of the 3-D set.
+func BenchmarkScoresFanOut(b *testing.B) {
+	tu := randomTuner(1)
+	blur := stencil.Instance{Kernel: stencil.Blur(), Size: stencil.Size2D(1024, 768)}
+	set3 := tunespace.NewSpace(3).Predefined()
+	for _, bc := range []struct {
+		q     stencil.Instance
+		cands []tunespace.Vector
+	}{
+		{lap128(), set3[:256]},
+		{lap128(), set3[:512]},
+		{lap128(), set3[:1024]},
+		{blur, tunespace.NewSpace(2).Predefined()},
+		{lap128(), set3},
+	} {
+		plan := tu.Encoder.Plan(bc.q)
+		out := make([]float64, len(bc.cands))
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("n=%d/workers=%d", len(bc.cands), workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					scoreChunks(plan, out, tu.Model.W, bc.cands, workers)
+				}
+			})
+		}
 	}
 }
 

@@ -10,11 +10,15 @@
 // Scoring note. A vector is a head that depends on the instance alone
 // (pattern block, kernel summary, size block) followed by a tail that
 // depends on the tuning vector, and every head index lies below every tail
-// index. Encoder.Plan builds the head once per instance; Plan.ScoreInto then
-// scores a whole candidate set by adding each candidate's tail to the
-// head's partial dot product, without building or allocating a vector. The
-// sum runs in the same order as Vector.Dot, so the scores are bit-identical
-// to Encode followed by Dot.
+// index. Each tail component reads only a few tuning parameters (one block
+// edge, u, c, the tile shape, ...), so the tail is split into dependency
+// groups, each computed by one function (tail.go) that Encode and the scorer
+// share. Encoder.Plan builds the head once per instance; Plan.ScoreInto then
+// scores a whole candidate set, computing each group's products with the
+// weights once per distinct parameter value and adding a candidate's
+// products to the head's partial sum in ascending index order. Those are
+// Vector.Dot's additions in Dot's order, so the scores are bit-identical to
+// Encode followed by Dot, and no vector is built or allocated.
 //
 // Implementation refinement (documented in DESIGN.md): the ordinal-regression
 // training of Sec. IV-D only compares executions of the *same* instance q, so
@@ -167,15 +171,18 @@ func (v Vector) NNZ() int { return len(v.Idx) }
 // out-of-range one.
 func (v Vector) Dot(w []float64) float64 { return v.dotFrom(0, w) }
 
-// dotFrom continues a dot product from the partial sum s. It is the one
-// summation loop of the package: Plan.ScoreInto adds a tail to a head's
-// partial sum through it, so both paths add the same terms in the same order.
+// dotFrom continues a dot product from the partial sum s. Plan.ScoreInto
+// takes a head's partial sum through it and then adds the tail's products,
+// computed as product computes them, in the same index order.
 func (v Vector) dotFrom(s float64, w []float64) float64 {
 	for i, idx := range v.Idx {
 		if int(idx) >= len(w) {
 			break
 		}
-		s += v.Val[i] * w[idx]
+		// The conversion rounds the product on its own, so that no
+		// platform fuses it into the addition: ScoreInto adds the same
+		// rounded products.
+		s += float64(v.Val[i] * w[idx])
 	}
 	return s
 }
@@ -306,10 +313,10 @@ func (e *Encoder) Encode(q stencil.Instance, t tunespace.Vector) Vector {
 	// allocation source.
 	b := newBuilder(q.Kernel.Shape.Size() + headNamed + maxTail)
 	p := e.plan(q, &b)
-	var tl tail
-	p.emitTail(t, &tl)
-	for i, idx := range tl.idx[:tl.n] {
-		b.put(int(idx), tl.val[i])
+	var ts [maxTail]term
+	p.tailTerms(t, &ts)
+	for _, tm := range &ts {
+		b.put(int(tm.idx), tm.val)
 	}
 	return b.vector()
 }
@@ -318,13 +325,16 @@ func (e *Encoder) Encode(q stencil.Instance, t tunespace.Vector) Vector {
 // encodes one instance q against thousands of tuning vectors; everything
 // that depends on q alone is computed once here: the head (pattern block,
 // kernel summary and size block) and the q-derived constants the tail
-// reads. Each tuning vector then pays only for its tail.
+// reads. Each tuning vector then pays only for its tail, and ScoreInto
+// computes each tail group once per distinct value of the parameters it
+// reads.
 //
 // Every head index lies below idxBx and every tail index at or above it, so
 // an encoded vector is its head followed by its tail in ascending index
-// order. Dot sums in that order, which makes ScoreInto bit-identical to
-// Encode followed by Dot, including the rule that indices beyond an older,
-// narrower weight vector count as zero.
+// order. Dot sums in that order, and ScoreInto adds the same products in the
+// same order, which makes it bit-identical to Encode followed by Dot,
+// including the rule that indices beyond an older, narrower weight vector
+// count as zero.
 //
 // A Plan is read-only once built and safe for concurrent use.
 type Plan struct {
@@ -350,19 +360,6 @@ func (e *Encoder) Plan(q stencil.Instance) *Plan {
 	p := e.plan(q, &b)
 	p.head = b.vector()
 	return &p
-}
-
-// ScoreInto sets out[i] to Encode(q, cands[i]).Dot(w) for the plan's
-// instance q, bit for bit, without building any vector: the head's partial
-// sum is taken once and each candidate adds only its tail. It allocates
-// nothing. out must be at least as long as cands.
-func (p *Plan) ScoreInto(out, w []float64, cands []tunespace.Vector) {
-	head := p.head.dotFrom(0, w)
-	var tl tail
-	for i, t := range cands {
-		p.emitTail(t, &tl)
-		out[i] = Vector{Idx: tl.idx[:tl.n], Val: tl.val[:tl.n]}.dotFrom(head, w)
-	}
 }
 
 // plan emits q's head into b and returns the plan's constants; the caller
@@ -407,134 +404,6 @@ func (e *Encoder) plan(q stencil.Instance, b *builder) Plan {
 		bytes:   float64(k.Type.Bytes()),
 		buffers: float64(k.Buffers),
 		dtype:   k.Type.FeatureValue(),
-	}
-}
-
-// maxTail bounds a tail's components: 10 tuning terms, 14 interaction
-// terms, 5 tuning bins, 1 balance bin and 5 fusion terms.
-const maxTail = 35
-
-// tail holds one tuning vector's components in ascending index order. It is
-// a fixed-size value so that scoring loops keep it on the stack.
-type tail struct {
-	n   int
-	idx [maxTail]int32
-	val [maxTail]float64
-}
-
-func (tl *tail) put(i int, v float64) {
-	if v == 0 {
-		return
-	}
-	tl.idx[tl.n] = int32(i)
-	tl.val[tl.n] = v
-	tl.n++
-}
-
-// emitTail overwrites out with the components of t under the plan: every
-// term that depends on the tuning vector, all at indices ≥ idxBx.
-func (p *Plan) emitTail(t tunespace.Vector, out *tail) {
-	out.n = 0
-	sz := p.size
-
-	l2bx := log2(float64(t.Bx))
-	l2by := log2(float64(t.By))
-	l2bz := log2(float64(t.Bz))
-	l2c := log2(float64(t.C))
-	lbx := l2bx / maxLogBlock
-	lby := l2by / maxLogBlock
-	lbz := l2bz / maxLogBlock
-	un := float64(t.U) / tunespace.MaxUnroll
-	lch := l2c / maxLogChunk
-
-	if p.blocks.Tuning {
-		out.put(idxBx, clamp01(lbx))
-		out.put(idxBy, clamp01(lby))
-		out.put(idxBz, clamp01(lbz))
-		out.put(idxUnroll, clamp01(un))
-		out.put(idxChunk, clamp01(lch))
-		out.put(idxBx2, clamp01(lbx*lbx))
-		out.put(idxBy2, clamp01(lby*lby))
-		out.put(idxBz2, clamp01(lbz*lbz))
-		out.put(idxUnroll2, clamp01(un*un))
-		out.put(idxChunk2, clamp01(lch*lch))
-	}
-
-	// Tile working set (log2 bytes) and log2 of the dispatch groups, shared
-	// by the interaction, balance and fusion terms.
-	var l2ws, l2groups float64
-	if p.blocks.Interactions {
-		// Effective tile extents never exceed the grid.
-		ebx := min(t.Bx, sz.X)
-		eby := min(t.By, sz.Y)
-		ebz := min(t.Bz, sz.Z)
-
-		l2ws = log2(float64(ebx) * float64(eby) * float64(ebz) * p.bytes * p.buffers)
-		lws := l2ws / maxLogWS
-		out.put(idxTileWS, clamp01(lws))
-		out.put(idxTileWS2, clamp01(lws*lws))
-
-		out.put(idxFracX, clamp01(float64(ebx)/float64(sz.X)))
-		out.put(idxFracY, clamp01(float64(eby)/float64(sz.Y)))
-		out.put(idxFracZ, clamp01(float64(ebz)/float64(sz.Z)))
-
-		tiles := float64(ceilDiv(sz.X, t.Bx)) * float64(ceilDiv(sz.Y, t.By)) *
-			float64(ceilDiv(sz.Z, max(1, t.Bz)))
-		ltiles := log2(tiles) / maxLogTiles
-		out.put(idxNumTiles, clamp01(ltiles))
-
-		l2groups = log2(math.Max(1, tiles/float64(t.C)))
-		lgroups := l2groups / maxLogTiles
-		out.put(idxTileGroups, clamp01(lgroups))
-		out.put(idxTileGroups2, clamp01(lgroups*lgroups))
-
-		out.put(idxUnrollDensity, clamp01(un*p.density))
-
-		inner := log2(float64(ebx)*float64(t.U+1)) / maxLogInner
-		out.put(idxInnerStream, clamp01(inner))
-		out.put(idxInnerStream2, clamp01(inner*inner))
-
-		out.put(idxDTypeBx, clamp01(p.dtype*lbx))
-		out.put(idxDensityWS, clamp01(p.density*lws))
-
-		// Working-set bin: log2(WS bytes) mapped to 8 bins over [10, 26).
-		out.put(idxWSBin0+binIndex(l2ws, 10, 26, wsBins), 1)
-	}
-
-	if p.blocks.Tuning {
-		// One-hot power-of-two block bins: log2(b) in [1, 10] → bins 0..9.
-		out.put(idxBxBin0+binIndex(l2bx, 1, 11, blockBins), 1)
-		out.put(idxByBin0+binIndex(l2by, 1, 11, blockBins), 1)
-		if t.Bz > 1 {
-			out.put(idxBzBin0+binIndex(l2bz, 1, 11, blockBins), 1)
-		}
-		out.put(idxUnrollBin0+min(max(t.U, 0), unrollBins-1), 1)
-		out.put(idxChunkBin0+binIndex(l2c, 0, 5, chunkBins), 1)
-	}
-
-	if p.blocks.Interactions {
-		// Parallel-balance bin: log2(dispatch groups) over [0, 18).
-		out.put(idxBalanceBin0+binIndex(l2groups, 0, 18, balanceBins), 1)
-	}
-
-	// Temporal-fusion block: emitted only for genuinely fused vectors, so an
-	// unfused vector's encoding is byte-identical to the pre-fusion one.
-	if kf := t.EffFuse(); kf > 1 {
-		fu := float64(kf-1) / float64(tunespace.MaxFuse-1)
-		if p.blocks.Tuning {
-			out.put(idxFuse, clamp01(fu))
-			out.put(idxFuse2, clamp01(fu*fu))
-		}
-		if p.blocks.Interactions {
-			// Fusion pays off in proportion to how DRAM-bound the sweep is:
-			// the interactions couple depth to stencil density and to the
-			// spatial tile's working set.
-			out.put(idxFuseDensity, clamp01(fu*p.density))
-			out.put(idxFuseWS, clamp01(fu*l2ws/maxLogWS))
-		}
-		if p.blocks.Tuning {
-			out.put(idxFuseBin0+kf-2, 1)
-		}
 	}
 }
 

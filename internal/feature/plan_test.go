@@ -1,8 +1,10 @@
 package feature
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/stencil"
@@ -71,6 +73,142 @@ func TestPlanScoreBitIdenticalToEncodeDot(t *testing.T) {
 	t.Logf("%d bit-identity checks", checks)
 }
 
+// planWeights returns a random full-width weight vector and the truncations
+// TestPlanScoreBitIdenticalToEncodeDot scores with: cuts inside the pattern
+// block, inside the size block, inside the tuning block and at the
+// pre-fusion width.
+func planWeights(rng *rand.Rand) [][]float64 {
+	full := make([]float64, Dim)
+	for i := range full {
+		full[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+	}
+	return [][]float64{full, full[:200], full[:idxSizeZ], full[:idxBx+3], full[:idxFuse]}
+}
+
+// scoreChecker holds Encode·w for a universe of candidates under every
+// weight vector, and checks ScoreInto on sequences drawn from it bit for
+// bit.
+type scoreChecker struct {
+	plan  *Plan
+	ws    [][]float64
+	cands []tunespace.Vector
+	want  [][]uint64 // want[i][j]: bits of Encode(q, cands[i])·ws[j]
+}
+
+func newScoreChecker(enc *Encoder, q stencil.Instance, ws [][]float64, cands []tunespace.Vector) *scoreChecker {
+	c := &scoreChecker{plan: enc.Plan(q), ws: ws, cands: cands, want: make([][]uint64, len(cands))}
+	for i, v := range cands {
+		x := enc.Encode(q, v)
+		c.want[i] = make([]uint64, len(ws))
+		for j, w := range ws {
+			c.want[i][j] = math.Float64bits(x.Dot(w))
+		}
+	}
+	return c
+}
+
+// check scores the candidates at positions seq of the universe, in that
+// order, in one call per chunk, cutting the sequence at the given ascending
+// boundaries, and compares every score with Encode·w.
+func (c *scoreChecker) check(t testing.TB, what string, seq []int, cuts ...int) {
+	t.Helper()
+	set := make([]tunespace.Vector, len(seq))
+	for i, k := range seq {
+		set[i] = c.cands[k]
+	}
+	out := make([]float64, len(set))
+	for j, w := range c.ws {
+		lo := 0
+		for _, hi := range append(cuts, len(set)) {
+			c.plan.ScoreInto(out[lo:hi], w, set[lo:hi])
+			lo = hi
+		}
+		for i, k := range seq {
+			if got := math.Float64bits(out[i]); got != c.want[k][j] {
+				t.Fatalf("%s: candidate %d %v len(w)=%d: ScoreInto %v, Encode·w %v",
+					what, i, set[i], len(w), out[i], math.Float64frombits(c.want[k][j]))
+			}
+		}
+	}
+}
+
+// TestPlanScoreIndependentOfOrderAndChunking: a candidate's score depends on
+// the candidate alone, not on which candidates the memo saw before it or on
+// how the set is split across calls. The predefined and fully fused sets are
+// scored in order, reversed, shuffled and cut into chunks (evenly, as
+// core.Scores splits them, and at random boundaries); sets with repeats and
+// off-lattice vectors, and sizes smaller than the blocks, are scored too.
+// Every score must equal Encode·w bit for bit, for full and truncated
+// weights.
+func TestPlanScoreIndependentOfOrderAndChunking(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ws := planWeights(rng)
+	f64 := stencil.Laplacian()
+	f64.Type = stencil.Float64
+	instances := []stencil.Instance{
+		laplacianInstance(),
+		blurInstance(),
+		{Kernel: f64, Size: stencil.Size3D(129, 67, 33)},
+		// Extents below most block edges, so the tiles clip.
+		{Kernel: stencil.Laplacian(), Size: stencil.Size3D(37, 19, 5)},
+		{Kernel: stencil.Blur(), Size: stencil.Size2D(50, 3)},
+	}
+	span := func(lo, hi int) []int {
+		out := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			out = append(out, i)
+		}
+		return out
+	}
+	for _, q := range instances {
+		space := tunespace.NewSpace(q.Kernel.Dims())
+		// The universe: the fully fused set, whose first quarter is the
+		// predefined set, then off-lattice vectors.
+		fused := space.PredefinedFused(1, 2, 3, 4)
+		c := newScoreChecker(NewEncoder(), q, ws, append(fused, space.RandomSet(rng, 300)...))
+		// Repeats and off-lattice vectors, interleaved with lattice ones.
+		mixed := span(len(fused), len(c.cands))
+		for i := 0; i < 300; i++ {
+			mixed = append(mixed, rng.Intn(len(fused)), mixed[rng.Intn(len(mixed))])
+		}
+		sets := map[string][]int{
+			"predefined": span(0, len(space.Predefined())),
+			"fused":      span(0, len(fused)),
+			"mixed":      mixed,
+		}
+		for name, set := range sets {
+			what := q.ID() + " " + name
+			c.check(t, what, set)
+
+			rev := slices.Clone(set)
+			slices.Reverse(rev)
+			c.check(t, what+" reversed", rev)
+
+			shuf := slices.Clone(set)
+			rng.Shuffle(len(shuf), func(i, j int) { shuf[i], shuf[j] = shuf[j], shuf[i] })
+			c.check(t, what+" shuffled", shuf)
+
+			// Even chunks, as core.Scores cuts a set for its workers, then
+			// random cuts, including empty and one-candidate chunks.
+			for _, workers := range []int{2, 7} {
+				var cuts []int
+				chunk := (len(set) + workers - 1) / workers
+				for s := chunk; s < len(set); s += chunk {
+					cuts = append(cuts, s)
+				}
+				c.check(t, what+" even chunks", set, cuts...)
+			}
+			cuts := []int{0, 1, 1, 2}
+			for i := 0; i < 20; i++ {
+				cuts = append(cuts, rng.Intn(len(set)))
+			}
+			slices.Sort(cuts)
+			c.check(t, what+" random chunks", set, cuts...)
+			c.check(t, what+" shuffled random chunks", shuf, cuts...)
+		}
+	}
+}
+
 func TestPlanScoreIntoAllocatesNothing(t *testing.T) {
 	q := laplacianInstance()
 	p := NewEncoder().Plan(q)
@@ -89,5 +227,25 @@ func TestEncodeAllocations(t *testing.T) {
 	v := tunespace.Vector{Bx: 64, By: 32, Bz: 16, U: 4, C: 2, K: 4}
 	if n := testing.AllocsPerRun(20, func() { e.Encode(q, v) }); n > 2 {
 		t.Errorf("Encode allocates %v times per call, want ≤ 2", n)
+	}
+}
+
+// BenchmarkPlanScoreInto scores each predefined set from one plan on one
+// goroutine.
+func BenchmarkPlanScoreInto(b *testing.B) {
+	w := make([]float64, Dim)
+	for i := range w {
+		w[i] = float64(i%7) - 3
+	}
+	for _, q := range []stencil.Instance{blurInstance(), laplacianInstance()} {
+		p := NewEncoder().Plan(q)
+		cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
+		out := make([]float64, len(cands))
+		b.Run(fmt.Sprintf("%dD", q.Kernel.Dims()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p.ScoreInto(out, w, cands)
+			}
+		})
 	}
 }
