@@ -279,12 +279,12 @@ func execBenchCases() []execBenchCase {
 	tv2 := tunespace.Vector{Bx: 64, By: 16, Bz: 1, U: 4, C: 2}
 	var cases []execBenchCase
 	for _, n := range []int{8, 16, 64} {
-		cases = append(cases, execBenchCase{fmt.Sprintf("n=%d", n), exec.LaplacianExec(), n, n, tv3, false})
+		cases = append(cases, execBenchCase{fmt.Sprintf("n=%d", n), exec.Executable(stencil.Laplacian()), n, n, tv3, false})
 	}
 	for _, n := range []int{64, 512} {
 		cases = append(cases, execBenchCase{fmt.Sprintf("asym2d-n=%d", n), asym2DExec(), n, 1, tv2, false})
 	}
-	cases = append(cases, execBenchCase{"gradient-n=64", exec.GradientExec(), 64, 64, tv3, false})
+	cases = append(cases, execBenchCase{"gradient-n=64", exec.Executable(stencil.Gradient()), 64, 64, tv3, false})
 	// Short generic rows: the 16-wide tiles a measure-mode tune typically
 	// picks, where per-row cost is about half the run.
 	cases = append(cases, execBenchCase{"offsets12-n=64", offsets12Exec(), 64, 64,
@@ -292,13 +292,13 @@ func execBenchCases() []execBenchCase {
 	// DRAM-resident laplacian (192³ ≈ 113 MB of float64 across the two
 	// grids): the canonical bandwidth-bound case where halving the element
 	// size must show up as throughput.
-	cases = append(cases, execBenchCase{"n=192", exec.LaplacianExec(), 192, 192, tv3, false})
+	cases = append(cases, execBenchCase{"n=192", exec.Executable(stencil.Laplacian()), 192, 192, tv3, false})
 	// Single-precision variants of the bandwidth-bound cases.
 	cases = append(cases,
-		execBenchCase{"n=64-f32", exec.LaplacianExec(), 64, 64, tv3, true},
-		execBenchCase{"n=192-f32", exec.LaplacianExec(), 192, 192, tv3, true},
+		execBenchCase{"n=64-f32", exec.Executable(stencil.Laplacian()), 64, 64, tv3, true},
+		execBenchCase{"n=192-f32", exec.Executable(stencil.Laplacian()), 192, 192, tv3, true},
 		execBenchCase{"asym2d-n=512-f32", asym2DExec(), 512, 1, tv2, true},
-		execBenchCase{"gradient-n=64-f32", exec.GradientExec(), 64, 64, tv3, true},
+		execBenchCase{"gradient-n=64-f32", exec.Executable(stencil.Gradient()), 64, 64, tv3, true},
 	)
 	return cases
 }
@@ -346,8 +346,8 @@ func fusedBenchCases() []execBenchCase {
 		tv := tv3
 		tv.K = k
 		cases = append(cases,
-			execBenchCase{fmt.Sprintf("n=192-k=%d", k), exec.LaplacianExec(), 192, 192, tv, false},
-			execBenchCase{fmt.Sprintf("n=192-k=%d-f32", k), exec.LaplacianExec(), 192, 192, tv, true},
+			execBenchCase{fmt.Sprintf("n=192-k=%d", k), exec.Executable(stencil.Laplacian()), 192, 192, tv, false},
+			execBenchCase{fmt.Sprintf("n=192-k=%d-f32", k), exec.Executable(stencil.Laplacian()), 192, 192, tv, true},
 		)
 	}
 	return cases

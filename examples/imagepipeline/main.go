@@ -65,8 +65,8 @@ func main() {
 	edges := grid.New2D(width, height, 2)
 
 	runner := exec.NewRunner()
-	blurK := exec.BlurExec()
-	edgeK := exec.EdgeExec()
+	blurK := exec.Executable(blurQ.Kernel)
+	edgeK := exec.Executable(edgeQ.Kernel)
 
 	pipeline := func(bt, et stenciltune.TuningVector) time.Duration {
 		start := time.Now()

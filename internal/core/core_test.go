@@ -10,7 +10,6 @@ import (
 	"repro/internal/search"
 	"repro/internal/stencil"
 	"repro/internal/svmrank"
-	"repro/internal/trainer"
 	"repro/internal/tunespace"
 )
 
@@ -26,12 +25,25 @@ func trainOnce(t *testing.T) (dataset.Evaluator, *Tuner) {
 		return sharedEval, sharedTuner
 	}
 	eval := perfmodel.New(machine.XeonE52680v3())
-	res, err := trainer.Train(eval, trainer.DefaultConfig(3840, 1))
+	set, err := dataset.Generate(eval, dataset.Options{TargetPoints: 3840, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// trainer.DefaultConfig(3840, 1)'s SVM options; trainer imports core,
+	// so this package's tests cannot call it.
+	noNorm := false
+	model, _, err := svmrank.Train(set.Data, svmrank.Options{
+		C:          3,
+		NormalizeC: &noNorm,
+		Epochs:     60,
+		Seed:       1,
+		Pairs:      svmrank.PairOptions{Strategy: svmrank.AdjacentPairs, Window: 8, Seed: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharedEval = eval
-	sharedTuner = New(res.Model)
+	sharedTuner = New(model)
 	return sharedEval, sharedTuner
 }
 

@@ -52,13 +52,13 @@ func TestParseLaplacian(t *testing.T) {
 }
 
 func TestParsedExecutableMatchesBuiltin(t *testing.T) {
-	// The DSL laplacian must produce the same results as the hand-written one.
+	// The DSL laplacian must produce the same results as the textbook one.
 	defs, err := ParseString(laplacianSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	parsed := defs[0].Executable()
-	builtin := exec.LaplacianExec()
+	builtin := exec.Executable(stencil.Laplacian())
 
 	r := exec.NewRunner()
 	mk := func() (*grid.Grid[float64], []*grid.Grid[float64]) {

@@ -50,7 +50,6 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/shape"
-	"repro/internal/stencil"
 	"repro/internal/tunespace"
 )
 
@@ -98,16 +97,6 @@ func (k *LinearKernel) MaxOffset() int {
 		}
 	}
 	return r
-}
-
-// Shape returns the access pattern of the kernel in the Sec. III-A model
-// (per-buffer patterns summed).
-func (k *LinearKernel) Shape() *shape.Shape {
-	s := shape.New()
-	for _, t := range k.Terms {
-		s.Add(t.Offset, 1)
-	}
-	return s
 }
 
 // plan holds the flattened per-term data precomputed for one grid geometry,
@@ -313,23 +302,4 @@ func runTile[T grid.Float](p *plan[T], out *grid.Grid[T], t tile, unroll int) {
 			runRowPlan(p, dst, out.Index(t.x0, y, z), n, fuse)
 		}
 	}
-}
-
-// FromStencil converts a model kernel (internal/stencil) into an executable
-// linear kernel with uniform averaging weights per buffer. The benchmark
-// constructors in kernels.go provide physically meaningful weights; this
-// generic conversion backs the training-set generator, which only needs
-// *some* executable realization of each generated shape.
-func FromStencil(k *stencil.Kernel) *LinearKernel {
-	pts := k.Shape.Points()
-	lk := &LinearKernel{Name: k.Name, Buffers: k.Buffers}
-	total := float64(k.Shape.TotalAccesses())
-	for _, p := range pts {
-		m := k.Shape.Multiplicity(p)
-		for c := 0; c < m; c++ {
-			buf := c % k.Buffers
-			lk.Terms = append(lk.Terms, Term{Buffer: buf, Offset: p, Weight: 1 / total})
-		}
-	}
-	return lk
 }

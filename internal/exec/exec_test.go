@@ -3,7 +3,6 @@ package exec
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/grid"
@@ -11,6 +10,15 @@ import (
 	"repro/internal/stencil"
 	"repro/internal/tunespace"
 )
+
+// termShape returns the access pattern of a kernel's terms.
+func termShape(k *LinearKernel) *shape.Shape {
+	s := shape.New()
+	for _, t := range k.Terms {
+		s.Add(t.Offset, 1)
+	}
+	return s
+}
 
 // buildWorkspace allocates an output grid and input buffers for a kernel.
 func buildWorkspace(t *testing.T, k *LinearKernel, nx, ny, nz int) (*grid.Grid[float64], []*grid.Grid[float64]) {
@@ -41,10 +49,11 @@ func TestAllBenchmarkKernelsMatchReference(t *testing.T) {
 		"blur", "edge", "game-of-life", "wave-1", "tricubic",
 		"divergence", "gradient", "laplacian", "laplacian6",
 	} {
-		k, err := ExecutableByName(name)
+		sk, err := stencil.KernelByName(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		k := Executable(sk)
 		if err := k.Validate(); err != nil {
 			t.Fatalf("%s: invalid kernel: %v", name, err)
 		}
@@ -76,7 +85,7 @@ func TestAllBenchmarkKernelsMatchReference(t *testing.T) {
 
 func TestUnrollFactorsAllMatch(t *testing.T) {
 	r := NewRunner()
-	k := LaplacianExec()
+	k := Executable(stencil.Laplacian())
 	ref, ins := buildWorkspace(t, k, 33, 17, 9) // odd sizes exercise remainders
 	if err := r.Reference(k, ref, ins); err != nil {
 		t.Fatal(err)
@@ -95,7 +104,7 @@ func TestUnrollFactorsAllMatch(t *testing.T) {
 
 func TestBlocksLargerThanDomain(t *testing.T) {
 	r := NewRunner()
-	k := GradientExec()
+	k := Executable(stencil.Gradient())
 	ref, ins := buildWorkspace(t, k, 20, 20, 20)
 	if err := r.Reference(k, ref, ins); err != nil {
 		t.Fatal(err)
@@ -112,7 +121,7 @@ func TestBlocksLargerThanDomain(t *testing.T) {
 
 func TestSingleWorker(t *testing.T) {
 	r := &Runner[float64]{Workers: 1}
-	k := BlurExec()
+	k := Executable(stencil.Blur())
 	ref, ins := buildWorkspace(t, k, 64, 48, 1)
 	if err := r.Reference(k, ref, ins); err != nil {
 		t.Fatal(err)
@@ -128,7 +137,7 @@ func TestSingleWorker(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	r := NewRunner()
-	k := LaplacianExec()
+	k := Executable(stencil.Laplacian())
 	out, ins := buildWorkspace(t, k, 16, 16, 16)
 
 	// Wrong buffer count.
@@ -162,11 +171,11 @@ func TestValidationErrors(t *testing.T) {
 }
 
 func TestLinearKernelShapeAndOffset(t *testing.T) {
-	k := Laplacian6Exec()
+	k := Executable(stencil.Laplacian6())
 	if got := k.MaxOffset(); got != 3 {
 		t.Errorf("MaxOffset = %d, want 3", got)
 	}
-	s := k.Shape()
+	s := termShape(k)
 	if s.Size() != 19 {
 		t.Errorf("shape size = %d, want 19", s.Size())
 	}
@@ -178,7 +187,7 @@ func TestLinearKernelShapeAndOffset(t *testing.T) {
 func TestDivergenceUsesAllThreeBuffers(t *testing.T) {
 	// Zeroing one buffer must change the result: proves per-buffer wiring.
 	r := NewRunner()
-	k := DivergenceExec()
+	k := Executable(stencil.Divergence())
 	out, ins := buildWorkspace(t, k, 16, 16, 16)
 	if err := r.Reference(k, out, ins); err != nil {
 		t.Fatal(err)
@@ -200,14 +209,14 @@ func TestDivergenceUsesAllThreeBuffers(t *testing.T) {
 	}
 }
 
-func TestFromStencilGenericConversion(t *testing.T) {
+func TestExecutableGenericConversion(t *testing.T) {
 	sk := &stencil.Kernel{
 		Name:    "generic",
 		Shape:   shape.Laplacian3D(2),
 		Buffers: 2,
 		Type:    stencil.Float32,
 	}
-	lk := FromStencil(sk)
+	lk := Executable(sk)
 	if err := lk.Validate(); err != nil {
 		t.Fatalf("converted kernel invalid: %v", err)
 	}
@@ -245,25 +254,13 @@ func TestExecutableFallsBackToGeneric(t *testing.T) {
 	}
 	known := Executable(stencil.Blur())
 	if len(known.Terms) != 25 || known.Terms[0].Weight != 1.0/25 {
-		t.Error("Executable should use the hand-written blur")
-	}
-	for _, k := range stencil.BenchmarkKernels() {
-		want, _ := ExecutableByName(k.Name)
-		if got := Executable(k); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Executable did not pick the hand-written kernel", k.Name)
-		}
+		t.Error("Executable should use the textbook blur")
 	}
 	// A custom structure under a Table III name is not that kernel: the
 	// 3-D laplacian's z taps would read outside a planar grid.
 	borrowed := &stencil.Kernel{Name: "laplacian", Shape: shape.Square(1), Buffers: 1, Type: stencil.Float64}
-	if lk := Executable(borrowed); !lk.Shape().Equal(borrowed.Shape) {
+	if lk := Executable(borrowed); !termShape(lk).Equal(borrowed.Shape) {
 		t.Errorf("a planar kernel named laplacian got the terms %v", lk.Terms)
-	}
-}
-
-func TestExecutableByNameUnknown(t *testing.T) {
-	if _, err := ExecutableByName("nope"); err == nil {
-		t.Error("unknown name accepted")
 	}
 }
 
@@ -324,7 +321,7 @@ func TestDecomposeCoversDomainExactly(t *testing.T) {
 
 func TestChunkSchedulingAllChunksMatch(t *testing.T) {
 	r := NewRunner()
-	k := EdgeExec()
+	k := Executable(stencil.Edge())
 	ref, ins := buildWorkspace(t, k, 50, 50, 1)
 	if err := r.Reference(k, ref, ins); err != nil {
 		t.Fatal(err)
@@ -350,17 +347,17 @@ func TestFastPathDetection(t *testing.T) {
 		return buildPlan(k, out, ins)
 	}
 	// 7-point laplacian must hit the star7 fast path.
-	lap := LaplacianExec()
+	lap := Executable(stencil.Laplacian())
 	if fp := detectFast(lap, mk(lap, 8)); fp == nil || fp.kind != fastStar7 {
 		t.Error("laplacian should use the star7 fast path")
 	}
 	// Gradient (6 points) must not.
-	gr := GradientExec()
+	gr := Executable(stencil.Gradient())
 	if fp := detectFast(gr, mk(gr, 8)); fp != nil {
 		t.Error("gradient should not match a fast path")
 	}
 	// Multi-buffer kernels never specialize.
-	dv := DivergenceExec()
+	dv := Executable(stencil.Divergence())
 	if fp := detectFast(dv, mk(dv, 8)); fp != nil {
 		t.Error("divergence should not match a fast path")
 	}
@@ -388,7 +385,7 @@ func TestFastPathMatchesGenericResults(t *testing.T) {
 	// The specialized bodies must be bit-identical to the generic path.
 	r := NewRunner()
 	for _, k := range []*LinearKernel{
-		LaplacianExec(),
+		Executable(stencil.Laplacian()),
 		{Name: "r3", Buffers: 1, Terms: []Term{
 			{Offset: shape.Point{X: -1}, Weight: 0.3},
 			{Offset: shape.Point{}, Weight: 0.4},

@@ -19,10 +19,12 @@ import "repro/internal/grid"
 // (the stream-axis displacement removed), so both read the same elements.
 //
 // Summation order: each specialized body accumulates terms in the canonical
-// order of its offset table below. When a kernel lists its terms in that
-// same order — which the benchmark constructors and shape.Points-derived
-// kernels do — the fast path is bit-for-bit identical to Reference;
-// otherwise it differs only by floating-point reassociation (≈1 ulp).
+// order of its offset table below. Executable lists the terms of a row3,
+// star5 or star7 shape in its table's order and those of every other shape
+// in shape.Points order, which the box tables share, so every kernel it
+// builds runs its fast path bit-for-bit identical to Reference. A kernel
+// built by hand (or from DSL points) in another order differs only by
+// floating-point reassociation (≈1 ulp).
 type fastKind int
 
 const (
@@ -43,10 +45,10 @@ const (
 	fastBox27
 )
 
-// Canonical offset tables. Star kernels keep the historical centre-first
-// order (matching the hand-written benchmark constructors); box kernels use
-// shape.Points' canonical (z, y, x) order, grouped into x-contiguous rows of
-// three so the bodies can walk each row with unit stride.
+// Canonical offset tables. Star and row kernels list the centre first, then
+// the axis neighbours (+, -) axis by axis; box kernels use shape.Points'
+// canonical (z, y, x) order, grouped into x-contiguous rows of three so the
+// bodies can walk each row with unit stride.
 var (
 	row3Offsets  = [][3]int{{0, 0, 0}, {1, 0, 0}, {-1, 0, 0}}
 	star5Offsets = [][3]int{{0, 0, 0}, {1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}}

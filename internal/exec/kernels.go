@@ -1,196 +1,142 @@
 package exec
 
 import (
-	"fmt"
-
 	"repro/internal/shape"
 	"repro/internal/stencil"
 )
 
-// This file provides executable realizations (weights included) of the nine
-// Table III benchmark kernels. Weights follow the textbook forms of each
-// operator; the learning system never sees them — only the access patterns —
-// but the examples and the Measure evaluation mode run them for real.
+// This file derives the executable realization of every model kernel from
+// the kernel itself. The learning system sees only access patterns; the
+// examples and the Measure evaluation mode run these terms for real.
 
-// BlurExec is the 5×5 box blur.
-func BlurExec() *LinearKernel {
-	k := &LinearKernel{Name: "blur", Buffers: 1}
-	for y := -2; y <= 2; y++ {
-		for x := -2; x <= 2; x++ {
-			k.Terms = append(k.Terms, Term{Offset: shape.Point{X: x, Y: y}, Weight: 1.0 / 25})
+// accessRule gives the buffer and weight of a Table III kernel's term for
+// access c of offset p.
+type accessRule func(p shape.Point, c int) (buffer int, weight float64)
+
+// textbook holds the textbook operator of each Table III kernel, one rule
+// per access. Executable applies a rule only to the kernel that
+// stencil.KernelByName builds under the same name, so p always lies in that
+// kernel's shape.
+var textbook = map[string]accessRule{
+	// The 5×5 box blur.
+	"blur": func(shape.Point, int) (int, float64) { return 0, 1.0 / 25 },
+	// The 3×3 edge-detection (discrete laplacian-of-box) kernel.
+	"edge": func(p shape.Point, _ int) (int, float64) { return 0, centreOr(p, 8, -1) },
+	// Smoothed game of life: the centre keeps half its weight, the eight
+	// neighbours share the other half.
+	"game-of-life": func(p shape.Point, _ int) (int, float64) { return 0, centreOr(p, 0.5, 0.5/8) },
+	// The 4th-order wave-equation update: a radius-2 laplacian star with the
+	// classic (4/3, -1/12) coefficients scaled by (c·dt/dx)² = 0.25. The
+	// centre's second access is the previous time-step value (the "+1" of
+	// Table III's access accounting).
+	"wave-1": func(p shape.Point, c int) (int, float64) {
+		const c2dt2 = 0.25
+		_, r := axisOf(p)
+		switch {
+		case r == 0 && c == 0:
+			return 0, 2.0 - c2dt2*7.5 // 2 - c²dt²·(3·5/2)
+		case r == 0:
+			return 0, -1
 		}
-	}
-	return k
-}
-
-// EdgeExec is the 3×3 edge-detection (discrete laplacian-of-box) kernel.
-func EdgeExec() *LinearKernel {
-	k := &LinearKernel{Name: "edge", Buffers: 1}
-	for y := -1; y <= 1; y++ {
-		for x := -1; x <= 1; x++ {
-			w := -1.0
-			if x == 0 && y == 0 {
-				w = 8
-			}
-			k.Terms = append(k.Terms, Term{Offset: shape.Point{X: x, Y: y}, Weight: w})
+		return 0, c2dt2 * [2]float64{4.0 / 3, -1.0 / 12}[max(r, -r)-1]
+	},
+	// The 4×4×4 tricubic gather: Catmull-Rom weights at parameter 0.5, each
+	// buffer holding one spatial stage.
+	"tricubic": func(p shape.Point, _ int) (int, float64) {
+		w := [4]float64{-0.0625, 0.5625, 0.5625, -0.0625}
+		return (p.X + p.Y + p.Z + 3) % 3, w[p.X+1] * w[p.Y+1] * w[p.Z+1]
+	},
+	// Divergence: buffer a holds the vector component along axis a, read
+	// with a central difference along that axis.
+	"divergence": func(p shape.Point, _ int) (int, float64) {
+		a, r := axisOf(p)
+		return a, 0.5 * float64(r)
+	},
+	// The central-difference gradient proxy: the six axis neighbours with
+	// alternating signs.
+	"gradient": func(p shape.Point, _ int) (int, float64) {
+		_, r := axisOf(p)
+		return 0, 0.5 * float64(r)
+	},
+	// The 7-point laplacian.
+	"laplacian": func(p shape.Point, _ int) (int, float64) { return 0, centreOr(p, -6, 1) },
+	// The 6th-order 19-point laplacian with the standard (3/2, -3/20, 1/90)
+	// coefficients.
+	"laplacian6": func(p shape.Point, _ int) (int, float64) {
+		_, r := axisOf(p)
+		if r == 0 {
+			return 0, -3 * 49.0 / 18
 		}
+		return 0, [3]float64{3.0 / 2, -3.0 / 20, 1.0 / 90}[max(r, -r)-1]
+	},
+}
+
+// centreOr returns centre at the origin and other elsewhere.
+func centreOr(p shape.Point, centre, other float64) float64 {
+	if p == (shape.Point{}) {
+		return centre
 	}
-	return k
+	return other
 }
 
-// GameOfLifeExec is the smoothed game-of-life neighbourhood rule: the centre
-// keeps half its weight, the eight neighbours share the other half.
-func GameOfLifeExec() *LinearKernel {
-	k := &LinearKernel{Name: "game-of-life", Buffers: 1}
-	for y := -1; y <= 1; y++ {
-		for x := -1; x <= 1; x++ {
-			w := 0.5 / 8
-			if x == 0 && y == 0 {
-				w = 0.5
-			}
-			k.Terms = append(k.Terms, Term{Offset: shape.Point{X: x, Y: y}, Weight: w})
-		}
+// axisOf returns the axis (0 = x, 1 = y, 2 = z) and signed distance of an
+// on-axis offset; the origin has distance 0.
+func axisOf(p shape.Point) (axis, r int) {
+	switch {
+	case p.Y != 0:
+		return 1, p.Y
+	case p.Z != 0:
+		return 2, p.Z
 	}
-	return k
+	return 0, p.X
 }
 
-// WaveExec is the 4th-order wave-equation update: a radius-2 laplacian star
-// with the classic (-1/12, 4/3) coefficients plus the centre terms.
-func WaveExec() *LinearKernel {
-	const c2dt2 = 0.25 // (c·dt/dx)² CFL-stable constant
-	k := &LinearKernel{Name: "wave-1", Buffers: 1}
-	centre := 2.0 - c2dt2*7.5 // 2 - c²dt²·(3·5/2)
-	k.Terms = append(k.Terms, Term{Offset: shape.Point{}, Weight: centre})
-	for _, axis := range [][3]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}} {
-		for _, d := range []struct {
-			r int
-			w float64
-		}{{1, 4.0 / 3}, {2, -1.0 / 12}} {
-			for _, sgn := range []int{1, -1} {
-				p := shape.Point{X: axis[0] * d.r * sgn, Y: axis[1] * d.r * sgn, Z: axis[2] * d.r * sgn}
-				k.Terms = append(k.Terms, Term{Offset: p, Weight: c2dt2 * d.w})
-			}
-		}
-	}
-	// The "+1": the previous time-step value, folded into the same buffer
-	// as a second centre read (matching the Table III access accounting).
-	k.Terms = append(k.Terms, Term{Offset: shape.Point{}, Weight: -1})
-	return k
-}
-
-// TricubicExec is the 4×4×4 tricubic interpolation gather over 3 buffers:
-// each buffer holds one spatial stage and contributes cubic weights.
-func TricubicExec() *LinearKernel {
-	// Catmull-Rom cubic weights at parameter 0.5.
-	w := []float64{-0.0625, 0.5625, 0.5625, -0.0625}
-	k := &LinearKernel{Name: "tricubic", Buffers: 3}
-	for z := -1; z <= 2; z++ {
-		for y := -1; y <= 2; y++ {
-			for x := -1; x <= 2; x++ {
-				buf := (x + y + z + 3) % 3
-				weight := w[x+1] * w[y+1] * w[z+1]
-				k.Terms = append(k.Terms, Term{
-					Buffer: buf,
-					Offset: shape.Point{X: x, Y: y, Z: z},
-					Weight: weight,
-				})
-			}
-		}
-	}
-	return k
-}
-
-// DivergenceExec reads three vector-component buffers with central
-// differences along their respective axes.
-func DivergenceExec() *LinearKernel {
-	const inv2h = 0.5
-	return &LinearKernel{Name: "divergence", Buffers: 3, Terms: []Term{
-		{Buffer: 0, Offset: shape.Point{X: 1}, Weight: inv2h},
-		{Buffer: 0, Offset: shape.Point{X: -1}, Weight: -inv2h},
-		{Buffer: 1, Offset: shape.Point{Y: 1}, Weight: inv2h},
-		{Buffer: 1, Offset: shape.Point{Y: -1}, Weight: -inv2h},
-		{Buffer: 2, Offset: shape.Point{Z: 1}, Weight: inv2h},
-		{Buffer: 2, Offset: shape.Point{Z: -1}, Weight: -inv2h},
-	}}
-}
-
-// GradientExec is the central-difference gradient magnitude proxy (sum of
-// the six axis neighbours with alternating signs).
-func GradientExec() *LinearKernel {
-	const inv2h = 0.5
-	return &LinearKernel{Name: "gradient", Buffers: 1, Terms: []Term{
-		{Offset: shape.Point{X: 1}, Weight: inv2h},
-		{Offset: shape.Point{X: -1}, Weight: -inv2h},
-		{Offset: shape.Point{Y: 1}, Weight: inv2h},
-		{Offset: shape.Point{Y: -1}, Weight: -inv2h},
-		{Offset: shape.Point{Z: 1}, Weight: inv2h},
-		{Offset: shape.Point{Z: -1}, Weight: -inv2h},
-	}}
-}
-
-// LaplacianExec is the 7-point laplacian.
-func LaplacianExec() *LinearKernel {
-	k := &LinearKernel{Name: "laplacian", Buffers: 1, Terms: []Term{
-		{Offset: shape.Point{}, Weight: -6},
-	}}
-	for _, p := range []shape.Point{{X: 1}, {X: -1}, {Y: 1}, {Y: -1}, {Z: 1}, {Z: -1}} {
-		k.Terms = append(k.Terms, Term{Offset: p, Weight: 1})
-	}
-	return k
-}
-
-// Laplacian6Exec is the 6th-order 19-point laplacian with the standard
-// (3/2, -3/20, 1/90) coefficients.
-func Laplacian6Exec() *LinearKernel {
-	k := &LinearKernel{Name: "laplacian6", Buffers: 1, Terms: []Term{
-		{Offset: shape.Point{}, Weight: -3 * 49.0 / 18},
-	}}
-	coeff := []float64{3.0 / 2, -3.0 / 20, 1.0 / 90}
-	for _, axis := range [][3]int{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}} {
-		for r := 1; r <= 3; r++ {
-			for _, sgn := range []int{1, -1} {
-				p := shape.Point{X: axis[0] * r * sgn, Y: axis[1] * r * sgn, Z: axis[2] * r * sgn}
-				k.Terms = append(k.Terms, Term{Offset: p, Weight: coeff[r-1]})
-			}
-		}
-	}
-	return k
-}
-
-// ExecutableByName returns the executable realization of a Table III kernel.
-func ExecutableByName(name string) (*LinearKernel, error) {
-	switch name {
-	case "blur":
-		return BlurExec(), nil
-	case "edge":
-		return EdgeExec(), nil
-	case "game-of-life":
-		return GameOfLifeExec(), nil
-	case "wave-1":
-		return WaveExec(), nil
-	case "tricubic":
-		return TricubicExec(), nil
-	case "divergence":
-		return DivergenceExec(), nil
-	case "gradient":
-		return GradientExec(), nil
-	case "laplacian":
-		return LaplacianExec(), nil
-	case "laplacian6":
-		return Laplacian6Exec(), nil
-	default:
-		return nil, fmt.Errorf("exec: no executable kernel %q", name)
-	}
-}
-
-// Executable returns the executable realization of a model kernel: the
-// hand-written benchmark version when the name and the structure (access
-// pattern and buffer count) match a Table III kernel, otherwise the generic
-// uniform-weight conversion. A custom kernel that only borrows a Table III
-// name must not run that kernel's terms: they may reach outside its grid.
+// Executable returns the executable realization of a model kernel: one term
+// per access of k.Shape, summed in canonical order (see termOrder).
+//
+// A Table III kernel — one equal in shape and buffers to the kernel
+// stencil.KernelByName builds under its name — takes its textbook weights
+// and buffers. Any other kernel averages its accesses (weight
+// 1/TotalAccesses) and spreads them over all of its buffers: access i reads
+// buffer i % Buffers. Terms come only from k's accesses, so a name can
+// never make the executor read outside k's halo.
 func Executable(k *stencil.Kernel) *LinearKernel {
-	if lk, err := ExecutableByName(k.Name); err == nil && lk.Buffers == k.Buffers && lk.Shape().Equal(k.Shape) {
-		return lk
+	var rule accessRule
+	if r, ok := textbook[k.Name]; ok {
+		if tk, err := stencil.KernelByName(k.Name); err == nil && tk.Buffers == k.Buffers && tk.Shape.Equal(k.Shape) {
+			rule = r
+		}
 	}
-	return FromStencil(k)
+	total := k.Shape.TotalAccesses()
+	lk := &LinearKernel{Name: k.Name, Buffers: k.Buffers, Terms: make([]Term, 0, total)}
+	for _, p := range termOrder(k) {
+		for c := range k.Shape.Multiplicity(p) {
+			t := Term{Buffer: len(lk.Terms) % k.Buffers, Offset: p, Weight: 1 / float64(total)}
+			if rule != nil {
+				t.Buffer, t.Weight = rule(p, c)
+			}
+			lk.Terms = append(lk.Terms, t)
+		}
+	}
+	return lk
+}
+
+// termOrder returns the offsets of k's shape in summation order. A
+// single-buffer shape that is exactly the row3, star5 or star7 table follows
+// that table, so the fast path adds its terms in Reference's order; every
+// other shape follows shape.Points, whose (z, y, x) order the box tables
+// share.
+func termOrder(k *stencil.Kernel) []shape.Point {
+	if k.Buffers == 1 {
+		for _, table := range [][][3]int{row3Offsets, star5Offsets, star7Offsets} {
+			pts := make([]shape.Point, len(table))
+			for i, o := range table {
+				pts[i] = shape.Point{X: o[0], Y: o[1], Z: o[2]}
+			}
+			if k.Shape.Equal(shape.New(pts...)) {
+				return pts
+			}
+		}
+	}
+	return k.Shape.Points()
 }

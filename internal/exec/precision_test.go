@@ -97,9 +97,9 @@ func TestFloat32FastPathsMatchReference(t *testing.T) {
 		k    *LinearKernel
 		nz   int
 	}{
-		{"laplacian-star7", LaplacianExec(), 11},
+		{"laplacian-star7", Executable(stencil.Laplacian()), 11},
 		{"star5", star5Kernel(), 1},
-		{"box9-edge", EdgeExec(), 1},
+		{"box9-edge", Executable(stencil.Edge()), 1},
 		{"box27", box27Kernel(), 9},
 	}
 	for _, tc := range cases {
@@ -163,10 +163,11 @@ func TestCrossPrecisionAgreement(t *testing.T) {
 		"blur", "edge", "game-of-life", "wave-1", "tricubic",
 		"divergence", "gradient", "laplacian", "laplacian6",
 	} {
-		k, err := ExecutableByName(name)
+		sk, err := stencil.KernelByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		k := Executable(sk)
 		nx, ny, nz := 36, 28, 12
 		if name == "blur" || name == "edge" || name == "game-of-life" {
 			nz = 1
@@ -305,10 +306,10 @@ func TestCompiledRunZeroAllocsFloat32(t *testing.T) {
 		k    *LinearKernel
 		nz   int
 	}{
-		{"fastpath-laplacian", LaplacianExec(), 24},
-		{"generic-gradient", GradientExec(), 24},
-		{"multibuffer-divergence", DivergenceExec(), 24},
-		{"generic-blur-2d", BlurExec(), 1},
+		{"fastpath-laplacian", Executable(stencil.Laplacian()), 24},
+		{"generic-gradient", Executable(stencil.Gradient()), 24},
+		{"multibuffer-divergence", Executable(stencil.Divergence()), 24},
+		{"generic-blur-2d", Executable(stencil.Blur()), 1},
 	}
 	for _, tc := range cases {
 		out, ins := buildWorkspaceOf[float32](tc.k, 24, 24, tc.nz)

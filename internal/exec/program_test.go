@@ -23,7 +23,7 @@ func star5Kernel() *LinearKernel {
 }
 
 // box9Kernel builds the full 3×3 box in canonical (y, x) order with distinct
-// weights (the order EdgeExec and GameOfLifeExec use).
+// weights (the order Executable gives edge and game-of-life).
 func box9Kernel() *LinearKernel {
 	k := &LinearKernel{Name: "box9", Buffers: 1}
 	w := 0.11
@@ -85,8 +85,8 @@ func TestNewFastPathDetection(t *testing.T) {
 		{"star5", star5Kernel(), 1, fastStar5},
 		{"star5-scrambled", scramble(star5Kernel(), 3), 1, fastStar5},
 		{"box9", box9Kernel(), 1, fastBox9},
-		{"box9-edge", EdgeExec(), 1, fastBox9},
-		{"box9-game-of-life", GameOfLifeExec(), 1, fastBox9},
+		{"box9-edge", Executable(stencil.Edge()), 1, fastBox9},
+		{"box9-game-of-life", Executable(stencil.GameOfLife()), 1, fastBox9},
 		{"box27", box27Kernel(), 8, fastBox27},
 		{"box27-scrambled", scramble(box27Kernel(), 5), 8, fastBox27},
 	}
@@ -138,7 +138,7 @@ func TestNewFastPathsMatchReference(t *testing.T) {
 	}{
 		{"star5", star5Kernel(), 1, true},
 		{"box9", box9Kernel(), 1, true},
-		{"box9-edge", EdgeExec(), 1, true},
+		{"box9-edge", Executable(stencil.Edge()), 1, true},
 		{"box27", box27Kernel(), 13, true},
 		{"star5-scrambled", scramble(star5Kernel(), 11), 1, false},
 		{"box9-scrambled", scramble(box9Kernel(), 12), 1, false},
@@ -183,10 +183,10 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 		k    *LinearKernel
 		nz   int
 	}{
-		{"fastpath-laplacian", LaplacianExec(), 24},
-		{"generic-gradient", GradientExec(), 24},
-		{"multibuffer-divergence", DivergenceExec(), 24},
-		{"generic-blur-2d", BlurExec(), 1},
+		{"fastpath-laplacian", Executable(stencil.Laplacian()), 24},
+		{"generic-gradient", Executable(stencil.Gradient()), 24},
+		{"multibuffer-divergence", Executable(stencil.Divergence()), 24},
+		{"generic-blur-2d", Executable(stencil.Blur()), 1},
 	}
 	for _, tc := range cases {
 		out, ins := buildWorkspace(t, tc.k, 24, 24, tc.nz)
@@ -212,7 +212,7 @@ func TestCompiledRunZeroAllocs(t *testing.T) {
 func TestCompileCachesPrograms(t *testing.T) {
 	r := NewRunner()
 	defer r.Close()
-	k := LaplacianExec()
+	k := Executable(stencil.Laplacian())
 	out, ins := buildWorkspace(t, k, 16, 16, 16)
 	tv := tunespace.Vector{Bx: 8, By: 8, Bz: 8, U: 2, C: 2}
 	p1, err := r.Compile(k, out, ins, tv)
@@ -255,7 +255,7 @@ func TestCompileCachesPrograms(t *testing.T) {
 func TestProgramRejectsForeignGeometry(t *testing.T) {
 	r := NewRunner()
 	defer r.Close()
-	k := LaplacianExec()
+	k := Executable(stencil.Laplacian())
 	out, ins := buildWorkspace(t, k, 16, 16, 16)
 	p, err := r.Compile(k, out, ins, tunespace.Vector{Bx: 8, By: 8, Bz: 8, U: 0, C: 1})
 	if err != nil {
@@ -278,7 +278,7 @@ func TestProgramRejectsForeignGeometry(t *testing.T) {
 // runner restarts its pool transparently.
 func TestRunnerCloseAndReuse(t *testing.T) {
 	r := NewRunner()
-	k := LaplacianExec()
+	k := Executable(stencil.Laplacian())
 	out, ins := buildWorkspace(t, k, 12, 12, 12)
 	tv := tunespace.Vector{Bx: 4, By: 4, Bz: 4, U: 0, C: 1}
 	if err := r.Run(k, out, ins, tv); err != nil {
@@ -297,7 +297,7 @@ func TestRunnerCloseAndReuse(t *testing.T) {
 func TestProgramCacheEviction(t *testing.T) {
 	r := &Runner[float64]{Workers: 2}
 	defer r.Close()
-	k := LaplacianExec()
+	k := Executable(stencil.Laplacian())
 	out, ins := buildWorkspace(t, k, 12, 12, 12)
 	ref, _ := buildWorkspace(t, k, 12, 12, 12)
 	if err := r.Reference(k, ref, ins); err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/shape"
+	"repro/internal/stencil"
 	"repro/internal/tunespace"
 )
 
@@ -96,7 +97,7 @@ func TestGenericRowsMatchReference(t *testing.T) {
 func TestRowPlanCoversDomainExactly(t *testing.T) {
 	r := NewRunner()
 	defer r.Close()
-	k := GradientExec()
+	k := Executable(stencil.Gradient())
 	out, ins := buildWorkspace(t, k, 30, 20, 10)
 	pr, err := r.Compile(k, out, ins, tunespace.Vector{Bx: 7, By: 8, Bz: 3, U: 2, C: 1})
 	if err != nil {

@@ -242,7 +242,7 @@ type Stats struct {
 // scores rank better (Sec. IV-C's projection onto w).
 //
 // A Model is read-only after Train or a store load returns: every method
-// only reads W, so one model may score, rank and batch-score from any number
+// only reads W, so one model may score and batch-score from any number
 // of goroutines concurrently. (Mutating W while scoring is the caller's
 // race.)
 type Model struct {
@@ -285,21 +285,6 @@ func (m *Model) ScoreBatch(xs []feature.Vector) []float64 {
 	}
 	wg.Wait()
 	return scores
-}
-
-// Rank returns the indices of xs ordered best-first (descending score).
-// Deterministic: equal scores keep input order.
-func (m *Model) Rank(xs []feature.Vector) []int {
-	order, _ := m.RankWithScores(xs)
-	return order
-}
-
-// RankWithScores is Rank returning also the score of every input vector
-// (index-aligned with xs, not with the permutation), so consumers that need
-// both — the serving API's scored rankings — pay one ScoreBatch pass.
-func (m *Model) RankWithScores(xs []feature.Vector) ([]int, []float64) {
-	scores := m.ScoreBatch(xs)
-	return Order(scores), scores
 }
 
 // Order returns the indices of scores ordered best-first (descending
@@ -355,7 +340,7 @@ func TopK(scores []float64, k int) []int {
 
 // ArgBestBatch returns the index of the highest-scoring vector without
 // sorting (-1 for empty input); ties keep the earliest index, matching
-// Rank's first entry.
+// Order's first entry.
 func (m *Model) ArgBestBatch(xs []feature.Vector) int { return ArgMax(m.ScoreBatch(xs)) }
 
 // ArgMax returns the index of the highest score (-1 for empty input); ties
@@ -369,9 +354,6 @@ func ArgMax(scores []float64) int {
 	}
 	return best
 }
-
-// Best returns the index of the top-ranked vector (-1 for empty input).
-func (m *Model) Best(xs []feature.Vector) int { return m.ArgBestBatch(xs) }
 
 // Train fits a ranking model on the dataset.
 func Train(d *Dataset, opt Options) (*Model, Stats, error) {

@@ -193,40 +193,6 @@ func TestDCDBeatsRandomOnRealModelData(t *testing.T) {
 	}
 }
 
-func TestModelRankOrdersByScore(t *testing.T) {
-	m := &Model{W: make([]float64, feature.Dim)}
-	m.W[0] = 1
-	xs := []feature.Vector{
-		{Idx: []int32{0}, Val: []float64{0.2}},
-		{Idx: []int32{0}, Val: []float64{0.9}},
-		{Idx: []int32{0}, Val: []float64{0.5}},
-	}
-	order := m.Rank(xs)
-	want := []int{1, 2, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("Rank = %v, want %v", order, want)
-		}
-	}
-	if best := m.Best(xs); best != 1 {
-		t.Errorf("Best = %d, want 1", best)
-	}
-	if best := m.Best(nil); best != -1 {
-		t.Errorf("Best(nil) = %d, want -1", best)
-	}
-}
-
-func TestRankDeterministicOnTies(t *testing.T) {
-	m := &Model{W: make([]float64, feature.Dim)}
-	xs := []feature.Vector{{}, {}, {}} // all score 0
-	order := m.Rank(xs)
-	for i, o := range order {
-		if o != i {
-			t.Fatalf("tied Rank = %v, want input order", order)
-		}
-	}
-}
-
 func TestHigherCFitsTighter(t *testing.T) {
 	// More regularization freedom (larger C) must not increase the number of
 	// margin violations on the training set.
@@ -334,8 +300,8 @@ func TestArgBestBatchMatchesRank(t *testing.T) {
 	for i, e := range d.Examples {
 		xs[i] = e.X
 	}
-	if got, want := m.ArgBestBatch(xs), m.Rank(xs)[0]; got != want {
-		t.Errorf("ArgBestBatch = %d, Rank[0] = %d", got, want)
+	if got, want := m.ArgBestBatch(xs), Order(m.ScoreBatch(xs))[0]; got != want {
+		t.Errorf("ArgBestBatch = %d, Order[0] = %d", got, want)
 	}
 	if m.ArgBestBatch(nil) != -1 {
 		t.Error("empty input should return -1")
@@ -365,7 +331,6 @@ func TestModelConcurrentScoring(t *testing.T) {
 						panic("concurrent scoring diverged")
 					}
 				}
-				m.Rank(xs)
 				m.ArgBestBatch(xs)
 			}
 		}()

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/feature"
 	"repro/internal/ranking"
@@ -138,24 +139,18 @@ type Phases struct {
 }
 
 // MeasurePhases reproduces Table II: for each training-set size it runs the
-// pipeline and measures each phase. regressionCandidates controls how many
-// settings the regression-time measurement ranks (the paper ranks the
-// predefined sets; it reports <1 ms throughout). workers bounds concurrent
-// training-set generation (0/1 sequential, negative = GOMAXPROCS); the
-// generated sets — and therefore the fitted models — are identical for
-// every worker count.
+// pipeline and measures each phase. The regression phase ranks the 3-D
+// predefined set on a representative instance through core.Tuner.Rank, the
+// path the service runs; regressionCandidates > 0 ranks only that many
+// settings (the paper ranks the predefined sets and reports <1 ms
+// throughout). workers bounds concurrent training-set generation (0/1
+// sequential, negative = GOMAXPROCS); the generated sets — and therefore the
+// fitted models — are identical for every worker count.
 func MeasurePhases(eval dataset.Evaluator, sizes []int, regressionCandidates int, seed int64, workers int) ([]Phases, error) {
-	enc := feature.NewEncoder()
-	// A fixed candidate-ranking workload: predefined 3-D vectors on a
-	// representative instance.
 	q := stencil.Instance{Kernel: stencil.Laplacian(), Size: stencil.Size3D(128, 128, 128)}
 	cands := tunespace.NewSpace(3).Predefined()
 	if regressionCandidates > 0 && regressionCandidates < len(cands) {
 		cands = cands[:regressionCandidates]
-	}
-	encoded := make([]feature.Vector, len(cands))
-	for i, tv := range cands {
-		encoded[i] = enc.Encode(q, tv)
 	}
 
 	var rows []Phases
@@ -166,8 +161,11 @@ func MeasurePhases(eval dataset.Evaluator, sizes []int, regressionCandidates int
 		if err != nil {
 			return nil, fmt.Errorf("trainer: size %d: %w", size, err)
 		}
+		tuner := core.New(res.Model)
 		start := time.Now()
-		res.Model.Rank(encoded)
+		if _, err := tuner.Rank(q, cands); err != nil {
+			return nil, fmt.Errorf("trainer: size %d: ranking: %w", size, err)
+		}
 		regression := time.Since(start)
 		rows = append(rows, Phases{
 			TSSize:       size,
