@@ -1,7 +1,8 @@
 package stenciltune
 
 // Benchmark harness: one testing.B entry per table and figure of the paper,
-// plus the ablation benches DESIGN.md §4 calls out. Run with
+// plus ablation benches (BenchmarkAblation*: pair strategy, solver, C,
+// feature groups, sampling). Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -397,7 +398,7 @@ func BenchmarkRunFused(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md §4)
+// Ablations
 
 // meanQualityAndTau scores a model across all Table III benchmarks: the mean
 // fraction of the predefined-set oracle achieved by the top-1 pick, and the

@@ -1,5 +1,5 @@
 // Command stencil-bench regenerates the tables and figures of the paper's
-// evaluation section (the per-experiment index is in DESIGN.md §3):
+// evaluation section:
 //
 //	stencil-bench -exp table2   # Table II: training-phase costs
 //	stencil-bench -exp table3   # Table III: benchmark inventory

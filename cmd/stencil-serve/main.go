@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/exec"
 	"repro/internal/middleware"
 	"repro/internal/obs"
 	"repro/internal/retrain"
@@ -164,6 +165,8 @@ func run(opts options) error {
 	}
 	names, def := s.Models()
 	logger.Printf("loaded %d model(s) from %s: %v (default %q)", len(names), opts.models, names, def)
+	// Measured runtimes depend on which generic row body the executor runs.
+	logger.Printf("executor: generic row body %s", exec.GenericBody())
 
 	// Background retrain loop: tails the WAL, refits on the configured
 	// trigger, and hot-swaps the registry when the canary gate promotes.

@@ -1,6 +1,5 @@
 // Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation section (see the per-experiment index in
-// DESIGN.md §3):
+// figure of the paper's evaluation section:
 //
 //	Table II — per-phase costs across twelve training-set sizes
 //	Table III — the benchmark inventory

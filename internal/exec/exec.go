@@ -23,9 +23,13 @@
 // Runner.CompileFused builds the temporal-blocking FusedProgram (fused.go).
 // Both engines run the same inner loops: the shape-specialized bodies of
 // fastpath.go (star5, star7, row3, box9, box27) when the kernel's structure
-// matches one, and otherwise the term-major unit-stride passes of rows.go,
-// whose bounds checks are compiled away. Programs are cached inside the
-// Runner (keyed by kernel identity, geometry and tuning vector), and the
+// matches one, and otherwise the generic row body of rows.go — the AVX2
+// span kernels of rows_amd64.s on amd64 CPUs with AVX2, the portable
+// term-major passes elsewhere (GenericBody reports which). Both generic
+// bodies sum terms in plan order with one rounding per operation, so they
+// agree bit for bit. The AVX2 kernels have no bounds checks; Compile proves
+// every span's accesses inside the grid instead. Programs are cached inside
+// the Runner (keyed by kernel identity, geometry and tuning vector), and the
 // Runner owns a persistent pool of worker goroutines fed by an atomic chunk
 // counter, so steady-state Run calls are allocation-free and spawn nothing.
 // This matters because the Measure evaluation mode calls Run thousands of
@@ -242,7 +246,7 @@ type tile struct {
 // vector: the domain is decomposed into bx×by×bz tiles, consecutive runs of
 // c tiles form dispatch chunks, and the persistent workers claim chunks from
 // a shared counter. The unroll factor u selects the point unroll of the
-// specialized fast paths and the term-fusion width of the generic passes.
+// specialized fast paths and the fuse width of the generic body.
 //
 // Run compiles (or looks up) the cached Program for (kernel, geometry,
 // vector) and executes it; in steady state it performs no allocations and
@@ -289,17 +293,16 @@ func decompose(g geom, tv tunespace.Vector) []tile {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// runTile sweeps one tile through the term-plan passes, computing row bases
-// on the fly: the fallback for grids too large for the int32 span plan.
+// runTile sweeps one tile through the generic body, computing row bases on
+// the fly: the fallback for grids too large for the int32 span plan.
 // Compiled programs normally execute precomputed row spans instead (see
 // pool.drain).
-func runTile[T grid.Float](p *plan[T], out *grid.Grid[T], t tile, unroll int) {
+func runTile[T grid.Float](p *plan[T], out *grid.Grid[T], t tile, fuse int, avx2 bool) {
 	dst := out.Data()
-	fuse := fuseWidth(unroll)
 	n := t.x1 - t.x0
 	for z := t.z0; z < t.z1; z++ {
 		for y := t.y0; y < t.y1; y++ {
-			runRowPlan(p, dst, out.Index(t.x0, y, z), n, fuse)
+			runRow(p, dst, out.Index(t.x0, y, z), n, fuse, avx2)
 		}
 	}
 }

@@ -3,11 +3,13 @@ package exec
 import "repro/internal/grid"
 
 // Fast paths: fully specialized inner loops for the most common stencil
-// shapes. The generic runRow* loops iterate over a term table; for hot
-// kernels like the 7-point laplacian that indirection dominates, so both
-// engines dispatch to a shape-specialized body when one matches. The
-// specialization is detected structurally (offsets and weights), never by
-// name, so DSL-defined kernels benefit too.
+// shapes. The generic row body (rows.go) reads its terms from a table; a
+// shape-specialized body names every tap, so both engines dispatch to one
+// when the kernel's structure matches. On amd64 CPUs with AVX2 the generic
+// body is vectorized and these scalar bodies are not always the faster
+// choice per term (ROADMAP records the measurements); elsewhere they are.
+// The specialization is detected structurally (offsets and weights), never
+// by name, so DSL-defined kernels benefit too.
 //
 // Detection happens at compile time and is data-independent: the fastPlan
 // carries only weights and flat-index offsets, and callers pass the source

@@ -35,12 +35,13 @@ import (
 //
 // Bit-identity. Every intermediate value is materialized from the same
 // inputs, with the same per-point accumulation order, as the corresponding
-// sequential step: the generic path reuses runRowPlan with per-plane rebound
-// term data, and the specialized path runs the single-step bodies of
-// fastpath.go on plane sources with in-plane offsets. Periodic halos on
-// intermediate planes are refilled with the same wrap rule the driver
-// applies between sequential steps. TestFusedMatchesSequential pins
-// this across kernels, dimensionalities, depths and element types.
+// sequential step: the generic path runs the single-step generic body
+// (runRow) with per-plane rebound term data, and the specialized path runs
+// the single-step bodies of fastpath.go on plane sources with in-plane
+// offsets. Periodic halos on intermediate planes are refilled with the same
+// wrap rule the driver applies between sequential steps.
+// TestFusedMatchesSequential pins this across kernels, dimensionalities,
+// depths and element types.
 
 // maxCachedFused bounds the fused-program cache per Runner. Fused programs
 // carry plane-ring scratch (K·(2·rs+2) planes), so both the entry count and
@@ -96,7 +97,8 @@ type FusedProgram[T grid.Float] struct {
 
 	termDz []int     // stream-axis offset per term
 	plans  []plan[T] // per-level generic plans (shared idxOff/weight, own data)
-	fuse   int       // generic-path fuse width, from tv.U
+	fuse   int       // generic-body fuse width, from tv.U
+	avx2   bool      // generic body is the AVX2 span kernel (rows.go)
 	unroll int       // specialized-path unroll, tv.U
 	fp     *fastPlan[T]
 
@@ -187,7 +189,10 @@ func (r *Runner[T]) CompileFused(k *LinearKernel, out, in *grid.Grid[T], tv tune
 	if fp, ok := r.fprogs[key]; ok {
 		return fp, nil
 	}
-	fp := compileFused(r, k, out, tv, radius)
+	fp, err := compileFused(r, k, out, tv, radius)
+	if err != nil {
+		return nil, err
+	}
 	if r.fprogs == nil {
 		r.fprogs = make(map[progKey]*FusedProgram[T])
 	}
@@ -215,7 +220,7 @@ func (r *Runner[T]) evictFusedLocked(keep progKey) {
 	}
 }
 
-func compileFused[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[T], tv tunespace.Vector, radius int) *FusedProgram[T] {
+func compileFused[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[T], tv tunespace.Vector, radius int) (*FusedProgram[T], error) {
 	g := geomOf(out)
 	fp := &FusedProgram[T]{
 		r:      r,
@@ -267,11 +272,20 @@ func compileFused[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[T]
 	fp.skew = 2*fp.rs + 1
 	fp.ring = 2*fp.rs + 2
 
+	// Every row reads its source planes at in-plane offsets: prove the
+	// accesses from the first row's first point to the last row's last
+	// point stay inside a plane, as checkReads does for single-step spans.
+	lo, hi := accessRange(inOff)
+	if err := checkSpan(fp.rowB0, fp.rowB0+(fp.rows-1)*fp.sx+fp.nx-1, lo, hi, fp.pLen); err != nil {
+		return nil, fmt.Errorf("exec: kernel %q: %w", k.Name, err)
+	}
+
 	// Specialized body, selected structurally like the single-step fast
 	// path; the in-plane offsets land in fastPlan.off, so the shared bodies
 	// read the stream-axis neighbours from the planes runRow passes them.
 	probe := plan[T]{idxOff: inOff, weight: weights}
 	fp.fp = detectFast(k, &probe)
+	fp.avx2 = useAVX2 && fp.fp == nil
 	if fp.fp == nil {
 		// Per-level generic plans: idxOff and weights are shared read-only
 		// slices; each level owns its data bindings because all K levels of
@@ -298,7 +312,7 @@ func compileFused[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[T]
 	for i := range fp.tasks {
 		fp.tasks[i].src = make([][]T, fp.skew)
 	}
-	return fp
+	return fp, nil
 }
 
 func wrapInt(v, n int) int { return ((v % n) + n) % n }
@@ -411,7 +425,7 @@ func (fp *FusedProgram[T]) runRow(t *fusedTask[T], y int) {
 		f.row(t.dst, &src, base, fp.nx, fp.unroll)
 		return
 	}
-	runRowPlan(t.plan, t.dst, base, fp.nx, fp.fuse)
+	runRow(t.plan, t.dst, base, fp.nx, fp.fuse, fp.avx2)
 }
 
 // fillPlaneHalo refills the in-plane periodic halo cells of a scratch plane

@@ -144,7 +144,7 @@ func (p *workerPool[T]) drain() {
 				if prog.fp != nil {
 					runTileFast(prog.fp, out, src, t, prog.tv.U)
 				} else {
-					runTile(&prog.p, out, t, prog.tv.U)
+					runTile(&prog.p, out, t, prog.fuse, prog.avx2)
 				}
 			}
 			continue
@@ -153,7 +153,7 @@ func (p *workerPool[T]) drain() {
 		if prog.fp != nil {
 			runSpansFast(prog.fp, dst, src, spans, prog.tv.U)
 		} else {
-			runSpans(&prog.p, dst, spans, prog.fuse)
+			runSpans(&prog.p, dst, spans, prog.fuse, prog.avx2)
 		}
 	}
 }

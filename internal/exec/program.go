@@ -81,7 +81,8 @@ type Program[T grid.Float] struct {
 	// computing row bases on the fly (runTile).
 	spans     []int32
 	spanStart []int32
-	fuse      int // term-fusion width of the generic passes, from tv.U
+	fuse      int  // generic-body fuse width, from tv.U
+	avx2      bool // generic body is the AVX2 span kernel (rows.go)
 
 	termBuf []int   // source buffer per term, for per-run data rebinding
 	p       plan[T] // idxOff/weight fixed at compile; data rebound per run
@@ -113,7 +114,10 @@ func (r *Runner[T]) Compile(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid
 	if pr, ok := r.progs[key]; ok {
 		return pr, nil
 	}
-	pr := compileProgram(r, k, out, tv)
+	pr, err := compileProgram(r, k, out, tv)
+	if err != nil {
+		return nil, err
+	}
 	if r.progs == nil {
 		r.progs = make(map[progKey]*Program[T])
 	}
@@ -124,8 +128,9 @@ func (r *Runner[T]) Compile(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid
 	return pr, nil
 }
 
-// compileProgram does the actual precomputation for one cache entry.
-func compileProgram[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[T], tv tunespace.Vector) *Program[T] {
+// compileProgram does the actual precomputation for one cache entry. It
+// fails when a span would read outside the grid.
+func compileProgram[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[T], tv tunespace.Vector) (*Program[T], error) {
 	pr := &Program[T]{
 		r:       r,
 		kernel:  k,
@@ -147,7 +152,55 @@ func compileProgram[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[
 	pr.tiles = decompose(pr.geom, tv)
 	pr.fuse = fuseWidth(tv.U)
 	pr.spans, pr.spanStart = buildSpans(pr.geom, pr.tiles)
-	return pr
+	if err := pr.checkReads(); err != nil {
+		return nil, fmt.Errorf("exec: kernel %q: %w", k.Name, err)
+	}
+	pr.avx2 = useAVX2 && pr.fp == nil
+	return pr, nil
+}
+
+// checkReads proves that every row span of the program reads and writes
+// inside the grid. The AVX2 span kernel has no bounds checks, so this one
+// pass at compile time is what keeps it memory-safe. Programs without a span
+// plan are checked tile by tile, from each tile's first interior point to
+// its last.
+func (pr *Program[T]) checkReads() error {
+	g := pr.geom
+	lo, hi := accessRange(pr.p.idxOff)
+	if pr.spans == nil {
+		for _, t := range pr.tiles {
+			if err := checkSpan(g.index(t.x0, t.y0, t.z0), g.index(t.x1-1, t.y1-1, t.z1-1), lo, hi, g.size()); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i := 0; i+1 < len(pr.spans); i += 2 {
+		base := int(pr.spans[i])
+		if err := checkSpan(base, base+int(pr.spans[i+1])-1, lo, hi, g.size()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// accessRange returns the lowest and highest flat displacement a point's
+// row body touches: its own output element (0) and every term's source.
+func accessRange(off []int) (lo, hi int) {
+	for _, o := range off {
+		lo, hi = min(lo, o), max(hi, o)
+	}
+	return lo, hi
+}
+
+// checkSpan fails unless the points first..last, whose accesses reach from
+// first+lo to last+hi, stay inside [0, size).
+func checkSpan(first, last, lo, hi, size int) error {
+	if first+lo < 0 || last+hi >= size {
+		return fmt.Errorf("points %d..%d access [%d, %d], outside the %d allocated elements",
+			first, last, first+lo, last+hi, size)
+	}
+	return nil
 }
 
 // buildSpans flattens the tile list into (base, n) row-span pairs plus the
@@ -212,9 +265,16 @@ func (pr *Program[T]) Run(out *grid.Grid[T], ins []*grid.Grid[T]) error {
 	if geomOf(out) != pr.geom {
 		return fmt.Errorf("exec: output geometry %+v mismatches compiled geometry %+v", geomOf(out), pr.geom)
 	}
+	size := pr.geom.size()
+	if len(out.Data()) < size {
+		return fmt.Errorf("exec: output holds %d elements, geometry needs %d", len(out.Data()), size)
+	}
 	for i, g := range ins {
 		if geomOf(g) != pr.geom {
 			return fmt.Errorf("exec: buffer %d geometry %+v mismatches compiled geometry %+v", i, geomOf(g), pr.geom)
+		}
+		if len(g.Data()) < size {
+			return fmt.Errorf("exec: buffer %d holds %d elements, geometry needs %d", i, len(g.Data()), size)
 		}
 	}
 	r := pr.r

@@ -1,21 +1,36 @@
 package exec
 
-import "repro/internal/grid"
+import (
+	"math"
 
-// This file is the generic-path inner loop of the compiled executor: it
-// computes one row span of the output as a sequence of term-major,
-// unit-stride passes instead of the historical point-major loop over the
-// term table.
+	"repro/internal/grid"
+)
+
+// This file is the generic-path inner loop of the compiled executor: the
+// body every program without a structural fast path (fastpath.go) runs. It
+// has two implementations of one contract — out[base+x] = Σ_t w_t·s_t for
+// every (base, n) row span, folded in plan order:
 //
-// Why passes win. The point-major loop performs, per point, one indirect
-// load of weight[t], data[t] and idxOff[t] for every term — the term-table
-// indirection dominates for every kernel without a structural fast path,
-// which is most of what dataset.Generate and the tuner measure. A pass
-// touches one term's source with unit stride across the whole row, so the
-// per-term bookkeeping is paid once per row instead of once per point, the
-// loads prefetch perfectly, and the loop bodies carry no indirection at all.
-// The output row round-trips through dst between passes, but a row is at
-// most Bx elements and stays in L1.
+//   - the AVX2 span kernels of rows_amd64.s, one per element type (4 float64
+//     or 8 float32 lanes), selected at compile time on amd64 CPUs that
+//     support AVX2 (GenericBody reports "avx2");
+//   - the portable term-major passes below, on every other CPU ("portable").
+//
+// The AVX2 kernel walks a whole span list in one call: for each block of
+// points it loads term 0's source, multiplies, then adds each further
+// term's product, so the accumulator stays in vector registers across all
+// terms and per-term bookkeeping is paid once per block, not per point. It
+// reads data[t][base+x+idxOff[t]] straight from the plan's slice headers and
+// has no bounds checks; Compile proves every span's reads in bounds once
+// (checkReads) and Program.Run rejects grids shorter than the geometry.
+//
+// Why passes win on the portable path. A point-major loop performs, per
+// point, one indirect load of weight[t], data[t] and idxOff[t] for every
+// term. A pass touches one term's source with unit stride across the whole
+// row, so the per-term bookkeeping is paid once per row instead of once per
+// point, the loads prefetch perfectly, and the loop bodies carry no
+// indirection at all. The output row round-trips through dst between
+// passes, but a row is at most Bx elements and stays in L1.
 //
 // Index loops. Every pass clips its operands to the row length n first
 // (dst = out[base : base+n : base+n]; src = data[o : o+n : o+n] with
@@ -23,29 +38,39 @@ import "repro/internal/grid"
 // single index i in steps of four over s[i:i+4:i+4] windows of each
 // operand. Because i+4 <= n and every operand has length n, the element
 // accesses carry no bounds checks, and the loop keeps one counter live
-// rather than one slice header per operand. The slice-advance idiom this
-// replaces (s = s[4:] on every operand each step) was check-free too, but a
-// 4-term pass kept five headers — fifteen words — live across the loop and
-// spilled registers, which on the short rows the tuner favours (bx=16) cost
-// about as much as the arithmetic. The halo guarantee makes the reslices
-// themselves safe: base is an interior index, so base+off ≥ 0 and
-// base+off+n ≤ len(data) for every in-halo term offset.
+// rather than one slice header per operand.
 //
-// Summation order. Passes accumulate terms in plan order, and every fused
-// variant folds its terms left-to-right, so the result is the value Reference
-// computes at every point regardless of the fuse width (the head pass writes
-// w·d where Reference computes 0 + w·d, which differs only in the sign of a
-// zero). TestGenericRowsMatchReference asserts this across randomized
-// kernels, halos, geometries and tile sizes.
+// Summation order. Both bodies compute w_0·s_0 and then add w_t·s_t for
+// t = 1, 2, … in plan order, one rounding per multiply and per add (the
+// AVX2 kernel uses separate multiplies and adds, never FMA), so they agree
+// bit for bit with each other and with Reference at every point regardless
+// of the unroll factor (Reference computes 0 + w_0·s_0, which differs only
+// in the sign of a zero). TestGenericRowsMatchReference and
+// TestGenericBodiesMatch assert this.
 //
-// The tuning vector's unroll factor u selects the fuse width — how many
-// terms a single pass folds (u < 2 → 1, u < 4 → 2, else 4). This preserves u
-// as a genuine performance knob on the generic path: wider fusion trades
-// register pressure for fewer dst round-trips, the same trade PATUS makes
-// when unrolling the term loop.
+// The tuning vector's unroll factor u selects the fuse width (u < 2 → 1,
+// u < 4 → 2, else 4): how many terms a portable pass folds, and how many
+// vectors an AVX2 point block holds. Either way u stays a genuine
+// performance knob: wider blocks trade register pressure for fewer
+// round-trips, the same trade PATUS makes when unrolling.
+
+// useAVX2 selects the AVX2 span kernels for programs compiled from now on.
+// It is set once from the CPU and the OS (cpuid, xgetbv); tests clear it to
+// pin the portable passes. Each program records the choice at compile time.
+var useAVX2 = cpuHasAVX2()
+
+// GenericBody names the generic row body programs compiled now run: "avx2"
+// (the span kernels of rows_amd64.s) or "portable" (the Go passes of this
+// file). Programs that match a structural fast path run fastpath.go instead.
+func GenericBody() string {
+	if useAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
 
 // fuseWidth maps the tuning vector's unroll factor to the number of terms a
-// single pass folds.
+// portable pass folds, and of vectors an AVX2 point block holds.
 func fuseWidth(u int) int {
 	switch {
 	case u >= 4:
@@ -98,11 +123,28 @@ func runRowPlan[T grid.Float](p *plan[T], out []T, base, n, fuse int) {
 }
 
 // runSpans executes a run of (base, n) row-span pairs through the generic
-// term-plan passes.
-func runSpans[T grid.Float](p *plan[T], out []T, spans []int32, fuse int) {
+// body: one AVX2 span-kernel call when avx2 is set, else the portable
+// passes row by row.
+func runSpans[T grid.Float](p *plan[T], out []T, spans []int32, fuse int, avx2 bool) {
+	if avx2 {
+		spansAVX2(out, p.data, p.idxOff, p.weight, spans, fuse)
+		return
+	}
 	for i := 0; i+1 < len(spans); i += 2 {
 		runRowPlan(p, out, int(spans[i]), int(spans[i+1]), fuse)
 	}
+}
+
+// runRow computes the single row span out[base : base+n] through the
+// generic body. A row whose end does not fit in int32 takes the portable
+// passes.
+func runRow[T grid.Float](p *plan[T], out []T, base, n, fuse int, avx2 bool) {
+	if avx2 && base+n <= math.MaxInt32 {
+		span := [2]int32{int32(base), int32(n)}
+		spansAVX2(out, p.data, p.idxOff, p.weight, span[:], fuse)
+		return
+	}
+	runRowPlan(p, out, base, n, fuse)
 }
 
 // rowScale1 is the head pass: dst = w·a.

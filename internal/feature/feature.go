@@ -20,11 +20,11 @@
 // Vector.Dot's additions in Dot's order, so the scores are bit-identical to
 // Encode followed by Dot, and no vector is built or allocated.
 //
-// Implementation refinement (documented in DESIGN.md): the ordinal-regression
-// training of Sec. IV-D only compares executions of the *same* instance q, so
-// any feature depending on q alone cancels out of every within-query pair
-// difference. For the ranking function to specialize per stencil/size, the
-// encoding must contain q×t interaction terms. We therefore append a block of
+// Implementation refinement: the ordinal-regression training of Sec. IV-D
+// only compares executions of the *same* instance q, so any feature
+// depending on q alone cancels out of every within-query pair difference.
+// For the ranking function to specialize per stencil/size, the encoding
+// must contain q×t interaction terms. We therefore append a block of
 // hardware-independent interaction features (tile working set, boundary
 // fractions, tile counts, unroll×density, …) computed from q and t together,
 // plus quadratic terms that let the linear model express single-peak

@@ -1,6 +1,6 @@
 // Package perfmodel is the deterministic performance simulator that stands in
 // for the paper's PATUS-generated binaries running on the Xeon E5-2680 v3
-// (see DESIGN.md §1 for the substitution rationale).
+// (README: the Simulate evaluation mode, next to the real executor's Measure).
 //
 // The model is an analytic roofline-style cost model over the blocked,
 // unrolled, chunk-scheduled loop nest that PATUS emits. For one execution

@@ -79,7 +79,7 @@ type Pair struct {
 }
 
 // PairStrategy selects how within-query preference pairs are generated; the
-// choice is one of the ablation dimensions in DESIGN.md §4.
+// choice is one of the ablation dimensions (BenchmarkAblationPairStrategy).
 type PairStrategy int
 
 const (
