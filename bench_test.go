@@ -336,6 +336,34 @@ func BenchmarkRunCompiled(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileNewKernel compiles a fresh 10-term offset kernel per
+// iteration on a warm geometry: the cost each new kernel of a measure-mode
+// tune pays before its first run. The kernels share one term list; only the
+// kernel pointer, which keys the program cache, is new.
+func BenchmarkCompileNewKernel(b *testing.B) {
+	tv := tunespace.Vector{Bx: 16, By: 8, Bz: 8, U: 4, C: 1}
+	terms := offsets12Exec().Terms[:10]
+	for _, n := range []int{32, 48, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			r := exec.NewRunner()
+			defer r.Close()
+			k := &exec.LinearKernel{Name: "offsets10", Buffers: 1, Terms: terms}
+			out, ins := execBenchWorkspace[float64](k, n, n)
+			if _, err := r.Compile(k, out, ins, tv); err != nil { // warm the geometry
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := &exec.LinearKernel{Name: "offsets10", Buffers: 1, Terms: terms}
+				if _, err := r.Compile(k, out, ins, tv); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // fusedBenchCases sweeps the temporal fusion depth on the DRAM-resident
 // laplacian (the case fusion exists for): one fused sweep advances K steps
 // while streaming the input through cache once, so per-step cost should drop

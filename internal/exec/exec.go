@@ -16,10 +16,12 @@
 // runner matching each stencil's declared DataType.
 //
 // Specialization happens at compile time. Runner.Compile takes a kernel, a
-// grid geometry and a tuning vector and produces a *Program: the exact-size
-// tile decomposition, its flattened (base, n) row-span plan, the flattened
-// term plan and the structural fast-path selection are all precomputed
-// once, so execution walks rows linearly with no index arithmetic.
+// grid geometry and a tuning vector and produces a *Program: the flattened
+// term plan and the structural fast-path selection, on a layout — the
+// exact-size tile decomposition and its flattened (base, n) row-span plan —
+// that the Runner caches per (geometry, bx, by, bz) and shares across every
+// kernel and every (u, c). Execution walks rows linearly with no index
+// arithmetic, and compiling a new kernel on a known layout costs O(terms).
 // Runner.CompileFused builds the temporal-blocking FusedProgram (fused.go).
 // Both engines run the same inner loops: the shape-specialized bodies of
 // fastpath.go (star5, star7, row3, box9, box27) when the kernel's structure
@@ -28,8 +30,9 @@
 // term-major passes elsewhere (GenericBody reports which). Both generic
 // bodies sum terms in plan order with one rounding per operation, so they
 // agree bit for bit. The AVX2 kernels have no bounds checks; Compile proves
-// every span's accesses inside the grid instead. Programs are cached inside
-// the Runner (keyed by kernel identity, geometry and tuning vector), and the
+// every span's accesses inside the grid instead, in O(1) per program from
+// the layout's first and last points. Programs are cached inside the Runner
+// (keyed by kernel identity, geometry and tuning vector), and the
 // Runner owns a persistent pool of worker goroutines fed by an atomic chunk
 // counter, so steady-state Run calls are allocation-free and spawn nothing.
 // This matters because the Measure evaluation mode calls Run thousands of
@@ -111,7 +114,7 @@ type plan[T grid.Float] struct {
 	data   [][]T // backing slice per buffer, indexed by term
 }
 
-func buildPlan[T grid.Float](k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid[T]) *plan[T] {
+func buildPlan[T grid.Float](k *LinearKernel, ins []*grid.Grid[T]) *plan[T] {
 	p := &plan[T]{
 		idxOff: make([]int, len(k.Terms)),
 		weight: make([]T, len(k.Terms)),
@@ -123,24 +126,26 @@ func buildPlan[T grid.Float](k *LinearKernel, out *grid.Grid[T], ins []*grid.Gri
 		p.weight[i] = T(t.Weight)
 		p.data[i] = g.Data()
 	}
-	_ = out
 	return p
 }
 
 // Runner executes kernels of one element type with a fixed worker count
 // (defaults to GOMAXPROCS). It owns a persistent worker pool (started lazily
-// on first execution) and a cache of compiled Programs; both are released by
-// Close. Setting Workers has no effect once the pool has started. Executions
-// through one Runner are serialized — the pool already saturates the machine
-// for a single run.
+// on first execution), a cache of compiled Programs and a cache of the
+// layouts they share; all are released by Close. Setting Workers has no
+// effect once the pool has started. Executions through one Runner are
+// serialized — the pool already saturates the machine for a single run.
 type Runner[T grid.Float] struct {
 	Workers int
 
 	mu               sync.Mutex
 	pool             *workerPool[T]
 	progs            map[progKey]*Program[T]
-	cachedTiles      int
-	cachedSpans      int
+	layouts          map[layoutKey]*layout
+	cachedTiles      int // over layouts
+	cachedSpans      int // over layouts
+	progStats        cacheCounters
+	layoutStats      cacheCounters
 	fprogs           map[progKey]*FusedProgram[T]
 	cachedFusedElems int
 }
@@ -165,13 +170,15 @@ func (r *Runner[T]) poolLocked() *workerPool[T] {
 	return r.pool
 }
 
-// Close stops the persistent worker pool and drops the program cache. The
-// Runner may be reused afterwards: the next execution restarts the pool.
+// Close stops the persistent worker pool and drops the program and layout
+// caches (CacheStats keeps counting). The Runner may be reused afterwards:
+// the next execution restarts the pool.
 func (r *Runner[T]) Close() {
 	r.mu.Lock()
 	pool := r.pool
 	r.pool = nil
 	r.progs = nil
+	r.layouts = nil
 	r.cachedTiles = 0
 	r.cachedSpans = 0
 	r.fprogs = nil
@@ -219,7 +226,7 @@ func (r *Runner[T]) Reference(k *LinearKernel, out *grid.Grid[T], ins []*grid.Gr
 	if err := checkGeometry(k, out, ins); err != nil {
 		return err
 	}
-	p := buildPlan(k, out, ins)
+	p := buildPlan(k, ins)
 	dst := out.Data()
 	for z := 0; z < out.NZ; z++ {
 		for y := 0; y < out.NY; y++ {
@@ -261,6 +268,9 @@ func (r *Runner[T]) Run(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid[T],
 	key := progKey{kernel: k, geom: geomOf(out), tv: tv}
 	r.mu.Lock()
 	pr, ok := r.progs[key]
+	if ok {
+		r.progStats.hits.Add(1)
+	}
 	r.mu.Unlock()
 	if !ok {
 		var err error

@@ -339,12 +339,11 @@ func TestChunkSchedulingAllChunksMatch(t *testing.T) {
 
 func TestFastPathDetection(t *testing.T) {
 	mk := func(k *LinearKernel, nx int) *plan[float64] {
-		out := grid.New(nx, 8, 8, k.MaxOffset(), k.MaxOffset())
 		var ins []*grid.Grid[float64]
 		for b := 0; b < k.Buffers; b++ {
 			ins = append(ins, grid.New(nx, 8, 8, k.MaxOffset(), k.MaxOffset()))
 		}
-		return buildPlan(k, out, ins)
+		return buildPlan(k, ins)
 	}
 	// 7-point laplacian must hit the star7 fast path.
 	lap := Executable(stencil.Laplacian())

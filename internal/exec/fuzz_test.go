@@ -12,7 +12,9 @@ import (
 // exactly (every point covered once, no degenerate tiles, no overlap), and
 // the compiled span plan agrees — every tile owns exactly its rows, every
 // span stays inside the interior of its row, and spans jointly cover every
-// interior flat index exactly once.
+// interior flat index exactly once. The layout's recorded extreme points,
+// from spans and from tiles alone, are the interior's first and last flat
+// indices.
 //
 // Inputs are folded into small ranges so each case stays fast: extents in
 // [1, 32], halos in [0, 3], tile sizes in [1, 40], which still exercises
@@ -109,6 +111,32 @@ func FuzzDecompose(f *testing.F) {
 			if c != 1 {
 				t.Fatalf("index %d covered %d times (geom %+v, tv %+v)", i, c, g, tv)
 			}
+		}
+
+		// The O(1) bounds proof (checkReads) rests on the layout's extremes:
+		// they are the lowest span base and the highest span end, the same
+		// over tiles when there is no span plan, and both are the
+		// interior's first and last flat indices.
+		l := newLayout(g, tv)
+		minBase, maxEnd := g.size(), -1
+		for i := 0; i < len(spans); i += 2 {
+			minBase = min(minBase, int(spans[i]))
+			maxEnd = max(maxEnd, int(spans[i])+int(spans[i+1])-1)
+		}
+		first, last := g.index(0, 0, 0), g.index(g.nx-1, g.ny-1, g.nz-1)
+		if l.first != minBase || l.last != maxEnd || l.first != first || l.last != last {
+			t.Fatalf("layout extremes %d..%d, spans reach %d..%d, interior %d..%d (geom %+v, tv %+v)",
+				l.first, l.last, minBase, maxEnd, first, last, g, tv)
+		}
+		tileFirst, tileLast := g.size(), -1
+		for _, tl := range tiles {
+			tileFirst = min(tileFirst, g.index(tl.x0, tl.y0, tl.z0))
+			tileLast = max(tileLast, g.index(tl.x1-1, tl.y1-1, tl.z1-1))
+		}
+		l.spans, l.spanStart = nil, nil
+		if f, e := l.extremes(g); f != tileFirst || e != tileLast || f != first || e != last {
+			t.Fatalf("tile-plan extremes %d..%d, tiles reach %d..%d, interior %d..%d (geom %+v, tv %+v)",
+				f, e, tileFirst, tileLast, first, last, g, tv)
 		}
 	})
 }

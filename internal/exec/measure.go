@@ -114,6 +114,14 @@ func workspaceBytes[T grid.Float](ws map[wsKey]*workspace[T]) int {
 	return total
 }
 
+// CacheStats sums the program and layout cache counts of both runners. Like
+// Runner.CacheStats it never waits for a measurement in flight.
+func (m *Measurer) CacheStats() (programs, layouts CacheStats) {
+	p64, l64 := m.Runner.CacheStats()
+	p32, l32 := m.Runner32.CacheStats()
+	return p64.plus(p32), l64.plus(l32)
+}
+
 // maxCachedKernels bounds the executable-kernel cache; callers that mint a
 // fresh *stencil.Kernel per call would otherwise grow it without limit.
 const maxCachedKernels = 256

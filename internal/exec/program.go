@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"repro/internal/grid"
 	"repro/internal/tunespace"
@@ -47,31 +48,34 @@ type progKey struct {
 	tv     tunespace.Vector
 }
 
-// Cache bounds. A program's dominant memory is its tile list and row-span
-// plan; small blocking sizes on large grids produce millions of tiles, and
-// the span plan holds one (base, n) pair per grid row regardless of tiling,
-// so eviction is driven by the total cached tile and span counts as well as
-// the program count. Exceeding any bound evicts arbitrary entries (never the
-// one just inserted).
+// layoutKey identifies a layout: the grid geometry and the blocking sizes,
+// the only inputs of the tile decomposition and its span plan.
+type layoutKey struct {
+	geom       geom
+	bx, by, bz int
+}
+
+// Cache bounds. A program's dominant memory is its layout's tile list and
+// row-span plan; small blocking sizes on large grids produce millions of
+// tiles, and the span plan holds one (base, n) pair per grid row regardless
+// of tiling, so layout eviction is driven by the total cached tile and span
+// counts as well as the layout count. Programs themselves hold only their
+// term plan and are bounded by count. Exceeding any bound evicts arbitrary
+// entries (never the one just inserted); evicting a layout drops every
+// program compiled on it.
 const (
 	maxCachedPrograms = 512
+	maxCachedLayouts  = 512
 	maxCachedTiles    = 1 << 20
 	maxCachedSpans    = 4 << 20
 )
 
-// Program is a compiled execution plan: the exact-size tile decomposition,
-// its flattened row-span plan, the flattened term plan and the fast-path
-// selection for one (kernel, geometry, tuning vector) triple, precomputed so
-// repeated executions only rebind grid data and dispatch to the persistent
-// worker pool. Programs are created and cached by Runner.Compile and execute
-// via Program.Run against any grids of the compiled geometry and element
-// type.
-type Program[T grid.Float] struct {
-	r      *Runner[T]
-	kernel *LinearKernel
-	geom   geom
-	tv     tunespace.Vector
-
+// layout is the part of a compiled program that depends only on the grid
+// geometry and the blocking (bx, by, bz): the exact-size tile decomposition
+// and its flattened row-span plan. Every kernel and every (u, c) compiled on
+// one (geometry, bx, by, bz) shares one layout, which is immutable once
+// built.
+type layout struct {
 	tiles []tile
 	// spans flattens every tile into (base, n) row-span pairs — base is the
 	// flat index of the row's first interior point, n its length — so workers
@@ -81,8 +85,57 @@ type Program[T grid.Float] struct {
 	// computing row bases on the fly (runTile).
 	spans     []int32
 	spanStart []int32
-	fuse      int  // generic-body fuse width, from tv.U
-	avx2      bool // generic body is the AVX2 span kernel (rows.go)
+	// first and last are the lowest first point and the highest last point
+	// over the spans (over the tiles when spans is nil): the interior's first
+	// and last flat indices. Every point a program of this layout computes
+	// lies between them, which makes its bounds proof one checkSpan.
+	first, last int
+}
+
+// newLayout decomposes the interior into tiles, flattens them into row
+// spans and records the extreme points.
+func newLayout(g geom, tv tunespace.Vector) *layout {
+	l := &layout{tiles: decompose(g, tv)}
+	l.spans, l.spanStart = buildSpans(g, l.tiles)
+	l.first, l.last = l.extremes(g)
+	return l
+}
+
+// extremes returns the lowest first point and the highest last point over
+// the layout's spans, or over its tiles when it has no span plan.
+func (l *layout) extremes(g geom) (first, last int) {
+	first, last = math.MaxInt, math.MinInt
+	if l.spans == nil {
+		for _, t := range l.tiles {
+			first = min(first, g.index(t.x0, t.y0, t.z0))
+			last = max(last, g.index(t.x1-1, t.y1-1, t.z1-1))
+		}
+		return first, last
+	}
+	for i := 0; i+1 < len(l.spans); i += 2 {
+		base := int(l.spans[i])
+		first = min(first, base)
+		last = max(last, base+int(l.spans[i+1])-1)
+	}
+	return first, last
+}
+
+// Program is a compiled execution plan for one (kernel, geometry, tuning
+// vector) triple: a pointer to the layout shared by every program of its
+// (geometry, bx, by, bz), plus its own flattened term plan, fuse width and
+// fast-path selection, precomputed so repeated executions only rebind grid
+// data and dispatch to the persistent worker pool. Programs are created and
+// cached by Runner.Compile and execute via Program.Run against any grids of
+// the compiled geometry and element type.
+type Program[T grid.Float] struct {
+	r      *Runner[T]
+	kernel *LinearKernel
+	geom   geom
+	tv     tunespace.Vector
+
+	*layout
+	fuse int  // generic-body fuse width, from tv.U
+	avx2 bool // generic body is the AVX2 span kernel (rows.go)
 
 	termBuf []int   // source buffer per term, for per-run data rebinding
 	p       plan[T] // idxOff/weight fixed at compile; data rebound per run
@@ -90,8 +143,11 @@ type Program[T grid.Float] struct {
 }
 
 // Compile returns the cached program for (k, out's geometry, tv), building
-// and caching it on first use. The input grids are only used for validation —
-// the program is bound to concrete data at each Run.
+// and caching it on first use. A new program builds only its term plan: the
+// tiles and row spans come from the Runner's layout cache, so compiling a
+// new kernel on a known (geometry, bx, by, bz) costs O(terms). The input
+// grids are only used for validation — the program is bound to concrete
+// data at each Run.
 func (r *Runner[T]) Compile(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid[T], tv tunespace.Vector) (*Program[T], error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
@@ -112,9 +168,11 @@ func (r *Runner[T]) Compile(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if pr, ok := r.progs[key]; ok {
+		r.progStats.hits.Add(1)
 		return pr, nil
 	}
-	pr, err := compileProgram(r, k, out, tv)
+	r.progStats.misses.Add(1)
+	pr, err := compileProgram(r, k, out, tv, r.layoutLocked(key.geom, tv))
 	if err != nil {
 		return nil, err
 	}
@@ -122,20 +180,40 @@ func (r *Runner[T]) Compile(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid
 		r.progs = make(map[progKey]*Program[T])
 	}
 	r.progs[key] = pr
-	r.cachedTiles += len(pr.tiles)
-	r.cachedSpans += len(pr.spans) / 2
-	r.evictLocked(key)
+	r.evictProgramsLocked(key)
 	return pr, nil
 }
 
-// compileProgram does the actual precomputation for one cache entry. It
-// fails when a span would read outside the grid.
-func compileProgram[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[T], tv tunespace.Vector) (*Program[T], error) {
+// layoutLocked returns the cached layout for (g, bx, by, bz), building and
+// caching it on first use. Callers must hold r.mu.
+func (r *Runner[T]) layoutLocked(g geom, tv tunespace.Vector) *layout {
+	key := layoutKey{geom: g, bx: tv.Bx, by: tv.By, bz: tv.Bz}
+	if l, ok := r.layouts[key]; ok {
+		r.layoutStats.hits.Add(1)
+		return l
+	}
+	r.layoutStats.misses.Add(1)
+	l := newLayout(g, tv)
+	if r.layouts == nil {
+		r.layouts = make(map[layoutKey]*layout)
+	}
+	r.layouts[key] = l
+	r.cachedTiles += len(l.tiles)
+	r.cachedSpans += len(l.spans) / 2
+	r.evictLayoutsLocked(key)
+	return l
+}
+
+// compileProgram builds one program's term plan on its layout. It fails
+// when the kernel would read outside the grid.
+func compileProgram[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[T], tv tunespace.Vector, l *layout) (*Program[T], error) {
 	pr := &Program[T]{
 		r:       r,
 		kernel:  k,
 		geom:    geomOf(out),
 		tv:      tv,
+		layout:  l,
+		fuse:    fuseWidth(tv.U),
 		termBuf: make([]int, len(k.Terms)),
 		p: plan[T]{
 			idxOff: make([]int, len(k.Terms)),
@@ -149,9 +227,6 @@ func compileProgram[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[
 		pr.termBuf[i] = t.Buffer
 	}
 	pr.fp = detectFast(k, &pr.p)
-	pr.tiles = decompose(pr.geom, tv)
-	pr.fuse = fuseWidth(tv.U)
-	pr.spans, pr.spanStart = buildSpans(pr.geom, pr.tiles)
 	if err := pr.checkReads(); err != nil {
 		return nil, fmt.Errorf("exec: kernel %q: %w", k.Name, err)
 	}
@@ -159,29 +234,15 @@ func compileProgram[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[
 	return pr, nil
 }
 
-// checkReads proves that every row span of the program reads and writes
-// inside the grid. The AVX2 span kernel has no bounds checks, so this one
-// pass at compile time is what keeps it memory-safe. Programs without a span
-// plan are checked tile by tile, from each tile's first interior point to
-// its last.
+// checkReads proves that every point of the program reads and writes inside
+// the grid. The AVX2 span kernel has no bounds checks, so this proof at
+// compile time is what keeps it memory-safe. Every span (or, without a span
+// plan, every tile) runs points between its layout's first and last points,
+// so checking those two extremes proves exactly what checking each span
+// would, in O(1) per program.
 func (pr *Program[T]) checkReads() error {
-	g := pr.geom
 	lo, hi := accessRange(pr.p.idxOff)
-	if pr.spans == nil {
-		for _, t := range pr.tiles {
-			if err := checkSpan(g.index(t.x0, t.y0, t.z0), g.index(t.x1-1, t.y1-1, t.z1-1), lo, hi, g.size()); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for i := 0; i+1 < len(pr.spans); i += 2 {
-		base := int(pr.spans[i])
-		if err := checkSpan(base, base+int(pr.spans[i+1])-1, lo, hi, g.size()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return checkSpan(pr.first, pr.last, lo, hi, pr.geom.size())
 }
 
 // accessRange returns the lowest and highest flat displacement a point's
@@ -236,21 +297,73 @@ func buildSpans(g geom, tiles []tile) (spans, spanStart []int32) {
 	return spans, spanStart
 }
 
-// evictLocked enforces the cache bounds, never evicting keep (the entry just
-// inserted). Callers must hold r.mu.
-func (r *Runner[T]) evictLocked(keep progKey) {
-	for key, pr := range r.progs {
-		if len(r.progs) <= maxCachedPrograms && r.cachedTiles <= maxCachedTiles &&
+// evictProgramsLocked enforces the program-count bound, never evicting keep
+// (the entry just inserted). Callers must hold r.mu.
+func (r *Runner[T]) evictProgramsLocked(keep progKey) {
+	for key := range r.progs {
+		if len(r.progs) <= maxCachedPrograms {
+			return
+		}
+		if key == keep {
+			continue
+		}
+		delete(r.progs, key)
+		r.progStats.evictions.Add(1)
+	}
+}
+
+// evictLayoutsLocked enforces the layout bounds, never evicting keep (the
+// layout just inserted). Evicting a layout drops every program compiled on
+// it, so no cached program points at an evicted layout. Callers must hold
+// r.mu.
+func (r *Runner[T]) evictLayoutsLocked(keep layoutKey) {
+	for key, l := range r.layouts {
+		if len(r.layouts) <= maxCachedLayouts && r.cachedTiles <= maxCachedTiles &&
 			r.cachedSpans <= maxCachedSpans {
 			return
 		}
 		if key == keep {
 			continue
 		}
-		r.cachedTiles -= len(pr.tiles)
-		r.cachedSpans -= len(pr.spans) / 2
-		delete(r.progs, key)
+		r.cachedTiles -= len(l.tiles)
+		r.cachedSpans -= len(l.spans) / 2
+		delete(r.layouts, key)
+		r.layoutStats.evictions.Add(1)
+		for pk, pr := range r.progs {
+			if pr.layout == l {
+				delete(r.progs, pk)
+				r.progStats.evictions.Add(1)
+			}
+		}
 	}
+}
+
+// CacheStats counts one executor cache's lookups since its Runner was
+// created: hits, misses (each builds an entry) and evictions. Close drops
+// the cached entries but not the counts.
+type CacheStats struct {
+	Hits, Misses, Evictions uint64
+}
+
+// cacheCounters holds CacheStats in atomics: they change under r.mu, but
+// readers need not wait for a run, which holds r.mu for a whole sweep.
+type cacheCounters struct {
+	hits, misses, evictions atomic.Uint64
+}
+
+func (c *cacheCounters) load() CacheStats {
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load()}
+}
+
+// plus returns the element-wise sum of two counts.
+func (s CacheStats) plus(o CacheStats) CacheStats {
+	return CacheStats{Hits: s.Hits + o.Hits, Misses: s.Misses + o.Misses, Evictions: s.Evictions + o.Evictions}
+}
+
+// CacheStats reports the program and layout cache counts. It never blocks
+// on a run in flight.
+func (r *Runner[T]) CacheStats() (programs, layouts CacheStats) {
+	return r.progStats.load(), r.layoutStats.load()
 }
 
 // Run executes the program against concrete grids of the compiled geometry:

@@ -69,12 +69,11 @@ func TestNewFastPathDetection(t *testing.T) {
 		if nz == 1 {
 			haloZ = 0
 		}
-		out := grid.New(8, 8, nz, halo, haloZ)
 		var ins []*grid.Grid[float64]
 		for b := 0; b < k.Buffers; b++ {
 			ins = append(ins, grid.New(8, 8, nz, halo, haloZ))
 		}
-		return buildPlan(k, out, ins)
+		return buildPlan(k, ins)
 	}
 	cases := []struct {
 		name string

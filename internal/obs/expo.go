@@ -73,14 +73,18 @@ func writeFamily(w *bufio.Writer, f *family) {
 	}
 	sort.Strings(keys)
 	sers := make([]*series, len(keys))
+	fns := make([]func() float64, len(keys))
 	for i, k := range keys {
 		sers[i] = f.series[k]
+		fns[i] = sers[i].fn
 	}
 	f.mu.RUnlock()
 
-	for _, s := range sers {
-		switch f.typ {
-		case TypeHistogram:
+	for i, s := range sers {
+		switch {
+		case fns[i] != nil:
+			writeSample(w, f.name, f.labels, s.labelVals, fns[i]())
+		case f.typ == TypeHistogram:
 			writeHistogram(w, f, s)
 		default:
 			writeSample(w, f.name, f.labels, s.labelVals, s.val.Load())

@@ -109,6 +109,9 @@ type series struct {
 	labelVals []string
 	val       atomicFloat
 	hist      *histogramData
+	// fn, when set (CounterVec.Func), computes the value at scrape time in
+	// place of val. Guarded by the family lock.
+	fn func() float64
 }
 
 // histogramData is the storage behind a Histogram: per-bucket counts (not
@@ -306,6 +309,16 @@ func (v *CounterVec) With(labelVals ...string) *Counter {
 	return &Counter{s: v.f.get(labelVals)}
 }
 
+// Func backs the series for the given label values with fn, computed at
+// scrape time like CounterFunc: one labelled family can expose several
+// live counts. The latest registration's fn wins.
+func (v *CounterVec) Func(fn func() float64, labelVals ...string) {
+	s := v.f.get(labelVals)
+	v.f.mu.Lock()
+	s.fn = fn
+	v.f.mu.Unlock()
+}
+
 // GaugeVec is a gauge family with labels.
 type GaugeVec struct{ f *family }
 
@@ -399,11 +412,17 @@ func (r *Registry) Value(name string, labelVals ...string) float64 {
 		return fn()
 	}
 	s, ok := f.series[strings.Join(labelVals, labelSep)]
-	f.mu.RUnlock()
-	if !ok {
-		return 0
+	var fn func() float64
+	if ok {
+		fn = s.fn
 	}
-	if f.typ == TypeHistogram {
+	f.mu.RUnlock()
+	switch {
+	case !ok:
+		return 0
+	case fn != nil:
+		return fn()
+	case f.typ == TypeHistogram:
 		return s.hist.sum.Load()
 	}
 	return s.val.Load()
@@ -425,9 +444,12 @@ func (r *Registry) Sum(name string) float64 {
 	}
 	total := 0.0
 	for _, s := range f.series {
-		if f.typ == TypeHistogram {
+		switch {
+		case s.fn != nil:
+			total += s.fn()
+		case f.typ == TypeHistogram:
 			total += s.hist.sum.Load()
-		} else {
+		default:
 			total += s.val.Load()
 		}
 	}

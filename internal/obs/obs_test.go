@@ -219,3 +219,37 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 		}
 	}
 }
+
+// TestCounterVecFunc checks labelled series computed at scrape time: the
+// exposition, Value and Sum read the functions, and a later registration
+// re-points a series.
+func TestCounterVecFunc(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("demo_cache_hits_total", "Hits by cache.", "cache")
+	n := 3.0
+	cv.Func(func() float64 { return n }, "layout")
+	cv.Func(func() float64 { return 1 }, "program")
+	n = 4
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"demo_cache_hits_total{cache=\"layout\"} 4\n",
+		"demo_cache_hits_total{cache=\"program\"} 1\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, buf.String())
+		}
+	}
+	if got := r.Value("demo_cache_hits_total", "layout"); got != 4 {
+		t.Errorf("Value = %v, want 4", got)
+	}
+	if got := r.Sum("demo_cache_hits_total"); got != 5 {
+		t.Errorf("Sum = %v, want 5", got)
+	}
+	cv.Func(func() float64 { return 9 }, "program")
+	if got := r.Value("demo_cache_hits_total", "program"); got != 9 {
+		t.Errorf("re-registered Value = %v, want 9", got)
+	}
+}

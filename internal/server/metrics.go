@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -133,6 +134,27 @@ func (s *Server) registerGauges() {
 	reg.GaugeFunc("stencilserve_registry_generation",
 		"Generation number of the currently served model registry.",
 		func() float64 { return float64(s.reg.Version()) })
+	// Executor cache counts, summed over the measurer's two runners. The
+	// measurer starts lazily, so every series reads 0 until the first
+	// measure-mode request.
+	for _, c := range []struct {
+		name, help string
+		pick       func(exec.CacheStats) uint64
+	}{
+		{"stencilserve_exec_cache_hits_total",
+			"Executor cache lookups answered from the cache, by cache (program, layout).",
+			func(c exec.CacheStats) uint64 { return c.Hits }},
+		{"stencilserve_exec_cache_misses_total",
+			"Executor cache lookups that built a new entry, by cache (program, layout).",
+			func(c exec.CacheStats) uint64 { return c.Misses }},
+		{"stencilserve_exec_cache_evictions_total",
+			"Executor cache entries evicted by the cache bounds, by cache (program, layout).",
+			func(c exec.CacheStats) uint64 { return c.Evictions }},
+	} {
+		v := reg.CounterVec(c.name, c.help, "cache")
+		v.Func(func() float64 { p, _ := s.execCacheStats(); return float64(c.pick(p)) }, "program")
+		v.Func(func() float64 { _, l := s.execCacheStats(); return float64(c.pick(l)) }, "layout")
+	}
 	reg.GaugeVec("stencilserve_build_info",
 		"Build identity; the value is always 1.", "version", "commit", "go").
 		With(s.build.Version, s.build.Commit, s.build.GoVersion).Set(1)

@@ -304,3 +304,48 @@ func BenchmarkCachedTuneInstrumented(b *testing.B) {
 type discardWriter struct{}
 
 func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestExecCacheMetrics checks the executor cache series: all read 0 before
+// the first measure-mode request creates the measurer, and two kernels
+// measured on one (size, blocking) build one layout and share it.
+func TestExecCacheMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real execution")
+	}
+	s := newTestServer(t)
+	h := s.Handler()
+	reg := s.ObsRegistry()
+	names := []string{"stencilserve_exec_cache_hits_total", "stencilserve_exec_cache_misses_total", "stencilserve_exec_cache_evictions_total"}
+	for _, name := range names {
+		for _, cache := range []string{"program", "layout"} {
+			if v := reg.Value(name, cache); v != 0 {
+				t.Errorf("%s{cache=%q} = %v before any measurement, want 0", name, cache, v)
+			}
+		}
+	}
+	vectors := `"vectors":[{"bx":16,"by":8,"bz":8,"u":1,"c":1},{"bx":16,"by":8,"bz":8,"u":2,"c":1}]`
+	for _, offsets := range []string{
+		`[[0,0,0],[1,0,0],[-1,0,0],[0,1,0],[0,0,-1],[1,1,0]]`,
+		`[[0,0,0],[-1,0,0],[0,-1,0],[0,0,1],[1,0,1],[0,1,1]]`,
+	} {
+		body := `{"model":"tiny","kernel":{"offsets":` + offsets + `},"size":"32x32x32","mode":"measure",` + vectors + `}`
+		if w, out := postJSON(t, h, "/v1/predict", body); w.Code != http.StatusOK {
+			t.Fatalf("measure predict: status %d %v", w.Code, out)
+		}
+	}
+	want := map[string][2]float64{ // program, layout
+		"stencilserve_exec_cache_hits_total":      {0, 3},
+		"stencilserve_exec_cache_misses_total":    {4, 1},
+		"stencilserve_exec_cache_evictions_total": {0, 0},
+	}
+	for _, name := range names {
+		for i, cache := range []string{"program", "layout"} {
+			if v := reg.Value(name, cache); v != want[name][i] {
+				t.Errorf("%s{cache=%q} = %v, want %v", name, cache, v, want[name][i])
+			}
+		}
+	}
+	if _, body := scrape(t, h); !strings.Contains(body, `stencilserve_exec_cache_hits_total{cache="layout"} 3`) {
+		t.Errorf("/metrics lacks the layout hit count:\n%s", body)
+	}
+}

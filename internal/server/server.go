@@ -226,6 +226,19 @@ func (s *Server) getMeasurer() *exec.Measurer {
 	return s.measurer
 }
 
+// execCacheStats reads the measurer's executor cache counts; all zero
+// before the first measure-mode request creates the measurer, and after
+// Close.
+func (s *Server) execCacheStats() (programs, layouts exec.CacheStats) {
+	s.measureMu.Lock()
+	m := s.measurer
+	s.measureMu.Unlock()
+	if m == nil {
+		return programs, layouts
+	}
+	return m.CacheStats()
+}
+
 // Models returns the loaded model names (sorted) and the default name of the
 // currently served registry generation.
 func (s *Server) Models() ([]string, string) {
