@@ -364,6 +364,44 @@ func BenchmarkCompileNewKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkMeasureBatch times one hybrid measure tune's executor work: a
+// fresh 10-term offset kernel (radius 2, as a measure request builds it)
+// measured under the four vectors the measure workload picks most, at the
+// default 3 repetitions. The sweeps are sub-millisecond at n=32..64, so the
+// worker pool's dispatch and join costs show here.
+func BenchmarkMeasureBatch(b *testing.B) {
+	vectors := []tunespace.Vector{
+		{Bx: 16, By: 8, Bz: 8, U: 4, C: 1},
+		{Bx: 16, By: 4, Bz: 16, U: 4, C: 1},
+		{Bx: 16, By: 8, Bz: 8, U: 2, C: 1},
+		{Bx: 16, By: 4, Bz: 16, U: 2, C: 1},
+	}
+	var pts []shape.Point
+	for _, t := range offsets12Exec().Terms[:10] {
+		pts = append(pts, t.Offset)
+	}
+	for _, n := range []int{32, 48, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			m := exec.NewMeasurer()
+			defer m.Close()
+			size := stencil.Size3D(n, n, n)
+			kernel := func() *stencil.Kernel {
+				return &stencil.Kernel{Name: "offsets10", Shape: shape.New(pts...), Buffers: 1, Type: stencil.Float64}
+			}
+			if _, err := m.MeasureBatch(stencil.Instance{Kernel: kernel(), Size: size}, vectors); err != nil { // warm workspace + pool
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.MeasureBatch(stencil.Instance{Kernel: kernel(), Size: size}, vectors); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // fusedBenchCases sweeps the temporal fusion depth on the DRAM-resident
 // laplacian (the case fusion exists for): one fused sweep advances K steps
 // while streaming the input through cache once, so per-step cost should drop

@@ -33,8 +33,12 @@
 // every span's accesses inside the grid instead, in O(1) per program from
 // the layout's first and last points. Programs are cached inside the Runner
 // (keyed by kernel identity, geometry and tuning vector), and the
-// Runner owns a persistent pool of worker goroutines fed by an atomic chunk
-// counter, so steady-state Run calls are allocation-free and spawn nothing.
+// Runner owns a persistent pool of worker goroutines, so steady-state Run
+// calls are allocation-free and spawn nothing. A run gives each participant
+// one contiguous slab of the tiles; c is the claim size within a slab, and a
+// participant whose slab is empty steals chunks from the others' (pool.go).
+// The caller never waits for a worker that has not joined by the time the
+// tiles run out.
 // This matters because the Measure evaluation mode calls Run thousands of
 // times per search: fixed per-call overhead both pollutes small-grid timings
 // (the training signal) and caps autotuning throughput.
@@ -146,6 +150,7 @@ type Runner[T grid.Float] struct {
 	cachedSpans      int // over layouts
 	progStats        cacheCounters
 	layoutStats      cacheCounters
+	poolStats        poolCounters
 	fprogs           map[progKey]*FusedProgram[T]
 	cachedFusedElems int
 }
@@ -165,7 +170,7 @@ func (r *Runner[T]) poolLocked() *workerPool[T] {
 		if w < 1 {
 			w = 1
 		}
-		r.pool = newWorkerPool[T](w)
+		r.pool = newWorkerPool[T](w, &r.poolStats)
 	}
 	return r.pool
 }
@@ -250,10 +255,11 @@ type tile struct {
 }
 
 // Run executes the kernel over the full interior with the given tuning
-// vector: the domain is decomposed into bx×by×bz tiles, consecutive runs of
-// c tiles form dispatch chunks, and the persistent workers claim chunks from
-// a shared counter. The unroll factor u selects the point unroll of the
-// specialized fast paths and the fuse width of the generic body.
+// vector: the domain is decomposed into bx×by×bz tiles, the tiles into one
+// contiguous slab per participating worker, and each worker claims chunks
+// of c consecutive tiles from its own slab, then steals chunks from the
+// others'. The unroll factor u selects the point unroll of the specialized
+// fast paths and the fuse width of the generic body.
 //
 // Run compiles (or looks up) the cached Program for (kernel, geometry,
 // vector) and executes it; in steady state it performs no allocations and
@@ -306,7 +312,7 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // runTile sweeps one tile through the generic body, computing row bases on
 // the fly: the fallback for grids too large for the int32 span plan.
 // Compiled programs normally execute precomputed row spans instead (see
-// pool.drain).
+// pool.runChunk).
 func runTile[T grid.Float](p *plan[T], out *grid.Grid[T], t tile, fuse int, avx2 bool) {
 	dst := out.Data()
 	n := t.x1 - t.x0

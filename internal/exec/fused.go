@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/grid"
 	"repro/internal/tunespace"
@@ -400,20 +399,11 @@ func (fp *FusedProgram[T]) Run(out, in *grid.Grid[T]) error {
 	return nil
 }
 
-// drainRows is the pool workers' claim loop for one wavefront iteration: row
-// indices 0..active*rows are claimed in chunks and mapped (task, row).
-func (fp *FusedProgram[T]) drainRows(next *int64) {
-	total := fp.active * fp.rows
-	chunk := fp.chunk
-	for {
-		start := int(atomic.AddInt64(next, int64(chunk))) - chunk
-		if start >= total {
-			return
-		}
-		end := min(start+chunk, total)
-		for idx := start; idx < end; idx++ {
-			fp.runRow(&fp.tasks[idx/fp.rows], idx%fp.rows)
-		}
+// runRows computes rows start..end of the current wavefront iteration's
+// flat row space, mapping each index to its (task, row).
+func (fp *FusedProgram[T]) runRows(start, end int) {
+	for idx := start; idx < end; idx++ {
+		fp.runRow(&fp.tasks[idx/fp.rows], idx%fp.rows)
 	}
 }
 

@@ -19,8 +19,8 @@ func forcePortable(t testing.TB) {
 	t.Cleanup(func() { useAVX2 = old })
 }
 
-// TestPropertiesOnPortableBody reruns the generic-path, fused and float32
-// Reference property tests with the portable passes forced, so on an AVX2
+// TestPropertiesOnPortableBody reruns the generic-path, fused, float32
+// Reference and pool schedule property tests with the portable passes forced, so on an AVX2
 // host both generic bodies stay pinned by the same checks.
 func TestPropertiesOnPortableBody(t *testing.T) {
 	forcePortable(t)
@@ -34,6 +34,9 @@ func TestPropertiesOnPortableBody(t *testing.T) {
 		{"FusedPlanarShapesOn3DGrids", TestFusedPlanarShapesOn3DGrids},
 		{"Float32RowsMatchReference", TestFloat32RowsMatchReference},
 		{"Float32FastPathsMatchReference", TestFloat32FastPathsMatchReference},
+		{"PoolRunsEveryTileOnce", TestPoolRunsEveryTileOnce},
+		{"PoolScheduleMatchesReference", TestPoolScheduleMatchesReference},
+		{"PoolFusedScheduleMatchesSequential", TestPoolFusedScheduleMatchesSequential},
 	} {
 		t.Run(test.name, test.run)
 	}

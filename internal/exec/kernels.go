@@ -101,12 +101,7 @@ func axisOf(p shape.Point) (axis, r int) {
 // buffer i % Buffers. Terms come only from k's accesses, so a name can
 // never make the executor read outside k's halo.
 func Executable(k *stencil.Kernel) *LinearKernel {
-	var rule accessRule
-	if r, ok := textbook[k.Name]; ok {
-		if tk, err := stencil.KernelByName(k.Name); err == nil && tk.Buffers == k.Buffers && tk.Shape.Equal(k.Shape) {
-			rule = r
-		}
-	}
+	rule := textbookRule(k)
 	total := k.Shape.TotalAccesses()
 	lk := &LinearKernel{Name: k.Name, Buffers: k.Buffers, Terms: make([]Term, 0, total)}
 	for _, p := range termOrder(k) {
@@ -119,6 +114,20 @@ func Executable(k *stencil.Kernel) *LinearKernel {
 		}
 	}
 	return lk
+}
+
+// textbookRule returns the textbook rule of a Table III kernel: one whose
+// name has a rule and whose shape and buffers equal the kernel
+// stencil.KernelByName builds under that name. Any other kernel gets nil.
+func textbookRule(k *stencil.Kernel) accessRule {
+	r, ok := textbook[k.Name]
+	if !ok {
+		return nil
+	}
+	if tk, err := stencil.KernelByName(k.Name); err == nil && tk.Buffers == k.Buffers && tk.Shape.Equal(k.Shape) {
+		return r
+	}
+	return nil
 }
 
 // termOrder returns the offsets of k's shape in summation order. A

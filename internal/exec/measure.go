@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -23,8 +24,9 @@ import (
 // workload of one precision never pays for the other.
 //
 // Besides the grid workspaces, the Measurer caches the executable kernel per
-// model kernel, so the thousands of Measure calls a search issues hit the
-// Runner's compiled-program cache instead of rebuilding terms every time.
+// kernel structure (appendExecutableKey), so the thousands of Measure calls a
+// search issues, and requests that each build their own copy of one kernel,
+// hit the Runner's compiled-program cache instead of rebuilding terms.
 type Measurer struct {
 	// Runner executes Float64 stencils (the name predates the split; kept
 	// so existing callers tuning the double-precision engine still work).
@@ -44,9 +46,11 @@ type Measurer struct {
 	// search.
 	ws64 map[wsKey]*workspace[float64]
 	ws32 map[wsKey]*workspace[float32]
-	// cache of executable realizations keyed by model kernel identity, so
-	// the Runner's program cache sees a stable kernel pointer.
-	kernels map[*stencil.Kernel]*LinearKernel
+	// cache of executable realizations keyed by appendExecutableKey, so every
+	// model kernel with the same executable terms — across requests that
+	// each build their own *stencil.Kernel — hands the Runner's program
+	// cache one stable kernel pointer.
+	kernels map[string]*LinearKernel
 }
 
 type wsKey struct {
@@ -67,7 +71,7 @@ func NewMeasurer() *Measurer {
 		Repetitions: 3,
 		ws64:        make(map[wsKey]*workspace[float64]),
 		ws32:        make(map[wsKey]*workspace[float32]),
-		kernels:     make(map[*stencil.Kernel]*LinearKernel),
+		kernels:     make(map[string]*LinearKernel),
 	}
 }
 
@@ -122,13 +126,25 @@ func (m *Measurer) CacheStats() (programs, layouts CacheStats) {
 	return p64.plus(p32), l64.plus(l32)
 }
 
-// maxCachedKernels bounds the executable-kernel cache; callers that mint a
-// fresh *stencil.Kernel per call would otherwise grow it without limit.
+// PoolStats sums the worker-pool counts of both runners. Like
+// Runner.PoolStats it never waits for a measurement in flight.
+func (m *Measurer) PoolStats() PoolStats {
+	return m.Runner.PoolStats().plus(m.Runner32.PoolStats())
+}
+
+// maxCachedKernels bounds the executable-kernel cache; a stream of
+// distinct kernel structures would otherwise grow it without limit.
 const maxCachedKernels = 256
 
-// executableFor returns the cached executable realization of a model kernel.
+// executableFor returns the cached executable realization of a model
+// kernel. Kernels with one appendExecutableKey key share it, so a kernel that shares
+// its structure with an earlier one hits that kernel's compiled programs;
+// the shared realization keeps the first kernel's name. A hit allocates
+// nothing for keys that fit the stack buffer.
 func (m *Measurer) executableFor(k *stencil.Kernel) *LinearKernel {
-	if lk, ok := m.kernels[k]; ok {
+	var buf [256]byte
+	key := appendExecutableKey(buf[:0], k)
+	if lk, ok := m.kernels[string(key)]; ok {
 		return lk
 	}
 	// Evict a single arbitrary entry at the bound: wiping the map would
@@ -141,8 +157,26 @@ func (m *Measurer) executableFor(k *stencil.Kernel) *LinearKernel {
 		}
 	}
 	lk := Executable(k)
-	m.kernels[k] = lk
+	m.kernels[string(key)] = lk
 	return lk
+}
+
+// appendExecutableKey appends exactly what Executable reads of a model
+// kernel: the Table III name when its textbook rule applies, the buffer
+// count, and every shape point with its multiplicity, in shape.Points order.
+func appendExecutableKey(b []byte, k *stencil.Kernel) []byte {
+	if textbookRule(k) != nil {
+		b = append(b, k.Name...)
+	}
+	b = append(b, '/')
+	b = strconv.AppendInt(b, int64(k.Buffers), 10)
+	for _, p := range k.Shape.Points() {
+		for _, v := range [...]int{p.X, p.Y, p.Z, k.Shape.Multiplicity(p)} {
+			b = append(b, ',')
+			b = strconv.AppendInt(b, int64(v), 10)
+		}
+	}
+	return b
 }
 
 // workspaceFor returns the cached workspace for the instance geometry,
@@ -176,7 +210,7 @@ func workspaceFor[T grid.Float](ws map[wsKey]*workspace[T], q stencil.Instance, 
 func (m *Measurer) Measure(q stencil.Instance, t tunespace.Vector) (float64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.measureLocked(q, t)
+	return m.measureLocked(q, m.executableFor(q.Kernel), t)
 }
 
 // MeasureBatch measures every tuning vector for one instance and returns
@@ -191,8 +225,9 @@ func (m *Measurer) MeasureBatch(q stencil.Instance, ts []tunespace.Vector) ([]fl
 	defer m.mu.Unlock()
 	out := make([]float64, len(ts))
 	var firstErr error
+	k := m.executableFor(q.Kernel)
 	for i, tv := range ts {
-		secs, err := m.measureLocked(q, tv)
+		secs, err := m.measureLocked(q, k, tv)
 		if err != nil {
 			secs = math.Inf(1)
 			if firstErr == nil {
@@ -244,10 +279,10 @@ func (s *Session) Err() error {
 	return s.err
 }
 
-// measureLocked is Measure's body; callers hold m.mu. It dispatches to the
-// runner and workspace cache matching the stencil's declared element type.
-func (m *Measurer) measureLocked(q stencil.Instance, t tunespace.Vector) (float64, error) {
-	k := m.executableFor(q.Kernel)
+// measureLocked is Measure's body for q's executable kernel k; callers hold
+// m.mu. It dispatches to the runner and workspace cache matching the
+// stencil's declared element type.
+func (m *Measurer) measureLocked(q stencil.Instance, k *LinearKernel, t tunespace.Vector) (float64, error) {
 	if q.Kernel != nil && q.Kernel.Type == stencil.Float32 {
 		return measureIn(m.Runner32, m.ws32, m.Repetitions, q, k, t)
 	}

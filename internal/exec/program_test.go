@@ -393,3 +393,36 @@ func TestMeasurerCachesExecutableKernels(t *testing.T) {
 		t.Errorf("program cache holds %d entries after repeated measurement, want 1", len(m.Runner.progs))
 	}
 }
+
+// TestMeasurerSharesExecutableByStructure checks the executable-kernel
+// cache key: kernels equal in what Executable reads share one realization
+// whatever their names, while a Table III kernel's textbook terms never
+// serve an equal shape under another name, nor a different multiplicity.
+func TestMeasurerSharesExecutableByStructure(t *testing.T) {
+	m := NewMeasurer()
+	defer m.Close()
+	pts := []shape.Point{{}, {X: 1}, {Y: -1}, {Z: 2}}
+	mk := func(name string, sh *shape.Shape) *stencil.Kernel {
+		return &stencil.Kernel{Name: name, Shape: sh, Buffers: 1}
+	}
+	a := m.executableFor(mk("a", shape.New(pts...)))
+	if b := m.executableFor(mk("b", shape.New(pts...))); b != a {
+		t.Error("equal offset kernels under different names got distinct executables")
+	}
+	twice := shape.New(pts...)
+	twice.Add(shape.Point{}, 1)
+	if c := m.executableFor(mk("a", twice)); c == a {
+		t.Error("a kernel with a doubled centre access shared the single-access executable")
+	}
+	lap := m.executableFor(stencil.Laplacian())
+	if same := m.executableFor(stencil.Laplacian()); same != lap {
+		t.Error("two laplacian kernels got distinct executables")
+	}
+	if other := m.executableFor(mk("custom", stencil.Laplacian().Shape)); other == lap {
+		t.Error("a non-Table-III kernel shared the laplacian's textbook executable")
+	}
+	fresh := mk("c", shape.New(pts...))
+	if n := testing.AllocsPerRun(100, func() { m.executableFor(fresh) }); n != 0 {
+		t.Errorf("a cache hit allocated %v times, want 0", n)
+	}
+}

@@ -155,6 +155,24 @@ func (s *Server) registerGauges() {
 		v.Func(func() float64 { p, _ := s.execCacheStats(); return float64(c.pick(p)) }, "program")
 		v.Func(func() float64 { _, l := s.execCacheStats(); return float64(c.pick(l)) }, "layout")
 	}
+	// Executor worker-pool counts, summed over the same two runners: did
+	// the executor run what the vector asked for, on how many workers.
+	for _, c := range []struct {
+		name, help string
+		pick       func(exec.PoolStats) uint64
+	}{
+		{"stencilserve_exec_pool_runs_total",
+			"Executor pool runs: one per program run, one per fused wavefront iteration.",
+			func(p exec.PoolStats) uint64 { return p.Runs }},
+		{"stencilserve_exec_pool_joined_runs_total",
+			"Executor pool runs that at least one woken worker joined before the run closed.",
+			func(p exec.PoolStats) uint64 { return p.JoinedRuns }},
+		{"stencilserve_exec_pool_steals_total",
+			"Chunks an executor pool participant claimed from another participant's slab.",
+			func(p exec.PoolStats) uint64 { return p.Steals }},
+	} {
+		reg.CounterFunc(c.name, c.help, func() float64 { return float64(c.pick(s.execPoolStats())) })
+	}
 	reg.GaugeVec("stencilserve_build_info",
 		"Build identity; the value is always 1.", "version", "commit", "go").
 		With(s.build.Version, s.build.Commit, s.build.GoVersion).Set(1)

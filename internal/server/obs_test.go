@@ -349,3 +349,54 @@ func TestExecCacheMetrics(t *testing.T) {
 		t.Errorf("/metrics lacks the layout hit count:\n%s", body)
 	}
 }
+
+// TestExecCacheSharedAcrossRequests checks that two measure predicts of the
+// same offsets, each building its own kernel, share compiled programs. The
+// second predict adds a vector so the response cache cannot answer it; its
+// first vector must hit the program the first predict compiled.
+func TestExecCacheSharedAcrossRequests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real execution")
+	}
+	s := newTestServer(t)
+	h := s.Handler()
+	v1 := `{"bx":16,"by":8,"bz":8,"u":1,"c":1}`
+	for _, vectors := range []string{v1, v1 + `,{"bx":16,"by":8,"bz":8,"u":2,"c":1}`} {
+		body := `{"model":"tiny","kernel":{"offsets":[[0,0,0],[1,0,0],[-1,0,0],[0,1,0],[0,0,-1],[1,1,0]]},"size":"32x32x32","mode":"measure","vectors":[` + vectors + `]}`
+		if w, out := postJSON(t, h, "/v1/predict", body); w.Code != http.StatusOK {
+			t.Fatalf("measure predict: status %d %v", w.Code, out)
+		}
+	}
+	reg := s.ObsRegistry()
+	if hits, misses := reg.Value("stencilserve_exec_cache_hits_total", "program"), reg.Value("stencilserve_exec_cache_misses_total", "program"); hits != 1 || misses != 2 {
+		t.Errorf("program cache hits, misses = %v, %v after two measure predicts of one kernel, want 1, 2", hits, misses)
+	}
+}
+
+// TestExecPoolMetrics checks the executor pool series: 0 before the first
+// measure-mode request creates the measurer, and one measure predict moves
+// the run count.
+func TestExecPoolMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real execution")
+	}
+	s := newTestServer(t)
+	h := s.Handler()
+	reg := s.ObsRegistry()
+	names := []string{"stencilserve_exec_pool_runs_total", "stencilserve_exec_pool_joined_runs_total", "stencilserve_exec_pool_steals_total"}
+	for _, name := range names {
+		if v := reg.Value(name); v != 0 {
+			t.Errorf("%s = %v before any measurement, want 0", name, v)
+		}
+	}
+	body := `{"model":"tiny","kernel":{"offsets":[[0,0,0],[1,0,0],[-1,0,0],[0,1,0],[0,0,-1],[1,1,0]]},"size":"32x32x32","mode":"measure","vectors":[{"bx":16,"by":8,"bz":8,"u":1,"c":1}]}`
+	if w, out := postJSON(t, h, "/v1/predict", body); w.Code != http.StatusOK {
+		t.Fatalf("measure predict: status %d %v", w.Code, out)
+	}
+	if v := reg.Value("stencilserve_exec_pool_runs_total"); v < 1 {
+		t.Errorf("stencilserve_exec_pool_runs_total = %v after a measure predict, want >= 1", v)
+	}
+	if _, body := scrape(t, h); !strings.Contains(body, "stencilserve_exec_pool_steals_total ") {
+		t.Errorf("/metrics lacks the pool steal count:\n%s", body)
+	}
+}

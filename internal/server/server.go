@@ -226,17 +226,30 @@ func (s *Server) getMeasurer() *exec.Measurer {
 	return s.measurer
 }
 
-// execCacheStats reads the measurer's executor cache counts; all zero
-// before the first measure-mode request creates the measurer, and after
-// Close.
-func (s *Server) execCacheStats() (programs, layouts exec.CacheStats) {
+// startedMeasurer returns the measurer without creating it: nil before the
+// first measure-mode request, and after Close.
+func (s *Server) startedMeasurer() *exec.Measurer {
 	s.measureMu.Lock()
-	m := s.measurer
-	s.measureMu.Unlock()
-	if m == nil {
-		return programs, layouts
+	defer s.measureMu.Unlock()
+	return s.measurer
+}
+
+// execCacheStats reads the measurer's executor cache counts; all zero
+// while there is no measurer.
+func (s *Server) execCacheStats() (programs, layouts exec.CacheStats) {
+	if m := s.startedMeasurer(); m != nil {
+		return m.CacheStats()
 	}
-	return m.CacheStats()
+	return programs, layouts
+}
+
+// execPoolStats reads the measurer's worker-pool counts; all zero while
+// there is no measurer.
+func (s *Server) execPoolStats() exec.PoolStats {
+	if m := s.startedMeasurer(); m != nil {
+		return m.PoolStats()
+	}
+	return exec.PoolStats{}
 }
 
 // Models returns the loaded model names (sorted) and the default name of the
