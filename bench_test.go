@@ -136,8 +136,9 @@ func BenchmarkFig7(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Component micro-benchmarks
 
-// BenchmarkRegressionLatency measures the paper's "<1 ms" claim: ranking the
-// full 8640-configuration 3-D predefined set with a trained model.
+// BenchmarkRegressionLatency measures the paper's "<1 ms" claim: scoring the
+// full 8640-configuration 3-D predefined set with a trained model and
+// picking its best.
 func BenchmarkRegressionLatency(b *testing.B) {
 	model, _, err := Train(TrainOptions{TrainingPoints: 960})
 	if err != nil {
@@ -145,10 +146,9 @@ func BenchmarkRegressionLatency(b *testing.B) {
 	}
 	tuner := model.Tuner()
 	q := Instance{Kernel: Laplacian(), Size: Size3D(128, 128, 128)}
-	cands := PredefinedCandidates(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tuner.Rank(q, cands); err != nil {
+		if _, _, err := tuner.TunePredefined(q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -227,9 +227,8 @@ func execBenchWorkspace[T grid.Float](k *exec.LinearKernel, n, nz int) (*grid.Gr
 }
 
 // asym2DExec is an asymmetric 6-term 2-D kernel (an upwind-biased first
-// derivative plus transverse coupling). Its offset set matches none of the
-// structural fast-path shapes, so it always exercises the generic term-plan
-// executor — the path most generated training kernels take.
+// derivative plus transverse coupling), like most generated training
+// kernels.
 func asym2DExec() *exec.LinearKernel {
 	return &exec.LinearKernel{Name: "asym2d", Buffers: 1, Terms: []exec.Term{
 		{Offset: shape.Point{}, Weight: 0.42},
@@ -241,9 +240,8 @@ func asym2DExec() *exec.LinearKernel {
 	}}
 }
 
-// offsets12Exec is a 12-term 3-D offset kernel of radius 2. Twelve terms
-// match no structural fast path, so it runs the generic term-plan passes,
-// like the offset kernels that measure-mode tunes time.
+// offsets12Exec is a 12-term 3-D offset kernel of radius 2, like the offset
+// kernels that measure-mode tunes time.
 func offsets12Exec() *exec.LinearKernel {
 	pts := []shape.Point{
 		{}, {X: 1}, {X: -2}, {Y: 1}, {Y: -1}, {Z: 2},
@@ -269,8 +267,8 @@ type execBenchCase struct {
 
 // execBenchCases covers the small grids where fixed per-call overhead
 // dominates (the regime that pollutes Measure-mode training signals), a
-// medium grid where compute dominates, and — via asym2d and gradient — the
-// generic term-plan path that kernels without a structural fast path take.
+// medium grid where compute dominates, and — via asym2d, gradient and
+// offsets12 — the irregular shapes generated training kernels have.
 // The "-f32" variants run the identical kernel+geometry through the float32
 // engine; on the bandwidth-bound cases the halved element size should show
 // up as throughput (CI renders the f32-vs-f64 delta). Run with -benchmem:
@@ -435,7 +433,7 @@ func benchRunFused[T grid.Float](b *testing.B, tc execBenchCase) {
 	if err := fp.Run(out, ins[0]); err != nil { // warm pool + scratch
 		b.Fatal(err)
 	}
-	steps := fp.Steps()
+	steps := tc.tv.EffFuse()
 	b.SetBytes(int64(tc.n * tc.n * tc.nz * out.ElemBytes()))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -476,10 +474,7 @@ func meanQualityAndTau(b *testing.B, eval dataset.Evaluator, model *svmrank.Mode
 	n := 0
 	for _, q := range stencil.Benchmarks() {
 		cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
-		quality, err := core.RankQuality(eval, tuner, q, cands)
-		if err != nil {
-			b.Fatal(err)
-		}
+		quality := rankQuality(b, eval, tuner, q, cands)
 		order, err := tuner.Rank(q, cands)
 		if err != nil {
 			b.Fatal(err)
@@ -497,6 +492,19 @@ func meanQualityAndTau(b *testing.B, eval dataset.Evaluator, model *svmrank.Mode
 		n++
 	}
 	return sumQ / float64(n), sumTau / float64(n)
+}
+
+// rankQuality is the fraction of the oracle's performance the model's top-1
+// pick achieves on a candidate set: oracle runtime / chosen runtime, in
+// (0, 1].
+func rankQuality(b *testing.B, eval dataset.Evaluator, tuner *core.Tuner, q stencil.Instance, cands []tunespace.Vector) float64 {
+	b.Helper()
+	chosen, err := tuner.Best(q, cands)
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, oracle := core.OracleBest(eval, q, cands)
+	return oracle / eval.Runtime(q, chosen)
 }
 
 // ablationTrain trains one model with a modified config.
@@ -621,11 +629,7 @@ func BenchmarkAblationFeatures(b *testing.B) {
 				n := 0
 				for _, q := range stencil.Benchmarks() {
 					cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
-					quality, err := core.RankQuality(eval, tuner, q, cands)
-					if err != nil {
-						b.Fatal(err)
-					}
-					sumQ += quality
+					sumQ += rankQuality(b, eval, tuner, q, cands)
 					n++
 				}
 				b.ReportMetric(sumQ/float64(n), "quality")
@@ -642,7 +646,7 @@ func BenchmarkSearchEngines(b *testing.B) {
 	q := stencil.Instance{Kernel: stencil.Gradient(), Size: stencil.Size3D(256, 256, 256)}
 	obj := core.ObjectiveFor(eval, q)
 	space := tunespace.NewSpace(3)
-	for _, e := range append(search.Engines(), search.NewRandomSearch()) {
+	for _, e := range search.Engines() {
 		b.Run(e.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := e.Search(space, obj, 1024, int64(i))
@@ -654,11 +658,11 @@ func BenchmarkSearchEngines(b *testing.B) {
 	}
 }
 
-// searchBenchCase is the shared workload of the batched-vs-sequential
-// search benchmarks: the paper's base engine plus random search on a
-// Simulate-backed objective (Gradient 256³, the heaviest Fig. 5 panel).
+// searchBenchEngines is the shared workload of the batched-vs-sequential
+// search benchmarks: the paper's base engine on a Simulate-backed objective
+// (Gradient 256³, the heaviest Fig. 5 panel).
 func searchBenchEngines() []search.Engine {
-	return []search.Engine{search.NewGenerationalGA(), search.NewRandomSearch()}
+	return []search.Engine{search.NewGenerationalGA()}
 }
 
 const searchBenchBudget = 2048
@@ -760,41 +764,6 @@ func BenchmarkAblationSampling(b *testing.B) {
 					c.Dataset.Sampling = s
 				})
 				q, tau := meanQualityAndTau(b, eval, model)
-				b.ReportMetric(q, "quality")
-				b.ReportMetric(tau, "tau")
-			}
-		})
-	}
-}
-
-// BenchmarkPortability quantifies the paper's portability motivation: a
-// model trained against one machine's behaviour and deployed on another
-// loses ranking quality, which retraining on the new machine recovers.
-func BenchmarkPortability(b *testing.B) {
-	xeon := perfmodel.New(machine.XeonE52680v3())
-	desktop := perfmodel.New(machine.DesktopQuad())
-
-	trainOn := func(eval dataset.Evaluator) *svmrank.Model {
-		res, err := trainer.Train(eval, trainer.DefaultConfig(3840, 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.Model
-	}
-	cases := []struct {
-		name        string
-		train, test dataset.Evaluator
-	}{
-		{"native-xeon", xeon, xeon},
-		{"cross-desktop-to-xeon", desktop, xeon},
-		{"native-desktop", desktop, desktop},
-		{"cross-xeon-to-desktop", xeon, desktop},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				model := trainOn(tc.train)
-				q, tau := meanQualityAndTau(b, tc.test, model)
 				b.ReportMetric(q, "quality")
 				b.ReportMetric(tau, "tau")
 			}

@@ -167,24 +167,16 @@ func (c *Client) Predict(ctx context.Context, req wire.PredictRequest) (*Reply[w
 	return call[wire.PredictResponse](ctx, c, "/v1/predict", req)
 }
 
-// Models lists the models the server loaded.
-func (c *Client) Models(ctx context.Context) (*Reply[wire.ModelsResponse], error) {
-	return call[wire.ModelsResponse](ctx, c, "/v1/models", nil)
-}
-
-// call runs one API call through the retry loop. body == nil issues a GET.
-// One X-Request-ID is generated per logical call and reused on every retry
+// call runs one API call through the retry loop as a POST of body. One
+// X-Request-ID is generated per logical call and reused on every retry
 // attempt, so all attempts of the same call correlate to the same server log
 // lines. The reply is never nil: it carries the ID even when the call fails,
 // so callers can surface it next to errors.
 func call[T any](ctx context.Context, c *Client, path string, body any) (*Reply[T], error) {
 	out := &Reply[T]{RequestID: obs.NewRequestID()}
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			return out, fmt.Errorf("client: encoding request: %v", err)
-		}
+	payload, err := json.Marshal(body)
+	if err != nil {
+		return out, fmt.Errorf("client: encoding request: %v", err)
 	}
 
 	var lastErr error
@@ -218,13 +210,7 @@ func (c *Client) attempt(ctx context.Context, path, requestID string, payload []
 	actx, cancel := context.WithTimeout(ctx, c.cfg.PerAttemptTimeout)
 	defer cancel()
 
-	method := http.MethodGet
-	var body io.Reader
-	if payload != nil {
-		method = http.MethodPost
-		body = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(actx, method, c.cfg.BaseURL+path, body)
+	req, err := http.NewRequestWithContext(actx, http.MethodPost, c.cfg.BaseURL+path, bytes.NewReader(payload))
 	if err != nil {
 		return "", false, fmt.Errorf("client: building request: %v", err)
 	}

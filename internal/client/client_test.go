@@ -234,14 +234,6 @@ func TestAgainstRealServer(t *testing.T) {
 		}
 	}
 
-	models, err := c.Models(ctx)
-	if err != nil {
-		t.Fatalf("Models: %v", err)
-	}
-	if models.Body.Default != "tiny" || len(models.Body.Models) != 1 || models.Body.Models[0].ContentHash == "" {
-		t.Errorf("models response incompletely decoded: %+v", models)
-	}
-
 	// A malformed request is rejected definitively — no retry storm.
 	before := c.Attempts()
 	if _, err := c.Tune(ctx, wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("no-such-kernel"), Size: "64x64"}}); err == nil {
@@ -323,9 +315,9 @@ func TestServerEchoesRequestID(t *testing.T) {
 	defer ts.Close()
 
 	c := mustClient(t, fastCfg(ts.URL))
-	resp, err := c.Models(context.Background())
+	resp, err := c.Tune(context.Background(), wire.TuneRequest{Instance: wire.Instance{Kernel: wire.Named("laplacian"), Size: "64x64x64"}})
 	if err != nil {
-		t.Fatalf("Models: %v", err)
+		t.Fatalf("Tune: %v", err)
 	}
 	if got, _ := echoed.Load().(string); got != resp.RequestID || got == "" {
 		t.Errorf("server echoed %q, client generated %q", got, resp.RequestID)

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -185,41 +184,6 @@ func (t *Tuner) HybridTopK(q stencil.Instance, cands []tunespace.Vector, k int, 
 	return res, nil
 }
 
-// SeededSearch runs an iterative search engine whose initial exploration is
-// biased by the model: the engine's random objective evaluations are
-// intercepted so the first len(seeds) evaluations probe the model's
-// top-ranked candidates. This is the "speed up iterative compilation"
-// direction of the paper's conclusion. The seeds are ranked over the
-// fusion-extended predefined set, so the model can suggest temporally fused
-// configurations on the same footing as the engine's random exploration
-// (which draws the full space, fusion depth included).
-func (t *Tuner) SeededSearch(q stencil.Instance, engine search.Engine, obj search.Objective,
-	budget, seedCount int, seed int64) (search.Result, error) {
-
-	space := tunespace.NewSpace(q.Kernel.Dims())
-	cands := space.PredefinedFused()
-	order, err := t.Rank(q, cands)
-	if err != nil {
-		return search.Result{}, err
-	}
-	if seedCount > len(order) {
-		seedCount = len(order)
-	}
-	// Queue of model-suggested vectors, consumed by the first evaluations.
-	queue := make([]tunespace.Vector, 0, seedCount)
-	for i := 0; i < seedCount; i++ {
-		queue = append(queue, cands[order[i]])
-	}
-	intercepted := func(v tunespace.Vector) float64 {
-		if len(queue) > 0 {
-			v = queue[0]
-			queue = queue[1:]
-		}
-		return obj(v)
-	}
-	return engine.Search(space, intercepted, budget, seed), nil
-}
-
 // Evaluator adapters -------------------------------------------------------
 
 // ObjectiveFor wraps an Evaluator into a search objective for one instance.
@@ -265,25 +229,4 @@ func OracleBest(eval dataset.Evaluator, q stencil.Instance, cands []tunespace.Ve
 		}
 	}
 	return best.v, best.r
-}
-
-// RankQuality computes the fraction of the oracle's performance the model's
-// top-1 achieves on a candidate set: oracleRuntime / chosenRuntime in (0,1].
-func RankQuality(eval dataset.Evaluator, t *Tuner, q stencil.Instance, cands []tunespace.Vector) (float64, error) {
-	chosen, err := t.Best(q, cands)
-	if err != nil {
-		return 0, err
-	}
-	_, oracle := OracleBest(eval, q, cands)
-	return oracle / eval.Runtime(q, chosen), nil
-}
-
-// SortVectorsByRuntime is a test/analysis helper ordering vectors by their
-// evaluated runtime ascending.
-func SortVectorsByRuntime(eval dataset.Evaluator, q stencil.Instance, vs []tunespace.Vector) []tunespace.Vector {
-	out := append([]tunespace.Vector(nil), vs...)
-	sort.SliceStable(out, func(a, b int) bool {
-		return eval.Runtime(q, out[a]) < eval.Runtime(q, out[b])
-	})
-	return out
 }

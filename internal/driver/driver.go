@@ -105,9 +105,6 @@ func (s *Simulation[T]) Level(i int) *grid.Grid[T] {
 	return s.ring[i]
 }
 
-// Steps returns how many steps have run.
-func (s *Simulation[T]) Steps() int { return s.step }
-
 // Step advances one time level: refresh halos on every input level, apply
 // the kernel, rotate the ring.
 func (s *Simulation[T]) Step() error {

@@ -18,15 +18,13 @@
 //
 // A file may contain several stencil blocks. Parsed definitions convert both
 // into the learning-side model (stencil.Kernel) and into an executable
-// kernel (exec.LinearKernel), and Format round-trips a definition back to
-// source.
+// kernel (exec.LinearKernel).
 package dsl
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -99,36 +97,6 @@ func (d *Definition) Executable() *exec.LinearKernel {
 		k.Terms = append(k.Terms, exec.Term{Buffer: p.Buffer, Offset: p.Offset, Weight: p.Weight})
 	}
 	return k
-}
-
-// Format renders the definition back to DSL source.
-func (d *Definition) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "stencil %s {\n", d.Name)
-	fmt.Fprintf(&b, "    dims    %d\n", d.Dims)
-	fmt.Fprintf(&b, "    type    %s\n", d.Type)
-	fmt.Fprintf(&b, "    buffers %d\n", d.Buffers)
-	pts := append([]PointSpec(nil), d.Points...)
-	sort.SliceStable(pts, func(i, j int) bool {
-		a, c := pts[i].Offset, pts[j].Offset
-		if a.Z != c.Z {
-			return a.Z < c.Z
-		}
-		if a.Y != c.Y {
-			return a.Y < c.Y
-		}
-		return a.X < c.X
-	})
-	for _, p := range pts {
-		fmt.Fprintf(&b, "    point   (%d,%d,%d) %s", p.Offset.X, p.Offset.Y, p.Offset.Z,
-			strconv.FormatFloat(p.Weight, 'g', -1, 64))
-		if p.Buffer != 0 {
-			fmt.Fprintf(&b, " buffer %d", p.Buffer)
-		}
-		b.WriteByte('\n')
-	}
-	b.WriteString("}\n")
-	return b.String()
 }
 
 // ParseError reports a syntax error with its line number.

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/grid"
-	"repro/internal/shape"
 	"repro/internal/stencil"
 	"repro/internal/tunespace"
 )
@@ -166,52 +165,6 @@ func TestParseErrorLineNumbers(t *testing.T) {
 	}
 	if !strings.Contains(pe.Error(), "line 3") {
 		t.Errorf("message %q missing line", pe.Error())
-	}
-}
-
-func TestFormatRoundTrip(t *testing.T) {
-	defs, err := ParseString(laplacianSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := defs[0].Format()
-	again, err := ParseString(src)
-	if err != nil {
-		t.Fatalf("re-parse failed: %v\nsource:\n%s", err, src)
-	}
-	a, b := defs[0], again[0]
-	if a.Name != b.Name || a.Dims != b.Dims || a.Type != b.Type || a.Buffers != b.Buffers {
-		t.Error("header changed in round trip")
-	}
-	if !a.Kernel().Shape.Equal(b.Kernel().Shape) {
-		t.Error("shape changed in round trip")
-	}
-	for i := range a.Points {
-		// Points are sorted canonically by Format, so compare via lookup.
-		found := false
-		for j := range b.Points {
-			if a.Points[i] == b.Points[j] {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("point %+v lost in round trip", a.Points[i])
-		}
-	}
-}
-
-func TestFormatIncludesBufferAnnotations(t *testing.T) {
-	d := &Definition{
-		Name: "x", Dims: 3, Buffers: 2, Type: stencil.Float32,
-		Points: []PointSpec{
-			{Offset: shape.Point{X: 1}, Weight: 0.5, Buffer: 1},
-			{Offset: shape.Point{}, Weight: 1},
-		},
-	}
-	out := d.Format()
-	if !strings.Contains(out, "buffer 1") {
-		t.Errorf("Format output missing buffer annotation:\n%s", out)
 	}
 }
 

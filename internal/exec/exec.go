@@ -17,29 +17,26 @@
 //
 // Specialization happens at compile time. Runner.Compile takes a kernel, a
 // grid geometry and a tuning vector and produces a *Program: the flattened
-// term plan and the structural fast-path selection, on a layout — the
-// exact-size tile decomposition and its flattened (base, n) row-span plan —
-// that the Runner caches per (geometry, bx, by, bz) and shares across every
-// kernel and every (u, c). Execution walks rows linearly with no index
-// arithmetic, and compiling a new kernel on a known layout costs O(terms).
-// Runner.CompileFused builds the temporal-blocking FusedProgram (fused.go).
-// Both engines run the same inner loops: the shape-specialized bodies of
-// fastpath.go (star5, star7, row3, box9, box27) when the kernel's structure
-// matches one, and otherwise the generic row body of rows.go — the AVX2
-// span kernels of rows_amd64.s on amd64 CPUs with AVX2, the portable
-// term-major passes elsewhere (GenericBody reports which). Both generic
-// bodies sum terms in plan order with one rounding per operation, so they
-// agree bit for bit. The AVX2 kernels have no bounds checks; Compile proves
-// every span's accesses inside the grid instead, in O(1) per program from
-// the layout's first and last points. Programs are cached inside the Runner
-// (keyed by kernel identity, geometry and tuning vector), and the
-// Runner owns a persistent pool of worker goroutines, so steady-state Run
-// calls are allocation-free and spawn nothing. A run gives each participant
-// one contiguous slab of the tiles; c is the claim size within a slab, and a
-// participant whose slab is empty steals chunks from the others' (pool.go).
-// The caller never waits for a worker that has not joined by the time the
-// tiles run out.
-// This matters because the Measure evaluation mode calls Run thousands of
+// term plan on a layout — the exact-size tile decomposition and its
+// flattened (base, n) row-span plan — that the Runner caches per (geometry,
+// bx, by, bz) and shares across every kernel and every (u, c). Execution
+// walks rows linearly with no index arithmetic, and compiling a new kernel
+// on a known layout costs O(terms). Runner.CompileFused builds the
+// temporal-blocking FusedProgram (fused.go). Both engines run every kernel
+// through one row body (rows.go), chosen from the CPU alone: the AVX2 span
+// kernels of rows_amd64.s on amd64 CPUs with AVX2, the portable term-major
+// passes elsewhere (GenericBody reports which). Both bodies sum terms in
+// plan order with one rounding per operation, so they agree bit for bit
+// with each other and with Reference. The AVX2 kernels have no bounds
+// checks; Compile proves every span's accesses inside the grid instead, in
+// O(1) per program from the layout's first and last points. Programs are
+// cached inside the Runner (keyed by kernel identity, geometry and tuning
+// vector), and the Runner owns a persistent pool of worker goroutines, so
+// steady-state Run calls are allocation-free and spawn nothing. A run gives
+// each participant one contiguous slab of the tiles; c is the claim size
+// within a slab, and a participant whose slab is empty steals chunks from
+// the others' (pool.go). The caller never waits for a worker that has not
+// joined by the time the tiles run out. This matters because the Measure evaluation mode calls Run thousands of
 // times per search: fixed per-call overhead both pollutes small-grid timings
 // (the training signal) and caps autotuning throughput.
 //
@@ -116,21 +113,6 @@ type plan[T grid.Float] struct {
 	idxOff []int // flat-index displacement per term
 	weight []T   // weight per term
 	data   [][]T // backing slice per buffer, indexed by term
-}
-
-func buildPlan[T grid.Float](k *LinearKernel, ins []*grid.Grid[T]) *plan[T] {
-	p := &plan[T]{
-		idxOff: make([]int, len(k.Terms)),
-		weight: make([]T, len(k.Terms)),
-		data:   make([][]T, len(k.Terms)),
-	}
-	for i, t := range k.Terms {
-		g := ins[t.Buffer]
-		p.idxOff[i] = g.OffsetIndex(t.Offset.X, t.Offset.Y, t.Offset.Z)
-		p.weight[i] = T(t.Weight)
-		p.data[i] = g.Data()
-	}
-	return p
 }
 
 // Runner executes kernels of one element type with a fixed worker count
@@ -221,9 +203,10 @@ func checkGeometry[T grid.Float](k *LinearKernel, out *grid.Grid[T], ins []*grid
 }
 
 // Reference computes the kernel with a naive, unblocked, single-threaded
-// sweep, accumulating in the runner's element type. It is the correctness
-// oracle for Run: the compiled path of the same Runner instantiation must
-// match it bit-for-bit for canonically ordered kernels.
+// sweep, accumulating in the runner's element type in term order. It is the
+// correctness oracle for Run: the compiled and fused paths of the same
+// Runner instantiation match it bit for bit (up to the sign of a zero) for
+// every kernel, whatever the order of its terms.
 func (r *Runner[T]) Reference(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid[T]) error {
 	if err := k.Validate(); err != nil {
 		return err
@@ -231,7 +214,10 @@ func (r *Runner[T]) Reference(k *LinearKernel, out *grid.Grid[T], ins []*grid.Gr
 	if err := checkGeometry(k, out, ins); err != nil {
 		return err
 	}
-	p := buildPlan(k, ins)
+	off := make([]int, len(k.Terms))
+	for i, t := range k.Terms {
+		off[i] = out.OffsetIndex(t.Offset.X, t.Offset.Y, t.Offset.Z)
+	}
 	dst := out.Data()
 	for z := 0; z < out.NZ; z++ {
 		for y := 0; y < out.NY; y++ {
@@ -239,8 +225,8 @@ func (r *Runner[T]) Reference(k *LinearKernel, out *grid.Grid[T], ins []*grid.Gr
 			for x := 0; x < out.NX; x++ {
 				var acc T
 				i := base + x
-				for t := range p.idxOff {
-					acc += p.weight[t] * p.data[t][i+p.idxOff[t]]
+				for ti, t := range k.Terms {
+					acc += T(t.Weight) * ins[t.Buffer].Data()[i+off[ti]]
 				}
 				dst[i] = acc
 			}
@@ -258,8 +244,7 @@ type tile struct {
 // vector: the domain is decomposed into bx×by×bz tiles, the tiles into one
 // contiguous slab per participating worker, and each worker claims chunks
 // of c consecutive tiles from its own slab, then steals chunks from the
-// others'. The unroll factor u selects the point unroll of the specialized
-// fast paths and the fuse width of the generic body.
+// others'. The unroll factor u selects the row body's fuse width.
 //
 // Run compiles (or looks up) the cached Program for (kernel, geometry,
 // vector) and executes it; in steady state it performs no allocations and

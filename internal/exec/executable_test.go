@@ -69,35 +69,37 @@ func offsetsKernel(offsets [][3]int, dt stencil.DataType) *stencil.Kernel {
 }
 
 // TestOffsetStarsMatchReferenceBitwise builds the row3, star5 and star7
-// tables from shuffled offset lists and checks that the compiled program
-// takes the fast path and matches Reference bit for bit in both precisions.
+// shapes from shuffled offset lists and checks that the compiled program
+// matches Reference bit for bit in both precisions.
 func TestOffsetStarsMatchReferenceBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	r64 := NewRunner()
 	r32 := NewRunnerOf[float32]()
 	defer r64.Close()
 	defer r32.Close()
+	row3 := [][3]int{{0, 0, 0}, {1, 0, 0}, {-1, 0, 0}}
+	star5 := append(slices.Clone(row3), [3]int{0, 1, 0}, [3]int{0, -1, 0})
+	star7 := append(slices.Clone(star5), [3]int{0, 0, 1}, [3]int{0, 0, -1})
 	for _, tc := range []struct {
 		name  string
 		table [][3]int
-		kind  fastKind
 		nz    int
 	}{
-		{"row3", row3Offsets, fastRow3, 1},
-		{"star5", star5Offsets, fastStar5, 1},
-		{"star7", star7Offsets, fastStar7, 9},
+		{"row3", row3, 1},
+		{"star5", star5, 1},
+		{"star7", star7, 9},
 	} {
 		for trial := 0; trial < 4; trial++ {
 			offs := slices.Clone(tc.table)
 			rng.Shuffle(len(offs), func(i, j int) { offs[i], offs[j] = offs[j], offs[i] })
 			name := fmt.Sprintf("%s%v", tc.name, offs)
-			checkFastBitwise(t, r64, name, Executable(offsetsKernel(offs, stencil.Float64)), tc.kind, tc.nz, rng)
-			checkFastBitwise(t, r32, name, Executable(offsetsKernel(offs, stencil.Float32)), tc.kind, tc.nz, rng)
+			checkBitwise(t, r64, name, Executable(offsetsKernel(offs, stencil.Float64)), tc.nz, rng)
+			checkBitwise(t, r32, name, Executable(offsetsKernel(offs, stencil.Float32)), tc.nz, rng)
 		}
 	}
 }
 
-func checkFastBitwise[T grid.Float](t *testing.T, r *Runner[T], name string, k *LinearKernel, kind fastKind, nz int, rng *rand.Rand) {
+func checkBitwise[T grid.Float](t *testing.T, r *Runner[T], name string, k *LinearKernel, nz int, rng *rand.Rand) {
 	t.Helper()
 	nx, ny := 29, 13
 	ref, ins := buildWorkspaceOf[T](k, nx, ny, nz)
@@ -117,14 +119,7 @@ func checkFastBitwise[T grid.Float](t *testing.T, r *Runner[T], name string, k *
 	for v := 0; v < 6; v++ {
 		tv := space.Random(rng)
 		got := grid.NewOf[T](nx, ny, nz, ref.Halo, ref.HaloZ)
-		pr, err := r.Compile(k, got, ins, tv)
-		if err != nil {
-			t.Fatalf("%s %v: %v", name, tv, err)
-		}
-		if pr.fp == nil || pr.fp.kind != kind {
-			t.Fatalf("%s: fast path not taken", name)
-		}
-		if err := pr.Run(got, ins); err != nil {
+		if err := r.Run(k, got, ins, tv); err != nil {
 			t.Fatalf("%s %v: %v", name, tv, err)
 		}
 		if d := grid.MaxAbsDiff(ref, got); d != 0 {

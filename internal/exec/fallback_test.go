@@ -56,9 +56,9 @@ func runFallbackCase[T grid.Float](t *testing.T, k *LinearKernel, nx, ny, nz int
 }
 
 // TestOversizeFallbackMatchesSpans covers the compiled path's fallback for
-// grids too large for the int32 span plan: every fast-path kind and the
-// generic term-plan path, in both element types, on ragged tiles and at
-// every unroll width, must match the span path and Reference bit for bit.
+// grids too large for the int32 span plan: every fused test kernel, in both
+// element types, on ragged tiles and at every unroll width, must match the
+// span path and Reference bit for bit.
 func TestOversizeFallbackMatchesSpans(t *testing.T) {
 	vectors := []tunespace.Vector{
 		{Bx: 8, By: 4, Bz: 2, U: 1, C: 1},
@@ -70,9 +70,6 @@ func TestOversizeFallbackMatchesSpans(t *testing.T) {
 		if tc.threeD {
 			nz = 7
 		}
-		if got := Fingerprint(tc.k); got != tc.want {
-			t.Fatalf("Fingerprint(%s) = %q, want %q", tc.k.Name, got, tc.want)
-		}
 		for _, tv := range vectors {
 			runFallbackCase[float64](t, tc.k, 19, 11, nz, tv)
 			runFallbackCase[float32](t, tc.k, 19, 11, nz, tv)
@@ -80,8 +77,7 @@ func TestOversizeFallbackMatchesSpans(t *testing.T) {
 	}
 }
 
-// TestFusedPlanarShapesOn3DGrids runs the 2-D specialized shapes (star5,
-// box9) through the fused engine on 3-D grids, where the stream axis is z
+// TestFusedPlanarShapesOn3DGrids runs the 2-D shapes star5 and box9 through the fused engine on 3-D grids, where the stream axis is z
 // and the stream radius is zero: every row reads one source plane, with
 // the y neighbours at in-plane offsets.
 func TestFusedPlanarShapesOn3DGrids(t *testing.T) {

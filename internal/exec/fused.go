@@ -34,11 +34,10 @@ import (
 //
 // Bit-identity. Every intermediate value is materialized from the same
 // inputs, with the same per-point accumulation order, as the corresponding
-// sequential step: the generic path runs the single-step generic body
-// (runRow) with per-plane rebound term data, and the specialized path runs
-// the single-step bodies of fastpath.go on plane sources with in-plane
-// offsets. Periodic halos on intermediate planes are refilled with the same
-// wrap rule the driver applies between sequential steps.
+// sequential step: every row runs the single-step generic body (runRow) with
+// per-plane rebound term data and in-plane offsets. Periodic halos on
+// intermediate planes are refilled with the same wrap rule the driver
+// applies between sequential steps.
 // TestFusedMatchesSequential pins this across kernels, dimensionalities,
 // depths and element types.
 
@@ -59,8 +58,7 @@ func CanFuse(k *LinearKernel) bool { return k.Buffers == 1 }
 
 // fusedTask is one plane computation of the current wavefront iteration:
 // destination plane, the 2·rs+1 source planes of the level below (indexed
-// dz+rs), and the per-level generic term plan (nil when a specialized body
-// runs instead).
+// dz+rs), and the level's term plan.
 type fusedTask[T grid.Float] struct {
 	dst  []T
 	src  [][]T
@@ -95,60 +93,13 @@ type FusedProgram[T grid.Float] struct {
 	scratch [][][]T // [level-1][slot] plane, levels 1..K-1
 
 	termDz []int     // stream-axis offset per term
-	plans  []plan[T] // per-level generic plans (shared idxOff/weight, own data)
+	plans  []plan[T] // per-level plans (shared idxOff/weight, own data)
 	fuse   int       // generic-body fuse width, from tv.U
 	avx2   bool      // generic body is the AVX2 span kernel (rows.go)
-	unroll int       // specialized-path unroll, tv.U
-	fp     *fastPlan[T]
 
 	tasks  [tunespace.MaxFuse]fusedTask[T]
 	active int // tasks in flight this iteration, read by pool workers
 	chunk  int // rows per work claim
-}
-
-// Steps reports how many timesteps one Run advances.
-func (fp *FusedProgram[T]) Steps() int { return fp.k }
-
-// Specialization names the selected fused inner-loop body: one of "star5",
-// "star7", "row3", "box9", "box27", or "generic" for the term-plan path.
-func (fp *FusedProgram[T]) Specialization() string {
-	if fp.fp == nil {
-		return "generic"
-	}
-	return fastKindName(fp.fp.kind)
-}
-
-func fastKindName(k fastKind) string {
-	switch k {
-	case fastStar7:
-		return "star7"
-	case fastRow3:
-		return "row3"
-	case fastStar5:
-		return "star5"
-	case fastBox9:
-		return "box9"
-	case fastBox27:
-		return "box27"
-	default:
-		return "generic"
-	}
-}
-
-// Fingerprint returns the structural specialization class of a kernel — the
-// key both engines select their specialized bodies by. Detection is
-// structural (offsets, buffer count), never by name, so DSL-defined kernels
-// fingerprint identically to the built-in benchmarks.
-func Fingerprint(k *LinearKernel) string {
-	p := plan[float64]{
-		idxOff: make([]int, len(k.Terms)),
-		weight: make([]float64, len(k.Terms)),
-	}
-	f := detectFast(k, &p)
-	if f == nil {
-		return "generic"
-	}
-	return fastKindName(f.kind)
 }
 
 // CompileFused returns the cached fused program for (k, out's geometry, tv),
@@ -232,7 +183,7 @@ func compileFused[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[T]
 		nx:     g.nx,
 		sx:     g.strideX(),
 		fuse:   fuseWidth(tv.U),
-		unroll: tv.U,
+		avx2:   useAVX2,
 	}
 	if fp.threeD {
 		fp.n = g.nz
@@ -279,20 +230,12 @@ func compileFused[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[T]
 		return nil, fmt.Errorf("exec: kernel %q: %w", k.Name, err)
 	}
 
-	// Specialized body, selected structurally like the single-step fast
-	// path; the in-plane offsets land in fastPlan.off, so the shared bodies
-	// read the stream-axis neighbours from the planes runRow passes them.
-	probe := plan[T]{idxOff: inOff, weight: weights}
-	fp.fp = detectFast(k, &probe)
-	fp.avx2 = useAVX2 && fp.fp == nil
-	if fp.fp == nil {
-		// Per-level generic plans: idxOff and weights are shared read-only
-		// slices; each level owns its data bindings because all K levels of
-		// one iteration execute concurrently.
-		fp.plans = make([]plan[T], fp.k)
-		for s := range fp.plans {
-			fp.plans[s] = plan[T]{idxOff: inOff, weight: weights, data: make([][]T, len(k.Terms))}
-		}
+	// Per-level plans: idxOff and weights are shared read-only slices; each
+	// level owns its data bindings because all K levels of one iteration
+	// execute concurrently.
+	fp.plans = make([]plan[T], fp.k)
+	for s := range fp.plans {
+		fp.plans[s] = plan[T]{idxOff: inOff, weight: weights, data: make([][]T, len(k.Terms))}
 	}
 
 	fp.count = make([]int, fp.k)
@@ -374,12 +317,9 @@ func (fp *FusedProgram[T]) Run(out, in *grid.Grid[T]) error {
 					t.src[dz+rs] = ringPlanes[(j+dz+rs)%fp.ring]
 				}
 			}
-			t.plan = nil
-			if fp.fp == nil {
-				t.plan = &fp.plans[s-1]
-				for ti, dz := range fp.termDz {
-					t.plan.data[ti] = t.src[dz+rs]
-				}
+			t.plan = &fp.plans[s-1]
+			for ti, dz := range fp.termDz {
+				t.plan.data[ti] = t.src[dz+rs]
 			}
 		}
 		if nt == 0 {
@@ -409,13 +349,7 @@ func (fp *FusedProgram[T]) runRows(start, end int) {
 
 // runRow computes one interior row of one task's destination plane.
 func (fp *FusedProgram[T]) runRow(t *fusedTask[T], y int) {
-	base := fp.rowB0 + y*fp.sx
-	if f := fp.fp; f != nil {
-		src := [3][]T{t.src[0], t.src[fp.rs], t.src[2*fp.rs]}
-		f.row(t.dst, &src, base, fp.nx, fp.unroll)
-		return
-	}
-	runRow(t.plan, t.dst, base, fp.nx, fp.fuse, fp.avx2)
+	runRow(t.plan, t.dst, fp.rowB0+y*fp.sx, fp.nx, fp.fuse, fp.avx2)
 }
 
 // fillPlaneHalo refills the in-plane periodic halo cells of a scratch plane

@@ -56,18 +56,30 @@ func specialValues[T grid.Float]() []T {
 	}
 }
 
-// genericBodiesCase is one point of the differential space: a generic
-// kernel of nt terms on buffers inputs, run over rows of n points with
+// genericBodiesCase is one point of the differential space: a random
+// kernel of nt terms on buffers inputs, or a single-buffer kernel of one of
+// the classicShapes in shuffled term order, run over rows of n points with
 // unroll u.
 type genericBodiesCase struct {
 	seed              int64
 	n, nt, buffers, u int
 	specials, f32     bool
+	shape             string // a classicShapes name, or "" for random terms
 }
 
 func (c genericBodiesCase) String() string {
-	return fmt.Sprintf("seed=%d/n=%d/terms=%d/buffers=%d/u=%d/specials=%v/f32=%v",
-		c.seed, c.n, c.nt, c.buffers, c.u, c.specials, c.f32)
+	return fmt.Sprintf("seed=%d/n=%d/terms=%d/buffers=%d/u=%d/specials=%v/f32=%v/shape=%s",
+		c.seed, c.n, c.nt, c.buffers, c.u, c.specials, c.f32, c.shape)
+}
+
+// classicShapes are the stars, the row and the boxes that the Table III
+// kernels and most hand-written stencils use.
+var classicShapes = map[string][]shape.Point{
+	"row3":  {pt(0, 0, 0), pt(1, 0, 0), pt(-1, 0, 0)},
+	"star5": {pt(0, 0, 0), pt(1, 0, 0), pt(-1, 0, 0), pt(0, 1, 0), pt(0, -1, 0)},
+	"star7": {pt(0, 0, 0), pt(1, 0, 0), pt(-1, 0, 0), pt(0, 1, 0), pt(0, -1, 0), pt(0, 0, 1), pt(0, 0, -1)},
+	"box9":  boxPoints(0),
+	"box27": boxPoints(1),
 }
 
 // sameBits reports whether two results are the same value bit for bit, or
@@ -99,14 +111,20 @@ func checkGenericBodies[T grid.Float](t *testing.T, c genericBodiesCase) {
 	}
 	const radius = 2
 	k := &LinearKernel{Name: c.String(), Buffers: c.buffers}
-	for i := 0; i < c.nt; i++ {
-		k.Terms = append(k.Terms, Term{
-			Buffer: rng.Intn(c.buffers),
-			Offset: shape.Point{X: rng.Intn(2*radius+1) - radius, Y: rng.Intn(2*radius+1) - radius, Z: rng.Intn(2*radius+1) - radius},
-			Weight: float64(val()),
-		})
+	if pts := classicShapes[c.shape]; pts != nil {
+		for _, i := range rng.Perm(len(pts)) {
+			k.Terms = append(k.Terms, Term{Offset: pts[i], Weight: float64(val())})
+		}
+	} else {
+		for i := 0; i < c.nt; i++ {
+			k.Terms = append(k.Terms, Term{
+				Buffer: rng.Intn(c.buffers),
+				Offset: shape.Point{X: rng.Intn(2*radius+1) - radius, Y: rng.Intn(2*radius+1) - radius, Z: rng.Intn(2*radius+1) - radius},
+				Weight: float64(val()),
+			})
+		}
+		k.Terms[0].Offset.X = radius // every case reads the full halo
 	}
-	k.Terms[0].Offset.X = radius // every case reads the full halo
 	nx, ny, nz := c.n, 3, 2
 	ins := make([]*grid.Grid[T], c.buffers)
 	for b := range ins {
@@ -130,8 +148,8 @@ func checkGenericBodies[T grid.Float](t *testing.T, c genericBodiesCase) {
 		if err != nil {
 			t.Fatalf("%v: compile: %v", c, err)
 		}
-		if pr.fp != nil || pr.avx2 != avx2 {
-			t.Fatalf("%v: compiled fast path %v, avx2 %v; want the generic body with avx2 %v", c, pr.fp != nil, pr.avx2, avx2)
+		if pr.avx2 != avx2 {
+			t.Fatalf("%v: compiled avx2 %v, want %v", c, pr.avx2, avx2)
 		}
 		if err := pr.Run(out, ins); err != nil {
 			t.Fatalf("%v: run: %v", c, err)
@@ -161,11 +179,13 @@ func checkGenericBodies[T grid.Float](t *testing.T, c genericBodiesCase) {
 // around the 4- and 8-lane block edges, term counts from one to a full
 // radius-2 box, 1–3 buffers and every unroll factor, with special inputs
 // in every other case. The element type alternates too, so the fuzz seeds
-// cover both; TestGenericBodiesMatch runs every case in both.
+// cover both; TestGenericBodiesMatch runs every case in both. Rows of 12,
+// 24 and 48 points end in a 2-vector block after a partial or a full
+// 4-vector block (12 and 24 in float64, 24 and 48 in float32).
 func genericBodiesSpace() []genericBodiesCase {
 	var cases []genericBodiesCase
 	seed := int64(0)
-	for _, n := range []int{1, 3, 4, 5, 15, 16, 17, 33} {
+	for _, n := range []int{1, 3, 4, 5, 15, 16, 17, 33, 12, 24, 48} {
 		for _, nt := range []int{1, 2, 6, 14, 30, 125} {
 			for buffers := 1; buffers <= 3; buffers++ {
 				for u := 0; u <= 8; u++ {
@@ -189,10 +209,29 @@ func (c genericBodiesCase) check(t *testing.T) {
 	}
 }
 
+// classicCases lists every classicShapes kernel over the same row lengths
+// and every unroll factor.
+func classicCases() []genericBodiesCase {
+	var cases []genericBodiesCase
+	seed := int64(1 << 20)
+	for _, name := range []string{"row3", "star5", "star7", "box9", "box27"} {
+		for _, n := range []int{1, 5, 12, 17, 24, 33, 48} {
+			for u := 0; u <= 8; u++ {
+				seed++
+				cases = append(cases, genericBodiesCase{
+					seed: seed, n: n, nt: len(classicShapes[name]), buffers: 1, u: u,
+					specials: seed%2 == 0, shape: name,
+				})
+			}
+		}
+	}
+	return cases
+}
+
 // TestGenericBodiesMatch is the differential test of the two generic
 // bodies against each other and against Reference.
 func TestGenericBodiesMatch(t *testing.T) {
-	for _, c := range genericBodiesSpace() {
+	for _, c := range append(genericBodiesSpace(), classicCases()...) {
 		for _, f32 := range []bool{false, true} {
 			c.f32 = f32
 			c.check(t)
@@ -213,15 +252,9 @@ func FuzzGenericRows(f *testing.F) {
 			seed: seed, n: int(n)%64 + 1, nt: int(nt)%125 + 1, buffers: int(buffers)%3 + 1,
 			u: int(u) % 9, specials: specials, f32: f32,
 		}
-		if c.buffers == 1 && fastTermCounts[c.nt] {
-			c.buffers = 2 // a one-buffer kernel of these sizes may match a fast path
-		}
 		c.check(t)
 	})
 }
-
-// fastTermCounts are the term counts of the structural fast-path tables.
-var fastTermCounts = map[int]bool{3: true, 5: true, 7: true, 9: true, 27: true}
 
 // TestCompileRejectsOutOfBoundsReads covers the compile-time proof the
 // AVX2 kernel's missing bounds checks rely on: a z offset on a 2-D grid
@@ -288,5 +321,129 @@ func TestRunRejectsShortGrids(t *testing.T) {
 	}
 	if err := pr.Run(out, []*grid.Grid[float64]{in}); err != nil {
 		t.Fatalf("Run rejected full grids: %v", err)
+	}
+}
+
+// checkBodyIsCPUChoice compiles k on an nz-plane grid with useAVX2 off and,
+// on an AVX2 CPU, on, and requires the program — and, with fused set, the
+// fused program — to run the row body useAVX2 named: no kernel shape selects
+// a body of its own.
+func checkBodyIsCPUChoice(t *testing.T, k *LinearKernel, nz int, fused bool) {
+	t.Helper()
+	old := useAVX2
+	defer func() { useAVX2 = old }()
+	for _, avx2 := range []bool{false, cpuHasAVX2()} {
+		useAVX2 = avx2
+		r := NewRunner()
+		tv := tunespace.Vector{Bx: 8, By: 4, Bz: 4, U: 4, C: 1, K: 2}
+		out, ins := buildWorkspace(t, k, 8, 8, nz)
+		pr, err := r.Compile(k, out, ins, tv)
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		if pr.avx2 != avx2 {
+			t.Errorf("%s: program avx2 %v, want %v", k.Name, pr.avx2, avx2)
+		}
+		if fused {
+			fp, err := r.CompileFused(k, out, ins[0], tv)
+			if err != nil {
+				t.Fatalf("%s: fused: %v", k.Name, err)
+			}
+			if fp.avx2 != avx2 {
+				t.Errorf("%s: fused program avx2 %v, want %v", k.Name, fp.avx2, avx2)
+			}
+		}
+		r.Close()
+	}
+}
+
+// TestShuffledTermsMatchReference builds star7, box9 and box27 kernels by
+// hand with their terms in shuffled order and requires single-step runs and
+// fused runs of depth 1–3 to match Reference bit for bit, in both precisions
+// and on both row bodies: no body may reorder a kernel's terms.
+func TestShuffledTermsMatchReference(t *testing.T) {
+	bodies := []bool{false}
+	if cpuHasAVX2() {
+		bodies = append(bodies, true)
+	}
+	rng := rand.New(rand.NewSource(24))
+	for _, avx2 := range bodies {
+		for _, name := range []string{"star7", "box9", "box27"} {
+			pts := classicShapes[name]
+			k := &LinearKernel{Name: name + "-shuffled", Buffers: 1}
+			for _, i := range rng.Perm(len(pts)) {
+				k.Terms = append(k.Terms, Term{Offset: pts[i], Weight: rng.NormFloat64()})
+			}
+			nz := 7
+			if name == "box9" {
+				nz = 1
+			}
+			checkShuffled[float64](t, k, nz, avx2, rng)
+			checkShuffled[float32](t, k, nz, avx2, rng)
+		}
+	}
+}
+
+func checkShuffled[T grid.Float](t *testing.T, k *LinearKernel, nz int, avx2 bool, rng *rand.Rand) {
+	t.Helper()
+	old := useAVX2
+	useAVX2 = avx2
+	defer func() { useAVX2 = old }()
+	r := NewRunnerOf[T]()
+	defer r.Close()
+	nx, ny := 37, 11
+	newGrid := func() *grid.Grid[T] {
+		if nz == 1 {
+			return grid.NewOf[T](nx, ny, 1, 1, 0)
+		}
+		return grid.NewOf[T](nx, ny, nz, 1, 1)
+	}
+	in := newGrid()
+	for i, d := 0, in.Data(); i < len(d); i++ {
+		d[i] = T(rng.NormFloat64())
+	}
+	refreshPeriodic(in)
+	same := func(what string, tv tunespace.Vector, got, want *grid.Grid[T]) {
+		for z := 0; z < nz; z++ {
+			for y := 0; y < ny; y++ {
+				for x := 0; x < nx; x++ {
+					if i := want.Index(x, y, z); got.Data()[i] != want.Data()[i] {
+						t.Fatalf("%s avx2=%v %s %+v: (%d,%d,%d) = %v, reference %v",
+							k.Name, avx2, what, tv, x, y, z, got.Data()[i], want.Data()[i])
+					}
+				}
+			}
+		}
+	}
+
+	// refs[s] is the state after s sequential Reference steps.
+	refs := []*grid.Grid[T]{in}
+	for s := 1; s <= 3; s++ {
+		prev := refs[s-1]
+		refreshPeriodic(prev)
+		next := newGrid()
+		if err := r.Reference(k, next, []*grid.Grid[T]{prev}); err != nil {
+			t.Fatal(err)
+		}
+		refs = append(refs, next)
+	}
+	for u := 0; u <= 8; u += 2 {
+		tv := tunespace.Vector{Bx: 4 + rng.Intn(40), By: 2 + rng.Intn(10), Bz: 2 + rng.Intn(6), U: u, C: 1 + rng.Intn(3), K: 1 + u%3}
+		if nz == 1 {
+			tv.Bz = 1
+		}
+		got := newGrid()
+		if err := r.Run(k, got, []*grid.Grid[T]{in}, tv); err != nil {
+			t.Fatal(err)
+		}
+		same("run", tv, got, refs[1])
+		fp, err := r.CompileFused(k, got, in, tv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fp.Run(got, in); err != nil {
+			t.Fatal(err)
+		}
+		same("fused", tv, got, refs[tv.K])
 	}
 }

@@ -92,7 +92,7 @@ func axisOf(p shape.Point) (axis, r int) {
 }
 
 // Executable returns the executable realization of a model kernel: one term
-// per access of k.Shape, summed in canonical order (see termOrder).
+// per access of k.Shape, in shape.Points order.
 //
 // A Table III kernel — one equal in shape and buffers to the kernel
 // stencil.KernelByName builds under its name — takes its textbook weights
@@ -104,7 +104,7 @@ func Executable(k *stencil.Kernel) *LinearKernel {
 	rule := textbookRule(k)
 	total := k.Shape.TotalAccesses()
 	lk := &LinearKernel{Name: k.Name, Buffers: k.Buffers, Terms: make([]Term, 0, total)}
-	for _, p := range termOrder(k) {
+	for _, p := range k.Shape.Points() {
 		for c := range k.Shape.Multiplicity(p) {
 			t := Term{Buffer: len(lk.Terms) % k.Buffers, Offset: p, Weight: 1 / float64(total)}
 			if rule != nil {
@@ -128,24 +128,4 @@ func textbookRule(k *stencil.Kernel) accessRule {
 		return r
 	}
 	return nil
-}
-
-// termOrder returns the offsets of k's shape in summation order. A
-// single-buffer shape that is exactly the row3, star5 or star7 table follows
-// that table, so the fast path adds its terms in Reference's order; every
-// other shape follows shape.Points, whose (z, y, x) order the box tables
-// share.
-func termOrder(k *stencil.Kernel) []shape.Point {
-	if k.Buffers == 1 {
-		for _, table := range [][][3]int{row3Offsets, star5Offsets, star7Offsets} {
-			pts := make([]shape.Point, len(table))
-			for i, o := range table {
-				pts[i] = shape.Point{X: o[0], Y: o[1], Z: o[2]}
-			}
-			if k.Shape.Equal(shape.New(pts...)) {
-				return pts
-			}
-		}
-	}
-	return k.Shape.Points()
 }

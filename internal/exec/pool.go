@@ -257,24 +257,14 @@ func (p *workerPool[T]) runChunk(start, end int) {
 		return
 	}
 	prog := p.job.prog
-	out := p.job.out
-	src := prog.p.data[0] // a fast path's only input: detectFast wants one buffer
 	if prog.spans == nil {
 		for _, t := range prog.tiles[start:end] {
-			if prog.fp != nil {
-				runTileFast(prog.fp, out, src, t, prog.tv.U)
-			} else {
-				runTile(&prog.p, out, t, prog.fuse, prog.avx2)
-			}
+			runTile(&prog.p, p.job.out, t, prog.fuse, prog.avx2)
 		}
 		return
 	}
 	spans := prog.spans[2*int(prog.spanStart[start]) : 2*int(prog.spanStart[end])]
-	if prog.fp != nil {
-		runSpansFast(prog.fp, out.Data(), src, spans, prog.tv.U)
-	} else {
-		runSpans(&prog.p, out.Data(), spans, prog.fuse, prog.avx2)
-	}
+	runSpans(&prog.p, p.job.out.Data(), spans, prog.fuse, prog.avx2)
 }
 
 // PoolStats counts a Runner's pool runs since it was created: Runs is every

@@ -63,8 +63,7 @@ func TestPoolRunsEveryTileOnce(t *testing.T) {
 	}
 }
 
-// poolTestKernels are a radius-2 generic kernel (the generic row body) and
-// a 7-point star (the star7 fast path).
+// poolTestKernels are a radius-2 asymmetric kernel and a 7-point star.
 func poolTestKernels() []*LinearKernel {
 	gen := &LinearKernel{Name: "gen10", Buffers: 1}
 	for i, p := range []shape.Point{
@@ -112,7 +111,7 @@ func TestPoolScheduleMatchesReference(t *testing.T) {
 // plane, so fewer rows than workers).
 func TestPoolFusedScheduleMatchesSequential(t *testing.T) {
 	for _, fk := range fusedTestKernels() {
-		if fk.want != "star7" && fk.want != "generic" {
+		if name := fk.k.Name; name != "t-star7" && name != "t-gen3" && name != "t-gen2" {
 			continue
 		}
 		nx, ny, nz := 13, 9, 8

@@ -123,7 +123,7 @@ func (l *layout) extremes(g geom) (first, last int) {
 // Program is a compiled execution plan for one (kernel, geometry, tuning
 // vector) triple: a pointer to the layout shared by every program of its
 // (geometry, bx, by, bz), plus its own flattened term plan, fuse width and
-// fast-path selection, precomputed so repeated executions only rebind grid
+// row body, precomputed so repeated executions only rebind grid
 // data and dispatch to the persistent worker pool. Programs are created and
 // cached by Runner.Compile and execute via Program.Run against any grids of
 // the compiled geometry and element type.
@@ -139,7 +139,6 @@ type Program[T grid.Float] struct {
 
 	termBuf []int   // source buffer per term, for per-run data rebinding
 	p       plan[T] // idxOff/weight fixed at compile; data rebound per run
-	fp      *fastPlan[T]
 }
 
 // Compile returns the cached program for (k, out's geometry, tv), building
@@ -214,6 +213,7 @@ func compileProgram[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[
 		tv:      tv,
 		layout:  l,
 		fuse:    fuseWidth(tv.U),
+		avx2:    useAVX2,
 		termBuf: make([]int, len(k.Terms)),
 		p: plan[T]{
 			idxOff: make([]int, len(k.Terms)),
@@ -226,11 +226,9 @@ func compileProgram[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[
 		pr.p.weight[i] = T(t.Weight)
 		pr.termBuf[i] = t.Buffer
 	}
-	pr.fp = detectFast(k, &pr.p)
 	if err := pr.checkReads(); err != nil {
 		return nil, fmt.Errorf("exec: kernel %q: %w", k.Name, err)
 	}
-	pr.avx2 = useAVX2 && pr.fp == nil
 	return pr, nil
 }
 
@@ -399,6 +397,3 @@ func (pr *Program[T]) Run(out *grid.Grid[T], ins []*grid.Grid[T]) error {
 	r.mu.Unlock()
 	return nil
 }
-
-// Tiles reports the number of tiles in the compiled decomposition.
-func (pr *Program[T]) Tiles() int { return len(pr.tiles) }

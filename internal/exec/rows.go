@@ -6,10 +6,10 @@ import (
 	"repro/internal/grid"
 )
 
-// This file is the generic-path inner loop of the compiled executor: the
-// body every program without a structural fast path (fastpath.go) runs. It
-// has two implementations of one contract — out[base+x] = Σ_t w_t·s_t for
-// every (base, n) row span, folded in plan order:
+// This file is the inner loop of the compiled executor: the row body every
+// program and every fused program runs, whatever the kernel's shape. It has
+// two implementations of one contract — out[base+x] = Σ_t w_t·s_t for every
+// (base, n) row span, folded in plan order — and the CPU alone picks one:
 //
 //   - the AVX2 span kernels of rows_amd64.s, one per element type (4 float64
 //     or 8 float32 lanes), selected at compile time on amd64 CPUs that
@@ -59,9 +59,8 @@ import (
 // pin the portable passes. Each program records the choice at compile time.
 var useAVX2 = cpuHasAVX2()
 
-// GenericBody names the generic row body programs compiled now run: "avx2"
-// (the span kernels of rows_amd64.s) or "portable" (the Go passes of this
-// file). Programs that match a structural fast path run fastpath.go instead.
+// GenericBody names the row body programs compiled now run: "avx2" (the
+// span kernels of rows_amd64.s) or "portable" (the Go passes of this file).
 func GenericBody() string {
 	if useAVX2 {
 		return "avx2"

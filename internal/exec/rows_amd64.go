@@ -13,8 +13,8 @@ func cpuHasAVX2() bool
 // spansAVX2F64 computes every (base, n) pair of spans: for x in [0, n),
 // dst[base+x] = w[0]·data[0][base+x+off[0]] + … + w[nt-1]·data[nt-1][…],
 // folded left to right. vecs (1, 2 or 4) is the number of 4-lane vectors
-// per point block; the points left over run in 1-vector blocks and then one
-// at a time. The body has no bounds checks: every read and write must lie
+// per point block; the points left over step down through the narrower
+// blocks (4, then 2, then 1 vector) and then run one at a time. The body has no bounds checks: every read and write must lie
 // inside its slice, which Compile proves once per program (checkReads) and
 // Program.Run completes by rejecting short grids. len(off) and len(w) must
 // be at least len(data), and len(spans) even.

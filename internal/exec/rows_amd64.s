@@ -54,7 +54,7 @@ span:
 	// 4-vector blocks: 16 points.
 block4:
 	CMPQ CX, $16
-	JLT  block1
+	JLT  block2
 	XORQ AX, AX
 	TERM
 	VBROADCASTSD (R9)(AX*8), Y4
@@ -88,7 +88,7 @@ next4:
 	SUBQ $16, CX
 	JMP  block4
 
-	// 2-vector blocks: 8 points.
+	// 2-vector blocks: 8 points, also the tail of the 4-vector blocks.
 block2:
 	CMPQ CX, $8
 	JLT  block1
@@ -117,7 +117,7 @@ next2:
 	SUBQ $8, CX
 	JMP  block2
 
-	// 1-vector blocks: 4 points, also the tail of the wider blocks.
+	// 1-vector blocks: 4 points, also the tail of the 2-vector blocks.
 block1:
 	CMPQ CX, $4
 	JLT  scalar
@@ -191,7 +191,7 @@ span:
 	// 4-vector blocks: 32 points.
 block4:
 	CMPQ CX, $32
-	JLT  block1
+	JLT  block2
 	XORQ AX, AX
 	TERM
 	VBROADCASTSS (R9)(AX*4), Y4
@@ -225,7 +225,7 @@ next4:
 	SUBQ $32, CX
 	JMP  block4
 
-	// 2-vector blocks: 16 points.
+	// 2-vector blocks: 16 points, also the tail of the 4-vector blocks.
 block2:
 	CMPQ CX, $16
 	JLT  block1
@@ -254,7 +254,7 @@ next2:
 	SUBQ $16, CX
 	JMP  block2
 
-	// 1-vector blocks: 8 points, also the tail of the wider blocks.
+	// 1-vector blocks: 8 points, also the tail of the 2-vector blocks.
 block1:
 	CMPQ CX, $8
 	JLT  scalar

@@ -58,9 +58,6 @@ func New(nx, ny, nz, halo, haloZ int) *Grid[float64] {
 	return NewOf[float64](nx, ny, nz, halo, haloZ)
 }
 
-// New2DOf allocates a planar grid of element type T with the given halo.
-func New2DOf[T Float](nx, ny, halo int) *Grid[T] { return NewOf[T](nx, ny, 1, halo, 0) }
-
 // New2D allocates a planar float64 grid with the given halo.
 func New2D(nx, ny, halo int) *Grid[float64] { return New(nx, ny, 1, halo, 0) }
 
@@ -80,9 +77,6 @@ func elemBytes[T Float](zero T) int {
 	return 8
 }
 
-// InteriorPoints returns the number of interior (non-halo) cells.
-func (g *Grid[T]) InteriorPoints() int { return g.NX * g.NY * g.NZ }
-
 // Index returns the flat index of interior coordinate (x, y, z); the
 // coordinate (0,0,0) is the first interior cell. Offsets may reach into the
 // halo: x ∈ [-Halo, NX+Halo).
@@ -98,12 +92,6 @@ func (g *Grid[T]) Set(x, y, z int, v T) { g.data[g.Index(x, y, z)] = v }
 
 // Data exposes the raw backing slice for kernel inner loops.
 func (g *Grid[T]) Data() []T { return g.data }
-
-// StrideX returns the x-stride (allocated row length).
-func (g *Grid[T]) StrideX() int { return g.strideX }
-
-// StrideY returns the number of allocated rows per plane.
-func (g *Grid[T]) StrideY() int { return g.strideY }
 
 // OffsetIndex converts a relative stencil offset to a flat-index delta, so
 // kernels can precompute neighbour displacements once.

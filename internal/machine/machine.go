@@ -58,28 +58,6 @@ func XeonE52680v3() *Machine {
 	}
 }
 
-// DesktopQuad returns a generic 4-core desktop description (higher clock,
-// smaller shared cache, dual-channel memory). Used by the portability
-// experiments: the paper motivates autotuning with the observation that
-// optimal configurations do not port between architectures, and retraining
-// the model on a new machine description recovers the lost performance.
-func DesktopQuad() *Machine {
-	return &Machine{
-		Name:       "Generic quad-core desktop",
-		Cores:      4,
-		FreqGHz:    3.6,
-		VectorBits: 256,
-		Caches: []Cache{
-			{Name: "L1D", SizeBytes: 32 << 10, BandwidthGBs: 350},
-			{Name: "L2", SizeBytes: 512 << 10, BandwidthGBs: 150},
-			{Name: "L3", SizeBytes: 8 << 20, Shared: true, BandwidthGBs: 80},
-		},
-		MemBandwidthGBs:       30,
-		ThreadSpawnOverheadNs: 300,
-		LoopOverheadCycles:    2,
-	}
-}
-
 // SIMDLanes returns how many elements of the given byte width fit in one
 // vector register (8 floats or 4 doubles for AVX2).
 func (m *Machine) SIMDLanes(elemBytes int) int {

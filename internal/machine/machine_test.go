@@ -90,20 +90,3 @@ func TestValidateCatchesBadDescriptions(t *testing.T) {
 		}
 	}
 }
-
-func TestDesktopQuadValid(t *testing.T) {
-	m := DesktopQuad()
-	if err := m.Validate(); err != nil {
-		t.Fatalf("desktop machine invalid: %v", err)
-	}
-	if m.Cores != 4 {
-		t.Errorf("cores = %d, want 4", m.Cores)
-	}
-	xeon := XeonE52680v3()
-	if m.Cores >= xeon.Cores {
-		t.Error("desktop should have fewer cores than the Xeon")
-	}
-	if m.FreqGHz <= xeon.FreqGHz {
-		t.Error("desktop should clock higher than the Xeon")
-	}
-}

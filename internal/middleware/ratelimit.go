@@ -117,13 +117,6 @@ func (l *RateLimiter) maybePrune(now time.Time) {
 	}
 }
 
-// Clients reports how many client buckets are currently tracked.
-func (l *RateLimiter) Clients() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
-}
-
 // Middleware enforces the limiter: over-limit requests are answered 429
 // with a Retry-After (whole seconds, rounded up so a client that honors it
 // never arrives early) and a stencilserve_rate_limited_total increment.

@@ -161,19 +161,6 @@ func appendJSONValue(b []byte, v any) []byte {
 		return strconv.AppendBool(b, x)
 	case float64:
 		return strconv.AppendFloat(b, x, 'g', -1, 64)
-	case []SpanSummary:
-		b = append(b, '[')
-		for i, s := range x {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = append(b, `{"stage":`...)
-			b = appendJSONString(b, s.Stage)
-			b = append(b, `,"us":`...)
-			b = strconv.AppendInt(b, s.Micros, 10)
-			b = append(b, '}')
-		}
-		return append(b, ']')
 	case *Trace:
 		return x.AppendJSON(b)
 	}

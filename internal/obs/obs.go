@@ -230,14 +230,6 @@ func (c *Counter) Add(delta float64) {
 	c.s.val.Add(delta)
 }
 
-// Value returns the current total.
-func (c *Counter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.s.val.Load()
-}
-
 // Gauge is a value that goes up and down. A nil *Gauge is a safe no-op.
 type Gauge struct{ s *series }
 
@@ -247,22 +239,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	g.s.val.Store(v)
-}
-
-// Add adjusts the value by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	g.s.val.Add(delta)
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.s.val.Load()
 }
 
 // Histogram accumulates observations into fixed buckets. A nil *Histogram is
@@ -280,22 +256,6 @@ func (h *Histogram) Observe(v float64) {
 	d.counts[i].Add(1)
 	d.count.Add(1)
 	d.sum.Add(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.h.count.Load()
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.h.sum.Load()
 }
 
 // ---------------------------------------------------------------------------
@@ -426,34 +386,6 @@ func (r *Registry) Value(name string, labelVals ...string) float64 {
 		return s.hist.sum.Load()
 	}
 	return s.val.Load()
-}
-
-// Sum returns the sum of one family's value across all its series (histogram
-// families sum their _sum fields). Unknown names return 0.
-func (r *Registry) Sum(name string) float64 {
-	r.mu.RLock()
-	f, ok := r.fams[name]
-	r.mu.RUnlock()
-	if !ok {
-		return 0
-	}
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.fn != nil {
-		return f.fn()
-	}
-	total := 0.0
-	for _, s := range f.series {
-		switch {
-		case s.fn != nil:
-			total += s.fn()
-		case f.typ == TypeHistogram:
-			total += s.hist.sum.Load()
-		default:
-			total += s.val.Load()
-		}
-	}
-	return total
 }
 
 // HistogramCount returns the observation count of one histogram series.

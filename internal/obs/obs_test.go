@@ -138,16 +138,6 @@ func TestVecLabelMismatchPanics(t *testing.T) {
 	cv.With("only-one")
 }
 
-func TestSumAcrossSeries(t *testing.T) {
-	r := NewRegistry()
-	cv := r.CounterVec("s_total", "", "k")
-	cv.With("a").Add(2)
-	cv.With("b").Add(3)
-	if got := r.Sum("s_total"); got != 5 {
-		t.Errorf("Sum = %v, want 5", got)
-	}
-}
-
 func TestNilHandlesAreNoOps(t *testing.T) {
 	var c *Counter
 	var g *Gauge
@@ -221,7 +211,7 @@ func TestConcurrentScrapeWhileRecording(t *testing.T) {
 }
 
 // TestCounterVecFunc checks labelled series computed at scrape time: the
-// exposition, Value and Sum read the functions, and a later registration
+// exposition and Value read the functions, and a later registration
 // re-points a series.
 func TestCounterVecFunc(t *testing.T) {
 	r := NewRegistry()
@@ -245,8 +235,8 @@ func TestCounterVecFunc(t *testing.T) {
 	if got := r.Value("demo_cache_hits_total", "layout"); got != 4 {
 		t.Errorf("Value = %v, want 4", got)
 	}
-	if got := r.Sum("demo_cache_hits_total"); got != 5 {
-		t.Errorf("Sum = %v, want 5", got)
+	if got := r.Value("demo_cache_hits_total", "program"); got != 1 {
+		t.Errorf("Value = %v, want 1", got)
 	}
 	cv.Func(func() float64 { return 9 }, "program")
 	if got := r.Value("demo_cache_hits_total", "program"); got != 9 {

@@ -14,13 +14,7 @@ type Span struct {
 	Dur   time.Duration
 }
 
-// SpanSummary is the wire/log form of a span: stage name and microseconds.
-type SpanSummary struct {
-	Stage  string `json:"stage"`
-	Micros int64  `json:"us"`
-}
-
-// Trace collects the spans of one request. It is created by WithTrace,
+// Trace collects the spans of one request. It is initialised with Init,
 // carried through the request's context, and read back at the end of the
 // request to emit the spans into the access log line. Spans may be recorded
 // from the handler goroutine and (via singleflight) a leader goroutine, so
@@ -37,15 +31,6 @@ type Trace struct {
 
 // traceKey carries the *Trace through a context.
 type traceKey struct{}
-
-// WithTrace attaches a new Trace to ctx. sink, if non-nil, is called once per
-// finished span — the server points it at the stage-latency histogram vector
-// so per-stage distributions aggregate across requests.
-func WithTrace(ctx context.Context, sink func(stage string, seconds float64)) (context.Context, *Trace) {
-	t := new(Trace)
-	t.Init(sink)
-	return ContextWithTrace(ctx, t), t
-}
 
 // Init prepares a zero Trace for use with the given sink. It exists so
 // callers on a hot path can embed a Trace inside a larger per-request struct
@@ -66,31 +51,7 @@ func TraceFrom(ctx context.Context) *Trace {
 	return t
 }
 
-// StartSpan begins timing a stage; the returned func ends it. Without a
-// Trace in ctx it returns a no-op, so library code can instrument
-// unconditionally.
-func StartSpan(ctx context.Context, stage string) func() {
-	t := TraceFrom(ctx)
-	if t == nil {
-		return func() {}
-	}
-	start := time.Now()
-	return func() { t.Add(stage, start, time.Since(start)) }
-}
-
-// AddSpan records an already-measured span — used for stages whose existence
-// is only known after the fact (e.g. time spent waiting on a coalesced
-// singleflight leader is only a "flight_wait" span for the waiters, not the
-// leader).
-func AddSpan(ctx context.Context, stage string, start time.Time, dur time.Duration) {
-	if t := TraceFrom(ctx); t != nil {
-		t.Add(stage, start, dur)
-	}
-}
-
-// Add records an already-measured span directly on the trace. Callers that
-// already hold the *Trace (or need to fall back to a global sink when no
-// trace is present) use this instead of the context-based AddSpan.
+// Add records an already-measured span on the trace.
 func (t *Trace) Add(stage string, start time.Time, dur time.Duration) {
 	t.mu.Lock()
 	t.spans = append(t.spans, Span{Stage: stage, Start: start, Dur: dur})
@@ -110,18 +71,8 @@ func (t *Trace) Len() int {
 	return len(t.spans)
 }
 
-// Spans returns a copy of the recorded spans in recording order.
-func (t *Trace) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
-}
-
-// AppendJSON appends the spans as a JSON array of {"stage","us"} objects —
-// the same shape Compact produces — without materialising the intermediate
+// AppendJSON appends the spans as a JSON array of {"stage","us"} objects
+// (stage name and microseconds) without materialising an intermediate
 // slice. Loggers use it to serialise a *Trace field straight off the request.
 func (t *Trace) AppendJSON(b []byte) []byte {
 	if t == nil {
@@ -141,18 +92,4 @@ func (t *Trace) AppendJSON(b []byte) []byte {
 		b = append(b, '}')
 	}
 	return append(b, ']')
-}
-
-// Compact returns the spans in log-line form (stage + microseconds).
-func (t *Trace) Compact() []SpanSummary {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]SpanSummary, len(t.spans))
-	for i, s := range t.spans {
-		out[i] = SpanSummary{Stage: s.Stage, Micros: s.Dur.Microseconds()}
-	}
-	return out
 }

@@ -8,60 +8,51 @@ import (
 
 func TestTraceSpans(t *testing.T) {
 	var sunk []string
-	ctx, tr := WithTrace(context.Background(), func(stage string, _ float64) {
-		sunk = append(sunk, stage)
-	})
+	tr := new(Trace)
+	tr.Init(func(stage string, _ float64) { sunk = append(sunk, stage) })
+	ctx := ContextWithTrace(context.Background(), tr)
 
-	end := StartSpan(ctx, "cache_lookup")
-	end()
-	AddSpan(ctx, "flight_wait", time.Now(), 250*time.Microsecond)
+	TraceFrom(ctx).Add("cache_lookup", time.Now(), 40*time.Microsecond)
+	TraceFrom(ctx).Add("flight_wait", time.Now(), 250*time.Microsecond)
 
-	spans := tr.Spans()
-	if len(spans) != 2 || spans[0].Stage != "cache_lookup" || spans[1].Stage != "flight_wait" {
-		t.Fatalf("spans = %+v", spans)
-	}
-	if spans[1].Dur != 250*time.Microsecond {
-		t.Errorf("flight_wait dur = %v", spans[1].Dur)
+	if tr.Len() != 2 {
+		t.Fatalf("spans = %d, want 2", tr.Len())
 	}
 	if len(sunk) != 2 || sunk[0] != "cache_lookup" || sunk[1] != "flight_wait" {
 		t.Errorf("sink calls = %v", sunk)
 	}
-
-	c := tr.Compact()
-	if len(c) != 2 || c[1].Stage != "flight_wait" || c[1].Micros != 250 {
-		t.Errorf("compact = %+v", c)
+	want := `[{"stage":"cache_lookup","us":40},{"stage":"flight_wait","us":250}]`
+	if got := string(tr.AppendJSON(nil)); got != want {
+		t.Errorf("AppendJSON = %s, want %s", got, want)
 	}
 }
 
 func TestSpanWithoutTraceIsNoOp(t *testing.T) {
-	ctx := context.Background()
-	end := StartSpan(ctx, "anything")
-	end() // must not panic
-	AddSpan(ctx, "anything", time.Now(), time.Millisecond)
-	if TraceFrom(ctx) != nil {
+	if TraceFrom(context.Background()) != nil {
 		t.Error("TraceFrom on bare ctx should be nil")
 	}
 	var nilTrace *Trace
-	if nilTrace.Spans() != nil || nilTrace.Compact() != nil {
-		t.Error("nil trace accessors should return nil")
+	if nilTrace.Len() != 0 || string(nilTrace.AppendJSON(nil)) != "[]" {
+		t.Error("nil trace accessors should read as empty")
 	}
 }
 
 func TestTraceConcurrentAdd(t *testing.T) {
-	ctx, tr := WithTrace(context.Background(), nil)
+	tr := new(Trace)
+	tr.Init(nil)
 	done := make(chan struct{})
 	for i := 0; i < 4; i++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 100; j++ {
-				StartSpan(ctx, "s")()
+				tr.Add("s", time.Now(), time.Microsecond)
 			}
 		}()
 	}
 	for i := 0; i < 4; i++ {
 		<-done
 	}
-	if got := len(tr.Spans()); got != 400 {
+	if got := tr.Len(); got != 400 {
 		t.Errorf("spans = %d, want 400", got)
 	}
 }

@@ -67,43 +67,6 @@ func KendallTau(a, b []float64) float64 {
 	return float64(con-dis) / float64(con+dis)
 }
 
-// KendallTauB computes the τ-b variant with the standard tie correction
-// τ_b = (Con − Dis) / sqrt((n0 − n1)(n0 − n2)), which penalizes ties instead
-// of ignoring them. Used by tests as a cross-check.
-func KendallTauB(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("ranking: length mismatch %d vs %d", len(a), len(b)))
-	}
-	n := len(a)
-	if n < 2 {
-		return 0
-	}
-	var con, dis, tieA, tieB int
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			da := sign(a[i] - a[j])
-			db := sign(b[i] - b[j])
-			switch {
-			case da == 0 && db == 0:
-				// Joint tie: excluded from all counts.
-			case da == 0:
-				tieA++
-			case db == 0:
-				tieB++
-			case da == db:
-				con++
-			default:
-				dis++
-			}
-		}
-	}
-	denom := math.Sqrt(float64(con+dis+tieA) * float64(con+dis+tieB))
-	if denom == 0 {
-		return 0
-	}
-	return float64(con-dis) / denom
-}
-
 func sign(v float64) int {
 	switch {
 	case v > 0:

@@ -106,36 +106,6 @@ func TestKendallTauPanicsOnLengthMismatch(t *testing.T) {
 	KendallTau([]float64{1}, []float64{1, 2})
 }
 
-func TestKendallTauBAgreesWithoutTies(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(20)
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-			b[i] = rng.NormFloat64()
-		}
-		ta, tb := KendallTau(a, b), KendallTauB(a, b)
-		if math.Abs(ta-tb) > 1e-12 {
-			t.Fatalf("τ=%v τb=%v differ without ties", ta, tb)
-		}
-	}
-}
-
-func TestKendallTauBPenalizesTies(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	b := []float64{1, 1, 2, 3} // one tie in b
-	plain := KendallTau(a, b)
-	taub := KendallTauB(a, b)
-	if plain != 1 {
-		t.Errorf("plain τ ignoring ties = %v, want 1", plain)
-	}
-	if taub >= 1 {
-		t.Errorf("τ-b with ties = %v, want < 1", taub)
-	}
-}
-
 func TestPropertyTauSymmetric(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -33,19 +33,9 @@ func concurrentBatch(obj Objective, workers int) BatchObjective {
 }
 
 // batchTestEngines is every engine the package ships, including the
-// inherently sequential ones (which must still work through SearchBatch).
-func batchTestEngines() []Engine {
-	return []Engine{
-		NewGenerationalGA(),
-		NewDifferentialEvolution(),
-		NewEvolutionStrategy(),
-		NewSteadyStateGA(),
-		NewRandomSearch(),
-		NewSimulatedAnnealing(),
-		NewHillClimber(),
-		NewBanditPortfolio(),
-	}
-}
+// inherently sequential steady-state GA (which must still work through
+// SearchBatch).
+func batchTestEngines() []Engine { return Engines() }
 
 // assertResultsIdentical compares two runs field by field, including the
 // full history trajectory.

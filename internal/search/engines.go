@@ -9,54 +9,6 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Random search
-
-// RandomSearch samples the space uniformly — the weakest baseline and a
-// sanity floor for the others.
-type RandomSearch struct {
-	// Chunk is how many samples are submitted per BatchObjective call
-	// (default RandomChunk). Sampling is RNG-only, so the chunk size never
-	// changes the trajectory — only how much work a batch evaluator can
-	// overlap.
-	Chunk int
-}
-
-// RandomChunk is the default batch size of random search.
-const RandomChunk = 64
-
-// NewRandomSearch returns a random-search engine.
-func NewRandomSearch() *RandomSearch { return &RandomSearch{Chunk: RandomChunk} }
-
-// Name implements Engine.
-func (*RandomSearch) Name() string { return "random" }
-
-// Search implements Engine.
-func (r *RandomSearch) Search(space tunespace.Space, obj Objective, budget int, seed int64) Result {
-	return r.SearchBatch(space, SequentialBatch(obj), budget, seed)
-}
-
-// SearchBatch implements Engine: samples are drawn in fixed chunks and each
-// chunk is evaluated as one batch.
-func (r *RandomSearch) SearchBatch(space tunespace.Space, obj BatchObjective, budget int, seed int64) Result {
-	start := time.Now()
-	rng := rand.New(rand.NewSource(seed))
-	t := newTracker(obj, budget)
-	chunk := r.Chunk
-	if chunk <= 0 {
-		chunk = RandomChunk
-	}
-	for !t.exhausted() {
-		n := min(chunk, t.remaining())
-		vs := make([]tunespace.Vector, n)
-		for i := range vs {
-			vs[i] = space.Random(rng)
-		}
-		t.evalBatch(vs)
-	}
-	return t.result("random", start)
-}
-
-// ---------------------------------------------------------------------------
 // Generational GA
 
 // GenerationalGA evolves a full population each generation with tournament

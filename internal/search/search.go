@@ -1,7 +1,7 @@
 // Package search implements the iterative-compilation search baselines of
 // Section VI-A: a generational genetic algorithm, a steady-state genetic
-// algorithm (sGA), differential evolution, a (μ+λ) evolution strategy, and
-// random search. Every engine runs for a fixed evaluation budget (the paper
+// algorithm (sGA), differential evolution and a (μ+λ) evolution strategy.
+// Every engine runs for a fixed evaluation budget (the paper
 // uses 1024) regardless of intermediate quality — matching the paper's
 // decision not to drop under-performing engines the way OpenTuner's bandit
 // does — and records its best-so-far trajectory for the Fig. 5 convergence
@@ -9,7 +9,6 @@
 package search
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -169,8 +168,8 @@ func (t *tracker) evalBatch(vs []tunespace.Vector) []float64 {
 }
 
 // eval evaluates a single vector — the path the inherently sequential
-// engines (steady-state GA, simulated annealing, hill climbing) use, since
-// each of their proposals depends on the previous result. It returns the
+// steady-state GA uses, since each of its proposals depends on the previous
+// result. It returns the
 // runtime and false when the budget is exhausted.
 func (t *tracker) eval(v tunespace.Vector) (float64, bool) {
 	if t.exhausted() {
@@ -207,29 +206,5 @@ func Engines() []Engine {
 		NewDifferentialEvolution(),
 		NewEvolutionStrategy(),
 		NewSteadyStateGA(),
-	}
-}
-
-// EngineByName returns a named engine ("ga", "de", "es", "sga", "random").
-func EngineByName(name string) (Engine, error) {
-	switch name {
-	case "ga", "genetic":
-		return NewGenerationalGA(), nil
-	case "de", "differential-evolution":
-		return NewDifferentialEvolution(), nil
-	case "es", "evolution-strategy":
-		return NewEvolutionStrategy(), nil
-	case "sga", "steady-state":
-		return NewSteadyStateGA(), nil
-	case "random":
-		return NewRandomSearch(), nil
-	case "sa", "simulated-annealing":
-		return NewSimulatedAnnealing(), nil
-	case "hill", "hill-climbing":
-		return NewHillClimber(), nil
-	case "bandit", "portfolio":
-		return NewBanditPortfolio(), nil
-	default:
-		return nil, fmt.Errorf("search: unknown engine %q", name)
 	}
 }

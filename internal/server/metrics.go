@@ -93,7 +93,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 }
 
 // stageSink routes finished trace spans into the per-stage histograms; it is
-// the sink obs.WithTrace installs on every instrumented request.
+// the sink every instrumented request's trace is initialised with.
 func (m *serverMetrics) stageSink(stage string, seconds float64) {
 	h, ok := m.stageH[stage]
 	if !ok {

@@ -339,51 +339,6 @@ func TestInFlightRequestSurvivesSwap(t *testing.T) {
 	}
 }
 
-func TestRollbackRestoresPreviousModel(t *testing.T) {
-	dir, st := swapStore(t, "alpha", "beta")
-	if err := st.SetCurrent("alpha", store.Promotion{Reason: "manual"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.SetCurrent("beta", store.Promotion{Reason: "canary-pass"}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{ModelDir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	if _, def := s.Models(); def != "beta" {
-		t.Fatalf("default = %q, want the promoted beta", def)
-	}
-
-	name, v, err := s.RollbackModel()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "alpha" || v != 2 {
-		t.Fatalf("rollback -> %q v%d, want alpha v2", name, v)
-	}
-	if _, def := s.Models(); def != "alpha" {
-		t.Fatalf("default after rollback = %q, want alpha", def)
-	}
-	// The rollback is itself a recorded promotion.
-	_, out := getJSON(t, s.Handler(), "/v1/models")
-	proms, _ := out["promotions"].([]any)
-	if len(proms) != 3 {
-		t.Fatalf("promotion history %v, want 3 entries", out["promotions"])
-	}
-	last, _ := proms[2].(map[string]any)
-	if last["reason"] != "rollback" || last["name"] != "alpha" || last["prev"] != "beta" {
-		t.Fatalf("last promotion %v, want rollback alpha<-beta", last)
-	}
-	// A second rollback returns to beta (the entry before says Prev=alpha...
-	// the rollback entry's Prev is beta).
-	name, _, err = s.RollbackModel()
-	if err != nil || name != "beta" {
-		t.Fatalf("second rollback -> %q %v, want beta", name, err)
-	}
-}
-
 // TestReloadFailureKeepsServing wipes the store after startup: Reload must
 // fail and the running generation must keep answering.
 func TestReloadFailureKeepsServing(t *testing.T) {

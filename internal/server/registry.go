@@ -58,8 +58,8 @@ type regState struct {
 type Registry struct {
 	dir string
 	cur atomic.Pointer[regState]
-	// reloadMu serializes writers (Reload, Rollback) so versions stay
-	// monotonic; readers never touch it.
+	// reloadMu serializes reloads so versions stay monotonic; readers never
+	// touch it.
 	reloadMu sync.Mutex
 }
 
@@ -166,10 +166,6 @@ func (r *Registry) snapshot() *regState { return r.cur.Load() }
 // Version returns the currently served registry generation.
 func (r *Registry) Version() int64 { return r.snapshot().version }
 
-// Generation returns the content-derived fingerprint of the served model
-// set; replicas over the same store dir report the same value.
-func (r *Registry) Generation() string { return r.snapshot().generation }
-
 // Reload loads a fresh generation from the store directory and atomically
 // swaps it in. On any load error the running generation stays in place
 // untouched — a half-written store can delay a reload, never degrade serving.
@@ -184,43 +180,6 @@ func (r *Registry) Reload() (int64, error) {
 	}
 	r.cur.Store(st)
 	return st.version, nil
-}
-
-// Rollback repoints the store's promotion pointer at the model the last
-// promotion displaced, records the rollback in the history, and reloads. It
-// is the operator's one-call undo for a bad promotion.
-func (r *Registry) Rollback() (string, int64, error) {
-	r.reloadMu.Lock()
-	prev := ""
-	_, hist, err := func() (string, []store.Promotion, error) {
-		st, err := store.Open(r.dir)
-		if err != nil {
-			return "", nil, err
-		}
-		return st.Current()
-	}()
-	if err == nil && len(hist) > 0 {
-		prev = hist[len(hist)-1].Prev
-	}
-	if prev == "" {
-		r.reloadMu.Unlock()
-		return "", r.Version(), fmt.Errorf("server: no previous model to roll back to")
-	}
-	st, err := store.Open(r.dir)
-	if err != nil {
-		r.reloadMu.Unlock()
-		return "", r.Version(), err
-	}
-	if err := st.SetCurrent(prev, store.Promotion{
-		Reason:   "rollback",
-		UnixNano: time.Now().UnixNano(),
-	}); err != nil {
-		r.reloadMu.Unlock()
-		return "", r.Version(), err
-	}
-	r.reloadMu.Unlock()
-	v, err := r.Reload()
-	return prev, v, err
 }
 
 // resolve returns the named model from this generation, or the generation's

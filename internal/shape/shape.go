@@ -203,28 +203,6 @@ func (s *Shape) Clone() *Shape {
 	return c
 }
 
-// Dense returns the shape as the dense binary matrix representation of
-// Sec. III-A: a cube of side 2*offset+1 where cell [z][y][x] holds the access
-// multiplicity of offset (x-offset, y-offset, z-offset). If offset is smaller
-// than MaxOffset the shape is clipped; pass MaxOffset() for a lossless form.
-func (s *Shape) Dense(offset int) [][][]int {
-	side := 2*offset + 1
-	m := make([][][]int, side)
-	for z := range m {
-		m[z] = make([][]int, side)
-		for y := range m[z] {
-			m[z][y] = make([]int, side)
-		}
-	}
-	for p, mult := range s.points {
-		if p.ChebyshevNorm() > offset {
-			continue
-		}
-		m[p.Z+offset][p.Y+offset][p.X+offset] = mult
-	}
-	return m
-}
-
 // String renders the z = 0 plane of the shape as a compact matrix, useful in
 // tests and debug output.
 func (s *Shape) String() string {

@@ -160,52 +160,6 @@ func TestIs2DAndDims(t *testing.T) {
 	}
 }
 
-func TestDenseRoundTrip(t *testing.T) {
-	s := Laplacian3D(2)
-	off := s.MaxOffset()
-	d := s.Dense(off)
-	side := 2*off + 1
-	if len(d) != side || len(d[0]) != side || len(d[0][0]) != side {
-		t.Fatalf("dense dims = %dx%dx%d, want %d", len(d), len(d[0]), len(d[0][0]), side)
-	}
-	count := 0
-	for z := 0; z < side; z++ {
-		for y := 0; y < side; y++ {
-			for x := 0; x < side; x++ {
-				if d[z][y][x] > 0 {
-					count += d[z][y][x]
-					p := Point{x - off, y - off, z - off}
-					if !s.Contains(p) {
-						t.Errorf("dense has %v not in shape", p)
-					}
-				}
-			}
-		}
-	}
-	if count != s.TotalAccesses() {
-		t.Errorf("dense total = %d, want %d", count, s.TotalAccesses())
-	}
-}
-
-func TestDenseClipsOutOfRange(t *testing.T) {
-	s := New(Point{3, 0, 0}, Point{1, 0, 0})
-	d := s.Dense(1)
-	if d[1][1][2] != 1 { // (1,0,0) at offset 1
-		t.Error("in-range point missing from clipped dense matrix")
-	}
-	total := 0
-	for _, plane := range d {
-		for _, row := range plane {
-			for _, v := range row {
-				total += v
-			}
-		}
-	}
-	if total != 1 {
-		t.Errorf("clipped dense total = %d, want 1", total)
-	}
-}
-
 func TestEqualAndClone(t *testing.T) {
 	a := Hypercube(1)
 	b := a.Clone()
@@ -311,24 +265,6 @@ func randomShape(r *rand.Rand) *Shape {
 		s.Add(p, 1+r.Intn(3))
 	}
 	return s
-}
-
-func TestPropertyDenseLossless(t *testing.T) {
-	// Property: Dense(MaxOffset) preserves every multiplicity.
-	f := func(seed int64) bool {
-		s := randomShape(rand.New(rand.NewSource(seed)))
-		off := s.MaxOffset()
-		d := s.Dense(off)
-		for _, p := range s.Points() {
-			if d[p.Z+off][p.Y+off][p.X+off] != s.Multiplicity(p) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }
 
 func TestPropertyUnionCommutative(t *testing.T) {

@@ -135,9 +135,6 @@ func (s Space) Clamp(v Vector) Vector {
 	return v
 }
 
-// Contains reports whether v is a legal point of the space.
-func (s Space) Contains(v Vector) bool { return v.Validate(s.Dims) == nil }
-
 // Random draws a uniformly random legal tuning vector. Blocking sizes are
 // drawn log-uniformly (uniform over the exponent range with jitter), which
 // mirrors how stencil tuners explore multiplicative block-size spaces.

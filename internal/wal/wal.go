@@ -318,17 +318,6 @@ func (l *Log) startSegment(seq uint64) error {
 	return nil
 }
 
-// Count returns the number of intact records the log holds (recovered at
-// Open plus appended since, including not-yet-synced ones).
-func (l *Log) Count() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.records
-}
-
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close flushes, fsyncs and closes the active segment.
 func (l *Log) Close() error {
 	l.mu.Lock()

@@ -359,16 +359,6 @@ type Tuner struct {
 	inner *core.Tuner
 }
 
-// Rank orders the candidate vectors best-first and returns the permutation.
-func (t *Tuner) Rank(q Instance, cands []TuningVector) ([]int, error) {
-	return t.inner.Rank(q, cands)
-}
-
-// Best returns the top-ranked candidate.
-func (t *Tuner) Best(q Instance, cands []TuningVector) (TuningVector, error) {
-	return t.inner.Best(q, cands)
-}
-
 // TunePredefined ranks the paper's predefined power-of-two configuration set
 // (1600 configurations for 2-D stencils, 8640 for 3-D) and returns the
 // top-ranked vector and the ranking time.
@@ -418,32 +408,15 @@ func PredefinedCandidates(dims int) []TuningVector {
 // strategy, steady-state GA).
 func SearchEngines() []SearchEngine { return search.Engines() }
 
-// SearchEngineByName resolves "ga", "de", "es", "sga" or "random".
-func SearchEngineByName(name string) (SearchEngine, error) { return search.EngineByName(name) }
-
-// RunSearch tunes an instance with an iterative search baseline under an
-// evaluation budget, mirroring the paper's 1024-evaluation runs.
-// Evaluations run one at a time on the calling goroutine; RunSearchBatched
-// produces the identical result while overlapping them.
-func RunSearch(engine SearchEngine, q Instance, eval Evaluator, budget int, seed int64) (SearchResult, error) {
-	if err := validateSearch(q, budget); err != nil {
-		return SearchResult{}, err
-	}
-	if eval == nil {
-		eval = Simulator()
-	}
-	space := tunespace.NewSpace(q.Kernel.Dims())
-	return engine.Search(space, core.ObjectiveFor(eval, q), budget, seed), nil
-}
-
-// RunSearchBatched is RunSearch with concurrent candidate evaluation: each
-// generation (or sampling chunk) of the engine is costed as one batch on up
-// to workers goroutines (0 or 1 = sequential, negative = GOMAXPROCS; when
+// RunSearchBatched tunes an instance with an iterative search baseline
+// under an evaluation budget, mirroring the paper's 1024-evaluation runs.
+// Each generation of the engine is costed as one batch on up to workers
+// goroutines (0 or 1 = sequential, negative = GOMAXPROCS; when
 // eval already implements BatchEvaluator its own scheduling policy wins and
 // workers is ignored — see BatchedEvaluator for how to compose wrappers).
 // Results are committed in proposal order, so for the deterministic
 // simulator the SearchResult — Best, BestValue and the full History — is
-// bit-identical to RunSearch under the same seed. The evaluator must be
+// the same at every worker count under the same seed. The evaluator must be
 // safe for concurrent use when more than one worker runs; Measure-mode
 // evaluators serialize internally, so they gain timing fidelity but no
 // overlap.

@@ -55,12 +55,11 @@ func TestSaveLoadModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Instance{Kernel: Blur(), Size: Size2D(1024, 768)}
-	cands := PredefinedCandidates(2)
-	a, err := model.Tuner().Best(q, cands)
+	a, _, err := model.Tuner().TunePredefined(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.Tuner().Best(q, cands)
+	b, _, err := loaded.Tuner().TunePredefined(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,29 +115,22 @@ func TestSearchEnginesExposed(t *testing.T) {
 	if len(SearchEngines()) != 4 {
 		t.Errorf("engines = %d, want 4", len(SearchEngines()))
 	}
-	e, err := SearchEngineByName("ga")
-	if err != nil || e == nil {
-		t.Fatalf("ga lookup: %v", err)
-	}
 }
 
 func TestRunSearch(t *testing.T) {
-	e, err := SearchEngineByName("random")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := SearchEngines()[0]
 	q := Instance{Kernel: Laplacian(), Size: Size3D(128, 128, 128)}
-	res, err := RunSearch(e, q, nil, 64, 1)
+	res, err := RunSearchBatched(e, q, nil, 64, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Evaluations != 64 || res.BestValue <= 0 {
 		t.Errorf("search result: %+v", res)
 	}
-	if _, err := RunSearch(e, q, nil, 0, 1); err == nil {
+	if _, err := RunSearchBatched(e, q, nil, 0, 1, 1); err == nil {
 		t.Error("zero budget accepted")
 	}
-	if _, err := RunSearch(e, Instance{}, nil, 10, 1); err == nil {
+	if _, err := RunSearchBatched(e, Instance{}, nil, 10, 1, 1); err == nil {
 		t.Error("invalid instance accepted")
 	}
 }
