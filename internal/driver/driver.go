@@ -88,8 +88,7 @@ func NewOf[T grid.Float](k *exec.LinearKernel, nx, ny, nz int, tv tunespace.Vect
 		runner:   exec.NewRunnerOf[T](),
 	}
 	// k.Buffers time levels plus one write target. The ring comes from the
-	// grid pool (Acquire returns zeroed grids, matching New); Release hands
-	// it back when the simulation is discarded.
+	// grid pool (Acquire returns zeroed grids, matching New).
 	for i := 0; i <= k.Buffers; i++ {
 		s.ring = append(s.ring, grid.AcquireOf[T](nx, ny, nz, halo, haloZ))
 	}
@@ -129,19 +128,6 @@ func (s *Simulation[T]) Step() error {
 // lazily); Close exists so applications that build many short-lived
 // simulations do not accumulate idle goroutines.
 func (s *Simulation[T]) Close() { s.runner.Close() }
-
-// Release closes the simulation and returns its ring buffers to the grid
-// pool. Unlike Close, the simulation must not be used afterwards — its time
-// levels are gone. Applications that build many short-lived simulations of
-// the same geometry should prefer Release so successive simulations recycle
-// their rings. Release is idempotent.
-func (s *Simulation[T]) Release() {
-	s.runner.Close()
-	for _, g := range s.ring {
-		grid.ReleaseOf(g)
-	}
-	s.ring = nil
-}
 
 // Run advances n steps. When the tuning vector's fusion depth K exceeds 1
 // and the configuration is fusable — periodic boundary, single-buffer kernel,

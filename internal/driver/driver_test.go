@@ -217,40 +217,6 @@ func TestPeriodicWrapsCorrectly(t *testing.T) {
 	}
 }
 
-func TestSimulationRelease(t *testing.T) {
-	// Release returns the ring to the grid pool and is idempotent; the
-	// recycled grids must behave like fresh ones for the next simulation.
-	s, err := New(averaging3(), 16, 16, 16, tv(), Periodic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Level(0).FillPattern()
-	if err := s.Run(2); err != nil {
-		t.Fatal(err)
-	}
-	s.Release()
-	s.Release() // idempotent
-
-	// A successor simulation of the same geometry (likely reusing the pooled
-	// ring) must start from zeroed levels and run correctly.
-	s2, err := New(averaging3(), 16, 16, 16, tv(), Periodic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum := s2.Level(0).InteriorSum(); sum != 0 {
-		t.Fatalf("recycled ring not zeroed: interior sum %v", sum)
-	}
-	s2.Level(0).FillPattern()
-	before := s2.Level(0).InteriorSum()
-	if err := s2.Run(3); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s2.Level(0).InteriorSum()-before) > 1e-9 {
-		t.Error("periodic averaging on a recycled ring lost the interior sum")
-	}
-	s2.Release()
-}
-
 func TestSimulationCloseAndResume(t *testing.T) {
 	// Close stops the worker pool; stepping afterwards restarts it
 	// transparently, and ring rotation keeps hitting the same cached
@@ -301,12 +267,12 @@ func TestFusedRunMatchesSequentialSteps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer seq.Release()
+		defer seq.Close()
 		fused, err := New(star7(), 12, 10, 8, tunespace.Vector{Bx: 8, By: 8, Bz: 4, U: 2, C: 1, K: 3}, Periodic)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer fused.Release()
+		defer fused.Close()
 		seq.Level(0).FillPattern()
 		fused.Level(0).FillPattern()
 		if err := seq.Run(steps); err != nil {
@@ -339,7 +305,7 @@ func TestFusedRunFallsBackOnUnfusable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Release()
+	defer s.Close()
 	s.Level(0).FillPattern()
 	if err := s.Run(5); err != nil {
 		t.Fatal(err)

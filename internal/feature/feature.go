@@ -169,20 +169,6 @@ func (v Vector) dotFrom(s float64, w []float64) float64 {
 	return s
 }
 
-// AddInto accumulates scale*v into the dense vector w, ignoring indices
-// beyond len(w) under the same older-encoding convention as Dot.
-func (v Vector) AddInto(w []float64, scale float64) {
-	for i, idx := range v.Idx {
-		if int(idx) >= len(w) {
-			break
-		}
-		w[idx] += scale * v.Val[i]
-	}
-}
-
-// DiffDot returns (a - b)·w without materializing the difference.
-func DiffDot(w []float64, a, b Vector) float64 { return a.Dot(w) - b.Dot(w) }
-
 // DiffSquaredNorm returns ‖a − b‖² via an ordered merge of the two sparse
 // vectors.
 func DiffSquaredNorm(a, b Vector) float64 {
@@ -210,12 +196,6 @@ func DiffSquaredNorm(a, b Vector) float64 {
 		s += b.Val[j] * b.Val[j]
 	}
 	return s
-}
-
-// AddDiffInto accumulates scale*(a-b) into the dense vector w.
-func AddDiffInto(w []float64, a, b Vector, scale float64) {
-	a.AddInto(w, scale)
-	b.AddInto(w, -scale)
 }
 
 // builder collects index/value pairs; indices must be appended in

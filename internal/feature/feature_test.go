@@ -173,16 +173,13 @@ func TestVectorGet(t *testing.T) {
 	}
 }
 
-func TestDotAndAddInto(t *testing.T) {
-	v := Vector{Idx: []int32{0, 3}, Val: []float64{2, 4}}
+func TestDot(t *testing.T) {
+	v := Vector{Idx: []int32{0, 3, 7}, Val: []float64{2, 4, 8}}
 	w := make([]float64, 5)
 	w[0], w[3] = 0.5, 0.25
+	// Index 7 lies past len(w) and contributes nothing.
 	if got := v.Dot(w); got != 2 {
 		t.Errorf("Dot = %v, want 2", got)
-	}
-	v.AddInto(w, 2)
-	if w[0] != 4.5 || w[3] != 8.25 {
-		t.Errorf("AddInto wrong: %v", w)
 	}
 }
 
@@ -192,18 +189,6 @@ func TestDiffOperations(t *testing.T) {
 	// a-b = (1, -4, 1, 0, 3, -2): squared norm = 1+16+1+9+4 = 31.
 	if got := DiffSquaredNorm(a, b); got != 31 {
 		t.Errorf("DiffSquaredNorm = %v, want 31", got)
-	}
-	w := []float64{1, 1, 1, 1, 1, 1}
-	if got := DiffDot(w, a, b); math.Abs(got-(-1)) > 1e-12 {
-		t.Errorf("DiffDot = %v, want -1", got)
-	}
-	acc := make([]float64, 6)
-	AddDiffInto(acc, a, b, 2)
-	want := []float64{2, -8, 2, 0, 6, -4}
-	for i := range want {
-		if math.Abs(acc[i]-want[i]) > 1e-12 {
-			t.Errorf("AddDiffInto[%d] = %v, want %v", i, acc[i], want[i])
-		}
 	}
 }
 
@@ -240,7 +225,8 @@ func TestPropertyDiffNormSymmetric(t *testing.T) {
 }
 
 func TestPropertyDotLinearity(t *testing.T) {
-	// (a-b)·w computed via DiffDot equals AddDiffInto into zero then dot.
+	// (a-b)·w computed as a.Dot(w) - b.Dot(w) equals the dense difference
+	// dotted with w.
 	e := NewEncoder()
 	q := laplacianInstance()
 	space := tunespace.NewSpace(3)
@@ -254,12 +240,10 @@ func TestPropertyDotLinearity(t *testing.T) {
 		for i := range w {
 			w[i] = wr.NormFloat64()
 		}
-		direct := DiffDot(w, a, b)
-		diff := make([]float64, Dim)
-		AddDiffInto(diff, a, b, 1)
+		direct := a.Dot(w) - b.Dot(w)
 		var indirect float64
 		for i := range w {
-			indirect += w[i] * diff[i]
+			indirect += w[i] * (a.Get(i) - b.Get(i))
 		}
 		return math.Abs(direct-indirect) < 1e-9
 	}
@@ -387,15 +371,6 @@ func TestOlderModelIgnoresFusionTail(t *testing.T) {
 	vu, vf := e.Encode(q, unfused), e.Encode(q, fused)
 	if vu.Dot(oldW) != vf.Dot(oldW) {
 		t.Fatal("older model must score fused and unfused vectors identically")
-	}
-	got := make([]float64, idxFuse)
-	vf.AddInto(got, 1)
-	want := make([]float64, idxFuse)
-	vu.AddInto(want, 1)
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("AddInto leaked fusion features into index %d", i)
-		}
 	}
 }
 

@@ -81,19 +81,6 @@ func (m *Machine) EffectiveBytes(level int) int {
 	return c.SizeBytes
 }
 
-// BandwidthForWorkingSet returns the per-core streaming bandwidth (GB/s) a
-// working set of the given size experiences: the bandwidth of the innermost
-// cache level it fits into, or the per-core share of DRAM bandwidth when it
-// fits nowhere.
-func (m *Machine) BandwidthForWorkingSet(bytes int) float64 {
-	for level := range m.Caches {
-		if bytes <= m.EffectiveBytes(level) {
-			return m.Caches[level].BandwidthGBs
-		}
-	}
-	return m.MemBandwidthGBs / float64(m.Cores)
-}
-
 // CycleNs returns the duration of one core cycle in nanoseconds.
 func (m *Machine) CycleNs() float64 { return 1.0 / m.FreqGHz }
 

@@ -44,26 +44,6 @@ func TestEffectiveBytesSharedDivision(t *testing.T) {
 	}
 }
 
-func TestBandwidthMonotoneInWorkingSet(t *testing.T) {
-	m := XeonE52680v3()
-	sizes := []int{1 << 10, 64 << 10, 1 << 20, 100 << 20}
-	prev := m.BandwidthForWorkingSet(sizes[0])
-	for _, s := range sizes[1:] {
-		bw := m.BandwidthForWorkingSet(s)
-		if bw > prev {
-			t.Errorf("bandwidth increased with working set: %v -> %v at %d", prev, bw, s)
-		}
-		prev = bw
-	}
-	// Tiny working set gets L1 bandwidth; huge gets DRAM share.
-	if got := m.BandwidthForWorkingSet(1 << 10); got != 300 {
-		t.Errorf("L1 bandwidth = %v", got)
-	}
-	if got := m.BandwidthForWorkingSet(1 << 30); got != 55.0/12 {
-		t.Errorf("DRAM bandwidth = %v", got)
-	}
-}
-
 func TestCycleNs(t *testing.T) {
 	m := XeonE52680v3()
 	if got := m.CycleNs(); got != 0.4 {

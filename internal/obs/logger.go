@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"log"
 	"strconv"
 	"strings"
 	"sync"
@@ -190,21 +189,6 @@ func appendTextValue(b []byte, v any) []byte {
 		return appendJSONString(b, s)
 	}
 	return append(b, s...)
-}
-
-// Std returns a standard-library *log.Logger that forwards each written line
-// to l at level info with a component field. It bridges APIs that demand a
-// *log.Logger (http.Server.ErrorLog, legacy constructors) into the
-// structured stream.
-func (l *Logger) Std(component string) *log.Logger {
-	return log.New(&stdBridge{l: l.With(F("component", component))}, "", 0)
-}
-
-type stdBridge struct{ l *Logger }
-
-func (b *stdBridge) Write(p []byte) (int, error) {
-	b.l.Info(strings.TrimRight(string(p), "\n"))
-	return len(p), nil
 }
 
 // ---------------------------------------------------------------------------

@@ -63,21 +63,6 @@ func TestLoggerPrintfBridge(t *testing.T) {
 	}
 }
 
-func TestLoggerStdBridge(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, "json")
-	l.now = fixedClock
-	std := l.Std("retrain")
-	std.Println("cycle complete")
-	var got map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if got["component"] != "retrain" || got["msg"] != "cycle complete" {
-		t.Errorf("std bridge line = %v", got)
-	}
-}
-
 func TestNilLoggerIsNoOp(t *testing.T) {
 	var l *Logger
 	l.Info("dropped") // must not panic

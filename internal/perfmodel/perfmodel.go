@@ -54,7 +54,7 @@ const (
 
 // Model evaluates executions on a described machine.
 //
-// A Model is read-only once configured: Runtime, GFlops and Evaluate are
+// A Model is read-only once configured: Runtime and Evaluate are
 // pure functions of (M, NoiseAmp, Seed) and the arguments, touching no
 // mutable state. One model may therefore serve any number of goroutines
 // concurrently — batch evaluators and parallel dataset generation rely on
@@ -99,11 +99,6 @@ type Breakdown struct {
 // instance with the given tuning vector, sweeping the full grid once.
 func (m *Model) Runtime(q stencil.Instance, t tunespace.Vector) float64 {
 	return m.Evaluate(q, t).Seconds
-}
-
-// GFlops returns the simulated throughput of the execution.
-func (m *Model) GFlops(q stencil.Instance, t tunespace.Vector) float64 {
-	return m.Evaluate(q, t).GFlops
 }
 
 // Evaluate computes the full cost breakdown for one execution.

@@ -215,7 +215,7 @@ func TestGFlopsPlausibleRange(t *testing.T) {
 		space := tunespace.NewSpace(q.Kernel.Dims())
 		best := 0.0
 		for i := 0; i < 300; i++ {
-			g := m.GFlops(q, space.Random(rng))
+			g := m.Evaluate(q, space.Random(rng)).GFlops
 			if g > best {
 				best = g
 			}

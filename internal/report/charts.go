@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/bench"
-	"repro/internal/ranking"
 )
 
 // Chart geometry shared by all figures.
@@ -249,6 +248,3 @@ func Fig7Chart(rows []bench.Fig7Row) string {
 	c.text(marginL+plotW/2, marginT+plotH+34, 11, "middle", "training-set size")
 	return c.String()
 }
-
-// summaryOK reports whether a summary carries data (used by tests).
-func summaryOK(s ranking.Summary) bool { return s.N > 0 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
-	"repro/internal/ranking"
 	"repro/internal/stencil"
 	"repro/internal/trainer"
 )
@@ -167,15 +166,6 @@ func TestNiceCeil(t *testing.T) {
 func TestEscape(t *testing.T) {
 	if got := escape(`a<b>&c`); got != "a&lt;b&gt;&amp;c" {
 		t.Errorf("escape = %q", got)
-	}
-}
-
-func TestSummaryOK(t *testing.T) {
-	if summaryOK(ranking.Summary{}) {
-		t.Error("empty summary reported OK")
-	}
-	if !summaryOK(ranking.Summary{N: 3}) {
-		t.Error("non-empty summary reported not OK")
 	}
 }
 

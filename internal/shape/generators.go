@@ -14,19 +14,6 @@ const (
 	AxisZ
 )
 
-func (a Axis) String() string {
-	switch a {
-	case AxisX:
-		return "x"
-	case AxisY:
-		return "y"
-	case AxisZ:
-		return "z"
-	default:
-		return "?"
-	}
-}
-
 func axisPoint(a Axis, v int) Point {
 	switch a {
 	case AxisX:

@@ -21,12 +21,6 @@ type Point struct {
 	X, Y, Z int
 }
 
-// Add returns the componentwise sum of p and q.
-func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y, p.Z + q.Z} }
-
-// Neg returns the componentwise negation of p.
-func (p Point) Neg() Point { return Point{-p.X, -p.Y, -p.Z} }
-
 // ChebyshevNorm returns the L∞ norm of p, i.e. the smallest maximum offset
 // that encloses the point.
 func (p Point) ChebyshevNorm() int {
@@ -192,15 +186,6 @@ func (s *Shape) Equal(t *Shape) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a deep copy of the shape.
-func (s *Shape) Clone() *Shape {
-	c := &Shape{points: make(map[Point]int, len(s.points))}
-	for p, m := range s.points {
-		c.points[p] = m
-	}
-	return c
 }
 
 // String renders the z = 0 plane of the shape as a compact matrix, useful in

@@ -11,8 +11,14 @@
 // pairs. Two solvers are provided: dual coordinate descent (the default; the
 // standard exact solver for the L1-hinge linear SVM) and averaged stochastic
 // subgradient descent (for the ablation study). Both operate on implicit
-// difference vectors — pairs are stored as index pairs and all algebra runs
-// on the sparse feature vectors directly.
+// difference vectors: pairs are stored as index pairs, and Train first packs
+// every example's live components into one arena. A component is dead when
+// every pair holds it with the same value in both members or in neither;
+// the head that all executions of an instance share is dead in every
+// within-query pair (the default 3,840-point set keeps 31 of a vector's 73
+// components, 88 of 441 weights). A dead weight stays exactly +0, so
+// dropping dead components changes no margin, step or weight: the result is
+// bit-identical to running on the full sparse vectors (see arena).
 package svmrank
 
 import (
@@ -126,9 +132,10 @@ func GeneratePairs(d *Dataset, opt PairOptions) []Pair {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
+	groups := d.Groups()
 	var pairs []Pair
 	for _, q := range d.Queries() {
-		idx := append([]int(nil), d.Groups()[q]...)
+		idx := groups[q]
 		// Sort group by runtime ascending (best first).
 		sort.SliceStable(idx, func(a, b int) bool {
 			return d.Examples[idx[a]].Y < d.Examples[idx[b]].Y
@@ -375,15 +382,15 @@ func Train(d *Dataset, opt Options) (*Model, Stats, error) {
 	}
 
 	start := time.Now()
-	var w []float64
+	a := pack(d, pairs)
+	var w *weights
 	var epochs int
 	switch opt.Solver {
 	case SGD:
-		w, epochs = trainSGD(d, pairs, perPair, opt)
+		w, epochs = trainSGD(a, pairs, perPair, opt)
 	default:
-		w, epochs = trainDCD(d, pairs, perPair, opt)
+		w, epochs = trainDCD(d, a, pairs, perPair, opt)
 	}
-	m := &Model{W: w, C: opt.C}
 
 	stats := Stats{
 		Pairs:     len(pairs),
@@ -391,30 +398,183 @@ func Train(d *Dataset, opt Options) (*Model, Stats, error) {
 		TrainTime: time.Since(start),
 	}
 	var reg float64
-	for _, v := range w {
+	for _, v := range w[:len(a.live)] {
 		reg += v * v
 	}
 	obj := 0.5 * reg
 	for _, p := range pairs {
-		margin := feature.DiffDot(w, d.Examples[p.I].X, d.Examples[p.J].X)
+		margin := a.diffDot(w, p.I, p.J)
 		if margin < 1 {
 			stats.Violations++
 			obj += perPair * (1 - margin)
 		}
 	}
 	stats.Objective = obj
-	return m, stats, nil
+	return &Model{W: a.unpack(w), C: opt.C}, stats, nil
+}
+
+// arena is the training set reduced to its live components, packed for the
+// solvers. A feature index is dead when every pair holds it in neither member
+// or in both with the same finite value; every other index below feature.Dim
+// is live, and indices at or past feature.Dim are dropped as Dot drops them.
+// The solvers run on a compact weight vector with one slot per live index.
+//
+// Dropping the dead indices changes no bit of the result. A dead index's
+// weight starts at +0 and stays there: a DCD step adds s·v and then −s·v,
+// and +0 + p − p = +0 for any finite p; SGD's shrink and running average
+// keep +0 at +0. So
+// every product a dead component adds to a dot product is ±0, and adding ±0
+// leaves a partial sum that starts at +0 unchanged (such a sum is never −0).
+// Every margin, α step, weight, the objective and the violation count are
+// therefore those of the full sparse vectors. The rule reads only the pairs,
+// so it holds for any data, not just for vectors whose head a query shares.
+type arena struct {
+	off  []int32   // example e's components are idx/val[off[e]:off[e+1]]
+	idx  []uint16  // slot in the compact weight vector, ascending per example
+	val  []float64 // component value
+	live []int32   // live[j] is the feature index of slot j
+}
+
+// slots is the capacity of the compact weight vector. Every feature index
+// fits a slot: the blank array below fails to compile if Dim outgrows it.
+const slots = 1 << 16
+
+var _ [slots - feature.Dim]struct{}
+
+// weights is the solvers' compact weight vector, slots 0..len(live)-1 in
+// use. A uint16 slot indexes it with no bounds check.
+type weights [slots]float64
+
+// pack builds the arena of d's live components under pairs.
+func pack(d *Dataset, pairs []Pair) *arena {
+	live := make([]bool, feature.Dim)
+	for _, p := range pairs {
+		markLive(live, d.Examples[p.I].X, d.Examples[p.J].X)
+	}
+	a := &arena{off: make([]int32, 1, d.Len()+1)}
+	slot := make([]uint16, feature.Dim)
+	for k, l := range live {
+		if l {
+			slot[k] = uint16(len(a.live))
+			a.live = append(a.live, int32(k))
+		}
+	}
+	for _, e := range d.Examples {
+		for i, k := range e.X.Idx {
+			if int(k) >= len(live) {
+				break
+			}
+			if live[k] {
+				a.idx = append(a.idx, slot[k])
+				a.val = append(a.val, e.X.Val[i])
+			}
+		}
+		a.off = append(a.off, int32(len(a.idx)))
+	}
+	return a
+}
+
+// markLive sets live[k] for every index below len(live) that one pair's
+// members x and y do not hold with the same finite value, by an ordered merge
+// of their indices.
+func markLive(live []bool, x, y feature.Vector) {
+	i, j := 0, 0
+	for i < len(x.Idx) || j < len(y.Idx) {
+		var k int32
+		switch {
+		case j == len(y.Idx) || (i < len(x.Idx) && x.Idx[i] < y.Idx[j]):
+			k = x.Idx[i]
+			i++
+		case i == len(x.Idx) || y.Idx[j] < x.Idx[i]:
+			k = y.Idx[j]
+			j++
+		default:
+			k = x.Idx[i]
+			v := x.Val[i]
+			i++
+			j++
+			if v == y.Val[j-1] && v-v == 0 {
+				continue // equal and finite
+			}
+		}
+		if int(k) >= len(live) {
+			return
+		}
+		live[k] = true
+	}
+}
+
+// unpack scatters the compact weights into a full weight vector of
+// feature.Dim entries, +0 at every dead index.
+func (a *arena) unpack(w *weights) []float64 {
+	full := make([]float64, feature.Dim)
+	for j, k := range a.live {
+		full[k] = w[j]
+	}
+	return full
+}
+
+// example returns example e's packed components.
+func (a *arena) example(e int) ([]uint16, []float64) {
+	lo, hi := a.off[e], a.off[e+1]
+	idx := a.idx[lo:hi]
+	return idx, a.val[lo:hi][:len(idx)]
+}
+
+// diffDot returns (x_i − x_j)·w as Dot computes it: the two dot products are
+// summed separately, each in ascending index order, and then subtracted.
+// One loop runs both sums over the members' common length, so the two
+// independent chains of additions overlap.
+func (a *arena) diffDot(w *weights, i, j int) float64 {
+	_ = w[0] // one nil check here, none in the loops
+	xi, xv := a.example(i)
+	yi, yv := a.example(j)
+	n := min(len(xi), len(yi))
+	var sx, sy float64
+	{
+		xi, xv, yi, yv := xi[:n], xv[:n], yi[:n], yv[:n]
+		for k, xk := range xi {
+			// The conversions round each product on its own, as Dot
+			// does, so that no platform fuses it into the addition.
+			sx += float64(xv[k] * w[xk])
+			sy += float64(yv[k] * w[yi[k]])
+		}
+	}
+	xi, xv = xi[n:], xv[n:]
+	for k, xk := range xi {
+		sx += float64(xv[k] * w[xk])
+	}
+	yi, yv = yi[n:], yv[n:]
+	for k, yk := range yi {
+		sy += float64(yv[k] * w[yk])
+	}
+	return sx - sy
+}
+
+// addDiff accumulates scale·(x_i − x_j) into w: scale·x_i first, then
+// −scale·x_j.
+func (a *arena) addDiff(w *weights, i, j int, scale float64) {
+	_ = w[0] // one nil check here, none in the loops
+	xi, xv := a.example(i)
+	for k, xk := range xi {
+		w[xk] += scale * xv[k]
+	}
+	yi, yv := a.example(j)
+	neg := -scale
+	for k, yk := range yi {
+		w[yk] += neg * yv[k]
+	}
 }
 
 // trainDCD runs dual coordinate descent on the pairwise L1-hinge dual:
 // each pair p has a dual variable α_p ∈ [0, U] with U the per-pair slack
 // cost; w = Σ α_p (x_i − x_j).
-func trainDCD(d *Dataset, pairs []Pair, perPair float64, opt Options) ([]float64, int) {
+func trainDCD(d *Dataset, a *arena, pairs []Pair, perPair float64, opt Options) (*weights, int) {
 	U := perPair
-	w := make([]float64, feature.Dim)
+	w := new(weights)
 	alpha := make([]float64, len(pairs))
 
-	// Precompute the diagonal Q_pp = ‖x_i − x_j‖².
+	// Precompute the diagonal Q_pp = ‖x_i − x_j‖² over the full vectors.
 	qdiag := make([]float64, len(pairs))
 	for p, pr := range pairs {
 		qdiag[p] = feature.DiffSquaredNorm(d.Examples[pr.I].X, d.Examples[pr.J].X)
@@ -435,8 +595,7 @@ func trainDCD(d *Dataset, pairs []Pair, perPair float64, opt Options) ([]float64
 		maxViolation := 0.0
 		for _, p := range order {
 			pr := pairs[p]
-			xi, xj := d.Examples[pr.I].X, d.Examples[pr.J].X
-			g := feature.DiffDot(w, xi, xj) - 1 // gradient of dual wrt α_p
+			g := a.diffDot(w, pr.I, pr.J) - 1 // gradient of dual wrt α_p
 
 			// Projected gradient for the box [0, U].
 			pg := g
@@ -462,7 +621,7 @@ func trainDCD(d *Dataset, pairs []Pair, perPair float64, opt Options) ([]float64
 				continue
 			}
 			alpha[p] = na
-			feature.AddDiffInto(w, xi, xj, na-old)
+			a.addDiff(w, pr.I, pr.J, na-old)
 		}
 		if maxViolation < opt.Tol {
 			epoch++
@@ -476,10 +635,10 @@ func trainDCD(d *Dataset, pairs []Pair, perPair float64, opt Options) ([]float64
 // objective F(w) = ½‖w‖² + perPair·Σ_p hinge_p. A uniformly drawn pair p
 // gives the unbiased estimate ½‖w‖² + perPair·m·hinge_p; the ½‖w‖² term
 // makes F 1-strongly convex, so the classic 1/(t+1) step size applies.
-func trainSGD(d *Dataset, pairs []Pair, perPair float64, opt Options) ([]float64, int) {
+func trainSGD(a *arena, pairs []Pair, perPair float64, opt Options) (*weights, int) {
 	m := float64(len(pairs))
-	w := make([]float64, feature.Dim)
-	avg := make([]float64, feature.Dim)
+	w, avg := new(weights), new(weights)
+	live := len(a.live)
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	t := 0
@@ -488,19 +647,18 @@ func trainSGD(d *Dataset, pairs []Pair, perPair float64, opt Options) ([]float64
 			t++
 			p := pairs[rng.Intn(len(pairs))]
 			eta := 1 / float64(t+1)
-			xi, xj := d.Examples[p.I].X, d.Examples[p.J].X
-			margin := feature.DiffDot(w, xi, xj)
+			margin := a.diffDot(w, p.I, p.J)
 			// Gradient step: shrink from the regularizer, then the hinge
 			// subgradient if the pair violates the margin.
 			shrink := 1 - eta
-			for k := range w {
+			for k := range w[:live] {
 				w[k] *= shrink
 			}
 			if margin < 1 {
-				feature.AddDiffInto(w, xi, xj, eta*perPair*m)
+				a.addDiff(w, p.I, p.J, eta*perPair*m)
 			}
 			// Running average of iterates.
-			for k := range w {
+			for k := range avg[:live] {
 				avg[k] += (w[k] - avg[k]) / float64(t)
 			}
 		}

@@ -29,7 +29,7 @@ type Config struct {
 // scales C by the query count); with our from-scratch solver, feature
 // encoding and simulated substrate, the equivalent operating point of the
 // regularization plateau sits at a per-pair C of 3 — see the C-sensitivity
-// ablation in bench_test.go and the calibration note in EXPERIMENTS.md.
+// ablation BenchmarkAblationC in bench_test.go.
 //
 // Generation runs sequentially by default; set Dataset.Workers (the
 // generated Set is identical for every worker count).

@@ -1,6 +1,10 @@
 package trainer
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
@@ -147,6 +151,33 @@ func TestDefaultConfigMatchesPaper(t *testing.T) {
 	}
 	if cfg.Dataset.TargetPoints != 960 {
 		t.Errorf("target = %d", cfg.Dataset.TargetPoints)
+	}
+}
+
+// TestDefaultConfigWeightsPinned pins the exact weights the default pipeline
+// trains: the sha256 of W's float64 bits, little-endian, in index order. The
+// digests were taken from the solver that ran on the full sparse vectors,
+// before training moved onto the packed live components, so they hold the
+// packed solver to the same bits.
+func TestDefaultConfigWeightsPinned(t *testing.T) {
+	for _, c := range []struct {
+		points int
+		sha    string
+	}{
+		{960, "9d1542aa4662b6067951d7b66d29ba4763b3d5e2d22600d0da60232215fd269c"},
+		{3840, "c883e838f21b8273046b67d16044627276c4bd8db693ebb511f98864e93f22aa"},
+	} {
+		res, err := Train(evaluator(), DefaultConfig(c.points, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for _, v := range res.Model.W {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.sha {
+			t.Errorf("DefaultConfig(%d, 1): sha256(W) = %s, want %s", c.points, got, c.sha)
+		}
 	}
 }
 

@@ -254,17 +254,6 @@ func (l *Log) syncLocked() error {
 	return nil
 }
 
-// Rotate seals the active segment and starts the next one, regardless of
-// fill level.
-func (l *Log) Rotate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: log is closed")
-	}
-	return l.rotateLocked()
-}
-
 func (l *Log) rotateLocked() error {
 	if err := l.syncLocked(); err != nil {
 		return err

@@ -160,12 +160,9 @@ func TestRotationSealsSegments(t *testing.T) {
 	}
 	assertPrefix(t, recs, n)
 
-	// Explicit Rotate starts a fresh segment and appends keep working.
+	// A reopened log appends after the sealed segments.
 	l2, _, err := Open(dir, Options{SegmentBytes: 2048})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l2.Rotate(); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Append(testRecord(n)); err != nil {

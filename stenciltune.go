@@ -224,8 +224,8 @@ type TrainOptions struct {
 	// Mode selects the evaluation substrate. Default Simulate.
 	Mode EvaluateMode
 	// C overrides the ranking-SVM regularization (default 3, the
-	// calibrated equivalent of the paper's SVM-Rank -c 0.01; see
-	// EXPERIMENTS.md).
+	// calibrated equivalent of the paper's SVM-Rank -c 0.01; see the
+	// C-sensitivity ablation BenchmarkAblationC in bench_test.go).
 	C float64
 	// Evaluator overrides Mode with a custom evaluator when non-nil.
 	Evaluator Evaluator
