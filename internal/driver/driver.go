@@ -104,23 +104,28 @@ func (s *Simulation[T]) Level(i int) *grid.Grid[T] {
 	return s.ring[i]
 }
 
-// Step advances one time level: refresh halos on every input level, apply
-// the kernel, rotate the ring.
-func (s *Simulation[T]) Step() error {
+// advance runs the program Runner.Compile returns for tv once: it refreshes
+// halos on every input level, applies the program and rotates the ring. It
+// returns the steps the program advanced.
+func (s *Simulation[T]) advance(tv tunespace.Vector) (int, error) {
 	inputs := s.ring[:s.Kernel.Buffers]
+	out := s.ring[len(s.ring)-1]
+	pr, err := s.runner.Compile(s.Kernel, out, inputs, tv)
+	if err != nil {
+		return 0, err
+	}
 	for _, g := range inputs {
 		s.refreshHalo(g)
 	}
-	out := s.ring[len(s.ring)-1]
-	if err := s.runner.Run(s.Kernel, out, inputs, s.Tuning); err != nil {
-		return err
+	if err := pr.Run(out, inputs); err != nil {
+		return 0, err
 	}
 	// Rotate: the write target becomes the newest level.
 	for i := len(s.ring) - 1; i > 0; i-- {
 		s.ring[i], s.ring[i-1] = s.ring[i-1], s.ring[i]
 	}
-	s.step++
-	return nil
+	s.step += pr.Steps()
+	return pr.Steps(), nil
 }
 
 // Close stops the simulation's worker pool and drops its compiled-program
@@ -129,32 +134,27 @@ func (s *Simulation[T]) Step() error {
 // simulations do not accumulate idle goroutines.
 func (s *Simulation[T]) Close() { s.runner.Close() }
 
-// Run advances n steps. When the tuning vector's fusion depth K exceeds 1
-// and the configuration is fusable — periodic boundary, single-buffer kernel,
-// domain no narrower than the kernel radius — full K-step chunks execute
-// through the fused temporal-blocking engine, which is bit-identical to K
-// sequential Steps; the remainder (and any unfusable configuration) falls
-// back to sequential stepping, so K is advisory rather than load-bearing.
+// Run advances n steps. Each run of the compiled program advances its
+// Steps(): Runner.Compile fuses the tuning vector's depth K into one
+// wavefront sweep, bit-identical to K sequential steps, when the kernel and
+// domain allow it, and otherwise runs one step, so K is advisory rather than
+// load-bearing. The wavefront refills halos by the periodic rule, so a
+// non-periodic boundary runs with K=1, and so does a remainder shorter than
+// K.
 func (s *Simulation[T]) Run(n int) error {
-	if k := s.Tuning.EffFuse(); k > 1 && n >= k && s.Boundary == Periodic && exec.CanFuse(s.Kernel) {
-		in, out := s.ring[0], s.ring[1]
-		if fp, err := s.runner.CompileFused(s.Kernel, out, in, s.Tuning); err == nil {
-			for n >= k {
-				in, out = s.ring[0], s.ring[1]
-				s.refreshHalo(in)
-				if err := fp.Run(out, in); err != nil {
-					return fmt.Errorf("driver: step %d (fused ×%d): %w", s.step, k, err)
-				}
-				s.ring[0], s.ring[1] = out, in
-				s.step += k
-				n -= k
-			}
-		}
+	tv := s.Tuning
+	if s.Boundary != Periodic {
+		tv.K = 1
 	}
-	for i := 0; i < n; i++ {
-		if err := s.Step(); err != nil {
+	for n > 0 {
+		if n < tv.EffFuse() {
+			tv.K = 1
+		}
+		steps, err := s.advance(tv)
+		if err != nil {
 			return fmt.Errorf("driver: step %d: %w", s.step, err)
 		}
+		n -= steps
 	}
 	return nil
 }

@@ -15,33 +15,39 @@
 // runner; NewRunnerOf selects the type explicitly, and Measurer picks the
 // runner matching each stencil's declared DataType.
 //
-// Specialization happens at compile time. Runner.Compile takes a kernel, a
-// grid geometry and a tuning vector and produces a *Program: the flattened
-// term plan on a layout — the exact-size tile decomposition and its
-// flattened (base, n) row-span plan — that the Runner caches per (geometry,
-// bx, by, bz) and shares across every kernel and every (u, c). Execution
-// walks rows linearly with no index arithmetic, and compiling a new kernel
-// on a known layout costs O(terms). Runner.CompileFused builds the
-// temporal-blocking FusedProgram (fused.go). Both engines run every kernel
-// through one row body (rows.go), chosen from the CPU alone: the AVX2 span
-// kernels of rows_amd64.s on amd64 CPUs with AVX2, the portable term-major
-// passes elsewhere (GenericBody reports which). Both bodies sum terms in
-// plan order with one rounding per operation, so they agree bit for bit
-// with each other and with Reference. The AVX2 kernels have no bounds
-// checks; Compile proves every span's accesses inside the grid instead, in
-// O(1) per program from the layout's first and last points. Programs are
-// cached inside the Runner (keyed by kernel identity, geometry and tuning
-// vector), and the Runner owns a persistent pool of worker goroutines, so
-// steady-state Run calls are allocation-free and spawn nothing. A run gives
-// each participant one contiguous slab of the tiles; c is the claim size
-// within a slab, and a participant whose slab is empty steals chunks from
-// the others' (pool.go). The caller never waits for a worker that has not
-// joined by the time the tiles run out. This matters because the Measure evaluation mode calls Run thousands of
-// times per search: fixed per-call overhead both pollutes small-grid timings
-// (the training signal) and caps autotuning throughput.
+// Specialization happens at compile time. Runner.Compile, the one compile
+// path, takes a kernel, a grid geometry and a tuning vector and produces a
+// *Program, deciding once how the vector runs. When the fusion depth K
+// exceeds 1, the kernel has one buffer and the domain is at least the
+// kernel radius wide in-plane, the program is a temporal-blocking wavefront
+// that advances K steps per Run (fused.go); otherwise it is the one-step
+// tiled program and K is normalized to 1. A one-step program is the
+// flattened term plan on a layout — the exact-size tile decomposition and
+// its flattened (base, n) row-span plan — that the Runner caches per
+// (geometry, bx, by, bz) and shares across every kernel and every (u, c).
+// Execution walks rows linearly with no index arithmetic, and compiling a
+// new kernel on a known layout costs O(terms). Both kinds of program run
+// every kernel through one row body (rows.go), chosen from the CPU alone:
+// the AVX2 span kernels of rows_amd64.s on amd64 CPUs with AVX2, the
+// portable term-major passes elsewhere (GenericBody reports which). Both
+// bodies sum terms in plan order with one rounding per operation, so they
+// agree bit for bit with each other and with Reference. The AVX2 kernels
+// have no bounds checks; Compile proves every span's accesses inside the
+// grid instead, in O(1) per program from the layout's first and last
+// points, and rejects grids too large for int32 flat indices. Programs are
+// cached inside the Runner in one program cache (keyed by kernel identity,
+// geometry and normalized tuning vector), and the Runner owns a persistent
+// pool of worker goroutines, so steady-state Run calls are allocation-free
+// and spawn nothing. A run gives each participant one contiguous slab of
+// the tiles; c is the claim size within a slab, and a participant whose
+// slab is empty steals chunks from the others' (pool.go). The caller never
+// waits for a worker that has not joined by the time the tiles run out.
+// This matters because the Measure evaluation mode calls Run thousands of
+// times per search: fixed per-call overhead both pollutes small-grid
+// timings (the training signal) and caps autotuning throughput.
 //
-// Runner.Run is the convenience wrapper (compile-or-lookup, then execute).
-// Call Runner.Close when discarding a Runner before process exit to stop its
+// Runner.Run is the one-step convenience wrapper (compile-or-lookup with
+// K=1, then execute). Call Runner.Close when discarding a Runner before process exit to stop its
 // worker pool; the pool is tiny and idle workers cost nothing, so long-lived
 // Runners may simply be kept.
 //
@@ -124,17 +130,16 @@ type plan[T grid.Float] struct {
 type Runner[T grid.Float] struct {
 	Workers int
 
-	mu               sync.Mutex
-	pool             *workerPool[T]
-	progs            map[progKey]*Program[T]
-	layouts          map[layoutKey]*layout
-	cachedTiles      int // over layouts
-	cachedSpans      int // over layouts
-	progStats        cacheCounters
-	layoutStats      cacheCounters
-	poolStats        poolCounters
-	fprogs           map[progKey]*FusedProgram[T]
-	cachedFusedElems int
+	mu            sync.Mutex
+	pool          *workerPool[T]
+	progs         map[progKey]*Program[T]
+	layouts       map[layoutKey]*layout
+	cachedScratch int // wavefront scratch elements over progs
+	cachedTiles   int // over layouts
+	cachedSpans   int // over layouts
+	progStats     cacheCounters
+	layoutStats   cacheCounters
+	poolStats     poolCounters
 }
 
 // NewRunnerOf returns a runner of element type T using all available CPUs.
@@ -166,10 +171,9 @@ func (r *Runner[T]) Close() {
 	r.pool = nil
 	r.progs = nil
 	r.layouts = nil
+	r.cachedScratch = 0
 	r.cachedTiles = 0
 	r.cachedSpans = 0
-	r.fprogs = nil
-	r.cachedFusedElems = 0
 	r.mu.Unlock()
 	if pool != nil {
 		pool.stop()
@@ -204,9 +208,10 @@ func checkGeometry[T grid.Float](k *LinearKernel, out *grid.Grid[T], ins []*grid
 
 // Reference computes the kernel with a naive, unblocked, single-threaded
 // sweep, accumulating in the runner's element type in term order. It is the
-// correctness oracle for Run: the compiled and fused paths of the same
-// Runner instantiation match it bit for bit (up to the sign of a zero) for
-// every kernel, whatever the order of its terms.
+// correctness oracle for Run: one-step programs of the same Runner
+// instantiation match it bit for bit (up to the sign of a zero) for every
+// kernel, whatever the order of its terms, and a K-step wavefront matches K
+// sequential steps.
 func (r *Runner[T]) Reference(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid[T]) error {
 	if err := k.Validate(); err != nil {
 		return err
@@ -240,19 +245,22 @@ type tile struct {
 	x0, x1, y0, y1, z0, z1 int
 }
 
-// Run executes the kernel over the full interior with the given tuning
-// vector: the domain is decomposed into bx×by×bz tiles, the tiles into one
-// contiguous slab per participating worker, and each worker claims chunks
-// of c consecutive tiles from its own slab, then steals chunks from the
-// others'. The unroll factor u selects the row body's fuse width.
+// Run executes one step of the kernel over the full interior with the given
+// tuning vector, whatever its fusion depth: the domain is decomposed into
+// bx×by×bz tiles, the tiles into one contiguous slab per participating
+// worker, and each worker claims chunks of c consecutive tiles from its own
+// slab, then steals chunks from the others'. The unroll factor u selects the
+// row body's fuse width.
 //
-// Run compiles (or looks up) the cached Program for (kernel, geometry,
-// vector) and executes it; in steady state it performs no allocations and
-// spawns no goroutines.
+// Run compiles (or looks up) the cached one-step Program for (kernel,
+// geometry, vector with K=1) and executes it; in steady state it performs
+// no allocations and spawns no goroutines.
 func (r *Runner[T]) Run(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid[T], tv tunespace.Vector) error {
 	// Fast path: a cache hit proves (kernel, geometry, vector) were already
 	// validated at compile time, so only the per-call grid binding (checked
-	// by Program.Run) remains.
+	// by Program.Run) remains. The key is normalized as Compile normalizes
+	// a one-step vector.
+	tv.K = 1
 	if out.NZ == 1 {
 		tv.Bz = 1
 	}
@@ -293,17 +301,3 @@ func decompose(g geom, tv tunespace.Vector) []tile {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// runTile sweeps one tile through the generic body, computing row bases on
-// the fly: the fallback for grids too large for the int32 span plan.
-// Compiled programs normally execute precomputed row spans instead (see
-// pool.runChunk).
-func runTile[T grid.Float](p *plan[T], out *grid.Grid[T], t tile, fuse int, avx2 bool) {
-	dst := out.Data()
-	n := t.x1 - t.x0
-	for z := t.z0; z < t.z1; z++ {
-		for y := t.y0; y < t.y1; y++ {
-			runRow(p, dst, out.Index(t.x0, y, z), n, fuse, avx2)
-		}
-	}
-}

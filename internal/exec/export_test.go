@@ -5,6 +5,3 @@ package exec
 
 // Tiles reports the number of tiles in the compiled decomposition.
 func (pr *Program[T]) Tiles() int { return len(pr.tiles) }
-
-// Steps reports how many timesteps one Run advances.
-func (fp *FusedProgram[T]) Steps() int { return fp.k }

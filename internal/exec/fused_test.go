@@ -92,8 +92,9 @@ func fusedTestKernels() []struct {
 }
 
 // runFusedCase advances in by K steps twice — sequentially through
-// Runner.Run with periodic halo refreshes between steps, and in one fused
-// sweep — and requires bit-for-bit identical interiors.
+// Runner.Run with periodic halo refreshes between steps, and in one run of
+// the program Compile returns for tv (a wavefront for K ≥ 2) — and requires
+// bit-for-bit identical interiors.
 func runFusedCase[T grid.Float](t *testing.T, r *Runner[T], k *LinearKernel, nx, ny, nz int, tv tunespace.Vector) {
 	t.Helper()
 	halo := k.MaxOffset()
@@ -118,14 +119,14 @@ func runFusedCase[T grid.Float](t *testing.T, r *Runner[T], k *LinearKernel, nx,
 	in.FillPattern()
 	refreshPeriodic(in)
 	out := grid.NewOf[T](nx, ny, nz, halo, haloZ)
-	fp, err := r.CompileFused(k, out, in, tv)
+	pr, err := r.Compile(k, out, []*grid.Grid[T]{in}, tv)
 	if err != nil {
-		t.Fatalf("%s: CompileFused: %v", k.Name, err)
+		t.Fatalf("%s: Compile: %v", k.Name, err)
 	}
-	if fp.Steps() != K {
-		t.Fatalf("%s: Steps() = %d, want %d", k.Name, fp.Steps(), K)
+	if pr.Steps() != K {
+		t.Fatalf("%s: Steps() = %d, want %d", k.Name, pr.Steps(), K)
 	}
-	if err := fp.Run(out, in); err != nil {
+	if err := pr.Run(out, []*grid.Grid[T]{in}); err != nil {
 		t.Fatalf("%s: fused run: %v", k.Name, err)
 	}
 
@@ -185,6 +186,24 @@ func TestFusedMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestFusedPlanarShapesOn3DGrids runs the 2-D shapes star5 and box9 through
+// wavefront programs on 3-D grids, where the stream axis is z and the stream
+// radius is zero: every row reads one source plane, with the y neighbours at
+// in-plane offsets.
+func TestFusedPlanarShapesOn3DGrids(t *testing.T) {
+	r64 := NewRunner()
+	defer r64.Close()
+	r32 := NewRunnerOf[float32]()
+	defer r32.Close()
+	for _, k := range []*LinearKernel{star5Kernel(), box9Kernel()} {
+		for _, K := range []int{1, 2, 3} {
+			tv := tunespace.Vector{Bx: 8, By: 8, Bz: 8, U: 2, C: 1, K: K}
+			runFusedCase(t, r64, k, 9, 7, 6, tv)
+			runFusedCase(t, r32, k, 9, 7, 6, tv)
+		}
+	}
+}
+
 // TestFusedSpecializationSelected pins that every fused test kernel, on its
 // own grid shape, runs the row body the CPU picks in both engines.
 func TestFusedSpecializationSelected(t *testing.T) {
@@ -197,46 +216,101 @@ func TestFusedSpecializationSelected(t *testing.T) {
 	}
 }
 
-// TestCompileFusedRejects covers the ineligible configurations: multi-buffer
-// kernels and domains narrower than the kernel radius.
-func TestCompileFusedRejects(t *testing.T) {
+// TestCompileFallsBackToOneStep covers the vectors Compile cannot fuse:
+// K=0 and K=1, a multi-buffer kernel at any depth and a domain narrower
+// than the kernel radius all compile the one-step program, one cache entry
+// per (kernel, geometry, blocking). A wavefront program still rejects
+// aliased input and output.
+func TestCompileFallsBackToOneStep(t *testing.T) {
 	r := NewRunner()
 	defer r.Close()
+	tv := func(k int) tunespace.Vector { return tunespace.Vector{Bx: 8, By: 8, Bz: 8, U: 0, C: 1, K: k} }
+	oneStep := func(k *LinearKernel, out *grid.Grid[float64], ins []*grid.Grid[float64], depths ...int) {
+		t.Helper()
+		before, _ := r.CacheStats()
+		var first *Program[float64]
+		for _, K := range depths {
+			pr, err := r.Compile(k, out, ins, tv(K))
+			if err != nil {
+				t.Fatalf("%s K=%d: %v", k.Name, K, err)
+			}
+			if pr.Steps() != 1 || pr.wave != nil {
+				t.Fatalf("%s K=%d: Steps() = %d, want the one-step program", k.Name, K, pr.Steps())
+			}
+			if first == nil {
+				first = pr
+			} else if pr != first {
+				t.Fatalf("%s K=%d: compiled a second one-step program", k.Name, K)
+			}
+		}
+		after, _ := r.CacheStats()
+		if misses := after.Misses - before.Misses; misses != 1 {
+			t.Fatalf("%s depths %v: %d program-cache misses, want 1", k.Name, depths, misses)
+		}
+	}
 
 	wave := &LinearKernel{Name: "t-wave", Buffers: 2, Terms: []Term{
 		{0, pt(0, 0, 0), 2}, {1, pt(0, 0, 0), -1}, {0, pt(1, 0, 0), 0.1},
 	}}
-	if CanFuse(wave) {
-		t.Fatal("CanFuse should reject multi-buffer kernels")
-	}
-	out := grid.New(8, 8, 8, 1, 1)
-	in := grid.New(8, 8, 8, 1, 1)
-	if _, err := r.CompileFused(wave, out, in, tunespace.Vector{Bx: 8, By: 8, Bz: 8, U: 0, C: 1, K: 2}); err == nil {
-		t.Fatal("CompileFused accepted a multi-buffer kernel")
-	}
+	oneStep(wave, grid.New(8, 8, 8, 1, 1), []*grid.Grid[float64]{grid.New(8, 8, 8, 1, 1), grid.New(8, 8, 8, 1, 1)}, 0, 1, 3)
 
 	wide := &LinearKernel{Name: "t-wide", Buffers: 1, Terms: []Term{
 		{0, pt(0, 0, 0), 0.5}, {0, pt(3, 0, 0), 0.25}, {0, pt(-3, 0, 0), 0.25},
 	}}
-	small := grid.New(2, 8, 8, 3, 3)
-	small2 := grid.New(2, 8, 8, 3, 3)
-	if _, err := r.CompileFused(wide, small, small2, tunespace.Vector{Bx: 8, By: 8, Bz: 8, U: 0, C: 1, K: 2}); err == nil {
-		t.Fatal("CompileFused accepted a domain narrower than the kernel radius")
-	}
+	oneStep(wide, grid.New(2, 8, 8, 3, 3), []*grid.Grid[float64]{grid.New(2, 8, 8, 3, 3)}, 2, 1)
 
 	okOut := grid.New(8, 8, 8, 3, 3)
 	okIn := grid.New(8, 8, 8, 3, 3)
-	fp, err := r.CompileFused(wide, okOut, okIn, tunespace.Vector{Bx: 8, By: 8, Bz: 8, U: 0, C: 1, K: 2})
+	before, _ := r.CacheStats()
+	pr, err := r.Compile(wide, okOut, []*grid.Grid[float64]{okIn}, tv(2))
 	if err != nil {
-		t.Fatalf("CompileFused rejected a valid radius-3 kernel: %v", err)
+		t.Fatalf("Compile rejected a valid radius-3 kernel: %v", err)
 	}
-	if err := fp.Run(okOut, okOut); err == nil {
-		t.Fatal("fused Run accepted aliased input and output")
+	if pr.Steps() != 2 || pr.wave == nil {
+		t.Fatalf("K=2 on a fusable kernel: Steps() = %d, want a 2-step wavefront", pr.Steps())
+	}
+	if again, _ := r.Compile(wide, okOut, []*grid.Grid[float64]{okIn}, tv(2)); again != pr {
+		t.Fatal("recompiling the wavefront built a second program")
+	}
+	if after, _ := r.CacheStats(); after.Misses-before.Misses != 1 || after.Hits-before.Hits != 1 {
+		t.Fatalf("wavefront compiles counted %+v -> %+v, want one miss and one hit", before, after)
+	}
+	if err := pr.Run(okOut, []*grid.Grid[float64]{okOut}); err == nil {
+		t.Fatal("wavefront Run accepted aliased input and output")
+	}
+}
+
+// TestRunCompilesOneStepAtEveryDepth pins that Runner.Run always runs one
+// step: the same kernel at K=0..3 shares one cached program and matches
+// Reference bit for bit.
+func TestRunCompilesOneStepAtEveryDepth(t *testing.T) {
+	r := NewRunner()
+	defer r.Close()
+	k := fusedTestKernels()[0].k
+	in := grid.New(12, 7, 9, 1, 1)
+	in.FillPattern()
+	want := grid.New(12, 7, 9, 1, 1)
+	if err := r.Reference(k, want, []*grid.Grid[float64]{in}); err != nil {
+		t.Fatal(err)
+	}
+	for K := 0; K <= 3; K++ {
+		got := grid.New(12, 7, 9, 1, 1)
+		if err := r.Run(k, got, []*grid.Grid[float64]{in}, tunespace.Vector{Bx: 8, By: 4, Bz: 2, U: 2, C: 1, K: K}); err != nil {
+			t.Fatalf("K=%d: %v", K, err)
+		}
+		for i, v := range want.Data() {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
+				t.Fatalf("K=%d: element %d = %v, Reference %v", K, i, got.Data()[i], v)
+			}
+		}
+	}
+	if progs, _ := r.CacheStats(); progs.Misses != 1 || progs.Hits != 3 {
+		t.Fatalf("program cache %+v, want 1 miss and 3 hits", progs)
 	}
 }
 
 // TestFusedRunSteadyStateAllocs pins the zero-allocation property of the
-// fused hot path: after compilation, repeated Runs allocate nothing.
+// wavefront hot path: after compilation, repeated Runs allocate nothing.
 func TestFusedRunSteadyStateAllocs(t *testing.T) {
 	r := NewRunner()
 	defer r.Close()
@@ -251,22 +325,25 @@ func TestFusedRunSteadyStateAllocs(t *testing.T) {
 			haloZ = 0
 		}
 		out := grid.New(16, 16, nz, halo, haloZ)
-		in := grid.New(16, 16, nz, halo, haloZ)
-		in.FillPattern()
-		refreshPeriodic(in)
+		in := []*grid.Grid[float64]{grid.New(16, 16, nz, halo, haloZ)}
+		in[0].FillPattern()
+		refreshPeriodic(in[0])
 		tv := tunespace.Vector{Bx: 8, By: 8, Bz: 4, U: 2, C: 1, K: 3}
 		if nz == 1 {
 			tv.Bz = 1
 		}
-		fp, err := r.CompileFused(tc.k, out, in, tv)
+		pr, err := r.Compile(tc.k, out, in, tv)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.k.Name, err)
 		}
-		if err := fp.Run(out, in); err != nil {
+		if pr.Steps() != 3 {
+			t.Fatalf("%s: Steps() = %d, want 3", tc.k.Name, pr.Steps())
+		}
+		if err := pr.Run(out, in); err != nil {
 			t.Fatalf("%s: warmup run: %v", tc.k.Name, err)
 		}
 		allocs := testing.AllocsPerRun(5, func() {
-			if err := fp.Run(out, in); err != nil {
+			if err := pr.Run(out, in); err != nil {
 				t.Fatalf("%s: %v", tc.k.Name, err)
 			}
 		})
@@ -276,26 +353,35 @@ func TestFusedRunSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestFusedProgramCacheBounded exercises the fused-cache eviction path.
-func TestFusedProgramCacheBounded(t *testing.T) {
+// TestWavefrontProgramCacheBounded compiles three times the program bound of
+// one-step and wavefront programs through the one program cache: it must
+// stay within its count and scratch bounds, and its scratch count must equal
+// the scratch its programs hold.
+func TestWavefrontProgramCacheBounded(t *testing.T) {
 	r := NewRunner()
 	defer r.Close()
 	k := fusedTestKernels()[0].k
 	out := grid.New(8, 8, 8, 1, 1)
-	in := grid.New(8, 8, 8, 1, 1)
-	for i := 0; i < 3*maxCachedFused; i++ {
-		tv := tunespace.Vector{Bx: 2 + i%16, By: 2 + i/16, Bz: 2, U: 0, C: 1, K: 1 + i%tunespace.MaxFuse}
-		if _, err := r.CompileFused(k, out, in, tv); err != nil {
+	in := []*grid.Grid[float64]{grid.New(8, 8, 8, 1, 1)}
+	for i := 0; i < 3*maxCachedPrograms; i++ {
+		tv := tunespace.Vector{Bx: 2 + i%16, By: 2 + i/16%16, Bz: 2 + i/256, U: 0, C: 1, K: 1 + i%tunespace.MaxFuse}
+		if _, err := r.Compile(k, out, in, tv); err != nil {
 			t.Fatalf("compile %d: %v", i, err)
 		}
 	}
 	r.mu.Lock()
-	n, elems := len(r.fprogs), r.cachedFusedElems
-	r.mu.Unlock()
-	if n > maxCachedFused {
-		t.Errorf("fused cache holds %d entries, bound is %d", n, maxCachedFused)
+	n, elems, sum := len(r.progs), r.cachedScratch, 0
+	for _, pr := range r.progs {
+		sum += pr.scratchElems()
 	}
-	if elems > maxCachedFusedElems {
-		t.Errorf("fused cache holds %d scratch elems, bound is %d", elems, maxCachedFusedElems)
+	r.mu.Unlock()
+	if n > maxCachedPrograms {
+		t.Errorf("program cache holds %d entries, bound is %d", n, maxCachedPrograms)
+	}
+	if elems > maxCachedScratch || elems != sum {
+		t.Errorf("program cache counts %d scratch elems, holds %d, bound is %d", elems, sum, maxCachedScratch)
+	}
+	if progs, _ := r.CacheStats(); progs.Evictions == 0 {
+		t.Error("no program was evicted")
 	}
 }

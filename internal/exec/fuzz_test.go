@@ -114,9 +114,8 @@ func FuzzDecompose(f *testing.F) {
 		}
 
 		// The O(1) bounds proof (checkReads) rests on the layout's extremes:
-		// they are the lowest span base and the highest span end, the same
-		// over tiles when there is no span plan, and both are the
-		// interior's first and last flat indices.
+		// they are the lowest span base and the highest span end, and both
+		// are the interior's first and last flat indices.
 		l := newLayout(g, tv)
 		minBase, maxEnd := g.size(), -1
 		for i := 0; i < len(spans); i += 2 {
@@ -127,16 +126,6 @@ func FuzzDecompose(f *testing.F) {
 		if l.first != minBase || l.last != maxEnd || l.first != first || l.last != last {
 			t.Fatalf("layout extremes %d..%d, spans reach %d..%d, interior %d..%d (geom %+v, tv %+v)",
 				l.first, l.last, minBase, maxEnd, first, last, g, tv)
-		}
-		tileFirst, tileLast := g.size(), -1
-		for _, tl := range tiles {
-			tileFirst = min(tileFirst, g.index(tl.x0, tl.y0, tl.z0))
-			tileLast = max(tileLast, g.index(tl.x1-1, tl.y1-1, tl.z1-1))
-		}
-		l.spans, l.spanStart = nil, nil
-		if f, e := l.extremes(g); f != tileFirst || e != tileLast || f != first || e != last {
-			t.Fatalf("tile-plan extremes %d..%d, tiles reach %d..%d, interior %d..%d (geom %+v, tv %+v)",
-				f, e, tileFirst, tileLast, first, last, g, tv)
 		}
 	})
 }

@@ -29,7 +29,6 @@ func TestPropertiesOnPortableBody(t *testing.T) {
 		run  func(*testing.T)
 	}{
 		{"GenericRowsMatchReference", TestGenericRowsMatchReference},
-		{"OversizeFallbackMatchesSpans", TestOversizeFallbackMatchesSpans},
 		{"FusedMatchesSequential", TestFusedMatchesSequential},
 		{"FusedPlanarShapesOn3DGrids", TestFusedPlanarShapesOn3DGrids},
 		{"Float32RowsMatchReference", TestFloat32RowsMatchReference},
@@ -259,8 +258,8 @@ func FuzzGenericRows(f *testing.F) {
 // TestCompileRejectsOutOfBoundsReads covers the compile-time proof the
 // AVX2 kernel's missing bounds checks rely on: a z offset on a 2-D grid
 // passes the halo check (2-D grids carry no z halo) but reads a whole plane
-// past the allocation, so Compile and CompileFused must fail instead of
-// handing the kernel to a body.
+// past the allocation, so Compile must fail, for a one-step program and for
+// a wavefront, instead of handing the kernel to a body.
 func TestCompileRejectsOutOfBoundsReads(t *testing.T) {
 	k := &LinearKernel{Name: "z-on-2d", Buffers: 1, Terms: []Term{
 		{Offset: shape.Point{X: 1}, Weight: 0.5},
@@ -276,30 +275,35 @@ func TestCompileRejectsOutOfBoundsReads(t *testing.T) {
 	if err := r.Run(k, out, []*grid.Grid[float64]{in}, tv); err == nil {
 		t.Fatal("Run accepted a kernel that reads past the grid")
 	}
-	if _, err := r.CompileFused(k, out, in, tv); err == nil {
-		t.Fatal("CompileFused accepted a kernel that reads past a plane")
+	tv.K = 2
+	if _, err := r.Compile(k, out, []*grid.Grid[float64]{in}, tv); err == nil {
+		t.Fatal("Compile accepted a wavefront that reads past a plane")
 	}
+}
 
-	// Grids too large for a span plan are proved tile by tile.
-	k.Terms[1].Offset = shape.Point{Y: 1}
-	pr, err := r.Compile(k, out, []*grid.Grid[float64]{in}, tv)
-	if err != nil {
-		t.Fatal(err)
+// TestCompileRejectsOversizeGeometry pins the int32 bound of the span plan:
+// a geometry of more than math.MaxInt32 elements fails its size check,
+// which Compile runs before it allocates anything, while one element fewer
+// than the bound passes. Both geometries are values; no grid is built.
+func TestCompileRejectsOversizeGeometry(t *testing.T) {
+	over := geom{nx: 2046, ny: 2046, nz: 512, halo: 1, haloZ: 1}
+	if over.size() <= math.MaxInt32 {
+		t.Fatalf("test geometry holds %d elements, not above the bound", over.size())
 	}
-	pr.spans, pr.spanStart = nil, nil
-	if err := pr.checkReads(); err != nil {
-		t.Fatalf("tile check rejected an in-bounds program: %v", err)
+	if err := over.checkSize(); err == nil {
+		t.Fatalf("checkSize accepted %d elements", over.size())
 	}
-	pr.p.idxOff[1] += pr.geom.size()
-	if err := pr.checkReads(); err == nil {
-		t.Fatal("tile check accepted a read past the grid")
+	fits := geom{nx: math.MaxInt32, ny: 1, nz: 1}
+	if err := fits.checkSize(); err != nil {
+		t.Fatalf("checkSize rejected exactly math.MaxInt32 elements: %v", err)
 	}
 }
 
 // TestRunRejectsShortGrids covers Program.Run's other half of the proof:
 // a grid whose geometry matches the program but whose data is shorter than
 // the geometry (here a Grid literal with no data) is rejected, as output
-// and as input, before any body runs.
+// and as input, before any body runs — by a one-step program and by a
+// wavefront alike.
 func TestRunRejectsShortGrids(t *testing.T) {
 	k := &LinearKernel{Name: "pair", Buffers: 1, Terms: []Term{
 		{Offset: shape.Point{X: 1}, Weight: 0.5},
@@ -309,25 +313,30 @@ func TestRunRejectsShortGrids(t *testing.T) {
 	defer r.Close()
 	out, in := grid.New(8, 8, 4, 1, 1), grid.New(8, 8, 4, 1, 1)
 	short := &grid.Grid[float64]{NX: 8, NY: 8, NZ: 4, Halo: 1, HaloZ: 1}
-	pr, err := r.Compile(k, out, []*grid.Grid[float64]{in}, tunespace.Vector{Bx: 8, By: 8, Bz: 2, U: 2, C: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pr.Run(out, []*grid.Grid[float64]{short}); err == nil {
-		t.Fatal("Run accepted an input shorter than the geometry")
-	}
-	if err := pr.Run(short, []*grid.Grid[float64]{in}); err == nil {
-		t.Fatal("Run accepted an output shorter than the geometry")
-	}
-	if err := pr.Run(out, []*grid.Grid[float64]{in}); err != nil {
-		t.Fatalf("Run rejected full grids: %v", err)
+	for _, K := range []int{1, 2} {
+		pr, err := r.Compile(k, out, []*grid.Grid[float64]{in}, tunespace.Vector{Bx: 8, By: 8, Bz: 2, U: 2, C: 1, K: K})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pr.Steps() != K {
+			t.Fatalf("K=%d: Steps() = %d", K, pr.Steps())
+		}
+		if err := pr.Run(out, []*grid.Grid[float64]{short}); err == nil {
+			t.Fatalf("K=%d: Run accepted an input shorter than the geometry", K)
+		}
+		if err := pr.Run(short, []*grid.Grid[float64]{in}); err == nil {
+			t.Fatalf("K=%d: Run accepted an output shorter than the geometry", K)
+		}
+		if err := pr.Run(out, []*grid.Grid[float64]{in}); err != nil {
+			t.Fatalf("K=%d: Run rejected full grids: %v", K, err)
+		}
 	}
 }
 
 // checkBodyIsCPUChoice compiles k on an nz-plane grid with useAVX2 off and,
-// on an AVX2 CPU, on, and requires the program — and, with fused set, the
-// fused program — to run the row body useAVX2 named: no kernel shape selects
-// a body of its own.
+// on an AVX2 CPU, on, and requires the one-step program — and, with fused
+// set, the wavefront program — to run the row body useAVX2 named: no kernel
+// shape selects a body of its own.
 func checkBodyIsCPUChoice(t *testing.T, k *LinearKernel, nz int, fused bool) {
 	t.Helper()
 	old := useAVX2
@@ -335,7 +344,7 @@ func checkBodyIsCPUChoice(t *testing.T, k *LinearKernel, nz int, fused bool) {
 	for _, avx2 := range []bool{false, cpuHasAVX2()} {
 		useAVX2 = avx2
 		r := NewRunner()
-		tv := tunespace.Vector{Bx: 8, By: 4, Bz: 4, U: 4, C: 1, K: 2}
+		tv := tunespace.Vector{Bx: 8, By: 4, Bz: 4, U: 4, C: 1, K: 1}
 		out, ins := buildWorkspace(t, k, 8, 8, nz)
 		pr, err := r.Compile(k, out, ins, tv)
 		if err != nil {
@@ -345,12 +354,13 @@ func checkBodyIsCPUChoice(t *testing.T, k *LinearKernel, nz int, fused bool) {
 			t.Errorf("%s: program avx2 %v, want %v", k.Name, pr.avx2, avx2)
 		}
 		if fused {
-			fp, err := r.CompileFused(k, out, ins[0], tv)
+			tv.K = 2
+			fp, err := r.Compile(k, out, ins, tv)
 			if err != nil {
 				t.Fatalf("%s: fused: %v", k.Name, err)
 			}
-			if fp.avx2 != avx2 {
-				t.Errorf("%s: fused program avx2 %v, want %v", k.Name, fp.avx2, avx2)
+			if fp.wave == nil || fp.avx2 != avx2 {
+				t.Errorf("%s: wavefront %v, avx2 %v, want a wavefront with avx2 %v", k.Name, fp.wave != nil, fp.avx2, avx2)
 			}
 		}
 		r.Close()
@@ -437,11 +447,11 @@ func checkShuffled[T grid.Float](t *testing.T, k *LinearKernel, nz int, avx2 boo
 			t.Fatal(err)
 		}
 		same("run", tv, got, refs[1])
-		fp, err := r.CompileFused(k, got, in, tv)
+		fp, err := r.Compile(k, got, []*grid.Grid[T]{in}, tv)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := fp.Run(got, in); err != nil {
+		if err := fp.Run(got, []*grid.Grid[T]{in}); err != nil {
 			t.Fatal(err)
 		}
 		same("fused", tv, got, refs[tv.K])

@@ -290,32 +290,13 @@ func (m *Measurer) measureLocked(q stencil.Instance, k *LinearKernel, t tunespac
 }
 
 // measureIn times one configuration on the given runner, in the runner's
-// element type. Configurations with fusion depth above 1 are timed through
-// the fused multi-timestep engine and reported as seconds per step, so fused
-// and unfused vectors compete on the same per-step axis the tuner ranks by;
-// kernels or geometries the fused engine rejects fall back to timing the
-// spatial configuration alone.
+// element type, as seconds per step: Compile decides whether the vector's
+// fusion depth runs as a wavefront of Steps() steps or as one tiled step,
+// and each timed Run is divided by the steps it advanced, so fused and
+// unfused vectors compete on the same per-step axis the tuner ranks by.
 func measureIn[T grid.Float](r *Runner[T], ws map[wsKey]*workspace[T], reps int, q stencil.Instance, k *LinearKernel, t tunespace.Vector) (float64, error) {
 	w := workspaceFor(ws, q, k)
 	ins := w.ins[:k.Buffers]
-
-	if depth := t.EffFuse(); depth > 1 && CanFuse(k) {
-		if fp, err := r.CompileFused(k, w.out, ins[0], t); err == nil {
-			best := 0.0
-			for rep := 0; rep < max(1, reps); rep++ {
-				start := time.Now()
-				if err := fp.Run(w.out, ins[0]); err != nil {
-					return 0, err
-				}
-				elapsed := time.Since(start).Seconds() / float64(depth)
-				if rep == 0 || elapsed < best {
-					best = elapsed
-				}
-			}
-			return best, nil
-		}
-	}
-
 	prog, err := r.Compile(k, w.out, ins, t)
 	if err != nil {
 		return 0, err
@@ -326,7 +307,7 @@ func measureIn[T grid.Float](r *Runner[T], ws map[wsKey]*workspace[T], reps int,
 		if err := prog.Run(w.out, ins); err != nil {
 			return 0, err
 		}
-		elapsed := time.Since(start).Seconds()
+		elapsed := time.Since(start).Seconds() / float64(prog.Steps())
 		if rep == 0 || elapsed < best {
 			best = elapsed
 		}

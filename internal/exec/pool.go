@@ -10,9 +10,9 @@ import (
 // workerPool is a Runner's persistent execution crew: long-lived goroutines
 // that park on a channel between runs instead of being respawned per call.
 //
-// Schedule. A run splits its index space (a program's tiles, or a fused
-// wavefront's rows) into chunks of tv.C consecutive items and the chunks
-// into n = min(workers, chunks) contiguous slabs, one per participant. A
+// Schedule. A run splits its index space (a one-step program's tiles, or a
+// wavefront iteration's rows) into chunks of tv.C consecutive items and the
+// chunks into n = min(workers, chunks) contiguous slabs, one per participant. A
 // participant claims chunks from the front of its own slab, then steals
 // chunks from the backs of the other slabs once its own is empty. Items that
 // run at the same time are therefore a slab apart — x-adjacent tiles that
@@ -55,7 +55,6 @@ type workerPool[T grid.Float] struct {
 
 	job struct {
 		prog            *Program[T]
-		fused           *FusedProgram[T]
 		out             *grid.Grid[T]
 		n, chunk, total int
 	}
@@ -130,20 +129,20 @@ func (p *workerPool[T]) stop() {
 	p.wg.Wait()
 }
 
-// run executes one program over the given output grid, blocking until every
-// tile has been processed. Only one run may be in flight at a time.
+// run executes one one-step program over the given output grid, blocking
+// until every tile has been processed. Only one run may be in flight at a
+// time.
 func (p *workerPool[T]) run(prog *Program[T], out *grid.Grid[T]) {
 	p.job.prog = prog
 	p.job.out = out
 	p.dispatch(len(prog.tiles), prog.tv.C)
 }
 
-// runFused executes one wavefront iteration of a fused program: the active
-// plane tasks' rows form a flat index space scheduled exactly like tiles.
-func (p *workerPool[T]) runFused(fp *FusedProgram[T]) {
-	p.job.fused = fp
-	p.dispatch(fp.active*fp.rows, fp.chunk)
-	p.job.fused = nil
+// runWave executes one iteration of a wavefront program: the active plane
+// tasks' rows form a flat index space scheduled exactly like tiles.
+func (p *workerPool[T]) runWave(prog *Program[T]) {
+	p.job.prog = prog
+	p.dispatch(prog.wave.active*prog.wave.rows, prog.wave.chunk)
 }
 
 // dispatch runs the index space [0, total) of the published job in chunks
@@ -247,20 +246,13 @@ func (p *workerPool[T]) drain(slot int) {
 	}
 }
 
-// runChunk executes items start..end of the job. A fused job runs rows; a
-// program runs tiles through its precompiled row spans — a linear walk of
-// (base, n) pairs with no per-row index arithmetic — or, for grids too large
-// for the int32 span plan, computes row bases on the fly.
+// runChunk executes items start..end of the job. A wavefront program runs
+// rows; a one-step program runs tiles through its precompiled row spans — a
+// linear walk of (base, n) pairs with no per-row index arithmetic.
 func (p *workerPool[T]) runChunk(start, end int) {
-	if fp := p.job.fused; fp != nil {
-		fp.runRows(start, end)
-		return
-	}
 	prog := p.job.prog
-	if prog.spans == nil {
-		for _, t := range prog.tiles[start:end] {
-			runTile(&prog.p, p.job.out, t, prog.fuse, prog.avx2)
-		}
+	if prog.wave != nil {
+		prog.runRows(start, end)
 		return
 	}
 	spans := prog.spans[2*int(prog.spanStart[start]) : 2*int(prog.spanStart[end])]
@@ -268,10 +260,10 @@ func (p *workerPool[T]) runChunk(start, end int) {
 }
 
 // PoolStats counts a Runner's pool runs since it was created: Runs is every
-// dispatch (one per Program.Run, one per wavefront iteration of a fused
-// run), JoinedRuns the runs at least one woken worker joined, and Steals
-// the chunks a participant claimed from another participant's slab. Close
-// stops the pool but keeps the counts.
+// dispatch (one per one-step Program.Run, one per iteration of a
+// wavefront's), JoinedRuns the runs at least one woken worker joined, and
+// Steals the chunks a participant claimed from another participant's slab.
+// Close stops the pool but keeps the counts.
 type PoolStats struct {
 	Runs, JoinedRuns, Steals uint64
 }

@@ -38,6 +38,17 @@ func (g geom) index(x, y, z int) int {
 	return ((z+g.haloZ)*g.strideY()+(y+g.halo))*g.strideX() + (x + g.halo)
 }
 
+// checkSize fails for a geometry whose flat indices overflow the int32 span
+// plan: more than math.MaxInt32 elements, 16 GiB of float64. Compile calls
+// it before anything is allocated for the geometry.
+func (g geom) checkSize() error {
+	if g.size() > math.MaxInt32 {
+		return fmt.Errorf("exec: %dx%dx%d grid holds %d elements, more than the %d an int32 span plan indexes",
+			g.nx, g.ny, g.nz, g.size(), math.MaxInt32)
+	}
+	return nil
+}
+
 // progKey identifies a compiled program: kernel identity (by pointer — a
 // kernel must not be mutated after first use), grid geometry, and the
 // normalized tuning vector. The element type needs no key component: each
@@ -55,16 +66,18 @@ type layoutKey struct {
 	bx, by, bz int
 }
 
-// Cache bounds. A program's dominant memory is its layout's tile list and
-// row-span plan; small blocking sizes on large grids produce millions of
-// tiles, and the span plan holds one (base, n) pair per grid row regardless
-// of tiling, so layout eviction is driven by the total cached tile and span
-// counts as well as the layout count. Programs themselves hold only their
-// term plan and are bounded by count. Exceeding any bound evicts arbitrary
-// entries (never the one just inserted); evicting a layout drops every
-// program compiled on it.
+// Cache bounds. A one-step program's dominant memory is its layout's tile
+// list and row-span plan; small blocking sizes on large grids produce
+// millions of tiles, and the span plan holds one (base, n) pair per grid row
+// regardless of tiling, so layout eviction is driven by the total cached
+// tile and span counts as well as the layout count. Programs are bounded by
+// count and by the wavefront programs' plane-ring scratch (K-1 levels of
+// 2·rs+2 planes each). Exceeding any bound evicts arbitrary entries (never
+// the one just inserted); evicting a layout drops every program compiled on
+// it.
 const (
 	maxCachedPrograms = 512
+	maxCachedScratch  = 32 << 20
 	maxCachedLayouts  = 512
 	maxCachedTiles    = 1 << 20
 	maxCachedSpans    = 4 << 20
@@ -80,15 +93,13 @@ type layout struct {
 	// spans flattens every tile into (base, n) row-span pairs — base is the
 	// flat index of the row's first interior point, n its length — so workers
 	// walk rows linearly with no Index() calls or per-row arithmetic beyond a
-	// pointer bump. Tile i owns pairs spanStart[i]..spanStart[i+1]. spans is
-	// nil only for grids too large for int32 flat indices; those fall back to
-	// computing row bases on the fly (runTile).
+	// pointer bump. Tile i owns pairs spanStart[i]..spanStart[i+1].
 	spans     []int32
 	spanStart []int32
 	// first and last are the lowest first point and the highest last point
-	// over the spans (over the tiles when spans is nil): the interior's first
-	// and last flat indices. Every point a program of this layout computes
-	// lies between them, which makes its bounds proof one checkSpan.
+	// over the spans: the interior's first and last flat indices. Every
+	// point a program of this layout computes lies between them, which makes
+	// its bounds proof one checkSpan.
 	first, last int
 }
 
@@ -97,21 +108,14 @@ type layout struct {
 func newLayout(g geom, tv tunespace.Vector) *layout {
 	l := &layout{tiles: decompose(g, tv)}
 	l.spans, l.spanStart = buildSpans(g, l.tiles)
-	l.first, l.last = l.extremes(g)
+	l.first, l.last = l.extremes()
 	return l
 }
 
 // extremes returns the lowest first point and the highest last point over
-// the layout's spans, or over its tiles when it has no span plan.
-func (l *layout) extremes(g geom) (first, last int) {
+// the layout's spans.
+func (l *layout) extremes() (first, last int) {
 	first, last = math.MaxInt, math.MinInt
-	if l.spans == nil {
-		for _, t := range l.tiles {
-			first = min(first, g.index(t.x0, t.y0, t.z0))
-			last = max(last, g.index(t.x1-1, t.y1-1, t.z1-1))
-		}
-		return first, last
-	}
 	for i := 0; i+1 < len(l.spans); i += 2 {
 		base := int(l.spans[i])
 		first = min(first, base)
@@ -121,28 +125,41 @@ func (l *layout) extremes(g geom) (first, last int) {
 }
 
 // Program is a compiled execution plan for one (kernel, geometry, tuning
-// vector) triple: a pointer to the layout shared by every program of its
-// (geometry, bx, by, bz), plus its own flattened term plan, fuse width and
-// row body, precomputed so repeated executions only rebind grid
-// data and dispatch to the persistent worker pool. Programs are created and
-// cached by Runner.Compile and execute via Program.Run against any grids of
-// the compiled geometry and element type.
+// vector) triple. A one-step program points at the layout shared by every
+// program of its (geometry, bx, by, bz) and holds its own flattened term
+// plan; a wavefront program (fused.go) advances Steps() timesteps per Run
+// and has no layout. Both carry their fuse width and row body, precomputed
+// so repeated executions only rebind grid data and dispatch to the
+// persistent worker pool. Programs are created and cached by Runner.Compile
+// and execute via Program.Run against any grids of the compiled geometry
+// and element type.
 type Program[T grid.Float] struct {
 	r      *Runner[T]
 	kernel *LinearKernel
 	geom   geom
-	tv     tunespace.Vector
+	tv     tunespace.Vector // normalized: K is the steps one Run advances
 
-	*layout
-	fuse int  // generic-body fuse width, from tv.U
-	avx2 bool // generic body is the AVX2 span kernel (rows.go)
+	*layout               // nil for a wavefront program
+	fuse    int           // generic-body fuse width, from tv.U
+	avx2    bool          // generic body is the AVX2 span kernel (rows.go)
+	wave    *wavefront[T] // nil for a one-step program
 
 	termBuf []int   // source buffer per term, for per-run data rebinding
 	p       plan[T] // idxOff/weight fixed at compile; data rebound per run
 }
 
+// Steps reports how many timesteps one Run advances.
+func (pr *Program[T]) Steps() int { return pr.tv.K }
+
 // Compile returns the cached program for (k, out's geometry, tv), building
-// and caching it on first use. A new program builds only its term plan: the
+// and caching it on first use. It decides how the vector runs: when the
+// fusion depth K = tv.EffFuse() exceeds 1, the kernel has one buffer and
+// the domain is at least the kernel radius wide in-plane, the program is a
+// wavefront that advances K steps per Run under periodic boundary semantics
+// (the caller refreshes the input's halos by the periodic rule before each
+// Run, as driver.Simulation does); otherwise it is the one-step tiled
+// program, and K is normalized to 1, so every depth that cannot fuse shares
+// one cache entry. A new one-step program builds only its term plan: the
 // tiles and row spans come from the Runner's layout cache, so compiling a
 // new kernel on a known (geometry, bx, by, bz) costs O(terms). The input
 // grids are only used for validation — the program is bound to concrete
@@ -162,8 +179,18 @@ func (r *Runner[T]) Compile(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid
 	if err := tv.Validate(dims); err != nil {
 		return nil, err
 	}
+	g := geomOf(out)
+	if err := g.checkSize(); err != nil {
+		return nil, err
+	}
+	radius := k.MaxOffset()
+	if tv.EffFuse() > 1 && k.Buffers == 1 && out.NX >= radius && (dims == 2 || out.NY >= radius) {
+		tv.K = tv.EffFuse()
+	} else {
+		tv.K = 1
+	}
 
-	key := progKey{kernel: k, geom: geomOf(out), tv: tv}
+	key := progKey{kernel: k, geom: g, tv: tv}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if pr, ok := r.progs[key]; ok {
@@ -171,7 +198,13 @@ func (r *Runner[T]) Compile(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid
 		return pr, nil
 	}
 	r.progStats.misses.Add(1)
-	pr, err := compileProgram(r, k, out, tv, r.layoutLocked(key.geom, tv))
+	var pr *Program[T]
+	var err error
+	if tv.K > 1 {
+		pr, err = compileWavefront(r, k, out, tv, radius)
+	} else {
+		pr, err = compileProgram(r, k, out, tv, r.layoutLocked(g, tv))
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -179,6 +212,7 @@ func (r *Runner[T]) Compile(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid
 		r.progs = make(map[progKey]*Program[T])
 	}
 	r.progs[key] = pr
+	r.cachedScratch += pr.scratchElems()
 	r.evictProgramsLocked(key)
 	return pr, nil
 }
@@ -234,10 +268,9 @@ func compileProgram[T grid.Float](r *Runner[T], k *LinearKernel, out *grid.Grid[
 
 // checkReads proves that every point of the program reads and writes inside
 // the grid. The AVX2 span kernel has no bounds checks, so this proof at
-// compile time is what keeps it memory-safe. Every span (or, without a span
-// plan, every tile) runs points between its layout's first and last points,
-// so checking those two extremes proves exactly what checking each span
-// would, in O(1) per program.
+// compile time is what keeps it memory-safe. Every span runs points between
+// its layout's first and last points, so checking those two extremes proves
+// exactly what checking each span would, in O(1) per program.
 func (pr *Program[T]) checkReads() error {
 	lo, hi := accessRange(pr.p.idxOff)
 	return checkSpan(pr.first, pr.last, lo, hi, pr.geom.size())
@@ -264,19 +297,12 @@ func checkSpan(first, last, lo, hi, size int) error {
 
 // buildSpans flattens the tile list into (base, n) row-span pairs plus the
 // per-tile first-pair index (spanStart[len(tiles)] caps the last tile).
-// Grids whose flat indices or total row counts overflow int32 — more than
-// 16 GB of float64, or billions of rows — get no span plan and execute
-// through the on-the-fly fallback.
+// Compile admits only grids of at most math.MaxInt32 elements, so every
+// flat index and the row count fit in int32.
 func buildSpans(g geom, tiles []tile) (spans, spanStart []int32) {
-	if g.size() > math.MaxInt32 {
-		return nil, nil
-	}
 	rows := 0
 	for _, t := range tiles {
 		rows += (t.y1 - t.y0) * (t.z1 - t.z0)
-	}
-	if rows > math.MaxInt32/2 {
-		return nil, nil
 	}
 	spans = make([]int32, 0, 2*rows)
 	spanStart = make([]int32, len(tiles)+1)
@@ -295,25 +321,30 @@ func buildSpans(g geom, tiles []tile) (spans, spanStart []int32) {
 	return spans, spanStart
 }
 
-// evictProgramsLocked enforces the program-count bound, never evicting keep
-// (the entry just inserted). Callers must hold r.mu.
+// evictProgramsLocked enforces the program count and scratch bounds, never
+// evicting keep (the entry just inserted). Callers must hold r.mu.
 func (r *Runner[T]) evictProgramsLocked(keep progKey) {
-	for key := range r.progs {
-		if len(r.progs) <= maxCachedPrograms {
+	for key, pr := range r.progs {
+		if len(r.progs) <= maxCachedPrograms && r.cachedScratch <= maxCachedScratch {
 			return
 		}
-		if key == keep {
-			continue
+		if key != keep {
+			r.dropProgramLocked(key, pr)
 		}
-		delete(r.progs, key)
-		r.progStats.evictions.Add(1)
 	}
+}
+
+// dropProgramLocked evicts one cached program. Callers must hold r.mu.
+func (r *Runner[T]) dropProgramLocked(key progKey, pr *Program[T]) {
+	r.cachedScratch -= pr.scratchElems()
+	delete(r.progs, key)
+	r.progStats.evictions.Add(1)
 }
 
 // evictLayoutsLocked enforces the layout bounds, never evicting keep (the
 // layout just inserted). Evicting a layout drops every program compiled on
-// it, so no cached program points at an evicted layout. Callers must hold
-// r.mu.
+// it, so no cached program points at an evicted layout; wavefront programs
+// have no layout and stay. Callers must hold r.mu.
 func (r *Runner[T]) evictLayoutsLocked(keep layoutKey) {
 	for key, l := range r.layouts {
 		if len(r.layouts) <= maxCachedLayouts && r.cachedTiles <= maxCachedTiles &&
@@ -329,8 +360,7 @@ func (r *Runner[T]) evictLayoutsLocked(keep layoutKey) {
 		r.layoutStats.evictions.Add(1)
 		for pk, pr := range r.progs {
 			if pr.layout == l {
-				delete(r.progs, pk)
-				r.progStats.evictions.Add(1)
+				r.dropProgramLocked(pk, pr)
 			}
 		}
 	}
@@ -358,16 +388,19 @@ func (s CacheStats) plus(o CacheStats) CacheStats {
 	return CacheStats{Hits: s.Hits + o.Hits, Misses: s.Misses + o.Misses, Evictions: s.Evictions + o.Evictions}
 }
 
-// CacheStats reports the program and layout cache counts. It never blocks
-// on a run in flight.
+// CacheStats reports the program and layout cache counts; the program
+// counts cover one-step and wavefront programs alike. It never blocks on a
+// run in flight.
 func (r *Runner[T]) CacheStats() (programs, layouts CacheStats) {
 	return r.progStats.load(), r.layoutStats.load()
 }
 
 // Run executes the program against concrete grids of the compiled geometry:
 // term data slices are rebound (so ring-buffer rotation and workspace reuse
-// need no recompilation) and tiles are dispatched to the persistent worker
-// pool. It performs no allocations.
+// need no recompilation) and the work is dispatched to the persistent
+// worker pool. A one-step program writes one step of ins into out; a
+// wavefront program writes the state Steps() steps after ins[0] into out,
+// which must not alias it. Run performs no allocations.
 func (pr *Program[T]) Run(out *grid.Grid[T], ins []*grid.Grid[T]) error {
 	if len(ins) != pr.kernel.Buffers {
 		return fmt.Errorf("exec: program for kernel %q wants %d buffers, got %d",
@@ -388,12 +421,19 @@ func (pr *Program[T]) Run(out *grid.Grid[T], ins []*grid.Grid[T]) error {
 			return fmt.Errorf("exec: buffer %d holds %d elements, geometry needs %d", i, len(g.Data()), size)
 		}
 	}
+	if pr.wave != nil && size > 0 && &out.Data()[0] == &ins[0].Data()[0] {
+		return fmt.Errorf("exec: a %d-step program requires distinct input and output grids", pr.Steps())
+	}
 	r := pr.r
 	r.mu.Lock()
-	for i, b := range pr.termBuf {
-		pr.p.data[i] = ins[b].Data()
+	if pr.wave != nil {
+		pr.runWavefront(r.poolLocked(), out.Data(), ins[0].Data())
+	} else {
+		for i, b := range pr.termBuf {
+			pr.p.data[i] = ins[b].Data()
+		}
+		r.poolLocked().run(pr, out)
 	}
-	r.poolLocked().run(pr, out)
 	r.mu.Unlock()
 	return nil
 }

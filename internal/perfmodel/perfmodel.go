@@ -212,9 +212,9 @@ func (m *Model) Evaluate(q stencil.Instance, t tunespace.Vector) Breakdown {
 
 	// --- Temporal fusion ----------------------------------------------------
 	// A fusion depth above 1 executes K timesteps per sweep through the
-	// wavefront engine (exec.FusedProgram). Modeled per-step effects, all
-	// gated on EffFuse() > 1 so unfused evaluations are bit-identical to the
-	// pre-fusion model:
+	// wavefront program exec.Runner.Compile builds. Modeled per-step
+	// effects, all gated on EffFuse() > 1 so unfused evaluations are
+	// bit-identical to the pre-fusion model:
 	//   - DRAM-bound grids amortize the compulsory traffic over K steps;
 	//     intermediate levels stream through the shared cache instead.
 	//     Cache-resident grids keep their bandwidth (fusion cannot help).
