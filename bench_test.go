@@ -1,8 +1,8 @@
 package stenciltune
 
 // Benchmark harness: one testing.B entry per table and figure of the paper,
-// plus ablation benches (BenchmarkAblation*: pair strategy, solver, C,
-// feature groups, sampling). Run with
+// plus ablation benches (BenchmarkAblation*: pair strategy, C, sampling).
+// Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -522,33 +522,14 @@ func ablationTrain(b *testing.B, mutate func(*trainer.Config)) (dataset.Evaluato
 	return eval, res.Model
 }
 
-// BenchmarkAblationPairStrategy compares the three pair-generation
-// strategies of svmrank at a fixed training size.
+// BenchmarkAblationPairStrategy compares svmrank's all-pairs reference with
+// the default adjacent pairs at a fixed training size.
 func BenchmarkAblationPairStrategy(b *testing.B) {
-	for _, strat := range []svmrank.PairStrategy{svmrank.FullPairs, svmrank.AdjacentPairs, svmrank.CappedPairs} {
+	for _, strat := range []svmrank.PairStrategy{svmrank.FullPairs, svmrank.AdjacentPairs} {
 		b.Run(strat.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eval, model := ablationTrain(b, func(c *trainer.Config) {
 					c.SVM.Pairs.Strategy = strat
-				})
-				q, tau := meanQualityAndTau(b, eval, model)
-				b.ReportMetric(q, "quality")
-				b.ReportMetric(tau, "tau")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationSolver compares dual coordinate descent with averaged SGD.
-func BenchmarkAblationSolver(b *testing.B) {
-	for _, solver := range []svmrank.Solver{svmrank.DualCoordinateDescent, svmrank.SGD} {
-		b.Run(solver.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eval, model := ablationTrain(b, func(c *trainer.Config) {
-					c.SVM.Solver = solver
-					if solver == svmrank.SGD {
-						c.SVM.Epochs = 15
-					}
 				})
 				q, tau := meanQualityAndTau(b, eval, model)
 				b.ReportMetric(q, "quality")
@@ -597,45 +578,6 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(d)
-}
-
-// BenchmarkAblationFeatures drops feature blocks one at a time to measure
-// each block's contribution to ranking quality.
-func BenchmarkAblationFeatures(b *testing.B) {
-	cases := []struct {
-		name   string
-		blocks feature.Blocks
-	}{
-		{"all", feature.AllBlocks()},
-		{"no-pattern", feature.Blocks{Size: true, Tuning: true, Interactions: true}},
-		{"no-size", feature.Blocks{Pattern: true, Tuning: true, Interactions: true}},
-		{"no-interactions", feature.Blocks{Pattern: true, Size: true, Tuning: true}},
-		{"tuning-only", feature.Blocks{Tuning: true}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eval := perfmodel.New(machine.XeonE52680v3())
-				enc := feature.NewEncoderWithBlocks(tc.blocks)
-				cfg := trainer.DefaultConfig(3840, 1)
-				cfg.Dataset.Encoder = enc
-				res, err := trainer.Train(eval, cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Score with the same restricted encoder.
-				tuner := &core.Tuner{Model: res.Model, Encoder: enc}
-				var sumQ float64
-				n := 0
-				for _, q := range stencil.Benchmarks() {
-					cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
-					sumQ += rankQuality(b, eval, tuner, q, cands)
-					n++
-				}
-				b.ReportMetric(sumQ/float64(n), "quality")
-			}
-		})
-	}
 }
 
 // BenchmarkSearchEngines times each iterative baseline for a 1024-evaluation

@@ -27,7 +27,7 @@ func main() {
 	saveDir := flag.String("save", "models", "model store directory to save into (versioned format with provenance; what stencil-serve -models and stencil-tune -model load)")
 	name := flag.String("name", "default", "artifact name within the -save store")
 	mode := flag.String("mode", "sim", "evaluation substrate: sim (deterministic Xeon model) or measure (real timed execution)")
-	cParam := flag.Float64("c", 0, "override the ranking-SVM regularization C (0 = default)")
+	cParam := flag.Float64("c", 0, "override the ranking SVM's per-pair slack cost C (0 = default)")
 	workers := flag.Int("workers", -1, "concurrent training-set generation workers (-1 = all cores, 1 = sequential); the trained model is identical for any value")
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()

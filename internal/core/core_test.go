@@ -32,13 +32,11 @@ func trainOnce(t *testing.T) (dataset.Evaluator, *Tuner) {
 	}
 	// trainer.DefaultConfig(3840, 1)'s SVM options; trainer imports core,
 	// so this package's tests cannot call it.
-	noNorm := false
 	model, _, err := svmrank.Train(set.Data, svmrank.Options{
-		C:          3,
-		NormalizeC: &noNorm,
-		Epochs:     60,
-		Seed:       1,
-		Pairs:      svmrank.PairOptions{Strategy: svmrank.AdjacentPairs, Window: 8, Seed: 1},
+		C:      3,
+		Epochs: 60,
+		Seed:   1,
+		Pairs:  svmrank.PairOptions{Strategy: svmrank.AdjacentPairs, Window: 8},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -151,8 +151,6 @@ type Options struct {
 	// own seed-derived RNG stream, so the generated Set depends only on
 	// Seed — never on Workers or scheduling.
 	Seed int64
-	// Encoder defaults to the full feature encoder.
-	Encoder *feature.Encoder
 	// Sampling selects the tuning-vector draw strategy.
 	Sampling Sampling
 	// Workers bounds how many training instances are evaluated and encoded
@@ -183,10 +181,6 @@ func Generate(eval Evaluator, opt Options) (*Set, error) {
 	if opt.TargetPoints <= 0 {
 		return nil, fmt.Errorf("dataset: target points %d must be positive", opt.TargetPoints)
 	}
-	enc := opt.Encoder
-	if enc == nil {
-		enc = feature.NewEncoder()
-	}
 	start := time.Now()
 	instances := TrainingInstances()
 
@@ -203,7 +197,7 @@ func Generate(eval Evaluator, opt Options) (*Set, error) {
 	if opt.TargetPoints < totalWeight {
 		// Small sets: take a prefix of instances, one (or two) points each,
 		// preserving kernel diversity by striding through the list.
-		return generateSmall(eval, enc, instances, opt, start)
+		return generateSmall(eval, instances, opt, start)
 	}
 
 	base := opt.TargetPoints / totalWeight
@@ -223,13 +217,13 @@ func Generate(eval Evaluator, opt Options) (*Set, error) {
 		jobs = append(jobs, genJob{q: q, n: n})
 	}
 	set := &Set{Instances: instances, Data: &svmrank.Dataset{}}
-	runJobs(set, eval, enc, jobs, opt)
+	runJobs(set, eval, jobs, opt)
 	set.WallTime = time.Since(start)
 	return set, nil
 }
 
 // generateSmall handles targets smaller than the instance count.
-func generateSmall(eval Evaluator, enc *feature.Encoder, instances []stencil.Instance, opt Options, start time.Time) (*Set, error) {
+func generateSmall(eval Evaluator, instances []stencil.Instance, opt Options, start time.Time) (*Set, error) {
 	set := &Set{Data: &svmrank.Dataset{}}
 	// At least 2 executions per chosen instance so each query yields pairs.
 	perInstance := 2
@@ -251,7 +245,7 @@ func generateSmall(eval Evaluator, enc *feature.Encoder, instances []stencil.Ins
 		jobs = append(jobs, genJob{q: q, n: n})
 		remaining -= n
 	}
-	runJobs(set, eval, enc, jobs, opt)
+	runJobs(set, eval, jobs, opt)
 	set.WallTime = time.Since(start)
 	return set, nil
 }
@@ -276,7 +270,7 @@ type partial struct {
 // and appends the results to set in job order. Each job draws from its own
 // RNG stream derived from (opt.Seed, job index), so the assembled Set is
 // byte-identical for every worker count.
-func runJobs(set *Set, eval Evaluator, enc *feature.Encoder, jobs []genJob, opt Options) {
+func runJobs(set *Set, eval Evaluator, jobs []genJob, opt Options) {
 	workers := opt.Workers
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -286,7 +280,7 @@ func runJobs(set *Set, eval Evaluator, enc *feature.Encoder, jobs []genJob, opt 
 	parts := make([]partial, len(jobs))
 	run := func(i int) {
 		rng := rand.New(rand.NewSource(jobSeed(opt.Seed, i)))
-		parts[i] = generateInstance(eval, enc, jobs[i].q, jobs[i].n, rng, opt.Sampling)
+		parts[i] = generateInstance(eval, jobs[i].q, jobs[i].n, rng, opt.Sampling)
 	}
 	if workers <= 1 {
 		for i := range jobs {
@@ -335,7 +329,7 @@ func jobSeed(seed int64, job int) int64 {
 
 // generateInstance draws n tuning vectors for q with the chosen sampling
 // strategy, evaluates and encodes them, and accounts simulated costs.
-func generateInstance(eval Evaluator, enc *feature.Encoder, q stencil.Instance, n int, rng *rand.Rand, sampling Sampling) partial {
+func generateInstance(eval Evaluator, q stencil.Instance, n int, rng *rand.Rand, sampling Sampling) partial {
 	space := tunespace.NewSpace(q.Kernel.Dims())
 	var vectors []tunespace.Vector
 	if sampling == HeuristicMixed {
@@ -352,19 +346,19 @@ func generateInstance(eval Evaluator, enc *feature.Encoder, q stencil.Instance, 
 		// heuristic sampler already spent its refinement probes above).
 		runtimes := be.RuntimeBatch(q, vectors)
 		for i, tv := range vectors {
-			p.add(enc, q, tv, runtimes[i])
+			p.add(q, tv, runtimes[i])
 		}
 		return p
 	}
 	for _, tv := range vectors {
-		p.add(enc, q, tv, eval.Runtime(q, tv))
+		p.add(q, tv, eval.Runtime(q, tv))
 	}
 	return p
 }
 
-func (p *partial) add(enc *feature.Encoder, q stencil.Instance, tv tunespace.Vector, rt float64) {
+func (p *partial) add(q stencil.Instance, tv tunespace.Vector, rt float64) {
 	p.executions = append(p.executions, Execution{Instance: q, Tuning: tv, Runtime: rt})
-	p.examples = append(p.examples, svmrank.Example{Query: q.ID(), X: enc.Encode(q, tv), Y: rt})
+	p.examples = append(p.examples, svmrank.Example{Query: q.ID(), X: feature.NewEncoder().Encode(q, tv), Y: rt})
 	p.execTime += time.Duration(rt * float64(time.Second))
 	p.compileTime += CompileCost(q.Kernel, tv)
 }

@@ -51,8 +51,8 @@ const (
 )
 
 // Feature indices of the named (non-pattern) components, offset past the
-// pattern block. Kept together so tests and the ablation harness can address
-// blocks symbolically.
+// pattern block. Kept together so tests and the encoder can address blocks
+// symbolically.
 const (
 	idxPoints = patternBlock + iota
 	idxAccesses
@@ -239,31 +239,11 @@ func log2(v float64) float64 {
 	return math.Log2(v)
 }
 
-// Blocks selects which feature blocks the encoder emits; used by the feature
-// ablation experiment. The zero value emits nothing — use AllBlocks.
-type Blocks struct {
-	Pattern      bool // dense pattern matrix + kernel summary
-	Size         bool // input extent features
-	Tuning       bool // raw tuning parameters and squares
-	Interactions bool // q×t interaction terms
-}
+// Encoder turns stencil executions into feature vectors. It holds no state.
+type Encoder struct{}
 
-// AllBlocks enables the full encoding.
-func AllBlocks() Blocks {
-	return Blocks{Pattern: true, Size: true, Tuning: true, Interactions: true}
-}
-
-// Encoder turns stencil executions into feature vectors.
-type Encoder struct {
-	blocks Blocks
-}
-
-// NewEncoder returns the default full encoder.
-func NewEncoder() *Encoder { return &Encoder{blocks: AllBlocks()} }
-
-// NewEncoderWithBlocks returns an encoder restricted to the given blocks
-// (feature-ablation support).
-func NewEncoderWithBlocks(b Blocks) *Encoder { return &Encoder{blocks: b} }
+// NewEncoder returns the encoder.
+func NewEncoder() *Encoder { return &Encoder{} }
 
 // Encode produces the feature vector for the execution (q.Kernel, q.Size, t):
 // the instance's head followed by t's tail, the same components Plan scores.
@@ -300,7 +280,6 @@ func (e *Encoder) Encode(q stencil.Instance, t tunespace.Vector) Vector {
 //
 // A Plan is read-only once built and safe for concurrent use.
 type Plan struct {
-	blocks  Blocks
 	head    Vector
 	size    stencil.Size
 	density float64 // per-cell loads over maxAccesses
@@ -331,36 +310,32 @@ func (e *Encoder) plan(q stencil.Instance, b *builder) Plan {
 	sz := q.Size
 	accesses := k.Shape.TotalAccesses()
 
-	if e.blocks.Pattern {
-		// Dense pattern block: cell (x,y,z) at flat index
-		// ((z+R)*side + (y+R))*side + (x+R). Points() is already in
-		// ascending (z,y,x) order, matching increasing flat indices.
-		for _, p := range k.Shape.Points() {
-			if p.ChebyshevNorm() > PatternRadius {
-				continue
-			}
-			flat := ((p.Z+PatternRadius)*patternSide+(p.Y+PatternRadius))*patternSide +
-				(p.X + PatternRadius)
-			m := float64(k.Shape.Multiplicity(p))
-			b.put(flat, clamp01(m/maxMultiplicity))
+	// Dense pattern block: cell (x,y,z) at flat index
+	// ((z+R)*side + (y+R))*side + (x+R). Points() is already in ascending
+	// (z,y,x) order, matching increasing flat indices.
+	for _, p := range k.Shape.Points() {
+		if p.ChebyshevNorm() > PatternRadius {
+			continue
 		}
-		b.put(idxPoints, clamp01(float64(k.Shape.Size())/maxPoints))
-		b.put(idxAccesses, clamp01(float64(accesses)/maxAccesses))
-		b.put(idxMaxOffset, clamp01(float64(k.Shape.MaxOffset())/PatternRadius))
-		b.put(idxDims, float64(k.Dims()-2)) // 0 for 2-D, 1 for 3-D
-		b.put(idxBuffers, clamp01(float64(k.Buffers)/maxBuffers))
-		b.put(idxDType, k.Type.FeatureValue())
+		flat := ((p.Z+PatternRadius)*patternSide+(p.Y+PatternRadius))*patternSide +
+			(p.X + PatternRadius)
+		m := float64(k.Shape.Multiplicity(p))
+		b.put(flat, clamp01(m/maxMultiplicity))
 	}
+	b.put(idxPoints, clamp01(float64(k.Shape.Size())/maxPoints))
+	b.put(idxAccesses, clamp01(float64(accesses)/maxAccesses))
+	b.put(idxMaxOffset, clamp01(float64(k.Shape.MaxOffset())/PatternRadius))
+	b.put(idxDims, float64(k.Dims()-2)) // 0 for 2-D, 1 for 3-D
+	b.put(idxBuffers, clamp01(float64(k.Buffers)/maxBuffers))
+	b.put(idxDType, k.Type.FeatureValue())
 
-	if e.blocks.Size {
-		b.put(idxSizeX, clamp01(log2(float64(sz.X))/maxLogExtent))
-		b.put(idxSizeY, clamp01(log2(float64(sz.Y))/maxLogExtent))
-		b.put(idxSizeZ, clamp01(log2(float64(sz.Z))/maxLogExtent))
-		b.put(idxSizeTotal, clamp01(log2(float64(sz.Points()))/maxLogTotal))
-	}
+	// Size block.
+	b.put(idxSizeX, clamp01(log2(float64(sz.X))/maxLogExtent))
+	b.put(idxSizeY, clamp01(log2(float64(sz.Y))/maxLogExtent))
+	b.put(idxSizeZ, clamp01(log2(float64(sz.Z))/maxLogExtent))
+	b.put(idxSizeTotal, clamp01(log2(float64(sz.Points()))/maxLogTotal))
 
 	return Plan{
-		blocks:  e.blocks,
 		size:    sz,
 		density: float64(accesses) / maxAccesses,
 		bytes:   float64(k.Type.Bytes()),

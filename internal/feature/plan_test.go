@@ -15,57 +15,46 @@ import (
 // candidate from the instance's head plus its tail gives exactly the bits of
 // Encode followed by Dot, for every Table III kernel at power-of-two and odd
 // sizes, over the fusion-extended predefined set plus random off-lattice
-// vectors, under every block ablation, with the full weight vector and with
-// weight vectors truncated below Dim (older, narrower models).
+// vectors, with the full weight vector and with weight vectors truncated
+// below Dim (older, narrower models).
 func TestPlanScoreBitIdenticalToEncodeDot(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	full := make([]float64, Dim)
-	for i := range full {
-		full[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
-	}
-	// Cuts inside the pattern block, inside the size block, inside the
-	// tuning block and at the pre-fusion width.
-	ws := [][]float64{full, full[:200], full[:idxSizeZ], full[:idxBx+3], full[:idxFuse]}
+	ws := planWeights(rng)
 
 	sizes := map[int][]stencil.Size{
 		2: {stencil.Size2D(1024, 768), stencil.Size2D(999, 37)},
 		3: {stencil.Size3D(128, 128, 128), stencil.Size3D(129, 67, 33)},
 	}
+	enc := NewEncoder()
+	// A strided subset keeps the test fast; the stride is prime, so the
+	// subset still reaches every parameter value.
+	const stride = 7
 	checks := 0
-	for _, blocks := range allBlockSets() {
-		enc := NewEncoderWithBlocks(blocks)
-		// Strided subsets keep the test fast; the strides are prime, so each
-		// subset still reaches every parameter value.
-		stride := 7
-		if blocks != AllBlocks() {
-			stride = 61
-		}
-		for _, k := range stencil.BenchmarkKernels() {
-			space := tunespace.NewSpace(k.Dims())
-			var cands []tunespace.Vector
-			for i, v := range space.PredefinedFused() {
-				if i%stride == 0 {
-					cands = append(cands, v)
-				}
+	for _, k := range stencil.BenchmarkKernels() {
+		space := tunespace.NewSpace(k.Dims())
+		var cands []tunespace.Vector
+		for i, v := range space.PredefinedFused() {
+			if i%stride == 0 {
+				cands = append(cands, v)
 			}
-			cands = append(cands, space.RandomSet(rng, 350/stride)...)
-			for _, sz := range sizes[k.Dims()] {
-				q := stencil.Instance{Kernel: k, Size: sz}
-				plan := enc.Plan(q)
-				got := make([][]float64, len(ws))
+		}
+		cands = append(cands, space.RandomSet(rng, 350/stride)...)
+		for _, sz := range sizes[k.Dims()] {
+			q := stencil.Instance{Kernel: k, Size: sz}
+			plan := enc.Plan(q)
+			got := make([][]float64, len(ws))
+			for j, w := range ws {
+				got[j] = make([]float64, len(cands))
+				plan.ScoreInto(got[j], w, cands)
+			}
+			for i, c := range cands {
+				x := enc.Encode(q, c)
 				for j, w := range ws {
-					got[j] = make([]float64, len(cands))
-					plan.ScoreInto(got[j], w, cands)
-				}
-				for i, c := range cands {
-					x := enc.Encode(q, c)
-					for j, w := range ws {
-						if want := x.Dot(w); math.Float64bits(got[j][i]) != math.Float64bits(want) {
-							t.Fatalf("%+v %s %v len(w)=%d: plan score %v, Encode·w %v",
-								blocks, q.ID(), c, len(w), got[j][i], want)
-						}
-						checks++
+					if want := x.Dot(w); math.Float64bits(got[j][i]) != math.Float64bits(want) {
+						t.Fatalf("%s %v len(w)=%d: plan score %v, Encode·w %v",
+							q.ID(), c, len(w), got[j][i], want)
 					}
+					checks++
 				}
 			}
 		}
@@ -73,10 +62,9 @@ func TestPlanScoreBitIdenticalToEncodeDot(t *testing.T) {
 	t.Logf("%d bit-identity checks", checks)
 }
 
-// planWeights returns a random full-width weight vector and the truncations
-// TestPlanScoreBitIdenticalToEncodeDot scores with: cuts inside the pattern
-// block, inside the size block, inside the tuning block and at the
-// pre-fusion width.
+// planWeights returns a random full-width weight vector and its
+// truncations: cuts inside the pattern block, inside the size block, inside
+// the tuning block and at the pre-fusion width.
 func planWeights(rng *rand.Rand) [][]float64 {
 	full := make([]float64, Dim)
 	for i := range full {

@@ -96,22 +96,18 @@ func (p *Plan) axisTerms(a, b int) (g group) {
 	ix := axisIdx[a]
 	l2b := log2(float64(b))
 	lb := l2b / maxLogBlock
-	if p.blocks.Tuning {
-		g[0] = term{ix.b, clamp01(lb)}
-		g[1] = term{ix.b2, clamp01(lb * lb)}
-		// One-hot power-of-two block bins: log2(b) in [1, 10] → bins 0..9.
-		// A 2-D vector's z edge of 1 has no bin.
-		if a < 2 || b > 1 {
-			g[3] = term{ix.bin0 + int32(binIndex(l2b, 1, 11, blockBins)), 1}
-		}
+	g[0] = term{ix.b, clamp01(lb)}
+	g[1] = term{ix.b2, clamp01(lb * lb)}
+	// One-hot power-of-two block bins: log2(b) in [1, 10] → bins 0..9.
+	// A 2-D vector's z edge of 1 has no bin.
+	if a < 2 || b > 1 {
+		g[3] = term{ix.bin0 + int32(binIndex(l2b, 1, 11, blockBins)), 1}
 	}
-	if p.blocks.Interactions {
-		// Effective tile extents never exceed the grid.
-		n := [3]int{p.size.X, p.size.Y, p.size.Z}[a]
-		g[2] = term{ix.frac, clamp01(float64(min(b, n)) / float64(n))}
-		if a == 0 {
-			g[4] = term{idxDTypeBx, clamp01(p.dtype * lb)}
-		}
+	// Effective tile extents never exceed the grid.
+	n := [3]int{p.size.X, p.size.Y, p.size.Z}[a]
+	g[2] = term{ix.frac, clamp01(float64(min(b, n)) / float64(n))}
+	if a == 0 {
+		g[4] = term{idxDTypeBx, clamp01(p.dtype * lb)}
 	}
 	return g
 }
@@ -119,26 +115,20 @@ func (p *Plan) axisTerms(a, b int) (g group) {
 // unrollTerms returns the components of unroll factor u.
 func (p *Plan) unrollTerms(u int) (g group) {
 	un := float64(u) / tunespace.MaxUnroll
-	if p.blocks.Tuning {
-		g[0] = term{idxUnroll, clamp01(un)}
-		g[1] = term{idxUnroll2, clamp01(un * un)}
-		g[3] = term{idxUnrollBin0 + int32(min(max(u, 0), unrollBins-1)), 1}
-	}
-	if p.blocks.Interactions {
-		g[2] = term{idxUnrollDensity, clamp01(un * p.density)}
-	}
+	g[0] = term{idxUnroll, clamp01(un)}
+	g[1] = term{idxUnroll2, clamp01(un * un)}
+	g[2] = term{idxUnrollDensity, clamp01(un * p.density)}
+	g[3] = term{idxUnrollBin0 + int32(min(max(u, 0), unrollBins-1)), 1}
 	return g
 }
 
 // chunkTerms returns the components of chunk size c.
 func (p *Plan) chunkTerms(c int) (g group) {
-	if p.blocks.Tuning {
-		l2c := log2(float64(c))
-		lch := l2c / maxLogChunk
-		g[0] = term{idxChunk, clamp01(lch)}
-		g[1] = term{idxChunk2, clamp01(lch * lch)}
-		g[2] = term{idxChunkBin0 + int32(binIndex(l2c, 0, 5, chunkBins)), 1}
-	}
+	l2c := log2(float64(c))
+	lch := l2c / maxLogChunk
+	g[0] = term{idxChunk, clamp01(lch)}
+	g[1] = term{idxChunk2, clamp01(lch * lch)}
+	g[2] = term{idxChunkBin0 + int32(binIndex(l2c, 0, 5, chunkBins)), 1}
 	return g
 }
 
@@ -165,9 +155,6 @@ func (p *Plan) tileShapeOf(bx, by, bz int) tileShape {
 // its square, the tile count, density × working set and the working set's
 // bin.
 func (p *Plan) shapeTerms(sh tileShape) (g group) {
-	if !p.blocks.Interactions {
-		return g
-	}
 	l2ws := log2(sh.ws)
 	lws := l2ws / maxLogWS
 	g[0] = term{idxTileWS, clamp01(lws)}
@@ -186,25 +173,21 @@ func (sh tileShape) groups(c int) float64 { return sh.tiles / float64(c) }
 // groupsTerms returns the components of n dispatch groups and their
 // parallel-balance bin.
 func (p *Plan) groupsTerms(n float64) (g group) {
-	if p.blocks.Interactions {
-		l2groups := log2(math.Max(1, n))
-		lgroups := l2groups / maxLogTiles
-		g[0] = term{idxTileGroups, clamp01(lgroups)}
-		g[1] = term{idxTileGroups2, clamp01(lgroups * lgroups)}
-		// Parallel-balance bin: log2(dispatch groups) over [0, 18).
-		g[2] = term{idxBalanceBin0 + int32(binIndex(l2groups, 0, 18, balanceBins)), 1}
-	}
+	l2groups := log2(math.Max(1, n))
+	lgroups := l2groups / maxLogTiles
+	g[0] = term{idxTileGroups, clamp01(lgroups)}
+	g[1] = term{idxTileGroups2, clamp01(lgroups * lgroups)}
+	// Parallel-balance bin: log2(dispatch groups) over [0, 18).
+	g[2] = term{idxBalanceBin0 + int32(binIndex(l2groups, 0, 18, balanceBins)), 1}
 	return g
 }
 
 // innerTerms returns the components of the innermost stream a tile of
 // x-edge bx unrolled by u walks.
 func (p *Plan) innerTerms(bx, u int) (g group) {
-	if p.blocks.Interactions {
-		inner := log2(float64(min(bx, p.size.X))*float64(u+1)) / maxLogInner
-		g[0] = term{idxInnerStream, clamp01(inner)}
-		g[1] = term{idxInnerStream2, clamp01(inner * inner)}
-	}
+	inner := log2(float64(min(bx, p.size.X))*float64(u+1)) / maxLogInner
+	g[0] = term{idxInnerStream, clamp01(inner)}
+	g[1] = term{idxInnerStream2, clamp01(inner * inner)}
 	return g
 }
 
@@ -216,18 +199,14 @@ func (p *Plan) fuseTerms(sh tileShape, kf int) (g group) {
 		return g
 	}
 	fu := float64(kf-1) / float64(tunespace.MaxFuse-1)
-	if p.blocks.Tuning {
-		g[0] = term{idxFuse, clamp01(fu)}
-		g[1] = term{idxFuse2, clamp01(fu * fu)}
-		g[4] = term{idxFuseBin0 + int32(kf-2), 1}
-	}
-	if p.blocks.Interactions {
-		// Fusion pays off in proportion to how DRAM-bound the sweep is:
-		// the interactions couple depth to stencil density and to the
-		// spatial tile's working set.
-		g[2] = term{idxFuseDensity, clamp01(fu * p.density)}
-		g[3] = term{idxFuseWS, clamp01(fu * log2(sh.ws) / maxLogWS)}
-	}
+	g[0] = term{idxFuse, clamp01(fu)}
+	g[1] = term{idxFuse2, clamp01(fu * fu)}
+	// Fusion pays off in proportion to how DRAM-bound the sweep is: the
+	// interactions couple depth to stencil density and to the spatial
+	// tile's working set.
+	g[2] = term{idxFuseDensity, clamp01(fu * p.density)}
+	g[3] = term{idxFuseWS, clamp01(fu * log2(sh.ws) / maxLogWS)}
+	g[4] = term{idxFuseBin0 + int32(kf-2), 1}
 	return g
 }
 

@@ -42,8 +42,9 @@ type Config struct {
 	// ReadmitAfter readmits an ejected backend after this many consecutive
 	// probe successes. Default 2.
 	ReadmitAfter int
-	// MaxBodyBytes caps an accepted request body. Default 1 MiB, matching
-	// the backend's own middleware limit.
+	// MaxBodyBytes caps an accepted request body. Default
+	// server.DefaultMaxBodyBytes, the replicas' own default, so the lb
+	// accepts every body a default replica does.
 	MaxBodyBytes int64
 	// Logger receives eject/readmit and proxy-failure events. Nil discards.
 	Logger *obs.Logger
@@ -69,7 +70,7 @@ func (c *Config) fillDefaults() {
 		c.ReadmitAfter = 2
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
+		c.MaxBodyBytes = server.DefaultMaxBodyBytes
 	}
 	if c.Logger == nil {
 		c.Logger = obs.NewLogger(io.Discard, "text")

@@ -405,3 +405,41 @@ func TestReadAllBodyLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDefaultBodyCapMatchesReplicas: a default-config lb accepts every body
+// a default replica accepts. A body just over 1 MiB reaches the backend
+// intact; one over server.DefaultMaxBodyBytes gets 413 without reaching it.
+func TestDefaultBodyCapMatchesReplicas(t *testing.T) {
+	var hits atomic.Int32
+	var gotLen atomic.Int64
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/readyz" {
+			w.Write([]byte(`{"ready":true}`))
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		hits.Add(1)
+		gotLen.Store(int64(len(body)))
+		w.Write([]byte(`{}`))
+	}))
+	t.Cleanup(stub.Close)
+	b := newBalancer(t, Config{Backends: []string{stub.URL}, HealthInterval: time.Hour})
+
+	padded := func(n int) string {
+		const head, tail = `{"kernel":"laplacian","size":"64x64x64","pad":"`, `"}`
+		return head + strings.Repeat("x", n-len(head)-len(tail)) + tail
+	}
+	const overOneMiB = 1<<20 + 1
+	if w := postTune(t, b.Handler(), padded(overOneMiB)); w.Code != http.StatusOK {
+		t.Fatalf("%d-byte body: HTTP %d, want the backend's 200: %s", overOneMiB, w.Code, w.Body.String())
+	}
+	if hits.Load() != 1 || gotLen.Load() != overOneMiB {
+		t.Fatalf("backend saw %d requests, last %d bytes; want 1 of %d", hits.Load(), gotLen.Load(), overOneMiB)
+	}
+	if w := postTune(t, b.Handler(), padded(server.DefaultMaxBodyBytes+1)); w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body over the shared cap: HTTP %d, want 413", w.Code)
+	}
+	if hits.Load() != 1 {
+		t.Fatal("an over-cap body reached the backend")
+	}
+}

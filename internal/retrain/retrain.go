@@ -143,7 +143,6 @@ type Outcome struct {
 // used directly by tests and by one-shot CLI invocations.
 type Worker struct {
 	cfg Config
-	enc *feature.Encoder
 
 	baseOnce sync.Once
 	baseErr  error
@@ -175,7 +174,6 @@ func New(cfg Config) (*Worker, error) {
 	}
 	w := &Worker{
 		cfg:  cfg.withDefaults(),
-		enc:  feature.NewEncoder(),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -276,7 +274,6 @@ func (w *Worker) base() (*svmrank.Dataset, *svmrank.Dataset, error) {
 		set, err := dataset.Generate(perfmodel.New(w.cfg.Machine), dataset.Options{
 			TargetPoints: w.cfg.BasePoints,
 			Seed:         w.cfg.Seed,
-			Encoder:      w.enc,
 			Workers:      w.cfg.Workers,
 		})
 		if err != nil {
@@ -356,7 +353,7 @@ func (w *Worker) retrainOnce() (*Outcome, error) {
 		}
 		data.Add(svmrank.Example{
 			Query: obsQuery(r, q),
-			X:     w.enc.Encode(q, r.Tuning()),
+			X:     feature.NewEncoder().Encode(q, r.Tuning()),
 			Y:     r.RuntimeSeconds,
 		})
 		out.Records++

@@ -53,6 +53,10 @@ import (
 	"repro/internal/wire"
 )
 
+// DefaultMaxBodyBytes is the request body cap of a replica and of the lb in
+// front of it when their configs leave it unset: 16 MiB.
+const DefaultMaxBodyBytes = 16 << 20
+
 // Config sizes a server instance.
 type Config struct {
 	// ModelDir is the store directory holding the artifacts to serve.
@@ -64,7 +68,7 @@ type Config struct {
 	// the convention of every workers knob in this codebase; default -1).
 	Workers int
 	// MaxBodyBytes caps request bodies; an over-limit body is rejected
-	// with 413 (default 16 MiB, negative unlimited).
+	// with 413 (default DefaultMaxBodyBytes, negative unlimited).
 	MaxBodyBytes int64
 	// MeasureQueueDepth bounds how many measure-mode requests may be
 	// queued or running at once; arrivals beyond it are shed with 503
@@ -156,7 +160,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Workers = -1
 	}
 	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = 16 << 20
+		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if cfg.MeasureQueueDepth <= 0 {
 		cfg.MeasureQueueDepth = 8

@@ -9,7 +9,7 @@ import (
 )
 
 // The oracle below is the solver as it stood before training moved onto the
-// packed live-component arena: both solvers run on the full sparse vectors,
+// packed live-component arena: the solver runs on the full sparse vectors,
 // with (a − b)·w as a.Dot(w) − b.Dot(w) and every update as scale·a followed
 // by −scale·b over a dense weight vector of feature.Dim entries. Train must
 // reproduce it bit for bit.
@@ -30,21 +30,11 @@ func oracleAddDiffInto(w []float64, a, b feature.Vector, scale float64) {
 	oracleAddInto(w, b, -scale)
 }
 
-// oracleTrain is Train on the oracle solvers, minus the timing.
+// oracleTrain is Train on the oracle solver, minus the timing.
 func oracleTrain(d *Dataset, opt Options) ([]float64, Stats) {
 	opt = opt.withDefaults()
 	pairs := GeneratePairs(d, opt.Pairs)
-	perPair := opt.C
-	if *opt.NormalizeC {
-		perPair = opt.C / float64(len(d.Queries()))
-	}
-	var w []float64
-	var epochs int
-	if opt.Solver == SGD {
-		w, epochs = oracleSGD(d, pairs, perPair, opt)
-	} else {
-		w, epochs = oracleDCD(d, pairs, perPair, opt)
-	}
+	w, epochs := oracleDCD(d, pairs, opt)
 	stats := Stats{Pairs: len(pairs), Epochs: epochs}
 	var reg float64
 	for _, v := range w {
@@ -55,15 +45,15 @@ func oracleTrain(d *Dataset, opt Options) ([]float64, Stats) {
 		margin := oracleDiffDot(w, d.Examples[p.I].X, d.Examples[p.J].X)
 		if margin < 1 {
 			stats.Violations++
-			obj += perPair * (1 - margin)
+			obj += opt.C * (1 - margin)
 		}
 	}
 	stats.Objective = obj
 	return w, stats
 }
 
-func oracleDCD(d *Dataset, pairs []Pair, perPair float64, opt Options) ([]float64, int) {
-	U := perPair
+func oracleDCD(d *Dataset, pairs []Pair, opt Options) ([]float64, int) {
+	U := opt.C
 	w := make([]float64, feature.Dim)
 	alpha := make([]float64, len(pairs))
 	qdiag := make([]float64, len(pairs))
@@ -111,40 +101,12 @@ func oracleDCD(d *Dataset, pairs []Pair, perPair float64, opt Options) ([]float6
 			alpha[p] = na
 			oracleAddDiffInto(w, xi, xj, na-old)
 		}
-		if maxViolation < opt.Tol {
+		if maxViolation < tol {
 			epoch++
 			break
 		}
 	}
 	return w, epoch
-}
-
-func oracleSGD(d *Dataset, pairs []Pair, perPair float64, opt Options) ([]float64, int) {
-	m := float64(len(pairs))
-	w := make([]float64, feature.Dim)
-	avg := make([]float64, feature.Dim)
-	rng := rand.New(rand.NewSource(opt.Seed))
-	t := 0
-	for epoch := 0; epoch < opt.Epochs; epoch++ {
-		for range pairs {
-			t++
-			p := pairs[rng.Intn(len(pairs))]
-			eta := 1 / float64(t+1)
-			xi, xj := d.Examples[p.I].X, d.Examples[p.J].X
-			margin := oracleDiffDot(w, xi, xj)
-			shrink := 1 - eta
-			for k := range w {
-				w[k] *= shrink
-			}
-			if margin < 1 {
-				oracleAddDiffInto(w, xi, xj, eta*perPair*m)
-			}
-			for k := range w {
-				avg[k] += (w[k] - avg[k]) / float64(t)
-			}
-		}
-	}
-	return avg, opt.Epochs
 }
 
 // packingDataset builds random queries whose vectors exercise every case of
@@ -213,7 +175,6 @@ func requireBitIdentical(t *testing.T, name string, m *Model, s Stats, w []float
 }
 
 func TestTrainMatchesOracleBitForBit(t *testing.T) {
-	noNorm := false
 	// Six random datasets of packingDataset, then real encodings, whose
 	// whole head is dead.
 	for seed := int64(1); seed <= 7; seed++ {
@@ -224,20 +185,19 @@ func TestTrainMatchesOracleBitForBit(t *testing.T) {
 		} else {
 			d = synthDataset(6, 40, seed)
 		}
-		for _, solver := range []Solver{DualCoordinateDescent, SGD} {
-			for _, strat := range []PairStrategy{AdjacentPairs, FullPairs} {
-				opt := Options{C: 3, NormalizeC: &noNorm, Epochs: 12, Solver: solver, Seed: seed,
-					Pairs: PairOptions{Strategy: strat, Window: 3, Seed: seed}}
-				if seed%2 == 0 {
-					opt.C, opt.NormalizeC = 0.05, nil
-				}
-				m, s, err := Train(d, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w, want := oracleTrain(d, opt)
-				requireBitIdentical(t, solver.String()+"/"+strat.String(), m, s, w, want)
+		for _, strat := range []PairStrategy{AdjacentPairs, FullPairs} {
+			opt := Options{C: 3, Epochs: 12, Seed: seed,
+				Pairs: PairOptions{Strategy: strat, Window: 3}}
+			if seed%2 == 0 {
+				// A small per-pair C: 0.05 spread over the queries.
+				opt.C = 0.05 / float64(len(d.Queries()))
 			}
+			m, s, err := Train(d, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, want := oracleTrain(d, opt)
+			requireBitIdentical(t, strat.String(), m, s, w, want)
 		}
 	}
 }

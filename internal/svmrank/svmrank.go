@@ -5,20 +5,20 @@
 // instance), so that better-performing executions score higher:
 //
 //	w·x_i ≥ w·x_j + 1 − ξ_ij   for every within-query pair with y_i < y_j
-//	min  ½‖w‖² + (C/m′)·Σ ξ_ij
+//	min  ½‖w‖² + C·Σ ξ_ij
 //
-// where y is the measured runtime (smaller is better) and m′ the number of
-// pairs. Two solvers are provided: dual coordinate descent (the default; the
-// standard exact solver for the L1-hinge linear SVM) and averaged stochastic
-// subgradient descent (for the ablation study). Both operate on implicit
-// difference vectors: pairs are stored as index pairs, and Train first packs
-// every example's live components into one arena. A component is dead when
-// every pair holds it with the same value in both members or in neither;
-// the head that all executions of an instance share is dead in every
-// within-query pair (the default 3,840-point set keeps 31 of a vector's 73
-// components, 88 of 441 weights). A dead weight stays exactly +0, so
-// dropping dead components changes no margin, step or weight: the result is
-// bit-identical to running on the full sparse vectors (see arena).
+// where y is the measured runtime (smaller is better) and C the slack cost of
+// one pair: the sum is not divided by the pair or query count. The solver is
+// dual coordinate descent, the standard exact solver for the L1-hinge linear
+// SVM. It operates on implicit difference vectors: pairs are stored as index
+// pairs, and Train first packs every example's live components into one
+// arena. A component is dead when every pair holds it with the same value in
+// both members or in neither; the head that all executions of an instance
+// share is dead in every within-query pair (the default 3,840-point set keeps
+// 31 of a vector's 73 components, 88 of 441 weights). A dead weight stays
+// exactly +0, so dropping dead components changes no margin, step or weight:
+// the result is bit-identical to running on the full sparse vectors (see
+// arena).
 package svmrank
 
 import (
@@ -84,8 +84,8 @@ type Pair struct {
 	I, J int
 }
 
-// PairStrategy selects how within-query preference pairs are generated; the
-// choice is one of the ablation dimensions (BenchmarkAblationPairStrategy).
+// PairStrategy selects how within-query preference pairs are generated
+// (compared in BenchmarkAblationPairStrategy).
 type PairStrategy int
 
 const (
@@ -96,8 +96,6 @@ const (
 	// it preserves the full ordering information transitively at a
 	// fraction of the cost.
 	AdjacentPairs
-	// CappedPairs draws at most MaxPerQuery random full pairs per query.
-	CappedPairs
 )
 
 func (s PairStrategy) String() string {
@@ -106,8 +104,6 @@ func (s PairStrategy) String() string {
 		return "full"
 	case AdjacentPairs:
 		return "adjacent"
-	case CappedPairs:
-		return "capped"
 	default:
 		return "?"
 	}
@@ -115,10 +111,8 @@ func (s PairStrategy) String() string {
 
 // PairOptions configures pair generation.
 type PairOptions struct {
-	Strategy    PairStrategy
-	Window      int // AdjacentPairs: successors per example (default 4)
-	MaxPerQuery int // CappedPairs: pair budget per query (default 256)
-	Seed        int64
+	Strategy PairStrategy
+	Window   int // AdjacentPairs: successors per example (default 4)
 }
 
 // GeneratePairs builds the preference pairs of Eq. (3): only executions of
@@ -127,10 +121,6 @@ func GeneratePairs(d *Dataset, opt PairOptions) []Pair {
 	if opt.Window <= 0 {
 		opt.Window = 4
 	}
-	if opt.MaxPerQuery <= 0 {
-		opt.MaxPerQuery = 256
-	}
-	rng := rand.New(rand.NewSource(opt.Seed))
 
 	groups := d.Groups()
 	var pairs []Pair
@@ -157,81 +147,31 @@ func GeneratePairs(d *Dataset, opt PairOptions) []Pair {
 					}
 				}
 			}
-		case CappedPairs:
-			n := len(idx)
-			budget := opt.MaxPerQuery
-			for tries := 0; budget > 0 && tries < 20*opt.MaxPerQuery && n >= 2; tries++ {
-				a, b := rng.Intn(n), rng.Intn(n)
-				if a == b {
-					continue
-				}
-				if a > b {
-					a, b = b, a
-				}
-				if d.Examples[idx[a]].Y < d.Examples[idx[b]].Y {
-					pairs = append(pairs, Pair{idx[a], idx[b]})
-					budget--
-				}
-			}
 		}
 	}
 	return pairs
 }
 
-// Solver selects the optimization algorithm.
-type Solver int
-
-const (
-	// DualCoordinateDescent is the exact L1-hinge solver (default).
-	DualCoordinateDescent Solver = iota
-	// SGD is averaged stochastic subgradient descent.
-	SGD
-)
-
-func (s Solver) String() string {
-	switch s {
-	case DualCoordinateDescent:
-		return "dcd"
-	case SGD:
-		return "sgd"
-	default:
-		return "?"
-	}
-}
-
 // Options configures training.
 type Options struct {
-	// C is the regularization trade-off of Eq. (3); the paper uses 0.01.
+	// C is the slack cost of one pair in the objective ½‖w‖² + C·Σ ξ_ij;
+	// it must be positive.
 	C float64
-	// NormalizeC divides C by the number of queries, matching SVM-Rank's
-	// objective scaling (Joachims' svm_rank divides the -c value by the
-	// query count). Default true.
-	NormalizeC *bool
 	// Epochs bounds the number of passes over the pairs (default 50).
 	Epochs int
-	// Tol is the duality-gap style stopping tolerance for DCD (default 1e-4).
-	Tol float64
-	// Solver selects DCD (default) or SGD.
-	Solver Solver
 	// Pairs configures pair generation.
 	Pairs PairOptions
 	// Seed drives shuffling.
 	Seed int64
 }
 
+// tol is the projected-gradient stopping tolerance: an epoch whose largest
+// violation stays below it ends training.
+const tol = 1e-4
+
 func (o Options) withDefaults() Options {
-	if o.C == 0 {
-		o.C = 0.01
-	}
 	if o.Epochs == 0 {
 		o.Epochs = 50
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-4
-	}
-	if o.NormalizeC == nil {
-		t := true
-		o.NormalizeC = &t
 	}
 	return o
 }
@@ -376,21 +316,9 @@ func Train(d *Dataset, opt Options) (*Model, Stats, error) {
 		return nil, Stats{}, errors.New("svmrank: no orderable pairs (all queries degenerate)")
 	}
 
-	perPair := opt.C
-	if *opt.NormalizeC {
-		perPair = opt.C / float64(len(d.Queries()))
-	}
-
 	start := time.Now()
 	a := pack(d, pairs)
-	var w *weights
-	var epochs int
-	switch opt.Solver {
-	case SGD:
-		w, epochs = trainSGD(a, pairs, perPair, opt)
-	default:
-		w, epochs = trainDCD(d, a, pairs, perPair, opt)
-	}
+	w, epochs := trainDCD(d, a, pairs, opt)
 
 	stats := Stats{
 		Pairs:     len(pairs),
@@ -406,7 +334,7 @@ func Train(d *Dataset, opt Options) (*Model, Stats, error) {
 		margin := a.diffDot(w, p.I, p.J)
 		if margin < 1 {
 			stats.Violations++
-			obj += perPair * (1 - margin)
+			obj += opt.C * (1 - margin)
 		}
 	}
 	stats.Objective = obj
@@ -414,16 +342,14 @@ func Train(d *Dataset, opt Options) (*Model, Stats, error) {
 }
 
 // arena is the training set reduced to its live components, packed for the
-// solvers. A feature index is dead when every pair holds it in neither member
+// solver. A feature index is dead when every pair holds it in neither member
 // or in both with the same finite value; every other index below feature.Dim
 // is live, and indices at or past feature.Dim are dropped as Dot drops them.
-// The solvers run on a compact weight vector with one slot per live index.
+// The solver runs on a compact weight vector with one slot per live index.
 //
 // Dropping the dead indices changes no bit of the result. A dead index's
 // weight starts at +0 and stays there: a DCD step adds s·v and then −s·v,
-// and +0 + p − p = +0 for any finite p; SGD's shrink and running average
-// keep +0 at +0. So
-// every product a dead component adds to a dot product is ±0, and adding ±0
+// and +0 + p − p = +0 for any finite p. So every product a dead component adds to a dot product is ±0, and adding ±0
 // leaves a partial sum that starts at +0 unchanged (such a sum is never −0).
 // Every margin, α step, weight, the objective and the violation count are
 // therefore those of the full sparse vectors. The rule reads only the pairs,
@@ -441,7 +367,7 @@ const slots = 1 << 16
 
 var _ [slots - feature.Dim]struct{}
 
-// weights is the solvers' compact weight vector, slots 0..len(live)-1 in
+// weights is the solver's compact weight vector, slots 0..len(live)-1 in
 // use. A uint16 slot indexes it with no bounds check.
 type weights [slots]float64
 
@@ -567,10 +493,10 @@ func (a *arena) addDiff(w *weights, i, j int, scale float64) {
 }
 
 // trainDCD runs dual coordinate descent on the pairwise L1-hinge dual:
-// each pair p has a dual variable α_p ∈ [0, U] with U the per-pair slack
+// each pair p has a dual variable α_p ∈ [0, U] with U = C, the per-pair slack
 // cost; w = Σ α_p (x_i − x_j).
-func trainDCD(d *Dataset, a *arena, pairs []Pair, perPair float64, opt Options) (*weights, int) {
-	U := perPair
+func trainDCD(d *Dataset, a *arena, pairs []Pair, opt Options) (*weights, int) {
+	U := opt.C
 	w := new(weights)
 	alpha := make([]float64, len(pairs))
 
@@ -623,45 +549,10 @@ func trainDCD(d *Dataset, a *arena, pairs []Pair, perPair float64, opt Options) 
 			alpha[p] = na
 			a.addDiff(w, pr.I, pr.J, na-old)
 		}
-		if maxViolation < opt.Tol {
+		if maxViolation < tol {
 			epoch++
 			break
 		}
 	}
 	return w, epoch
-}
-
-// trainSGD runs averaged stochastic subgradient descent on the primal
-// objective F(w) = ½‖w‖² + perPair·Σ_p hinge_p. A uniformly drawn pair p
-// gives the unbiased estimate ½‖w‖² + perPair·m·hinge_p; the ½‖w‖² term
-// makes F 1-strongly convex, so the classic 1/(t+1) step size applies.
-func trainSGD(a *arena, pairs []Pair, perPair float64, opt Options) (*weights, int) {
-	m := float64(len(pairs))
-	w, avg := new(weights), new(weights)
-	live := len(a.live)
-	rng := rand.New(rand.NewSource(opt.Seed))
-
-	t := 0
-	for epoch := 0; epoch < opt.Epochs; epoch++ {
-		for range pairs {
-			t++
-			p := pairs[rng.Intn(len(pairs))]
-			eta := 1 / float64(t+1)
-			margin := a.diffDot(w, p.I, p.J)
-			// Gradient step: shrink from the regularizer, then the hinge
-			// subgradient if the pair violates the margin.
-			shrink := 1 - eta
-			for k := range w[:live] {
-				w[k] *= shrink
-			}
-			if margin < 1 {
-				a.addDiff(w, p.I, p.J, eta*perPair*m)
-			}
-			// Running average of iterates.
-			for k := range avg[:live] {
-				avg[k] += (w[k] - avg[k]) / float64(t)
-			}
-		}
-	}
-	return avg, opt.Epochs
 }

@@ -102,26 +102,10 @@ func TestGeneratePairsAdjacentWindow(t *testing.T) {
 	}
 }
 
-func TestGeneratePairsCapped(t *testing.T) {
-	d := &Dataset{}
-	for i := 0; i < 50; i++ {
-		d.Add(Example{Query: "q", Y: float64(i)})
-	}
-	pairs := GeneratePairs(d, PairOptions{Strategy: CappedPairs, MaxPerQuery: 30, Seed: 7})
-	if len(pairs) != 30 {
-		t.Fatalf("pairs = %d, want 30", len(pairs))
-	}
-	for _, p := range pairs {
-		if d.Examples[p.I].Y >= d.Examples[p.J].Y {
-			t.Fatal("capped pair not ordered")
-		}
-	}
-}
-
 func TestGeneratePairsSingletonQuery(t *testing.T) {
 	d := &Dataset{}
 	d.Add(Example{Query: "only", Y: 1})
-	for _, s := range []PairStrategy{FullPairs, AdjacentPairs, CappedPairs} {
+	for _, s := range []PairStrategy{FullPairs, AdjacentPairs} {
 		if pairs := GeneratePairs(d, PairOptions{Strategy: s}); len(pairs) != 0 {
 			t.Errorf("%v: singleton query produced %d pairs", s, len(pairs))
 		}
@@ -134,45 +118,45 @@ func TestTrainErrors(t *testing.T) {
 	}
 	d := &Dataset{}
 	d.Add(Example{Query: "q", Y: 1})
-	if _, _, err := Train(d, Options{}); err == nil {
+	if _, _, err := Train(d, Options{C: 1}); err == nil {
 		t.Error("pairless dataset accepted")
 	}
 	d.Add(Example{Query: "q", Y: 2})
-	if _, _, err := Train(d, Options{C: -1}); err == nil {
-		t.Error("negative C accepted")
+	for _, c := range []float64{0, -1} {
+		if _, _, err := Train(d, Options{C: c}); err == nil {
+			t.Errorf("C = %v accepted", c)
+		}
 	}
 }
 
 func TestTrainLearnsSeparableOrdering(t *testing.T) {
 	d := synthDataset(6, 40, 1)
-	for _, solver := range []Solver{DualCoordinateDescent, SGD} {
-		model, stats, err := Train(d, Options{C: 0.01, Solver: solver, Epochs: 30,
-			Pairs: PairOptions{Strategy: AdjacentPairs, Window: 4}})
-		if err != nil {
-			t.Fatalf("%v: %v", solver, err)
+	model, stats, err := Train(d, Options{C: 0.01, Epochs: 30,
+		Pairs: PairOptions{Strategy: AdjacentPairs, Window: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Pairs == 0 {
+		t.Fatal("no pairs")
+	}
+	// Kendall τ between predicted scores (negated: higher=better) and
+	// runtimes per query must be strongly positive.
+	groups := d.Groups()
+	var worst float64 = 1
+	for _, idx := range groups {
+		ys := make([]float64, len(idx))
+		scores := make([]float64, len(idx))
+		for i, e := range idx {
+			ys[i] = d.Examples[e].Y
+			scores[i] = -model.Score(d.Examples[e].X)
 		}
-		if stats.Pairs == 0 {
-			t.Fatalf("%v: no pairs", solver)
+		tau := ranking.KendallTau(ys, scores)
+		if tau < worst {
+			worst = tau
 		}
-		// Kendall τ between predicted scores (negated: higher=better) and
-		// runtimes per query must be strongly positive.
-		groups := d.Groups()
-		var worst float64 = 1
-		for _, idx := range groups {
-			ys := make([]float64, len(idx))
-			scores := make([]float64, len(idx))
-			for i, e := range idx {
-				ys[i] = d.Examples[e].Y
-				scores[i] = -model.Score(d.Examples[e].X)
-			}
-			tau := ranking.KendallTau(ys, scores)
-			if tau < worst {
-				worst = tau
-			}
-		}
-		if worst < 0.6 {
-			t.Errorf("%v: worst per-query τ = %.3f, want ≥ 0.6", solver, worst)
-		}
+	}
+	if worst < 0.6 {
+		t.Errorf("worst per-query τ = %.3f, want ≥ 0.6", worst)
 	}
 }
 
@@ -259,19 +243,16 @@ func TestDatasetQueriesAndGroups(t *testing.T) {
 	}
 }
 
-func TestStrategyAndSolverStrings(t *testing.T) {
+func TestStrategyStrings(t *testing.T) {
 	if FullPairs.String() != "full" || AdjacentPairs.String() != "adjacent" ||
-		CappedPairs.String() != "capped" || PairStrategy(9).String() != "?" {
+		PairStrategy(9).String() != "?" {
 		t.Error("strategy names wrong")
-	}
-	if DualCoordinateDescent.String() != "dcd" || SGD.String() != "sgd" || Solver(9).String() != "?" {
-		t.Error("solver names wrong")
 	}
 }
 
 func TestScoreBatchMatchesScore(t *testing.T) {
 	d := synthDataset(4, 30, 1)
-	m, _, err := Train(d, Options{Seed: 1})
+	m, _, err := Train(d, Options{C: 0.01, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +273,7 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 
 func TestArgBestBatchMatchesRank(t *testing.T) {
 	d := synthDataset(6, 40, 2)
-	m, _, err := Train(d, Options{Seed: 2})
+	m, _, err := Train(d, Options{C: 0.01, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +291,7 @@ func TestArgBestBatchMatchesRank(t *testing.T) {
 
 func TestModelConcurrentScoring(t *testing.T) {
 	d := synthDataset(4, 30, 1)
-	m, _, err := Train(d, Options{Seed: 3})
+	m, _, err := Train(d, Options{C: 0.01, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,23 +26,22 @@ type Config struct {
 
 // DefaultConfig reproduces the paper's setup: a linear kernel trained on
 // within-query pairs. The paper fixes SVM-Rank's -c to 0.01 (whose objective
-// scales C by the query count); with our from-scratch solver, feature
-// encoding and simulated substrate, the equivalent operating point of the
-// regularization plateau sits at a per-pair C of 3 — see the C-sensitivity
-// ablation BenchmarkAblationC in bench_test.go.
+// divides it by the query count); svmrank's C is the slack cost of one pair,
+// undivided, and with our from-scratch solver, feature encoding and
+// simulated substrate the equivalent operating point of the regularization
+// plateau sits at C = 3 — see the C-sensitivity ablation BenchmarkAblationC
+// in bench_test.go.
 //
 // Generation runs sequentially by default; set Dataset.Workers (the
 // generated Set is identical for every worker count).
 func DefaultConfig(targetPoints int, seed int64) Config {
-	noNorm := false
 	return Config{
 		Dataset: dataset.Options{TargetPoints: targetPoints, Seed: seed},
 		SVM: svmrank.Options{
-			C:          3,
-			NormalizeC: &noNorm,
-			Epochs:     60,
-			Seed:       seed,
-			Pairs:      svmrank.PairOptions{Strategy: svmrank.AdjacentPairs, Window: 8, Seed: seed},
+			C:      3,
+			Epochs: 60,
+			Seed:   seed,
+			Pairs:  svmrank.PairOptions{Strategy: svmrank.AdjacentPairs, Window: 8},
 		},
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
 	"repro/internal/ranking"
-	"repro/internal/svmrank"
 )
 
 func evaluator() dataset.Evaluator { return perfmodel.New(machine.XeonE52680v3()) }
@@ -178,21 +177,6 @@ func TestDefaultConfigWeightsPinned(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != c.sha {
 			t.Errorf("DefaultConfig(%d, 1): sha256(W) = %s, want %s", c.points, got, c.sha)
 		}
-	}
-}
-
-func TestSGDSolverAlsoLearns(t *testing.T) {
-	cfg := DefaultConfig(960, 4)
-	cfg.SVM.Solver = svmrank.SGD
-	cfg.SVM.Epochs = 10
-	res, err := Train(evaluator(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := ranking.Summarize(TauValues(EvaluateTau(res.Model, res.Set)))
-	t.Logf("SGD tau median=%.3f", s.Median)
-	if s.Median < 0.15 {
-		t.Errorf("SGD median τ = %.3f, want ≥ 0.15", s.Median)
 	}
 }
 

@@ -223,9 +223,10 @@ type TrainOptions struct {
 	Seed int64
 	// Mode selects the evaluation substrate. Default Simulate.
 	Mode EvaluateMode
-	// C overrides the ranking-SVM regularization (default 3, the
-	// calibrated equivalent of the paper's SVM-Rank -c 0.01; see the
-	// C-sensitivity ablation BenchmarkAblationC in bench_test.go).
+	// C overrides the ranking SVM's slack cost per pair (default 3, the
+	// calibrated equivalent of the paper's SVM-Rank -c 0.01, which
+	// SVM-Rank divides by the query count; see the C-sensitivity ablation
+	// BenchmarkAblationC in bench_test.go).
 	C float64
 	// Evaluator overrides Mode with a custom evaluator when non-nil.
 	Evaluator Evaluator
