@@ -76,7 +76,7 @@ func main() {
 	flag.DurationVar(&opts.healthTimeout, "health-timeout", 2*time.Second, "per-probe timeout")
 	flag.IntVar(&opts.ejectAfter, "eject-after", 2, "consecutive probe failures before a backend leaves the rotation")
 	flag.IntVar(&opts.readmitAfter, "readmit-after", 2, "consecutive probe successes before an ejected backend returns")
-	flag.Int64Var(&opts.maxBody, "max-body", server.DefaultMaxBodyBytes, "request body size cap in bytes; over-limit requests get 413")
+	flag.Int64Var(&opts.maxBody, "max-body", server.DefaultMaxBodyBytes, "request body size cap in bytes; over-limit requests get 413 (0 or negative: the default)")
 	flag.DurationVar(&opts.drain, "drain", 10*time.Second, "graceful-shutdown budget for draining in-flight requests")
 	flag.StringVar(&opts.logFormat, "log-format", "text", "log output format: text or json")
 	flag.BoolVar(&opts.broadcastReload, "broadcast-reload", false,

@@ -90,7 +90,7 @@ func main() {
 	flag.IntVar(&opts.workers, "workers", -1, "evaluation workers per request for hybrid/predict (-1 = all cores, 1 = sequential)")
 	flag.DurationVar(&opts.timeout, "timeout", 30*time.Second, "per-request timeout; expiry cancels the request context and stops evaluation work")
 	flag.DurationVar(&opts.drain, "drain", 10*time.Second, "graceful-shutdown budget for draining in-flight requests")
-	flag.Int64Var(&opts.maxBody, "max-body", server.DefaultMaxBodyBytes, "request body size cap in bytes; over-limit requests get 413")
+	flag.Int64Var(&opts.maxBody, "max-body", server.DefaultMaxBodyBytes, "request body size cap in bytes; over-limit requests get 413 (0 or negative: the default)")
 	flag.IntVar(&opts.measureQueue, "measure-queue", 8, "bounded queue depth for measure-mode requests; arrivals past it are shed with 503")
 	flag.Float64Var(&opts.rateLimit, "rate-limit", 0, "per-client request rate limit in req/s (keyed by X-Client-ID or remote host; 0 = unlimited)")
 	flag.IntVar(&opts.rateBurst, "rate-burst", 10, "token-bucket burst capacity per client when -rate-limit is set")

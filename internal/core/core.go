@@ -34,11 +34,15 @@ func New(model *svmrank.Model) *Tuner {
 }
 
 // scoreParallelThreshold is the candidate count from which Scores fans
-// out; below it the goroutine handoff costs more than the scoring
-// (BenchmarkScoresFanOut times both sides: on two CPUs one goroutine wins
-// at 1,024 candidates, and fanning out wins at 8,640). Both predefined sets
-// (1600 and 8640 vectors) are fanned out.
-const scoreParallelThreshold = 1600
+// out; below it the goroutine handoff costs more than the scoring saves.
+// BenchmarkScoresFanOut times both sides; over 12–16 runs on a 2-CPU VM
+// (Go 1.24), one goroutine was faster at 1,600 candidates in 10 of 12, the
+// 8,640-vector 3-D set split 10 of 16 for one goroutine (a request that
+// wakes a parked goroutine pays more than the benchmark's warm loop, and
+// fanning out costs a second CPU), and two goroutines won at 17,280 in 11
+// of 13 and at 34,560 in 10 of 13 (~0.7 against ~1.2 ms). So both
+// predefined sets score on one goroutine, and the 3-D fused sets fan out.
+const scoreParallelThreshold = 16384
 
 // Scores returns the model score of every candidate (higher ranks better).
 // It validates the instance and every candidate, then scores each

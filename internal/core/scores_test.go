@@ -112,12 +112,14 @@ func BenchmarkTunerBest(b *testing.B) {
 
 // BenchmarkScoresFanOut times scoring n candidates on one goroutine against
 // fanning them out over GOMAXPROCS chunks, the two sides of
-// scoreParallelThreshold. n=1600 is the 2-D predefined set and n=8640 the
-// 3-D one; the smaller sizes are prefixes of the 3-D set.
+// scoreParallelThreshold. n=1600 is the 2-D predefined set, n=8640 the 3-D
+// one and n=34560 the 3-D set at every depth K = 1..4; the other sizes are
+// prefixes of the 3-D sets.
 func BenchmarkScoresFanOut(b *testing.B) {
 	tu := randomTuner(1)
 	blur := stencil.Instance{Kernel: stencil.Blur(), Size: stencil.Size2D(1024, 768)}
 	set3 := tunespace.NewSpace(3).Predefined()
+	fused3 := tunespace.NewSpace(3).PredefinedFused(1, 2, 3, 4)
 	for _, bc := range []struct {
 		q     stencil.Instance
 		cands []tunespace.Vector
@@ -127,6 +129,8 @@ func BenchmarkScoresFanOut(b *testing.B) {
 		{lap128(), set3[:1024]},
 		{blur, tunespace.NewSpace(2).Predefined()},
 		{lap128(), set3},
+		{lap128(), fused3[:17280]},
+		{lap128(), fused3},
 	} {
 		plan := tu.Encoder.Plan(bc.q)
 		out := make([]float64, len(bc.cands))

@@ -61,6 +61,18 @@ func FuzzPlanScore(f *testing.F) {
 	f.Add(fuzzEncode(hi, lo, mix, lo))
 	f.Add(fuzzEncode(fused))
 	f.Add(fuzzEncode(lo, fused, fused, hi, mix))
+	// Sets of one to nine vectors whose neighbours change tile shape, depth,
+	// u and c, alone and together.
+	edges := []tunespace.Vector{lo, fused, mix, hi,
+		{Bx: 64, By: 32, Bz: 16, U: 4, C: 2, K: 1},
+		{Bx: 64, By: 32, Bz: 16, U: 4, C: 2, K: 4},
+		{Bx: 64, By: 32, Bz: 8, U: 4, C: 2, K: 4},
+		{Bx: 64, By: 32, Bz: 8, U: 8, C: 2, K: 4},
+		{Bx: 64, By: 32, Bz: 8, U: 8, C: 1, K: 4},
+	}
+	for n := 1; n <= len(edges); n++ {
+		f.Add(fuzzEncode(edges[:n]...))
+	}
 
 	f64 := stencil.Laplacian()
 	f64.Type = stencil.Float64

@@ -197,6 +197,71 @@ func TestPlanScoreIndependentOfOrderAndChunking(t *testing.T) {
 	}
 }
 
+// TestPlanScoreBoundaries scores sets at the edges of what the scorer
+// reuses from one candidate to the next, on float32 and float64 instances:
+// every length from 1 to 9, from the start of the set and from inside a run
+// of one tile shape, and one past the predefined set (8,641 vectors in 3-D);
+// sequences in which consecutive candidates change tile shape, depth, u and
+// c all at once, only the depth, or only the shape; and each of those cut
+// into calls at every offset from 0 to 8, alone and with a second cut four
+// later. Every score must equal Encode·w bit for bit, for full and
+// truncated weights.
+func TestPlanScoreBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	ws := planWeights(rng)
+	lap64, blur64 := stencil.Laplacian(), stencil.Blur()
+	lap64.Type, blur64.Type = stencil.Float64, stencil.Float64
+	instances := []stencil.Instance{
+		laplacianInstance(),
+		{Kernel: lap64, Size: stencil.Size3D(129, 67, 33)},
+		blurInstance(),
+		{Kernel: blur64, Size: stencil.Size2D(50, 3)},
+	}
+	span := func(lo, hi int) []int {
+		out := make([]int, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			out = append(out, i)
+		}
+		return out
+	}
+	for _, q := range instances {
+		space := tunespace.NewSpace(q.Kernel.Dims())
+		n := len(space.Predefined())
+		// The universe: depth k+1 of predefined candidate i is at k*n + i.
+		c := newScoreChecker(NewEncoder(), q, ws, space.PredefinedFused(1, 2, 3, 4))
+		for l := 1; l <= 9; l++ {
+			c.check(t, fmt.Sprintf("%s first %d", q.ID(), l), span(0, l))
+			// The predefined sets vary u and c fastest: a run of one tile
+			// shape is 16 candidates long, so this set crosses into the next.
+			c.check(t, fmt.Sprintf("%s %d from 13", q.ID(), l), span(13, 13+l))
+		}
+		c.check(t, fmt.Sprintf("%s %d", q.ID(), n+1), span(0, n+1))
+
+		var everything, depths, shapes []int
+		for i := 0; i < 600; i++ {
+			// A large prime stride changes every field between neighbours.
+			everything = append(everything, i*7919%len(c.cands))
+		}
+		for i := 0; i < 150; i++ {
+			base := rng.Intn(n)
+			for _, k := range []int{0, 1, 0, 2, 3, 0} {
+				depths = append(depths, k*n+base)
+			}
+			// Candidates 16 apart share u and c and differ in tile shape.
+			other := (base + 16) % n
+			shapes = append(shapes, base, other, base, (other+16)%n)
+		}
+		for name, seq := range map[string][]int{"every field": everything, "depth only": depths, "shape only": shapes} {
+			what := q.ID() + " " + name
+			c.check(t, what, seq)
+			for off := 0; off <= 8; off++ {
+				c.check(t, fmt.Sprintf("%s cut at %d", what, off), seq, off)
+				c.check(t, fmt.Sprintf("%s cut at %d and %d", what, off, off+4), seq, off, off+4)
+			}
+		}
+	}
+}
+
 func TestPlanScoreIntoAllocatesNothing(t *testing.T) {
 	q := laplacianInstance()
 	p := NewEncoder().Plan(q)
@@ -219,7 +284,8 @@ func TestEncodeAllocations(t *testing.T) {
 }
 
 // BenchmarkPlanScoreInto scores each predefined set from one plan on one
-// goroutine.
+// goroutine, in the set's order and, as the search engines and the quality
+// code hand candidates over, in a random order.
 func BenchmarkPlanScoreInto(b *testing.B) {
 	w := make([]float64, Dim)
 	for i := range w {
@@ -228,12 +294,24 @@ func BenchmarkPlanScoreInto(b *testing.B) {
 	for _, q := range []stencil.Instance{blurInstance(), laplacianInstance()} {
 		p := NewEncoder().Plan(q)
 		cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
-		out := make([]float64, len(cands))
-		b.Run(fmt.Sprintf("%dD", q.Kernel.Dims()), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				p.ScoreInto(out, w, cands)
-			}
+		shuffled := slices.Clone(cands)
+		rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
+		out := make([]float64, len(cands))
+		for _, bc := range []struct {
+			name  string
+			cands []tunespace.Vector
+		}{
+			{fmt.Sprintf("%dD", q.Kernel.Dims()), cands},
+			{fmt.Sprintf("%dD-shuffled", q.Kernel.Dims()), shuffled},
+		} {
+			b.Run(bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					p.ScoreInto(out, w, bc.cands)
+				}
+			})
+		}
 	}
 }

@@ -255,19 +255,19 @@ type entry [5]float64
 // cacheSize is the slot count of every memo cache.
 const cacheSize = 8
 
-// cache holds one group's products for up to cacheSize keys, one key per
-// slot. The caller picks a key's slot; a key that lands in an occupied slot
-// evicts the key there.
-type cache[K comparable] struct {
-	ok   uint8 // bit i: slot i holds keys[i]'s products
+// cache holds values for up to cacheSize keys, one key per slot. The caller
+// picks a key's slot; a key that lands in an occupied slot evicts the key
+// there, so a pointer into the cache stays valid until the next miss.
+type cache[K comparable, V any] struct {
+	ok   uint8 // bit i: slot i holds keys[i]'s value
 	keys [cacheSize]K
-	e    [cacheSize]entry
+	e    [cacheSize]V
 }
 
-// get returns the entry of key in slot i (taken modulo cacheSize) and
-// whether it already holds key's products. On a miss the slot now belongs to
-// key, and the caller fills the entry.
-func (c *cache[K]) get(i int, key K) (*entry, bool) {
+// get returns the value of key in slot i (taken modulo cacheSize) and
+// whether it already holds key's value. On a miss the slot now belongs to
+// key, and the caller fills the value.
+func (c *cache[K, V]) get(i int, key K) (*V, bool) {
 	i &= cacheSize - 1
 	if c.ok&(1<<i) != 0 && c.keys[i] == key {
 		return &c.e[i], true
@@ -285,10 +285,20 @@ func slotOf(v float64) int {
 	return int(b>>52 ^ b>>47)
 }
 
-// memo is ScoreInto's per-call cache of group products. cur holds the
-// current candidate's product in every tail slot. Each group's products are
-// cached under exactly the values its formulas read, so a group is computed
-// about once per distinct value in a set:
+// chunkKey is what the groups that read c read: c and the tile count of
+// the candidate's shape.
+type chunkKey struct {
+	tiles float64
+	c     int
+}
+
+// chunkEntry holds the products of the chunk terms and the dispatch-group
+// terms of one chunkKey.
+type chunkEntry struct{ chunk, groups entry }
+
+// memo is ScoreInto's per-call cache of group products. Each group's
+// products are cached under exactly the values its formulas read, so a group
+// is computed about once per distinct value in a set:
 //
 //   - each axis by its block edge, unroll by u and chunk by c, each in the
 //     slot of the value's bit length (the predefined values are powers of
@@ -297,24 +307,26 @@ func slotOf(v float64) int {
 //   - the shape terms by the working set and the tile count, and the
 //     dispatch-group terms by the group count tiles/c: those values repeat
 //     across many shapes, so slotOf hashes them;
-//   - the fusion terms take no logarithm for an unfused candidate and are
-//     recomputed per shape.
+//   - the chunk and dispatch-group products of a candidate together by
+//     (tiles, c), so that the candidates of one shape find theirs with one
+//     lookup and no division;
+//   - the fusion terms take no logarithm and are recomputed per fused shape.
 //
-// A cached entry is used only for its exact key, so any candidate order is
+// A cached value is used only for its exact key, so any candidate order is
 // scored correctly. The memo is a plain value of a few KiB so that it lives
 // on the caller's stack: a call allocates nothing and concurrent calls share
 // nothing.
 type memo struct {
-	p   *Plan
-	w   []float64
-	cur [maxTail]float64
-	sh  tileShape // the current candidate's
+	p    *Plan
+	w    []float64
+	fuse entry // the current shape's fusion products
 
-	axes          [3]cache[int]
-	unroll, chunk cache[int]
-	inner         cache[[2]int]
-	shapes        cache[tileShape]
-	groups        cache[float64]
+	axes          [3]cache[int, entry]
+	unroll, chunk cache[int, entry]
+	inner         cache[[2]int, entry]
+	shapes        cache[tileShape, entry]
+	groups        cache[float64, entry]
+	byChunk       cache[chunkKey, chunkEntry]
 }
 
 // bitLen is the cache slot of an integer key.
@@ -327,116 +339,167 @@ func (m *memo) fill(e *entry, g group) {
 	}
 }
 
-// put writes a group's products into the current slots.
-func (m *memo) put(slots []uint8, e *entry) {
-	for i, sl := range slots {
-		m.cur[sl] = e[i]
+// axisOf returns the products of block edge b on axis a.
+func (m *memo) axisOf(a, b int) *entry {
+	e, hit := m.axes[a].get(bitLen(b), b)
+	if !hit {
+		m.fill(e, m.p.axisTerms(a, b))
 	}
+	return e
 }
 
-// load brings the current slots from candidate prev (nil for none) to
-// candidate t. The predefined sets vary u and c fastest, so a candidate that
-// differs from its predecessor only there rewrites those groups; any other
-// change rewrites every group, each from its cache.
-func (m *memo) load(t, prev *tunespace.Vector) {
-	if prev == nil || t.Bx != prev.Bx || t.By != prev.By || t.Bz != prev.Bz || t.K != prev.K {
-		m.loadShape(t)
-		m.loadUnroll(t)
-		m.loadChunk(t)
-		return
+// shapeOf returns the products of tile shape sh.
+func (m *memo) shapeOf(sh tileShape) *entry {
+	e, hit := m.shapes.get(slotOf(sh.ws), sh)
+	if !hit {
+		m.fill(e, m.p.shapeTerms(sh))
 	}
-	if t.U != prev.U {
-		m.loadUnroll(t)
-	}
-	if t.C != prev.C {
-		m.loadChunk(t)
-	}
+	return e
 }
 
-// loadShape writes the groups of t's tile shape: the axes, the shape terms
-// and the fusion terms.
-func (m *memo) loadShape(t *tunespace.Vector) {
-	p := m.p
-	for a, b := range [3]int{t.Bx, t.By, t.Bz} {
-		e, hit := m.axes[a].get(bitLen(b), b)
-		if !hit {
-			m.fill(e, p.axisTerms(a, b))
-		}
-		m.put(axisSlots[a], e)
-	}
-	m.sh = p.tileShapeOf(t.Bx, t.By, t.Bz)
-	e, hit := m.shapes.get(slotOf(m.sh.ws), m.sh)
+// unrollOf returns the products of unroll factor u.
+func (m *memo) unrollOf(u int) *entry {
+	e, hit := m.unroll.get(bitLen(u), u)
 	if !hit {
-		m.fill(e, p.shapeTerms(m.sh))
+		m.fill(e, m.p.unrollTerms(u))
 	}
-	m.put(shapeSlots, e)
-	var fe entry
-	m.fill(&fe, p.fuseTerms(m.sh, t.EffFuse()))
-	m.put(fuseSlots, &fe)
+	return e
 }
 
-// loadUnroll writes the groups that read u: the unroll terms and the inner
-// stream.
-func (m *memo) loadUnroll(t *tunespace.Vector) {
-	e, hit := m.unroll.get(bitLen(t.U), t.U)
+// innerOf returns the products of the inner stream of x-edge bx and unroll
+// factor u.
+func (m *memo) innerOf(bx, u int) *entry {
+	e, hit := m.inner.get(bitLen(u)^bitLen(bx)<<1, [2]int{bx, u})
 	if !hit {
-		m.fill(e, m.p.unrollTerms(t.U))
+		m.fill(e, m.p.innerTerms(bx, u))
 	}
-	m.put(unrollSlots, e)
-	e, hit = m.inner.get(bitLen(t.U), [2]int{t.Bx, t.U})
-	if !hit {
-		m.fill(e, m.p.innerTerms(t.Bx, t.U))
-	}
-	m.put(innerSlots, e)
+	return e
 }
 
-// loadChunk writes the groups that read c: the chunk terms and the
-// dispatch groups.
-func (m *memo) loadChunk(t *tunespace.Vector) {
-	e, hit := m.chunk.get(bitLen(t.C), t.C)
+// fillChunk sets ce to the chunk and dispatch-group products of chunk size
+// c on tile shape sh.
+func (m *memo) fillChunk(ce *chunkEntry, sh tileShape, c int) {
+	e, hit := m.chunk.get(bitLen(c), c)
 	if !hit {
-		m.fill(e, m.p.chunkTerms(t.C))
+		m.fill(e, m.p.chunkTerms(c))
 	}
-	m.put(chunkSlots, e)
-	n := m.sh.groups(t.C)
+	ce.chunk = *e
+	n := sh.groups(c)
 	e, hit = m.groups.get(slotOf(n), n)
 	if !hit {
 		m.fill(e, m.p.groupsTerms(n))
 	}
-	m.put(groupsSlots, e)
+	ce.groups = *e
 }
 
 // ScoreInto sets out[i] to Encode(q, cands[i]).Dot(w) for the plan's
 // instance q, bit for bit, without building any vector. The head's partial
 // sum is taken once. Each tail component is computed once per distinct
 // value of the parameters it depends on (see memo) and kept as its product
-// with w; a candidate's score is the head plus its products added slot by
-// slot. Those are Dot's additions in Dot's order — an absent component adds
-// −0, which changes no bits — so the order of the candidates, repeats, and
-// how a set is split across calls cannot change any score. It allocates
-// nothing. out must be at least as long as cands.
+// with w.
+//
+// A candidate reads its products where the memo keeps them; nothing is
+// copied per candidate. The groups that read only the tile shape and depth
+// (the axes, the shape terms and the fusion terms) are looked up once per
+// run of candidates sharing (bx, by, bz, K), and every candidate of the run
+// reads them. A candidate looks up the groups of its own u and c only where
+// they differ from its predecessor's: the predefined sets vary c fastest,
+// so most candidates make one lookup, of their (tiles, c) pair. Each
+// candidate then adds the head and its products slot by slot: Dot's
+// additions in Dot's order (an absent component adds −0, which changes no
+// bits), so the order of the candidates, repeats, and how a set is split
+// across calls cannot change any score. TestPlanScoreBitIdenticalToEncodeDot
+// pins the additions below against the slot order. The loop scores one
+// candidate at a time: scoring four side by side, one accumulator each,
+// measured slower, because an out-of-order core already overlaps the
+// independent sums of consecutive candidates and the lanes' extra pointers
+// cost loads. It allocates nothing. out must be at least as long as cands.
 func (p *Plan) ScoreInto(out, w []float64, cands []tunespace.Vector) {
+	out = out[:len(cands)]
 	head := p.head.dotFrom(0, w)
 	m := memo{p: p, w: w}
-	var prev *tunespace.Vector
+	var (
+		sh                                     tileShape
+		ax, ay, az, shape, fuse, unroll, inner *entry
+		chunk, groups                          *entry
+		prev                                   *tunespace.Vector
+	)
 	for i := range cands {
 		t := &cands[i]
-		m.load(t, prev)
-		prev = t
-		// The fusion slots come last, and an unfused candidate's are all −0.
-		// Both bounds are multiples of the five-slot step below.
-		n := maxTail
-		if t.EffFuse() <= 1 {
-			n = slotFuse
+		first := prev == nil
+		newShape := first || t.Bx != prev.Bx || t.By != prev.By || t.Bz != prev.Bz || t.K != prev.K
+		if newShape {
+			if first || t.Bx != prev.Bx {
+				ax = m.axisOf(0, t.Bx)
+			}
+			if first || t.By != prev.By {
+				ay = m.axisOf(1, t.By)
+			}
+			if first || t.Bz != prev.Bz {
+				az = m.axisOf(2, t.Bz)
+			}
+			sh = p.tileShapeOf(t.Bx, t.By, t.Bz)
+			shape = m.shapeOf(sh)
+			// An unfused candidate adds no fusion products.
+			if t.K > 1 {
+				m.fill(&m.fuse, p.fuseTerms(sh, t.K))
+				fuse = &m.fuse
+			}
 		}
+		if first || t.U != prev.U {
+			unroll = m.unrollOf(t.U)
+		}
+		if first || t.U != prev.U || t.Bx != prev.Bx {
+			inner = m.innerOf(t.Bx, t.U)
+		}
+		if newShape || t.C != prev.C {
+			ce, hit := m.byChunk.get(bitLen(t.C), chunkKey{sh.tiles, t.C})
+			if !hit {
+				m.fillChunk(ce, sh, t.C)
+			}
+			chunk, groups = &ce.chunk, &ce.groups
+		}
+		prev = t
+
+		// Each product is its group's term at that position of the group's
+		// slot list; the comments name the slots.
 		s := head
-		for k := 0; k < n; k += 5 {
-			r := m.cur[k : k+5 : k+5]
-			s += r[0]
-			s += r[1]
-			s += r[2]
-			s += r[3]
-			s += r[4]
+		s += ax[0]     // slotBx
+		s += ay[0]     // slotBy
+		s += az[0]     // slotBz
+		s += unroll[0] // slotUnroll
+		s += chunk[0]  // slotChunk
+		s += ax[1]     // slotBx2
+		s += ay[1]     // slotBy2
+		s += az[1]     // slotBz2
+		s += unroll[1] // slotUnroll2
+		s += chunk[1]  // slotChunk2
+		s += shape[0]  // slotTileWS
+		s += shape[1]  // slotTileWS2
+		s += ax[2]     // slotFracX
+		s += ay[2]     // slotFracY
+		s += az[2]     // slotFracZ
+		s += shape[2]  // slotNumTiles
+		s += groups[0] // slotTileGroups
+		s += groups[1] // slotTileGroups2
+		s += unroll[2] // slotUnrollDensity
+		s += inner[0]  // slotInnerStream
+		s += inner[1]  // slotInnerStream2
+		s += ax[4]     // slotDTypeBx
+		s += shape[3]  // slotDensityWS
+		s += shape[4]  // slotWSBin
+		s += ax[3]     // slotBxBin
+		s += ay[3]     // slotByBin
+		s += az[3]     // slotBzBin
+		s += unroll[3] // slotUnrollBin
+		s += chunk[2]  // slotChunkBin
+		s += groups[2] // slotBalanceBin
+		if t.K > 1 {
+			s += fuse[0] // slotFuse
+			s += fuse[1] // slotFuse2
+			s += fuse[2] // slotFuseDensity
+			s += fuse[3] // slotFuseWS
+			s += fuse[4] // slotFuseBin
 		}
 		out[i] = s
 	}

@@ -42,7 +42,7 @@ type Config struct {
 	// ReadmitAfter readmits an ejected backend after this many consecutive
 	// probe successes. Default 2.
 	ReadmitAfter int
-	// MaxBodyBytes caps an accepted request body. Default
+	// MaxBodyBytes caps an accepted request body. Zero or negative means
 	// server.DefaultMaxBodyBytes, the replicas' own default, so the lb
 	// accepts every body a default replica does.
 	MaxBodyBytes int64

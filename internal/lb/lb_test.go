@@ -443,3 +443,36 @@ func TestDefaultBodyCapMatchesReplicas(t *testing.T) {
 		t.Fatal("an over-cap body reached the backend")
 	}
 }
+
+// TestNegativeBodyCapIsTheDefault: -max-body -1 means the shared 16 MiB
+// default on a replica and on the lb alike, so neither takes a body the
+// other would refuse. Both answer a body one byte over the default with 413,
+// and the lb does not forward it.
+func TestNegativeBodyCapIsTheDefault(t *testing.T) {
+	s, err := server.New(server.Config{ModelDir: "../store/testdata", MaxBodyBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	var hits atomic.Int32
+	replica := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/readyz" {
+			hits.Add(1)
+		}
+		s.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(replica.Close)
+	b := newBalancer(t, Config{Backends: []string{replica.URL}, HealthInterval: time.Hour, MaxBodyBytes: -1})
+
+	const head, tail = `{"kernel":"laplacian","size":"64x64x64","pad":"`, `"}`
+	over := head + strings.Repeat("x", server.DefaultMaxBodyBytes+1-len(head)-len(tail)) + tail
+	if w := postTune(t, s.Handler(), over); w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("replica with -1: %d-byte body got HTTP %d, want 413", len(over), w.Code)
+	}
+	if w := postTune(t, b.Handler(), over); w.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("lb with -1: %d-byte body got HTTP %d, want 413", len(over), w.Code)
+	}
+	if n := hits.Load(); n != 0 {
+		t.Errorf("the lb forwarded an over-cap body (%d requests reached the replica)", n)
+	}
+}

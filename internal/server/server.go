@@ -68,7 +68,7 @@ type Config struct {
 	// the convention of every workers knob in this codebase; default -1).
 	Workers int
 	// MaxBodyBytes caps request bodies; an over-limit body is rejected
-	// with 413 (default DefaultMaxBodyBytes, negative unlimited).
+	// with 413. Zero or negative means DefaultMaxBodyBytes, as in lb.Config.
 	MaxBodyBytes int64
 	// MeasureQueueDepth bounds how many measure-mode requests may be
 	// queued or running at once; arrivals beyond it are shed with 503
@@ -159,7 +159,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = -1
 	}
-	if cfg.MaxBodyBytes == 0 {
+	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if cfg.MeasureQueueDepth <= 0 {
@@ -443,11 +443,7 @@ func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 // connection on overrun so the client stops uploading), and an over-limit
 // body maps to an explicit 413 instead of a generic failure.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	limit := s.maxBody
-	if limit < 0 {
-		limit = 1 << 40 // "unlimited", still bounded against runaway streams
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxBody))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
