@@ -475,7 +475,7 @@ func meanQualityAndTau(b *testing.B, eval dataset.Evaluator, model *svmrank.Mode
 	for _, q := range stencil.Benchmarks() {
 		cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
 		quality := rankQuality(b, eval, tuner, q, cands)
-		order, err := tuner.Rank(q, cands)
+		order, _, err := tuner.Rank(q, cands)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,8 +10,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -33,25 +31,16 @@ func New(model *svmrank.Model) *Tuner {
 	return &Tuner{Model: model, Encoder: feature.NewEncoder()}
 }
 
-// scoreParallelThreshold is the candidate count from which Scores fans
-// out; below it the goroutine handoff costs more than the scoring saves.
-// BenchmarkScoresFanOut times both sides; over 12–16 runs on a 2-CPU VM
-// (Go 1.24), one goroutine was faster at 1,600 candidates in 10 of 12, the
-// 8,640-vector 3-D set split 10 of 16 for one goroutine (a request that
-// wakes a parked goroutine pays more than the benchmark's warm loop, and
-// fanning out costs a second CPU), and two goroutines won at 17,280 in 11
-// of 13 and at 34,560 in 10 of 13 (~0.7 against ~1.2 ms). So both
-// predefined sets score on one goroutine, and the 3-D fused sets fan out.
-const scoreParallelThreshold = 16384
-
 // Scores returns the model score of every candidate (higher ranks better).
-// It validates the instance and every candidate, then scores each
-// candidate from one encoding plan: the instance-only head of the feature
-// vector is built once, and each candidate adds only its tuning-dependent
-// tail. No feature vector is materialised, and every score is bit-identical
-// to Model.Score(Encoder.Encode(q, cand)). Large sets are scored in chunks
-// on GOMAXPROCS goroutines; each score depends only on its own candidate,
-// so the output is identical to a sequential loop.
+// It checks the model and the instance, then scores each candidate on the
+// caller's goroutine from one encoding plan: the instance-only head of the
+// feature vector is built once, and each candidate adds only its
+// tuning-dependent tail. No feature vector is materialised, and every score
+// is bit-identical to Model.Score(Encoder.Encode(q, cand)).
+//
+// cands must be valid for q's dimensionality (tunespace.Vector.Validate):
+// the predefined sets are valid by construction, and vectors from outside
+// the program are validated where they enter it (wire.Tunings).
 func (t *Tuner) Scores(q stencil.Instance, cands []tunespace.Vector) ([]float64, error) {
 	if t.Model == nil {
 		return nil, errors.New("core: tuner has no model")
@@ -62,46 +51,20 @@ func (t *Tuner) Scores(q stencil.Instance, cands []tunespace.Vector) ([]float64,
 	if len(cands) == 0 {
 		return nil, errors.New("core: empty candidate set")
 	}
-	dims := q.Kernel.Dims()
-	for i, tv := range cands {
-		if err := tv.Validate(dims); err != nil {
-			return nil, fmt.Errorf("core: candidate %d: %w", i, err)
-		}
-	}
 	out := make([]float64, len(cands))
-	workers := runtime.GOMAXPROCS(0)
-	if len(cands) < scoreParallelThreshold {
-		workers = 1
-	}
-	scoreChunks(t.Encoder.Plan(q), out, t.Model.W, cands, workers)
+	t.Encoder.Plan(q).ScoreInto(out, t.Model.W, cands)
 	return out, nil
 }
 
-// scoreChunks scores cands into out from plan, cutting the set into one
-// contiguous chunk per worker and each chunk on its own goroutine.
-func scoreChunks(plan *feature.Plan, out, w []float64, cands []tunespace.Vector, workers int) {
-	if workers <= 1 {
-		plan.ScoreInto(out, w, cands)
-		return
-	}
-	chunk := (len(cands) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for s := 0; s < len(cands); s += chunk {
-		e := min(s+chunk, len(cands))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			plan.ScoreInto(out[s:e], w, cands[s:e])
-		}()
-	}
-	wg.Wait()
-}
-
 // Rank returns the candidate indices ordered best-first according to the
-// model. No execution happens; equal scores keep input order.
-func (t *Tuner) Rank(q stencil.Instance, cands []tunespace.Vector) ([]int, error) {
-	order, _, err := t.RankScored(q, cands)
-	return order, err
+// model, together with every candidate's score (index-aligned with cands).
+// No execution happens; equal scores keep input order.
+func (t *Tuner) Rank(q stencil.Instance, cands []tunespace.Vector) ([]int, []float64, error) {
+	scores, err := t.Scores(q, cands)
+	if err != nil {
+		return nil, nil, err
+	}
+	return svmrank.Order(scores), scores, nil
 }
 
 // Best returns the top-ranked candidate. Unlike Rank it never sorts — an
@@ -115,25 +78,13 @@ func (t *Tuner) Best(q stencil.Instance, cands []tunespace.Vector) (tunespace.Ve
 	return cands[svmrank.ArgMax(scores)], nil
 }
 
-// RankScored returns Rank's permutation together with every candidate's
-// score (index-aligned with cands), paying encoding and scoring once.
-func (t *Tuner) RankScored(q stencil.Instance, cands []tunespace.Vector) ([]int, []float64, error) {
-	scores, err := t.Scores(q, cands)
-	if err != nil {
-		return nil, nil, err
-	}
-	return svmrank.Order(scores), scores, nil
-}
-
 // TunePredefined runs the standalone mode of Sec. VI-A: rank the
 // hierarchically-sampled power-of-two predefined set for the instance's
 // dimensionality (1600 configurations for 2-D, 8640 for 3-D) and return the
-// top-ranked vector together with the ranking time.
+// top-ranked vector together with the ranking time. The set follows q's
+// size; Scores rejects a kernel of the other dimensionality.
 func (t *Tuner) TunePredefined(q stencil.Instance) (tunespace.Vector, time.Duration, error) {
-	if err := q.Validate(); err != nil {
-		return tunespace.Vector{}, 0, err
-	}
-	cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
+	cands := tunespace.NewSpace(q.Size.Dims()).Predefined()
 	start := time.Now()
 	best, err := t.Best(q, cands)
 	return best, time.Since(start), err
@@ -205,7 +156,7 @@ func BatchObjectiveFor(eval dataset.BatchEvaluator, q stencil.Instance) search.B
 // TopOfRanking is a convenience for analyses: it returns the candidates
 // sorted best-first according to the model (the full permutation applied).
 func (t *Tuner) TopOfRanking(q stencil.Instance, cands []tunespace.Vector) ([]tunespace.Vector, error) {
-	order, err := t.Rank(q, cands)
+	order, _, err := t.Rank(q, cands)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/feature"
@@ -25,10 +23,8 @@ func randomTuner(seed int64) *Tuner {
 }
 
 // TestScoresMatchEncodeThenScore checks the plan-based scoring pass against
-// the materialised path bit for bit, on both predefined sets (the 3-D one
-// crosses the fan-out threshold) and with more than one worker.
+// the materialised path bit for bit, on both predefined sets.
 func TestScoresMatchEncodeThenScore(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	tu := randomTuner(3)
 	for _, q := range []stencil.Instance{
 		{Kernel: stencil.Blur(), Size: stencil.Size2D(1023, 768)},
@@ -110,40 +106,6 @@ func BenchmarkTunerBest(b *testing.B) {
 	}
 }
 
-// BenchmarkScoresFanOut times scoring n candidates on one goroutine against
-// fanning them out over GOMAXPROCS chunks, the two sides of
-// scoreParallelThreshold. n=1600 is the 2-D predefined set, n=8640 the 3-D
-// one and n=34560 the 3-D set at every depth K = 1..4; the other sizes are
-// prefixes of the 3-D sets.
-func BenchmarkScoresFanOut(b *testing.B) {
-	tu := randomTuner(1)
-	blur := stencil.Instance{Kernel: stencil.Blur(), Size: stencil.Size2D(1024, 768)}
-	set3 := tunespace.NewSpace(3).Predefined()
-	fused3 := tunespace.NewSpace(3).PredefinedFused(1, 2, 3, 4)
-	for _, bc := range []struct {
-		q     stencil.Instance
-		cands []tunespace.Vector
-	}{
-		{lap128(), set3[:256]},
-		{lap128(), set3[:512]},
-		{lap128(), set3[:1024]},
-		{blur, tunespace.NewSpace(2).Predefined()},
-		{lap128(), set3},
-		{lap128(), fused3[:17280]},
-		{lap128(), fused3},
-	} {
-		plan := tu.Encoder.Plan(bc.q)
-		out := make([]float64, len(bc.cands))
-		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", len(bc.cands), workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					scoreChunks(plan, out, tu.Model.W, bc.cands, workers)
-				}
-			})
-		}
-	}
-}
-
 // TestHybridModelBestIsBest: the hybrid result's unmeasured top-1 is the
 // head of its ranking, so it equals Best on the same candidate set.
 func TestHybridModelBestIsBest(t *testing.T) {
@@ -197,7 +159,7 @@ func TestHybridTopKMatchesRankThenSlice(t *testing.T) {
 	for ti, tu := range tuners {
 		for _, q := range []stencil.Instance{lap128(), {Kernel: stencil.Blur(), Size: stencil.Size2D(1023, 768)}} {
 			cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
-			order, err := tu.Rank(q, cands)
+			order, _, err := tu.Rank(q, cands)
 			if err != nil {
 				t.Fatal(err)
 			}

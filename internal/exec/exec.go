@@ -252,31 +252,14 @@ type tile struct {
 // slab, then steals chunks from the others'. The unroll factor u selects the
 // row body's fuse width.
 //
-// Run compiles (or looks up) the cached one-step Program for (kernel,
-// geometry, vector with K=1) and executes it; in steady state it performs
-// no allocations and spawns no goroutines.
+// Run is Compile with K=1 followed by Program.Run: it compiles (or looks
+// up) the cached one-step program and executes it; in steady state it
+// performs no allocations and spawns no goroutines.
 func (r *Runner[T]) Run(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid[T], tv tunespace.Vector) error {
-	// Fast path: a cache hit proves (kernel, geometry, vector) were already
-	// validated at compile time, so only the per-call grid binding (checked
-	// by Program.Run) remains. The key is normalized as Compile normalizes
-	// a one-step vector.
 	tv.K = 1
-	if out.NZ == 1 {
-		tv.Bz = 1
-	}
-	key := progKey{kernel: k, geom: geomOf(out), tv: tv}
-	r.mu.Lock()
-	pr, ok := r.progs[key]
-	if ok {
-		r.progStats.hits.Add(1)
-	}
-	r.mu.Unlock()
-	if !ok {
-		var err error
-		pr, err = r.Compile(k, out, ins, tv)
-		if err != nil {
-			return err
-		}
+	pr, err := r.Compile(k, out, ins, tv)
+	if err != nil {
+		return err
 	}
 	return pr.Run(out, ins)
 }

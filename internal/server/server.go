@@ -694,25 +694,22 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lm, q := res.lm, res.q
-	cands := make([]tunespace.Vector, len(req.Candidates))
-	for i, v := range req.Candidates {
-		cands[i] = v.Tuning(q.Kernel.Dims())
+	cands, err := wire.Tunings(req.Candidates, q.Kernel.Dims())
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
 	}
 	if len(cands) == 0 {
 		cands = tunespace.NewSpace(q.Kernel.Dims()).Predefined()
 	}
 	key := res.cacheKey("rank", vectorSetHash(cands), strconv.FormatBool(req.ReturnScores))
 	s.serveCached(w, r, key, func(context.Context) (any, error) {
-		var order []int
-		var scores []float64
-		var err error
-		if req.ReturnScores {
-			order, scores, err = lm.tuner.RankScored(q, cands)
-		} else {
-			order, err = lm.tuner.Rank(q, cands)
-		}
+		order, scores, err := lm.tuner.Rank(q, cands)
 		if err != nil {
 			return nil, err
+		}
+		if !req.ReturnScores {
+			scores = nil
 		}
 		return &wire.RankResponse{
 			Model:      lm.info.Name,
@@ -736,13 +733,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("missing vectors"))
 		return
 	}
-	vs := make([]tunespace.Vector, len(req.Vectors))
-	for i, v := range req.Vectors {
-		vs[i] = v.Tuning(q.Kernel.Dims())
-		if err := vs[i].Validate(q.Kernel.Dims()); err != nil {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("vector %d: %v", i, err))
-			return
-		}
+	vs, err := wire.Tunings(req.Vectors, q.Kernel.Dims())
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
 	}
 	mode, err := normalizeMode(req.Mode, "sim", "measure", "score")
 	if err != nil {

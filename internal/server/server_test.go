@@ -552,6 +552,49 @@ func TestRequestErrors(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeVectorsRejectedAtTheWire: a rank candidate or predict
+// vector outside the tuning space is a 400 naming its index, answered
+// before the request looks up the cache, takes a flight or runs an
+// inference. The tuner does not check candidates itself.
+func TestOutOfRangeVectorsRejectedAtTheWire(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	reg := s.ObsRegistry()
+	const ok3, ok2 = `{"bx":8,"by":8,"bz":8,"u":0,"c":1}`, `{"bx":16,"by":16,"u":0,"c":1}`
+	for _, c := range []struct{ name, ok, bad, instance string }{
+		{"c=0", ok3, `{"bx":8,"by":8,"bz":8,"u":0,"c":0}`, `"kernel":"laplacian","size":"64x64x64"`},
+		{"bx=4096", ok3, `{"bx":4096,"by":8,"bz":8,"u":0,"c":1}`, `"kernel":"laplacian","size":"64x64x64"`},
+		{"2-D bz=8", ok2, `{"bx":16,"by":16,"bz":8,"u":0,"c":1}`, `"kernel":"blur","size":"64x64"`},
+	} {
+		list := "[" + c.ok + "," + c.bad + "]"
+		for _, req := range []struct{ path, body string }{
+			{"/v1/rank", `{"model":"tiny",` + c.instance + `,"candidates":` + list + `}`},
+			{"/v1/predict", `{"model":"tiny",` + c.instance + `,"vectors":` + list + `}`},
+			{"/v1/predict", `{"model":"tiny",` + c.instance + `,"vectors":` + list + `,"mode":"score"}`},
+		} {
+			inferences := reg.Value("stencilserve_inferences_total")
+			misses := reg.Value("stencilserve_cache_misses_total")
+			w, out := postJSON(t, h, req.path, req.body)
+			if w.Code != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d %v, want 400", c.name, req.path, w.Code, out)
+				continue
+			}
+			if msg, _ := out["error"].(string); !strings.Contains(msg, "vector 1:") {
+				t.Errorf("%s %s: error %q does not name vector 1", c.name, req.path, msg)
+			}
+			if got := reg.Value("stencilserve_inferences_total"); got != inferences {
+				t.Errorf("%s %s: inferences %v -> %v, want unchanged", c.name, req.path, inferences, got)
+			}
+			if got := reg.Value("stencilserve_cache_misses_total"); got != misses {
+				t.Errorf("%s %s: cache misses %v -> %v, want no cache lookup", c.name, req.path, misses, got)
+			}
+			if n := reg.Value("stencilserve_cache_entries"); n != 0 {
+				t.Errorf("%s %s: %v cache entries, want none", c.name, req.path, n)
+			}
+		}
+	}
+}
+
 // TestMeasurePredict runs one real measured prediction through the shared
 // executor (serialized MeasureBatch) — small grid, single vector.
 func TestMeasurePredict(t *testing.T) {

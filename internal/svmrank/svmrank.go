@@ -27,10 +27,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/feature"
@@ -201,36 +199,12 @@ type Model struct {
 // Score returns the ranking score of a feature vector.
 func (m *Model) Score(x feature.Vector) float64 { return x.Dot(m.W) }
 
-// scoreParallelThreshold is the candidate count above which ScoreBatch fans
-// out; below it the goroutine handoff costs more than the dot products.
-const scoreParallelThreshold = 4096
-
-// ScoreBatch scores every vector, in input order. Large batches (the 8640
-// predefined 3-D configurations, for instance) are scored on GOMAXPROCS
-// goroutines; each score depends only on its own input, so the output is
-// identical to a sequential loop.
+// ScoreBatch scores every vector, in input order.
 func (m *Model) ScoreBatch(xs []feature.Vector) []float64 {
 	scores := make([]float64, len(xs))
-	workers := runtime.GOMAXPROCS(0)
-	if len(xs) < scoreParallelThreshold || workers == 1 {
-		for i, x := range xs {
-			scores[i] = x.Dot(m.W)
-		}
-		return scores
+	for i, x := range xs {
+		scores[i] = x.Dot(m.W)
 	}
-	chunk := (len(xs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for s := 0; s < len(xs); s += chunk {
-		e := min(s+chunk, len(xs))
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			for i := s; i < e; i++ {
-				scores[i] = xs[i].Dot(m.W)
-			}
-		}(s, e)
-	}
-	wg.Wait()
 	return scores
 }
 

@@ -82,8 +82,7 @@ func EvaluateTau(model *svmrank.Model, set *dataset.Set) []QueryTau {
 
 // EvaluateTauData computes per-query τ directly on an svmrank dataset,
 // allowing evaluation on arbitrary subsets (cross-validation). All examples
-// are scored in one ScoreBatch call (the model is read-only and batch
-// scoring parallelizes internally) before the per-query τ loop.
+// are scored in one ScoreBatch call before the per-query τ loop.
 func EvaluateTauData(model *svmrank.Model, data *svmrank.Dataset) []QueryTau {
 	xs := make([]feature.Vector, data.Len())
 	for i, e := range data.Examples {
@@ -162,7 +161,7 @@ func MeasurePhases(eval dataset.Evaluator, sizes []int, regressionCandidates int
 		}
 		tuner := core.New(res.Model)
 		start := time.Now()
-		if _, err := tuner.Rank(q, cands); err != nil {
+		if _, _, err := tuner.Rank(q, cands); err != nil {
 			return nil, fmt.Errorf("trainer: size %d: ranking: %w", size, err)
 		}
 		regression := time.Since(start)

@@ -46,6 +46,21 @@ func (v Vector) Tuning(dims int) tunespace.Vector {
 	return out
 }
 
+// Tunings converts a request's vector list for a kernel of dims dimensions
+// and rejects the first vector outside the tuning space, naming its index.
+// It is where tuning vectors from outside the program are validated: the
+// tuner scores what it is given without checking it again.
+func Tunings(vs []Vector, dims int) ([]tunespace.Vector, error) {
+	out := make([]tunespace.Vector, len(vs))
+	for i, v := range vs {
+		out[i] = v.Tuning(dims)
+		if err := out[i].Validate(dims); err != nil {
+			return nil, fmt.Errorf("vector %d: %v", i, err)
+		}
+	}
+	return out, nil
+}
+
 // Kernel selects the stencil kernel: a Table III benchmark name, an inline
 // DSL source (Name then picks the definition, else the first one), or an
 // explicit offset list with buffer count (default 1) and dtype (default
