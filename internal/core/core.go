@@ -10,6 +10,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/dataset"
@@ -42,6 +43,18 @@ func New(model *svmrank.Model) *Tuner {
 // the predefined sets are valid by construction, and vectors from outside
 // the program are validated where they enter it (wire.Tunings).
 func (t *Tuner) Scores(q stencil.Instance, cands []tunespace.Vector) ([]float64, error) {
+	p, err := t.plan(q, cands)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(cands))
+	p.ScoreInto(out, t.Model.W, cands)
+	return out, nil
+}
+
+// plan checks the model, the instance and the candidate set, and returns
+// the instance's encoding plan.
+func (t *Tuner) plan(q stencil.Instance, cands []tunespace.Vector) (*feature.Plan, error) {
 	if t.Model == nil {
 		return nil, errors.New("core: tuner has no model")
 	}
@@ -51,10 +64,12 @@ func (t *Tuner) Scores(q stencil.Instance, cands []tunespace.Vector) ([]float64,
 	if len(cands) == 0 {
 		return nil, errors.New("core: empty candidate set")
 	}
-	out := make([]float64, len(cands))
-	t.Encoder.Plan(q).ScoreInto(out, t.Model.W, cands)
-	return out, nil
+	return t.Encoder.Plan(q), nil
 }
+
+// errUnscored reports a set none of whose scores is a number above −Inf:
+// finite weights large enough to overflow a score to −Inf, or to NaN.
+var errUnscored = errors.New("core: no candidate scores above -Inf (the model's weights overflow)")
 
 // Rank returns the candidate indices ordered best-first according to the
 // model, together with every candidate's score (index-aligned with cands).
@@ -67,15 +82,28 @@ func (t *Tuner) Rank(q stencil.Instance, cands []tunespace.Vector) ([]int, []flo
 	return svmrank.Order(scores), scores, nil
 }
 
-// Best returns the top-ranked candidate. Unlike Rank it never sorts — an
-// argmax scan over the scores suffices (ties resolve to the earliest
-// candidate, exactly like Rank's first entry).
+// Best returns the top-ranked candidate: svmrank.ArgMax of the scores, so
+// ties resolve to the earliest candidate, exactly like Rank's first entry.
+// It never holds a score per candidate: the plan scores the set a chunk at
+// a time (feature.Plan.ScoreChunks), and Best keeps the best score seen.
+// It fails when no score is a number above −Inf.
 func (t *Tuner) Best(q stencil.Instance, cands []tunespace.Vector) (tunespace.Vector, error) {
-	scores, err := t.Scores(q, cands)
+	p, err := t.plan(q, cands)
 	if err != nil {
 		return tunespace.Vector{}, err
 	}
-	return cands[svmrank.ArgMax(scores)], nil
+	best, top := -1, math.Inf(-1)
+	p.ScoreChunks(t.Model.W, cands, func(first int, scores []float64) {
+		// Strictly greater: an equal score of a later chunk is a later
+		// candidate.
+		if i := svmrank.ArgMax(scores); i >= 0 && scores[i] > top {
+			best, top = first+i, scores[i]
+		}
+	})
+	if best < 0 {
+		return tunespace.Vector{}, errUnscored
+	}
+	return cands[best], nil
 }
 
 // TunePredefined runs the standalone mode of Sec. VI-A: rank the
@@ -108,22 +136,32 @@ type HybridResult struct {
 // model with iterative compilation: score the full candidate set without
 // executing anything, then spend the measurement budget only on the top-k
 // ranked candidates and return the measured best. The top-k is selected
-// from the scores (svmrank.TopK), never by sorting the whole set, and is
-// exactly the head of Rank's order. With k ≪ |cands| this
-// turns a 1024-evaluation search into a handful of runs. The k measurements
-// are submitted as one batch (a concurrency-capable objective overlaps
-// them); the winner is picked in rank order, so results never depend on the
-// batch schedule.
+// while the set is scored a chunk at a time (svmrank.Top), never by
+// sorting the whole set or holding a score per candidate, and is exactly
+// the head of Rank's order. With k ≪ |cands| this turns a 1024-evaluation
+// search into a handful of runs. The k measurements are submitted as one
+// batch (a concurrency-capable objective overlaps them); the winner is
+// picked in rank order, so results never depend on the batch schedule. It
+// fails when no score is a number above −Inf.
 func (t *Tuner) HybridTopK(q stencil.Instance, cands []tunespace.Vector, k int, obj search.BatchObjective) (HybridResult, error) {
 	if k <= 0 {
 		return HybridResult{}, fmt.Errorf("core: k = %d must be positive", k)
 	}
 	start := time.Now()
-	scores, err := t.Scores(q, cands)
+	p, err := t.plan(q, cands)
 	if err != nil {
 		return HybridResult{}, err
 	}
-	order := svmrank.TopK(scores, k)
+	sel := svmrank.NewTop(min(k, len(cands)))
+	scored := false
+	p.ScoreChunks(t.Model.W, cands, func(_ int, scores []float64) {
+		sel.Add(scores)
+		scored = scored || svmrank.ArgMax(scores) >= 0
+	})
+	if !scored {
+		return HybridResult{}, errUnscored
+	}
+	order := sel.Indices()
 	res := HybridResult{RankedFrom: len(cands), ModelBest: cands[order[0]], RankTime: time.Since(start)}
 	res.Evaluations = len(order)
 	top := make([]tunespace.Vector, len(order))

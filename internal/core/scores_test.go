@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/feature"
@@ -55,42 +58,96 @@ func encodeAll(tu *Tuner, q stencil.Instance, cands []tunespace.Vector) []featur
 	return xs
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean growth of the
+// heap's cumulative allocation over runs calls of f, after a warm-up call,
+// at GOMAXPROCS 1.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
 // TestBestAllocationsIndependentOfCandidateCount: Best builds one plan and
-// one score slice, however many candidates it ranks.
+// holds no score per candidate, so neither its allocations nor their bytes
+// grow with the number of candidates it ranks.
 func TestBestAllocationsIndependentOfCandidateCount(t *testing.T) {
 	tu := randomTuner(1)
 	q := lap128()
 	all := tunespace.NewSpace(3).Predefined()
-	var counts []float64
+	var counts, bytes []float64
 	for _, n := range []int{10, 1600, len(all)} {
 		cands := all[:n]
-		counts = append(counts, testing.AllocsPerRun(5, func() {
+		best := func() {
 			if _, err := tu.Best(q, cands); err != nil {
 				t.Fatal(err)
 			}
-		}))
+		}
+		counts = append(counts, testing.AllocsPerRun(5, best))
+		bytes = append(bytes, bytesPerRun(5, best))
 	}
-	for _, c := range counts[1:] {
-		if c != counts[0] {
-			t.Fatalf("Best allocations grow with the candidate count: %v for 10, 1600, 8640", counts)
+	for i := range counts[1:] {
+		if counts[i+1] != counts[0] || bytes[i+1] != bytes[0] {
+			t.Fatalf("Best allocations grow with the candidate count: %v allocs, %v bytes for 10, 1600, 8640",
+				counts, bytes)
 		}
 	}
 	if counts[0] > 8 {
 		t.Errorf("Best allocates %v times per call, want ≤ 8", counts[0])
 	}
+	// One plan: the head's pattern and named components, far below the
+	// 8 bytes per candidate of a score vector.
+	if bytes[0] > 2048 {
+		t.Errorf("Best allocates %v bytes per call, want ≤ 2048", bytes[0])
+	}
 }
 
+// coldSizes draws n instance sizes of the given dimensionality as the cold
+// workload draws Table III keys: 2-D edges in [128, 4088] and 3-D edges in
+// [32, 508], on the workload's grid of 8 and 4.
+func coldSizes(dims, n int) []stencil.Size {
+	rng := rand.New(rand.NewSource(int64(dims)))
+	out := make([]stencil.Size, n)
+	for i := range out {
+		if dims == 2 {
+			out[i] = stencil.Size2D(128+8*rng.Intn(496), 128+8*rng.Intn(496))
+		} else {
+			out[i] = stencil.Size3D(32+4*rng.Intn(120), 32+4*rng.Intn(120), 32+4*rng.Intn(120))
+		}
+	}
+	return out
+}
+
+// BenchmarkTunerBest ranks each predefined set with Best. The cold rows
+// rank it for eight cold-drawn sizes in turn: their tile shapes have many
+// distinct working sets, tile counts and group counts, which the
+// power-of-two sizes of the other rows never show.
 func BenchmarkTunerBest(b *testing.B) {
 	tu := randomTuner(1)
+	blur := stencil.Instance{Kernel: stencil.Blur(), Size: stencil.Size2D(1024, 768)}
+	cold := func(k *stencil.Kernel) []stencil.Instance {
+		var qs []stencil.Instance
+		for _, sz := range coldSizes(k.Dims(), 8) {
+			qs = append(qs, stencil.Instance{Kernel: k, Size: sz})
+		}
+		return qs
+	}
 	for _, bc := range []struct {
 		name string
-		q    stencil.Instance
+		qs   []stencil.Instance
 	}{
-		{"2D", stencil.Instance{Kernel: stencil.Blur(), Size: stencil.Size2D(1024, 768)}},
-		{"3D", lap128()},
-		{"3D-fused", lap128()},
+		{"2D", []stencil.Instance{blur}},
+		{"3D", []stencil.Instance{lap128()}},
+		{"3D-fused", []stencil.Instance{lap128()}},
+		{"2D-cold", cold(stencil.Blur())},
+		{"3D-cold", cold(stencil.Laplacian())},
 	} {
-		cands := tunespace.NewSpace(bc.q.Kernel.Dims()).Predefined()
+		cands := tunespace.NewSpace(bc.qs[0].Kernel.Dims()).Predefined()
 		if bc.name == "3D-fused" {
 			// 34,560 candidates: every depth K = 1..4 of the 3-D set.
 			cands = tunespace.NewSpace(3).PredefinedFused(1, 2, 3, 4)
@@ -98,11 +155,128 @@ func BenchmarkTunerBest(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := tu.Best(bc.q, cands); err != nil {
+				if _, err := tu.Best(bc.qs[i%len(bc.qs)], cands); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// TestSelectionMatchesFullScores: Best and HybridTopK select while the set
+// is scored a chunk at a time; they must pick exactly what ArgMax and TopK
+// (topK) pick from the full score vector, ties included. Random normal
+// weights, small-integer weights (most scores tie) and a zero model score
+// the predefined sets at cold sizes, in set order, shuffled, and the 3-D set
+// at every depth.
+func TestSelectionMatchesFullScores(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	weights := func(small bool) []float64 {
+		w := make([]float64, feature.Dim)
+		for i := range w {
+			if small {
+				w[i] = float64(rng.Intn(3) - 1)
+			} else {
+				w[i] = rng.NormFloat64()
+			}
+		}
+		return w
+	}
+	tuners := []*Tuner{
+		New(&svmrank.Model{W: weights(false)}),
+		New(&svmrank.Model{W: weights(true)}),
+		New(&svmrank.Model{W: make([]float64, feature.Dim)}),
+	}
+	for _, dims := range []int{2, 3} {
+		space := tunespace.NewSpace(dims)
+		k := stencil.Blur()
+		if dims == 3 {
+			k = stencil.Laplacian()
+		}
+		shuffled := slices.Clone(space.Predefined())
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		sets := map[string][]tunespace.Vector{"predefined": space.Predefined(), "shuffled": shuffled}
+		if dims == 3 {
+			sets["fused"] = space.PredefinedFused(1, 2, 3, 4)
+		}
+		for _, sz := range coldSizes(dims, 3) {
+			q := stencil.Instance{Kernel: k, Size: sz}
+			for ti, tu := range tuners {
+				for name, cands := range sets {
+					what := fmt.Sprintf("tuner %d %s %s", ti, q.ID(), name)
+					scores := make([]float64, len(cands))
+					tu.Encoder.Plan(q).ScoreInto(scores, tu.Model.W, cands)
+					best, err := tu.Best(q, cands)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := cands[svmrank.ArgMax(scores)]; best != want {
+						t.Errorf("%s: Best %v, ArgMax of the scores %v", what, best, want)
+					}
+					for _, k := range []int{1, 4, 300} {
+						var got []tunespace.Vector
+						_, err := tu.HybridTopK(q, cands, k, func(vs []tunespace.Vector) []float64 {
+							got = slices.Clone(vs)
+							return make([]float64, len(vs))
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := topK(scores, k)
+						if len(got) != len(want) {
+							t.Fatalf("%s k=%d: measured %d candidates, want %d", what, k, len(got), len(want))
+						}
+						for i, o := range want {
+							if got[i] != cands[o] {
+								t.Fatalf("%s k=%d: rank %d is %v, TopK of the scores has %v", what, k, i, got[i], cands[o])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// topK is the selection svmrank.TopK makes: svmrank.Top fed the whole score
+// vector at once.
+func topK(scores []float64, k int) []int {
+	t := svmrank.NewTop(min(k, len(scores)))
+	t.Add(scores)
+	return t.Indices()
+}
+
+// TestSelectionFailsWhenNothingScores: finite weights large enough to
+// overflow every score to −Inf (every feature value lies in [0, 1], so a
+// score is a sum of finite products), or NaN weights, leave no candidate to
+// pick. Best and HybridTopK must fail, not index the set with ArgMax's −1.
+func TestSelectionFailsWhenNothingScores(t *testing.T) {
+	neg := make([]float64, feature.Dim)
+	nan := make([]float64, feature.Dim)
+	for i := range neg {
+		neg[i] = -math.MaxFloat64
+		nan[i] = math.NaN()
+	}
+	q := lap128()
+	cands := tunespace.NewSpace(3).Predefined()
+	for name, w := range map[string][]float64{"overflowing": neg, "NaN": nan} {
+		tu := New(&svmrank.Model{W: w})
+		scores, err := tu.Scores(q, cands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if svmrank.ArgMax(scores) >= 0 {
+			t.Fatalf("%s weights: some score is above -Inf; the test needs none", name)
+		}
+		if _, err := tu.Best(q, cands); err == nil {
+			t.Errorf("%s weights: Best picked a candidate", name)
+		}
+		if _, err := tu.HybridTopK(q, cands, 4, func(vs []tunespace.Vector) []float64 {
+			t.Errorf("%s weights: HybridTopK measured %d candidates", name, len(vs))
+			return make([]float64, len(vs))
+		}); err == nil {
+			t.Errorf("%s weights: HybridTopK picked candidates", name)
+		}
 	}
 }
 

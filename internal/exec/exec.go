@@ -183,12 +183,11 @@ func (r *Runner[T]) Close() {
 // checkGeometry validates that every buffer matches the output geometry
 // exactly — extent and halo widths, hence strides, since the term plan's flat
 // index displacements are shared between the output and every input — and
-// carries a sufficient halo for the kernel's maximum offset.
-func checkGeometry[T grid.Float](k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid[T]) error {
+// carries a sufficient halo for the kernel's maximum offset need.
+func checkGeometry[T grid.Float](k *LinearKernel, need int, out *grid.Grid[T], ins []*grid.Grid[T]) error {
 	if len(ins) != k.Buffers {
 		return fmt.Errorf("exec: kernel %q wants %d buffers, got %d", k.Name, k.Buffers, len(ins))
 	}
-	need := k.MaxOffset()
 	for i, g := range ins {
 		if g.NX != out.NX || g.NY != out.NY || g.NZ != out.NZ {
 			return fmt.Errorf("exec: buffer %d geometry %dx%dx%d mismatches output %dx%dx%d",
@@ -216,7 +215,7 @@ func (r *Runner[T]) Reference(k *LinearKernel, out *grid.Grid[T], ins []*grid.Gr
 	if err := k.Validate(); err != nil {
 		return err
 	}
-	if err := checkGeometry(k, out, ins); err != nil {
+	if err := checkGeometry(k, k.MaxOffset(), out, ins); err != nil {
 		return err
 	}
 	off := make([]int, len(k.Terms))

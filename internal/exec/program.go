@@ -164,11 +164,15 @@ func (pr *Program[T]) Steps() int { return pr.tv.K }
 // new kernel on a known (geometry, bx, by, bz) costs O(terms). The input
 // grids are only used for validation — the program is bound to concrete
 // data at each Run.
+//
+// The input grids are not part of the key, so they are checked against
+// out on every call. The kernel, out's size and the vector are validated
+// only on a miss: a cached program proves that its key passed. The
+// normalization keeps an out-of-range depth as it is, so an invalid vector
+// never shares a valid vector's key.
 func (r *Runner[T]) Compile(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid[T], tv tunespace.Vector) (*Program[T], error) {
-	if err := k.Validate(); err != nil {
-		return nil, err
-	}
-	if err := checkGeometry(k, out, ins); err != nil {
+	radius := k.MaxOffset()
+	if err := checkGeometry(k, radius, out, ins); err != nil {
 		return nil, err
 	}
 	dims := 3
@@ -176,26 +180,31 @@ func (r *Runner[T]) Compile(k *LinearKernel, out *grid.Grid[T], ins []*grid.Grid
 		dims = 2
 		tv.Bz = 1
 	}
-	if err := tv.Validate(dims); err != nil {
-		return nil, err
-	}
-	g := geomOf(out)
-	if err := g.checkSize(); err != nil {
-		return nil, err
-	}
-	radius := k.MaxOffset()
-	if tv.EffFuse() > 1 && k.Buffers == 1 && out.NX >= radius && (dims == 2 || out.NY >= radius) {
+	switch {
+	case tv.K < tunespace.MinFuse || tv.K > tunespace.MaxFuse:
+		// Kept, so the key misses and Validate rejects it.
+	case tv.EffFuse() > 1 && k.Buffers == 1 && out.NX >= radius && (dims == 2 || out.NY >= radius):
 		tv.K = tv.EffFuse()
-	} else {
+	default:
 		tv.K = 1
 	}
 
+	g := geomOf(out)
 	key := progKey{kernel: k, geom: g, tv: tv}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if pr, ok := r.progs[key]; ok {
 		r.progStats.hits.Add(1)
 		return pr, nil
+	}
+	if err := k.Validate(); err != nil {
+		return nil, err
+	}
+	if err := tv.Validate(dims); err != nil {
+		return nil, err
+	}
+	if err := g.checkSize(); err != nil {
+		return nil, err
 	}
 	r.progStats.misses.Add(1)
 	var pr *Program[T]

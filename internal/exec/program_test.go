@@ -219,6 +219,74 @@ func TestCompileCachesPrograms(t *testing.T) {
 	}
 }
 
+// TestCompileValidatesWithColdAndWarmCache: Compile validates the kernel and
+// the vector only on a cache miss and the input grids on every call, so an
+// invalid kernel, invalid grids and an invalid vector must each fail on a
+// fresh Runner and on one that already holds the valid programs of the same
+// geometry at every depth. A depth out of range must not share the key of
+// the one-step program that every valid depth of a multi-buffer kernel
+// normalizes to. Run, which runs one step whatever the depth, must reject
+// every other case.
+func TestCompileValidatesWithColdAndWarmCache(t *testing.T) {
+	for _, k := range []*LinearKernel{Executable(stencil.Laplacian()), Executable(stencil.Divergence())} {
+		out, ins := buildWorkspace(t, k, 16, 16, 16)
+		valid := tunespace.Vector{Bx: 8, By: 8, Bz: 8, U: 2, C: 2}
+		noTerms := &LinearKernel{Name: "no-terms", Buffers: k.Buffers}
+		badBuffer := &LinearKernel{Name: "bad-buffer", Buffers: k.Buffers, Terms: append(append([]Term(nil), k.Terms...), Term{Buffer: k.Buffers, Weight: 1})}
+		thin := make([]*grid.Grid[float64], len(ins))
+		mismatched := make([]*grid.Grid[float64], len(ins))
+		for i := range ins {
+			thin[i] = grid.New(16, 16, 16, 0, 0)
+			mismatched[i] = grid.New(8, 16, 16, k.MaxOffset(), k.MaxOffset())
+		}
+		vec := func(edit func(*tunespace.Vector)) tunespace.Vector {
+			v := valid
+			edit(&v)
+			return v
+		}
+		cases := []struct {
+			name string
+			k    *LinearKernel
+			ins  []*grid.Grid[float64]
+			tv   tunespace.Vector
+		}{
+			{"kernel without terms", noTerms, ins, valid},
+			{"kernel reading a missing buffer", badBuffer, ins, valid},
+			{"missing input grids", k, nil, valid},
+			{"input grid of another size", k, mismatched, valid},
+			{"input grid without a halo", k, thin, valid},
+			{"bx=0", k, ins, vec(func(v *tunespace.Vector) { v.Bx = 0 })},
+			{"bz=4096", k, ins, vec(func(v *tunespace.Vector) { v.Bz = 4096 })},
+			{"u=9", k, ins, vec(func(v *tunespace.Vector) { v.U = 9 })},
+			{"c=0", k, ins, vec(func(v *tunespace.Vector) { v.C = 0 })},
+			{"k=-1", k, ins, vec(func(v *tunespace.Vector) { v.K = -1 })},
+			{"k=7", k, ins, vec(func(v *tunespace.Vector) { v.K = 7 })},
+		}
+		for _, warm := range []bool{false, true} {
+			r := NewRunner()
+			if warm {
+				for K := 0; K <= tunespace.MaxFuse; K++ {
+					if _, err := r.Compile(k, out, ins, vec(func(v *tunespace.Vector) { v.K = K })); err != nil {
+						t.Fatalf("%s K=%d: %v", k.Name, K, err)
+					}
+				}
+			}
+			for _, tc := range cases {
+				if _, err := r.Compile(tc.k, out, tc.ins, tc.tv); err == nil {
+					t.Errorf("%s, warm=%v: Compile accepted %s", k.Name, warm, tc.name)
+				}
+				if tc.tv.K != valid.K {
+					continue
+				}
+				if err := r.Run(tc.k, out, tc.ins, tc.tv); err == nil {
+					t.Errorf("%s, warm=%v: Run accepted %s", k.Name, warm, tc.name)
+				}
+			}
+			r.Close()
+		}
+	}
+}
+
 // TestProgramRejectsForeignGeometry checks the per-run geometry guard.
 func TestProgramRejectsForeignGeometry(t *testing.T) {
 	r := NewRunner()

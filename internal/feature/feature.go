@@ -19,6 +19,8 @@
 // products to the head's partial sum in ascending index order. Those are
 // Vector.Dot's additions in Dot's order, so the scores are bit-identical to
 // Encode followed by Dot, and no vector is built or allocated.
+// Plan.ScoreChunks hands the same scores over a fixed-size chunk at a time,
+// for callers that select the best candidates without a score vector.
 //
 // Implementation refinement: the ordinal-regression training of Sec. IV-D
 // only compares executions of the *same* instance q, so any feature

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/stencil"
@@ -49,7 +50,10 @@ func fuzzEncode(vs ...tunespace.Vector) []byte {
 // on fixed 2-D and 3-D, float32 and float64 instances, including sizes the
 // blocks overhang. Every score must equal Encode·w bit for bit, for the full
 // weights and for weights truncated below Dim, whatever order and repeats
-// the list has; nothing may panic.
+// the list has; nothing may panic. ScoreChunks, which the selection of the
+// best candidates streams, must hand over the list repeated past several
+// chunks in consecutive chunks of at most chunkLen scores, bit for bit the
+// scores ScoreInto gives the whole repeated list.
 func FuzzPlanScore(f *testing.F) {
 	lo := tunespace.Vector{Bx: tunespace.MinBlock, By: tunespace.MinBlock, Bz: tunespace.MinBlock,
 		U: tunespace.MinUnroll, C: tunespace.MinChunk, K: 1}
@@ -107,6 +111,27 @@ func FuzzPlanScore(f *testing.F) {
 							q.ID(), i, v, len(w), out[i], want)
 					}
 				}
+			}
+			if len(cands) == 0 {
+				continue
+			}
+			long := slices.Repeat(cands, (3*chunkLen)/len(cands)+1)
+			full := make([]float64, len(long))
+			plans[qi].ScoreInto(full, ws[0], long)
+			next := 0
+			plans[qi].ScoreChunks(ws[0], long, func(first int, scores []float64) {
+				if first != next || len(scores) == 0 || len(scores) > chunkLen {
+					t.Fatalf("%s: chunk of %d scores at %d, want at most %d at %d", q.ID(), len(scores), first, chunkLen, next)
+				}
+				for i, v := range scores {
+					if math.Float64bits(v) != math.Float64bits(full[first+i]) {
+						t.Fatalf("%s candidate %d: chunk score %v, ScoreInto %v", q.ID(), first+i, v, full[first+i])
+					}
+				}
+				next += len(scores)
+			})
+			if next != len(long) {
+				t.Fatalf("%s: chunks covered %d of %d candidates", q.ID(), next, len(long))
 			}
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/stencil"
@@ -262,6 +263,43 @@ func TestPlanScoreBoundaries(t *testing.T) {
 	}
 }
 
+// TestPlanScoreConcurrent: concurrent calls take their own scorers from
+// the idle list, so goroutines scoring different instances at once, whole
+// and in chunks, get exactly the scores one goroutine gets alone. Run it
+// under -race.
+func TestPlanScoreConcurrent(t *testing.T) {
+	w := planWeights(rand.New(rand.NewSource(31)))[0]
+	cands := tunespace.NewSpace(3).Predefined()
+	sizes := coldSizes(3, 4)
+	want := make([][]float64, len(sizes))
+	for i, sz := range sizes {
+		want[i] = make([]float64, len(cands))
+		NewEncoder().Plan(stencil.Instance{Kernel: stencil.Laplacian(), Size: sz}).ScoreInto(want[i], w, cands)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := make([]float64, len(cands))
+			for r := 0; r < 4; r++ {
+				i := (g + r) % len(sizes)
+				p := NewEncoder().Plan(stencil.Instance{Kernel: stencil.Laplacian(), Size: sizes[i]})
+				p.ScoreInto(out, w, cands)
+				p.ScoreChunks(w, cands, func(first int, scores []float64) {
+					if !slices.Equal(scores, out[first:first+len(scores)]) {
+						t.Errorf("goroutine %d: chunk at %d differs from ScoreInto", g, first)
+					}
+				})
+				if !slices.Equal(out, want[i]) {
+					t.Errorf("goroutine %d, size %v: scores differ from a lone call's", g, sizes[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestPlanScoreIntoAllocatesNothing(t *testing.T) {
 	q := laplacianInstance()
 	p := NewEncoder().Plan(q)
@@ -283,35 +321,124 @@ func TestEncodeAllocations(t *testing.T) {
 	}
 }
 
+// coldSizes draws n instance sizes of the given dimensionality as the cold
+// workload draws Table III keys: 2-D edges in [128, 4088] and 3-D edges in
+// [32, 508], on the workload's grid of 8 and 4. Such sizes are not powers
+// of two, so a set's tile shapes have many distinct working sets, tile
+// counts and group counts.
+func coldSizes(dims, n int) []stencil.Size {
+	rng := rand.New(rand.NewSource(int64(dims)))
+	out := make([]stencil.Size, n)
+	for i := range out {
+		if dims == 2 {
+			out[i] = stencil.Size2D(128+8*rng.Intn(496), 128+8*rng.Intn(496))
+		} else {
+			out[i] = stencil.Size3D(32+4*rng.Intn(120), 32+4*rng.Intn(120), 32+4*rng.Intn(120))
+		}
+	}
+	return out
+}
+
 // BenchmarkPlanScoreInto scores each predefined set from one plan on one
 // goroutine, in the set's order and, as the search engines and the quality
-// code hand candidates over, in a random order.
+// code hand candidates over, in a random order. The cold rows score the set
+// in order from the plans of eight cold-drawn sizes in turn.
 func BenchmarkPlanScoreInto(b *testing.B) {
 	w := make([]float64, Dim)
 	for i := range w {
 		w[i] = float64(i%7) - 3
 	}
 	for _, q := range []stencil.Instance{blurInstance(), laplacianInstance()} {
-		p := NewEncoder().Plan(q)
-		cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
+		dims := q.Kernel.Dims()
+		cands := tunespace.NewSpace(dims).Predefined()
 		shuffled := slices.Clone(cands)
 		rand.New(rand.NewSource(1)).Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
+		var cold []*Plan
+		for _, sz := range coldSizes(dims, 8) {
+			cold = append(cold, NewEncoder().Plan(stencil.Instance{Kernel: q.Kernel, Size: sz}))
+		}
 		out := make([]float64, len(cands))
 		for _, bc := range []struct {
 			name  string
+			plans []*Plan
 			cands []tunespace.Vector
 		}{
-			{fmt.Sprintf("%dD", q.Kernel.Dims()), cands},
-			{fmt.Sprintf("%dD-shuffled", q.Kernel.Dims()), shuffled},
+			{fmt.Sprintf("%dD", dims), []*Plan{NewEncoder().Plan(q)}, cands},
+			{fmt.Sprintf("%dD-shuffled", dims), []*Plan{NewEncoder().Plan(q)}, shuffled},
+			{fmt.Sprintf("%dD-cold", dims), cold, cands},
 		} {
 			b.Run(bc.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					p.ScoreInto(out, w, bc.cands)
+					bc.plans[i%len(bc.plans)].ScoreInto(out, w, bc.cands)
 				}
 			})
+		}
+	}
+}
+
+// TestScorerEvaluatesEachGroupOncePerKey counts the group formulas one
+// ScoreChunks call runs: exactly one evaluation per distinct key of each
+// group, whatever the order of the set and however it is cut into chunks.
+// The keys are what the formulas read: a block edge per axis, u, c,
+// (bx, u), the tile working set, the tile count, the group count tiles/c,
+// and (working set, depth) for fused candidates. The sets are the
+// predefined ones, shuffled, and the 3-D one at every depth, at cold sizes
+// and at extents that share few divisors, which give the most distinct
+// tile and group counts.
+func TestScorerEvaluatesEachGroupOncePerKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	w := planWeights(rng)[0]
+	for _, dims := range []int{2, 3} {
+		space := tunespace.NewSpace(dims)
+		k, sizes := stencil.Blur(), append(coldSizes(2, 3), stencil.Size2D(4093, 2039))
+		if dims == 3 {
+			k, sizes = stencil.Laplacian(), append(coldSizes(3, 3), stencil.Size3D(4093, 2039, 1021))
+		}
+		shuffled := slices.Clone(space.Predefined())
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		sets := map[string][]tunespace.Vector{"predefined": space.Predefined(), "shuffled": shuffled}
+		if dims == 3 {
+			sets["fused"] = space.PredefinedFused(1, 2, 3, 4)
+		}
+		for _, sz := range sizes {
+			p := NewEncoder().Plan(stencil.Instance{Kernel: k, Size: sz})
+			for name, cands := range sets {
+				var axes [3]map[int]bool
+				for a := range axes {
+					axes[a] = map[int]bool{}
+				}
+				unroll, chunk := map[int]bool{}, map[int]bool{}
+				inner := map[[2]int]bool{}
+				ws, tiles, groups := map[float64]bool{}, map[float64]bool{}, map[float64]bool{}
+				fuse := map[fuseKey]bool{}
+				for _, v := range cands {
+					axes[0][v.Bx], axes[1][v.By], axes[2][v.Bz] = true, true, true
+					unroll[v.U], chunk[v.C], inner[[2]int{v.Bx, v.U}] = true, true, true
+					sh := p.tileShapeOf(v.Bx, v.By, v.Bz)
+					ws[sh.ws], tiles[sh.tiles], groups[sh.groups(v.C)] = true, true, true
+					if v.K > 1 {
+						fuse[fuseKey{sh.ws, v.K}] = true
+					}
+				}
+				// A table adds a key only when it evaluates the group, and
+				// a key it holds is never evaluated again; emptying a full
+				// table would leave fewer keys than the set has.
+				s := acquire(p, w)
+				s.chunks(cands, func(int, []float64) {})
+				got := []int{len(s.axes[0].keys), len(s.axes[1].keys), len(s.axes[2].keys), len(s.unroll.keys),
+					len(s.chunk.keys), len(s.inner.keys), len(s.ws.keys), len(s.tiles.keys), len(s.groups.keys),
+					len(s.fuse.keys)}
+				s.release()
+				want := []int{len(axes[0]), len(axes[1]), len(axes[2]), len(unroll), len(chunk),
+					len(inner), len(ws), len(tiles), len(groups), len(fuse)}
+				if !slices.Equal(got, want) {
+					t.Errorf("%s %v: evaluations per group (bx, by, bz, u, c, inner, ws, tiles, groups, fuse) %v, distinct keys %v",
+						name, sz, got, want)
+				}
+			}
 		}
 	}
 }

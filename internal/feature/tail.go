@@ -2,7 +2,8 @@ package feature
 
 import (
 	"math"
-	"math/bits"
+	"runtime"
+	"sync"
 
 	"repro/internal/tunespace"
 )
@@ -74,7 +75,8 @@ var (
 	}
 	unrollSlots = []uint8{slotUnroll, slotUnroll2, slotUnrollDensity, slotUnrollBin}
 	chunkSlots  = []uint8{slotChunk, slotChunk2, slotChunkBin}
-	shapeSlots  = []uint8{slotTileWS, slotTileWS2, slotNumTiles, slotDensityWS, slotWSBin}
+	wsSlots     = []uint8{slotTileWS, slotTileWS2, slotDensityWS, slotWSBin}
+	tilesSlots  = []uint8{slotNumTiles}
 	groupsSlots = []uint8{slotTileGroups, slotTileGroups2, slotBalanceBin}
 	innerSlots  = []uint8{slotInnerStream, slotInnerStream2}
 	fuseSlots   = []uint8{slotFuse, slotFuse2, slotFuseDensity, slotFuseWS, slotFuseBin}
@@ -132,9 +134,9 @@ func (p *Plan) chunkTerms(c int) (g group) {
 	return g
 }
 
-// tileShape is what the shape groups read of a tile shape (bx, by, bz): the
-// effective tile's working set in bytes and the number of tiles covering
-// the grid. Many shapes share both values.
+// tileShape is what the groups read of a tile shape (bx, by, bz) besides
+// its edges: the effective tile's working set in bytes and the number of
+// tiles covering the grid. Many shapes share each value.
 type tileShape struct {
 	ws, tiles float64
 }
@@ -151,18 +153,22 @@ func (p *Plan) tileShapeOf(bx, by, bz int) tileShape {
 	}
 }
 
-// shapeTerms returns the components of tile shape sh: the tile working set,
-// its square, the tile count, density × working set and the working set's
-// bin.
-func (p *Plan) shapeTerms(sh tileShape) (g group) {
-	l2ws := log2(sh.ws)
+// wsTerms returns the components of a tile working set of ws bytes: the
+// working set, its square, density × working set and the working set's bin.
+func (p *Plan) wsTerms(ws float64) (g group) {
+	l2ws := log2(ws)
 	lws := l2ws / maxLogWS
 	g[0] = term{idxTileWS, clamp01(lws)}
 	g[1] = term{idxTileWS2, clamp01(lws * lws)}
-	g[2] = term{idxNumTiles, clamp01(log2(sh.tiles) / maxLogTiles)}
-	g[3] = term{idxDensityWS, clamp01(p.density * lws)}
+	g[2] = term{idxDensityWS, clamp01(p.density * lws)}
 	// Working-set bin: log2(WS bytes) mapped to 8 bins over [10, 26).
-	g[4] = term{idxWSBin0 + int32(binIndex(l2ws, 10, 26, wsBins)), 1}
+	g[3] = term{idxWSBin0 + int32(binIndex(l2ws, 10, 26, wsBins)), 1}
+	return g
+}
+
+// tilesTerms returns the component of a grid covered by n tiles.
+func (p *Plan) tilesTerms(n float64) (g group) {
+	g[0] = term{idxNumTiles, clamp01(log2(n) / maxLogTiles)}
 	return g
 }
 
@@ -192,9 +198,10 @@ func (p *Plan) innerTerms(bx, u int) (g group) {
 }
 
 // fuseTerms returns the temporal-fusion components of effective depth kf on
-// tile shape sh. They are emitted only for genuinely fused vectors, so an
-// unfused vector's encoding is byte-identical to the pre-fusion one.
-func (p *Plan) fuseTerms(sh tileShape, kf int) (g group) {
+// a tile of working set ws. They are emitted only for genuinely fused
+// vectors, so an unfused vector's encoding is byte-identical to the
+// pre-fusion one.
+func (p *Plan) fuseTerms(ws float64, kf int) (g group) {
 	if kf <= 1 {
 		return g
 	}
@@ -205,7 +212,7 @@ func (p *Plan) fuseTerms(sh tileShape, kf int) (g group) {
 	// interactions couple depth to stencil density and to the spatial
 	// tile's working set.
 	g[2] = term{idxFuseDensity, clamp01(fu * p.density)}
-	g[3] = term{idxFuseWS, clamp01(fu * log2(sh.ws) / maxLogWS)}
+	g[3] = term{idxFuseWS, clamp01(fu * log2(ws) / maxLogWS)}
 	g[4] = term{idxFuseBin0 + int32(kf-2), 1}
 	return g
 }
@@ -225,10 +232,11 @@ func (p *Plan) tailTerms(t tunespace.Vector, s *[maxTail]term) {
 	place(unrollSlots, p.unrollTerms(t.U))
 	place(chunkSlots, p.chunkTerms(t.C))
 	sh := p.tileShapeOf(t.Bx, t.By, t.Bz)
-	place(shapeSlots, p.shapeTerms(sh))
+	place(wsSlots, p.wsTerms(sh.ws))
+	place(tilesSlots, p.tilesTerms(sh.tiles))
 	place(groupsSlots, p.groupsTerms(sh.groups(t.C)))
 	place(innerSlots, p.innerTerms(t.Bx, t.U))
-	place(fuseSlots, p.fuseTerms(sh, t.EffFuse()))
+	place(fuseSlots, p.fuseTerms(sh.ws, t.EffFuse()))
 }
 
 // negZero is the additive identity of IEEE addition: x + (−0) is x, bit for
@@ -248,163 +256,355 @@ func product(tm term, w []float64) float64 {
 	return float64(tm.val * w[tm.idx])
 }
 
-// entry holds one group's products for one key, in the order of the
-// group's slot list.
-type entry [5]float64
+// hashMul spreads a key over a table's slots by multiplicative (Fibonacci)
+// hashing: a slot index is the top bits of the key's hash times 2^64/φ, and
+// every bit of the hash reaches them.
+const hashMul = 0x9e3779b97f4a7c15
 
-// cacheSize is the slot count of every memo cache.
-const cacheSize = 8
-
-// cache holds values for up to cacheSize keys, one key per slot. The caller
-// picks a key's slot; a key that lands in an occupied slot evicts the key
-// there, so a pointer into the cache stays valid until the next miss.
-type cache[K comparable, V any] struct {
-	ok   uint8 // bit i: slot i holds keys[i]'s value
-	keys [cacheSize]K
-	e    [cacheSize]V
+// table is an exact-key memo of one group's products: a hash index with
+// linear probing over dense arrays of the keys and their values, in the
+// order the keys arrived. A value is used only for its exact key, so any
+// candidate order is scored correctly. The index takes two bytes a slot,
+// and the dense arrays grow with the keys a set has, so a reused table
+// holds memory for the sets it has seen, not for its bound.
+//
+// A table holds up to three quarters of its index slots in keys. The bound
+// covers the distinct keys of the predefined sets, fused or not, at every
+// instance size: then each of a call's group evaluations is of a new key. A
+// set with more distinct keys (only off-lattice vectors have them) empties
+// the table when it is full and goes on.
+type table[K comparable, V any] struct {
+	index []uint16 // 0: free; else 1 + the position of the slot's key
+	keys  []K
+	vals  []V
+	shift uint8 // 64 − log2(len(index))
 }
 
-// get returns the value of key in slot i (taken modulo cacheSize) and
-// whether it already holds key's value. On a miss the slot now belongs to
-// key, and the caller fills the value.
-func (c *cache[K, V]) get(i int, key K) (*V, bool) {
-	i &= cacheSize - 1
-	if c.ok&(1<<i) != 0 && c.keys[i] == key {
-		return &c.e[i], true
+// newTable returns an empty table of 2^logSlots index slots.
+func newTable[K comparable, V any](logSlots int) table[K, V] {
+	return table[K, V]{index: make([]uint16, 1<<logSlots), shift: uint8(64 - logSlots)}
+}
+
+// empty forgets every key.
+func (t *table[K, V]) empty() {
+	clear(t.index)
+	t.keys, t.vals = t.keys[:0], t.vals[:0]
+}
+
+// get returns the value of key, whose hash is h, and whether the table held
+// it. On a miss the key is added, and the caller fills its value before the
+// next call. A later miss may move the dense arrays as they grow, but an
+// old copy of a value is never written again, so a pointer keeps reading
+// its key's products until the table is next emptied, which only a later
+// miss can do.
+func (t *table[K, V]) get(h uint64, key K) (*V, bool) {
+	mask := uint64(len(t.index) - 1)
+	i := h * hashMul >> t.shift
+	for ; t.index[i] != 0; i = (i + 1) & mask {
+		if j := t.index[i] - 1; t.keys[j] == key {
+			return &t.vals[j], true
+		}
 	}
-	c.ok |= 1 << i
-	c.keys[i] = key
-	return &c.e[i], false
+	if len(t.keys) == len(t.index)/4*3 {
+		t.empty()
+		i = h * hashMul >> t.shift
+	}
+	var zero V
+	t.keys, t.vals = append(t.keys, key), append(t.vals, zero)
+	t.index[i] = uint16(len(t.keys))
+	return &t.vals[len(t.vals)-1], false
 }
 
-// slotOf picks a value's cache slot from its binary exponent and leading
-// mantissa bits, so powers of two and their small multiples spread over
-// distinct slots.
-func slotOf(v float64) int {
-	b := math.Float64bits(v)
-	return int(b>>52 ^ b>>47)
+// fuseKey is what the fusion terms read: the tile's working set and the
+// depth.
+type fuseKey struct {
+	ws float64
+	k  int
 }
 
-// chunkKey is what the groups that read c read: c and the tile count of
-// the candidate's shape.
-type chunkKey struct {
-	tiles float64
-	c     int
-}
-
-// chunkEntry holds the products of the chunk terms and the dispatch-group
-// terms of one chunkKey.
-type chunkEntry struct{ chunk, groups entry }
-
-// memo is ScoreInto's per-call cache of group products. Each group's
-// products are cached under exactly the values its formulas read, so a group
-// is computed about once per distinct value in a set:
+// scorer scores candidate sets under one plan and one weight vector. It
+// memoizes each group's products (its terms times w) under exactly the
+// values the group's formulas read, one table per group:
 //
-//   - each axis by its block edge, unroll by u and chunk by c, each in the
-//     slot of the value's bit length (the predefined values are powers of
-//     two);
-//   - the inner stream by (bx, u);
-//   - the shape terms by the working set and the tile count, and the
-//     dispatch-group terms by the group count tiles/c: those values repeat
-//     across many shapes, so slotOf hashes them;
-//   - the chunk and dispatch-group products of a candidate together by
-//     (tiles, c), so that the candidates of one shape find theirs with one
-//     lookup and no division;
-//   - the fusion terms take no logarithm and are recomputed per fused shape.
+//   - each axis by its block edge, unroll by u, chunk by c and the inner
+//     stream by (bx, u);
+//   - the working-set terms by the tile's working set, the tile-count term
+//     by the tile count and the dispatch-group terms by the group count
+//     tiles/c: those values repeat across many shapes;
+//   - the fusion terms by the working set and the depth.
 //
-// A cached value is used only for its exact key, so any candidate order is
-// scored correctly. The memo is a plain value of a few KiB so that it lives
-// on the caller's stack: a call allocates nothing and concurrent calls share
-// nothing.
-type memo struct {
+// From acquire to release every group formula therefore runs once per
+// distinct key of a predefined set, in any order and across any number of
+// score calls. A scorer's tables grow to tens of KiB, so idle scorers wait
+// in a list for reuse, not on a goroutine's stack: a call allocates nothing
+// once its scorer has seen a set as large, and concurrent calls take
+// different scorers.
+type scorer struct {
 	p    *Plan
 	w    []float64
-	fuse entry // the current shape's fusion products
+	head float64 // the head's partial sum
 
-	axes          [3]cache[int, entry]
-	unroll, chunk cache[int, entry]
-	inner         cache[[2]int, entry]
-	shapes        cache[tileShape, entry]
-	groups        cache[float64, entry]
-	byChunk       cache[chunkKey, chunkEntry]
+	axes   [3]table[int, [5]float64]
+	unroll table[int, [4]float64]
+	chunk  table[int, [3]float64]
+	inner  table[[2]int, [2]float64]
+	ws     table[float64, [4]float64]
+	tiles  table[float64, [1]float64]
+	groups table[float64, [3]float64]
+	fuse   table[fuseKey, [5]float64]
+
+	// byU and byC hold copies of the products of the latest (bx, u) pair
+	// of each u and (tile count, c) pair of each c, at index u mod 16 and c
+	// mod 16: the candidates of a run find theirs with one comparison.
+	byU [16]uPair
+	byC [16]cPair
+
+	buf [chunkLen]float64 // the scores ScoreChunks hands over
 }
 
-// bitLen is the cache slot of an integer key.
-func bitLen(v int) int { return bits.Len(uint(v)) }
+// uPair is an entry of scorer.byU: the unroll and inner-stream products of
+// (bx, u).
+type uPair struct {
+	bx, u  int
+	unroll [4]float64
+	inner  [2]float64
+}
 
-// fill sets e to the products of g's terms with the memo's weights.
-func (m *memo) fill(e *entry, g group) {
-	for i := range g {
-		e[i] = product(g[i], m.w)
+// cPair is an entry of scorer.byC: the chunk and dispatch-group products of
+// chunk size c on a shape of the given tile count.
+type cPair struct {
+	tiles         float64
+	c             int
+	chunk, groups [3]float64
+}
+
+// chunkLen is the number of candidates ScoreChunks scores at a time: its
+// scores stay in the L1 cache while the caller reads them.
+const chunkLen = 256
+
+// newScorer returns a scorer whose tables are bounded by the distinct keys
+// of the predefined sets: at most 10 values per block edge, 4 of u and c,
+// 40 inner streams, 216 working sets (each a power of two times the clipped
+// extents, for 8 choices of which axes clip and at most 27 exponent sums),
+// 540 tile counts, 2,160 group counts (540 tile counts over 4 chunk sizes)
+// and 3 fused depths over the working sets. The unroll and chunk tables
+// hold every legal value.
+func newScorer() *scorer {
+	s := &scorer{
+		unroll: newTable[int, [4]float64](5),
+		chunk:  newTable[int, [3]float64](5),
+		inner:  newTable[[2]int, [2]float64](7),
+		ws:     newTable[float64, [4]float64](9),
+		tiles:  newTable[float64, [1]float64](10),
+		groups: newTable[float64, [3]float64](12),
+		fuse:   newTable[fuseKey, [5]float64](10),
+	}
+	for a := range s.axes {
+		s.axes[a] = newTable[int, [5]float64](5)
+	}
+	return s
+}
+
+// scorers holds idle scorers, at most GOMAXPROCS of them: no more can
+// score at once. A scorer released to a full list is left to the
+// collector. Unlike a sync.Pool, the list outlives garbage collections, so
+// a steady caller keeps reusing a scorer whose tables have grown to its
+// sets, and reuse does not depend on the scheduler or on the race
+// detector, which makes a sync.Pool drop items at random.
+var scorers struct {
+	sync.Mutex
+	idle []*scorer
+}
+
+// acquire returns an idle scorer, or a new one, bound to plan p and
+// weights w, with every table empty.
+func acquire(p *Plan, w []float64) *scorer {
+	var s *scorer
+	scorers.Lock()
+	if n := len(scorers.idle); n > 0 {
+		s = scorers.idle[n-1]
+		scorers.idle = scorers.idle[:n-1]
+	}
+	scorers.Unlock()
+	if s == nil {
+		s = newScorer()
+	}
+	s.p, s.w, s.head = p, w, p.head.dotFrom(0, w)
+	for a := range s.axes {
+		s.axes[a].empty()
+	}
+	s.unroll.empty()
+	s.chunk.empty()
+	s.inner.empty()
+	s.ws.empty()
+	s.tiles.empty()
+	s.groups.empty()
+	s.fuse.empty()
+	for i := range s.byU {
+		// Keys no candidate has.
+		s.byU[i] = uPair{u: math.MinInt}
+		s.byC[i] = cPair{tiles: math.NaN(), c: math.MinInt}
+	}
+	return s
+}
+
+// release returns s to the idle list.
+func (s *scorer) release() {
+	s.p, s.w = nil, nil
+	scorers.Lock()
+	if len(scorers.idle) < runtime.GOMAXPROCS(0) {
+		scorers.idle = append(scorers.idle, s)
+	}
+	scorers.Unlock()
+}
+
+// fill sets dst to the products of g's first len(dst) terms with the
+// scorer's weights.
+func (s *scorer) fill(dst []float64, g group) {
+	for i := range dst {
+		dst[i] = product(g[i], s.w)
 	}
 }
 
 // axisOf returns the products of block edge b on axis a.
-func (m *memo) axisOf(a, b int) *entry {
-	e, hit := m.axes[a].get(bitLen(b), b)
+func (s *scorer) axisOf(a, b int) *[5]float64 {
+	e, hit := s.axes[a].get(uint64(b), b)
 	if !hit {
-		m.fill(e, m.p.axisTerms(a, b))
-	}
-	return e
-}
-
-// shapeOf returns the products of tile shape sh.
-func (m *memo) shapeOf(sh tileShape) *entry {
-	e, hit := m.shapes.get(slotOf(sh.ws), sh)
-	if !hit {
-		m.fill(e, m.p.shapeTerms(sh))
+		s.fill(e[:], s.p.axisTerms(a, b))
 	}
 	return e
 }
 
 // unrollOf returns the products of unroll factor u.
-func (m *memo) unrollOf(u int) *entry {
-	e, hit := m.unroll.get(bitLen(u), u)
+func (s *scorer) unrollOf(u int) *[4]float64 {
+	e, hit := s.unroll.get(uint64(u), u)
 	if !hit {
-		m.fill(e, m.p.unrollTerms(u))
+		s.fill(e[:], s.p.unrollTerms(u))
+	}
+	return e
+}
+
+// chunkOf returns the products of chunk size c.
+func (s *scorer) chunkOf(c int) *[3]float64 {
+	e, hit := s.chunk.get(uint64(c), c)
+	if !hit {
+		s.fill(e[:], s.p.chunkTerms(c))
 	}
 	return e
 }
 
 // innerOf returns the products of the inner stream of x-edge bx and unroll
 // factor u.
-func (m *memo) innerOf(bx, u int) *entry {
-	e, hit := m.inner.get(bitLen(u)^bitLen(bx)<<1, [2]int{bx, u})
+func (s *scorer) innerOf(bx, u int) *[2]float64 {
+	e, hit := s.inner.get(uint64(bx)<<32^uint64(u), [2]int{bx, u})
 	if !hit {
-		m.fill(e, m.p.innerTerms(bx, u))
+		s.fill(e[:], s.p.innerTerms(bx, u))
 	}
 	return e
 }
 
-// fillChunk sets ce to the chunk and dispatch-group products of chunk size
-// c on tile shape sh.
-func (m *memo) fillChunk(ce *chunkEntry, sh tileShape, c int) {
-	e, hit := m.chunk.get(bitLen(c), c)
+// wsOf returns the products of a tile working set of ws bytes.
+func (s *scorer) wsOf(ws float64) *[4]float64 {
+	e, hit := s.ws.get(math.Float64bits(ws), ws)
 	if !hit {
-		m.fill(e, m.p.chunkTerms(c))
+		s.fill(e[:], s.p.wsTerms(ws))
 	}
-	ce.chunk = *e
-	n := sh.groups(c)
-	e, hit = m.groups.get(slotOf(n), n)
+	return e
+}
+
+// tilesOf returns the product of a grid covered by n tiles.
+func (s *scorer) tilesOf(n float64) *[1]float64 {
+	e, hit := s.tiles.get(math.Float64bits(n), n)
 	if !hit {
-		m.fill(e, m.p.groupsTerms(n))
+		s.fill(e[:], s.p.tilesTerms(n))
 	}
-	ce.groups = *e
+	return e
+}
+
+// groupsOf returns the products of n dispatch groups.
+func (s *scorer) groupsOf(n float64) *[3]float64 {
+	e, hit := s.groups.get(math.Float64bits(n), n)
+	if !hit {
+		s.fill(e[:], s.p.groupsTerms(n))
+	}
+	return e
+}
+
+// fillU sets pu to the products of x-edge bx and unroll factor u. The
+// unroll products it holds stay if u does.
+func (s *scorer) fillU(pu *uPair, bx, u int) {
+	if pu.u != u {
+		pu.u, pu.unroll = u, *s.unrollOf(u)
+	}
+	pu.bx, pu.inner = bx, *s.innerOf(bx, u)
+}
+
+// fillC sets pc to the products of chunk size c on a tile shape of the
+// given tile count. The chunk products it holds stay if c does.
+func (s *scorer) fillC(pc *cPair, tiles float64, c int) {
+	if pc.c != c {
+		pc.c, pc.chunk = c, *s.chunkOf(c)
+	}
+	pc.tiles, pc.groups = tiles, *s.groupsOf(tileShape{tiles: tiles}.groups(c))
+}
+
+// fuseOf returns the fusion products of depth k on a tile of working set
+// ws.
+func (s *scorer) fuseOf(ws float64, k int) *[5]float64 {
+	e, hit := s.fuse.get(math.Float64bits(ws)^uint64(k), fuseKey{ws, k})
+	if !hit {
+		s.fill(e[:], s.p.fuseTerms(ws, k))
+	}
+	return e
 }
 
 // ScoreInto sets out[i] to Encode(q, cands[i]).Dot(w) for the plan's
-// instance q, bit for bit, without building any vector. The head's partial
-// sum is taken once. Each tail component is computed once per distinct
-// value of the parameters it depends on (see memo) and kept as its product
-// with w.
+// instance q, bit for bit, without building any vector: the head's partial
+// sum is taken once, and each tail group's products with w are computed
+// once per distinct value of what the group reads (see scorer). Any order
+// of the candidates, repeats, and any split of a set across calls give the
+// same scores. out must be at least as long as cands. It takes its scorer
+// from the idle list, so in steady state it allocates nothing.
+func (p *Plan) ScoreInto(out, w []float64, cands []tunespace.Vector) {
+	s := acquire(p, w)
+	s.score(out, cands)
+	s.release()
+}
+
+// ScoreChunks scores cands under w as ScoreInto does, chunkLen candidates
+// at a time, and hands each chunk's scores to yield together with the index
+// of the chunk's first candidate, in order. The scores slice is reused for
+// the next chunk, so a caller that selects the best candidates while
+// streaming never holds a score per candidate. The chunks share one
+// scorer: each group formula runs once per distinct key of the whole set.
+// In steady state it allocates nothing.
+func (p *Plan) ScoreChunks(w []float64, cands []tunespace.Vector, yield func(first int, scores []float64)) {
+	s := acquire(p, w)
+	s.chunks(cands, yield)
+	s.release()
+}
+
+// chunks is ScoreChunks on a bound scorer.
+func (s *scorer) chunks(cands []tunespace.Vector, yield func(first int, scores []float64)) {
+	for lo := 0; lo < len(cands); lo += chunkLen {
+		out := s.buf[:min(chunkLen, len(cands)-lo)]
+		s.score(out, cands[lo:lo+len(out)])
+		yield(lo, out)
+	}
+}
+
+// score sets out[i] to the score of cands[i]: the head's partial sum, then
+// each tail component's product with w, added in slot order. It is the one
+// copy of those additions.
 //
-// A candidate reads its products where the memo keeps them; nothing is
+// A candidate reads its products where the tables keep them; nothing is
 // copied per candidate. The groups that read only the tile shape and depth
-// (the axes, the shape terms and the fusion terms) are looked up once per
-// run of candidates sharing (bx, by, bz, K), and every candidate of the run
-// reads them. A candidate looks up the groups of its own u and c only where
-// they differ from its predecessor's: the predefined sets vary c fastest,
-// so most candidates make one lookup, of their (tiles, c) pair. Each
+// (the axes, the working set, the tile count and the fusion terms) are
+// looked up once per run of candidates sharing (bx, by, bz, K), and every
+// candidate of the run reads them. A candidate looks up the groups of its
+// own u and c only where they differ from its predecessor's (the predefined
+// sets vary c fastest), and finds them in byU and byC with one comparison
+// when its run has met its u or c before. Each
 // candidate then adds the head and its products slot by slot: Dot's
 // additions in Dot's order (an absent component adds −0, which changes no
 // bits), so the order of the candidates, repeats, and how a set is split
@@ -413,16 +613,17 @@ func (m *memo) fillChunk(ce *chunkEntry, sh tileShape, c int) {
 // candidate at a time: scoring four side by side, one accumulator each,
 // measured slower, because an out-of-order core already overlaps the
 // independent sums of consecutive candidates and the lanes' extra pointers
-// cost loads. It allocates nothing. out must be at least as long as cands.
-func (p *Plan) ScoreInto(out, w []float64, cands []tunespace.Vector) {
+// cost loads.
+func (s *scorer) score(out []float64, cands []tunespace.Vector) {
 	out = out[:len(cands)]
-	head := p.head.dotFrom(0, w)
-	m := memo{p: p, w: w}
 	var (
-		sh                                     tileShape
-		ax, ay, az, shape, fuse, unroll, inner *entry
-		chunk, groups                          *entry
-		prev                                   *tunespace.Vector
+		sh               tileShape
+		ax, ay, az, fuse *[5]float64
+		unroll, ws       *[4]float64
+		tiles            *[1]float64
+		chunk, groups    *[3]float64
+		inner            *[2]float64
+		prev             *tunespace.Vector
 	)
 	for i := range cands {
 		t := &cands[i]
@@ -430,77 +631,77 @@ func (p *Plan) ScoreInto(out, w []float64, cands []tunespace.Vector) {
 		newShape := first || t.Bx != prev.Bx || t.By != prev.By || t.Bz != prev.Bz || t.K != prev.K
 		if newShape {
 			if first || t.Bx != prev.Bx {
-				ax = m.axisOf(0, t.Bx)
+				ax = s.axisOf(0, t.Bx)
 			}
 			if first || t.By != prev.By {
-				ay = m.axisOf(1, t.By)
+				ay = s.axisOf(1, t.By)
 			}
 			if first || t.Bz != prev.Bz {
-				az = m.axisOf(2, t.Bz)
+				az = s.axisOf(2, t.Bz)
 			}
-			sh = p.tileShapeOf(t.Bx, t.By, t.Bz)
-			shape = m.shapeOf(sh)
+			sh = s.p.tileShapeOf(t.Bx, t.By, t.Bz)
+			ws, tiles = s.wsOf(sh.ws), s.tilesOf(sh.tiles)
 			// An unfused candidate adds no fusion products.
 			if t.K > 1 {
-				m.fill(&m.fuse, p.fuseTerms(sh, t.K))
-				fuse = &m.fuse
+				fuse = s.fuseOf(sh.ws, t.K)
 			}
-		}
-		if first || t.U != prev.U {
-			unroll = m.unrollOf(t.U)
 		}
 		if first || t.U != prev.U || t.Bx != prev.Bx {
-			inner = m.innerOf(t.Bx, t.U)
+			pu := &s.byU[t.U&15]
+			if pu.bx != t.Bx || pu.u != t.U {
+				s.fillU(pu, t.Bx, t.U)
+			}
+			unroll, inner = &pu.unroll, &pu.inner
 		}
 		if newShape || t.C != prev.C {
-			ce, hit := m.byChunk.get(bitLen(t.C), chunkKey{sh.tiles, t.C})
-			if !hit {
-				m.fillChunk(ce, sh, t.C)
+			pc := &s.byC[t.C&15]
+			if pc.tiles != sh.tiles || pc.c != t.C {
+				s.fillC(pc, sh.tiles, t.C)
 			}
-			chunk, groups = &ce.chunk, &ce.groups
+			chunk, groups = &pc.chunk, &pc.groups
 		}
 		prev = t
 
 		// Each product is its group's term at that position of the group's
 		// slot list; the comments name the slots.
-		s := head
-		s += ax[0]     // slotBx
-		s += ay[0]     // slotBy
-		s += az[0]     // slotBz
-		s += unroll[0] // slotUnroll
-		s += chunk[0]  // slotChunk
-		s += ax[1]     // slotBx2
-		s += ay[1]     // slotBy2
-		s += az[1]     // slotBz2
-		s += unroll[1] // slotUnroll2
-		s += chunk[1]  // slotChunk2
-		s += shape[0]  // slotTileWS
-		s += shape[1]  // slotTileWS2
-		s += ax[2]     // slotFracX
-		s += ay[2]     // slotFracY
-		s += az[2]     // slotFracZ
-		s += shape[2]  // slotNumTiles
-		s += groups[0] // slotTileGroups
-		s += groups[1] // slotTileGroups2
-		s += unroll[2] // slotUnrollDensity
-		s += inner[0]  // slotInnerStream
-		s += inner[1]  // slotInnerStream2
-		s += ax[4]     // slotDTypeBx
-		s += shape[3]  // slotDensityWS
-		s += shape[4]  // slotWSBin
-		s += ax[3]     // slotBxBin
-		s += ay[3]     // slotByBin
-		s += az[3]     // slotBzBin
-		s += unroll[3] // slotUnrollBin
-		s += chunk[2]  // slotChunkBin
-		s += groups[2] // slotBalanceBin
+		v := s.head
+		v += ax[0]     // slotBx
+		v += ay[0]     // slotBy
+		v += az[0]     // slotBz
+		v += unroll[0] // slotUnroll
+		v += chunk[0]  // slotChunk
+		v += ax[1]     // slotBx2
+		v += ay[1]     // slotBy2
+		v += az[1]     // slotBz2
+		v += unroll[1] // slotUnroll2
+		v += chunk[1]  // slotChunk2
+		v += ws[0]     // slotTileWS
+		v += ws[1]     // slotTileWS2
+		v += ax[2]     // slotFracX
+		v += ay[2]     // slotFracY
+		v += az[2]     // slotFracZ
+		v += tiles[0]  // slotNumTiles
+		v += groups[0] // slotTileGroups
+		v += groups[1] // slotTileGroups2
+		v += unroll[2] // slotUnrollDensity
+		v += inner[0]  // slotInnerStream
+		v += inner[1]  // slotInnerStream2
+		v += ax[4]     // slotDTypeBx
+		v += ws[2]     // slotDensityWS
+		v += ws[3]     // slotWSBin
+		v += ax[3]     // slotBxBin
+		v += ay[3]     // slotByBin
+		v += az[3]     // slotBzBin
+		v += unroll[3] // slotUnrollBin
+		v += chunk[2]  // slotChunkBin
+		v += groups[2] // slotBalanceBin
 		if t.K > 1 {
-			s += fuse[0] // slotFuse
-			s += fuse[1] // slotFuse2
-			s += fuse[2] // slotFuseDensity
-			s += fuse[3] // slotFuseWS
-			s += fuse[4] // slotFuseBin
+			v += fuse[0] // slotFuse
+			v += fuse[1] // slotFuse2
+			v += fuse[2] // slotFuseDensity
+			v += fuse[3] // slotFuseWS
+			v += fuse[4] // slotFuseBin
 		}
-		out[i] = s
+		out[i] = v
 	}
 }

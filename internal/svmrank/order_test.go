@@ -79,6 +79,27 @@ func TestTopKIsOrderPrefix(t *testing.T) {
 	check(asc, 5)
 }
 
+// TestTopStreamsLikeTopK: fed a score vector in pieces of any length,
+// including empty ones, Top selects what it selects from the whole vector.
+func TestTopStreamsLikeTopK(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 1000; trial++ {
+		n := 1 + rng.Intn(300)
+		s := tieHeavyScores(rng, n)
+		for _, k := range []int{1, 4, n, n + 2} {
+			top := NewTop(min(k, n))
+			for lo := 0; lo < n; {
+				hi := min(n, lo+rng.Intn(70))
+				top.Add(s[lo:hi])
+				lo = hi
+			}
+			if got, want := top.Indices(), TopK(s, k); !slices.Equal(got, want) {
+				t.Fatalf("streamed Top(%d) of %v = %v, TopK %v", k, s, got, want)
+			}
+		}
+	}
+}
+
 func TestTopKEmpty(t *testing.T) {
 	for _, tc := range []struct {
 		s []float64

@@ -230,34 +230,48 @@ func Order(scores []float64) []int {
 	return idx
 }
 
-// TopK returns the first min(k, len(scores)) entries of Order(scores) —
-// the k best indices, descending score, equal scores in input order — in
-// one pass over the scores with a k-slot insertion buffer instead of a
-// full sort. A score enters the buffer only if it strictly beats the
-// current k-th best, so an equal later score never displaces an earlier
-// one.
-func TopK(scores []float64, k int) []int {
-	k = max(0, min(k, len(scores)))
-	top := make([]int, 0, k)
-	if k == 0 {
-		return top
-	}
+// Top selects the k best of a stream of scores that arrives in index order,
+// in slices of any length, with a k-slot insertion buffer instead of a full
+// sort: fed the scores of a set, in one slice or many, its Indices are the
+// first min(k, len) entries of Order's — the k best indices, descending
+// score, equal scores in input order. A score enters the buffer only if it
+// strictly beats the current k-th best, so an equal later score never
+// displaces an earlier one.
+type Top struct {
+	k     int
+	next  int       // the index of the next score
+	idx   []int     // the selected indices, best first
+	score []float64 // their scores
+}
+
+// NewTop returns an empty selector of the k best scores; its buffers hold k
+// entries.
+func NewTop(k int) *Top {
+	k = max(0, k)
+	return &Top{k: k, idx: make([]int, 0, k), score: make([]float64, 0, k)}
+}
+
+// Add feeds the scores of the next len(scores) indices.
+func (t *Top) Add(scores []float64) {
 	for i, s := range scores {
-		j := len(top)
-		if j < k {
-			top = top[:j+1]
-		} else if s > scores[top[k-1]] {
-			j = k - 1
+		j := len(t.idx)
+		if j < t.k {
+			t.idx, t.score = append(t.idx, 0), append(t.score, 0)
+		} else if j > 0 && s > t.score[j-1] {
+			j--
 		} else {
 			continue
 		}
-		for ; j > 0 && s > scores[top[j-1]]; j-- {
-			top[j] = top[j-1]
+		for ; j > 0 && s > t.score[j-1]; j-- {
+			t.idx[j], t.score[j] = t.idx[j-1], t.score[j-1]
 		}
-		top[j] = i
+		t.idx[j], t.score[j] = t.next+i, s
 	}
-	return top
+	t.next += len(scores)
 }
+
+// Indices returns the selected indices, best first.
+func (t *Top) Indices() []int { return t.idx }
 
 // ArgBestBatch returns the index of the highest-scoring vector without
 // sorting (-1 for empty input); ties keep the earliest index, matching
