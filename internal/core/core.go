@@ -34,10 +34,10 @@ func New(model *svmrank.Model) *Tuner {
 
 // Scores returns the model score of every candidate (higher ranks better).
 // It checks the model and the instance, then scores each candidate on the
-// caller's goroutine from one encoding plan: the instance-only head of the
-// feature vector is built once, and each candidate adds only its
-// tuning-dependent tail. No feature vector is materialised, and every score
-// is bit-identical to Model.Score(Encoder.Encode(q, cand)).
+// caller's goroutine from one encoding plan: what the encoding reads of the
+// instance is computed once, and each candidate adds only the products of
+// its own components. No feature vector is materialised, and every score is
+// bit-identical to Model.Score(Encoder.Encode(q, cand)).
 //
 // cands must be valid for q's dimensionality (tunespace.Vector.Validate):
 // the predefined sets are valid by construction, and vectors from outside

@@ -3,34 +3,36 @@
 // input size s and the tuning vector t into a single feature vector whose
 // components are real values normalized to [0, 1].
 //
+// What is encoded. The ordinal-regression training of Sec. IV-D compares
+// executions of the *same* instance q only, so a component that depends on q
+// alone holds the same value in both members of every training pair and
+// cancels out of every pair difference: its weight stays exactly +0 and it
+// cannot change any ranking. The paper's 7×7×7 pattern matrix of Sec. III-A,
+// the kernel summary and the size block are such components, so they are not
+// encoded. The instance reaches the ranking only through q×t interaction
+// terms computed from q and t together (tile working set, boundary
+// fractions, tile counts, unroll×density, dtype×block edge, …), next to the
+// tuning terms themselves and quadratic terms that let the linear model
+// express single-peak preferences over log-scaled parameters. Every emitted
+// index lies at or above TailStart; the indices below it belonged to the
+// instance-only components and are kept free, so persisted models keep their
+// layout.
+//
 // Representation note. Feature vectors are stored sparsely (index/value
-// pairs): the dominant block is the dense 7×7×7 binary pattern matrix of
-// Sec. III-A, of which a typical stencil touches only a handful of cells.
+// pairs): a vector holds a few dozen of the Dim components.
 //
-// Scoring note. A vector is a head that depends on the instance alone
-// (pattern block, kernel summary, size block) followed by a tail that
-// depends on the tuning vector, and every head index lies below every tail
-// index. Each tail component reads only a few tuning parameters (one block
-// edge, u, c, the tile shape, ...), so the tail is split into dependency
+// Scoring note. Each component reads only a few tuning parameters (one block
+// edge, u, c, the tile shape, ...), so the encoding is split into dependency
 // groups, each computed by one function (tail.go) that Encode and the scorer
-// share. Encoder.Plan builds the head once per instance; Plan.ScoreInto then
-// scores a whole candidate set, computing each group's products with the
-// weights once per distinct parameter value and adding a candidate's
-// products to the head's partial sum in ascending index order. Those are
-// Vector.Dot's additions in Dot's order, so the scores are bit-identical to
-// Encode followed by Dot, and no vector is built or allocated.
-// Plan.ScoreChunks hands the same scores over a fixed-size chunk at a time,
-// for callers that select the best candidates without a score vector.
-//
-// Implementation refinement: the ordinal-regression training of Sec. IV-D
-// only compares executions of the *same* instance q, so any feature
-// depending on q alone cancels out of every within-query pair difference.
-// For the ranking function to specialize per stencil/size, the encoding
-// must contain q×t interaction terms. We therefore append a block of
-// hardware-independent interaction features (tile working set, boundary
-// fractions, tile counts, unroll×density, …) computed from q and t together,
-// plus quadratic terms that let the linear model express single-peak
-// preferences over log-scaled parameters.
+// share. Encoder.Plan computes the constants the groups read of q once per
+// instance; Plan.ScoreInto then scores a whole candidate set, computing each
+// group's products with the weights once per distinct parameter value and
+// adding a candidate's products to a sum that starts at +0 in ascending
+// index order. Those are Vector.Dot's additions in Dot's order, so the scores
+// are bit-identical to Encode followed by Dot, and no vector is built or
+// allocated. Plan.ScoreChunks hands the same scores over a fixed-size chunk
+// at a time, for callers that select the best candidates without a score
+// vector.
 package feature
 
 import (
@@ -41,32 +43,16 @@ import (
 	"repro/internal/tunespace"
 )
 
-// PatternRadius is the maximum neighbour offset representable in the dense
-// pattern block. Radius 3 covers every kernel in the paper (the 6th-order
-// laplacian reaches offset 3).
-const PatternRadius = 3
+// TailStart is the first feature index an encoding emits. The indices below
+// it held the instance-only components (the 7³ pattern block, six
+// kernel-summary and four size features), which no ranking can see; they
+// stay unused, so the layout of persisted models is unchanged.
+const TailStart = 353
 
-// patternSide and patternBlock size the dense pattern block: 7³ = 343 cells.
-const (
-	patternSide  = 2*PatternRadius + 1
-	patternBlock = patternSide * patternSide * patternSide
-)
-
-// Feature indices of the named (non-pattern) components, offset past the
-// pattern block. Kept together so tests and the encoder can address blocks
+// Feature indices, kept together so tests and the encoder can address blocks
 // symbolically.
 const (
-	idxPoints = patternBlock + iota
-	idxAccesses
-	idxMaxOffset
-	idxDims
-	idxBuffers
-	idxDType
-	idxSizeX
-	idxSizeY
-	idxSizeZ
-	idxSizeTotal
-	idxBx
+	idxBx = TailStart + iota
 	idxBy
 	idxBz
 	idxUnroll
@@ -124,17 +110,12 @@ const (
 
 // normalization caps, chosen so every encountered value lands in [0, 1].
 const (
-	maxMultiplicity = 3.0 // pattern cell multiplicities are clipped here
-	maxPoints       = 343.0
-	maxAccesses     = 512.0
-	maxBuffers      = 4.0
-	maxLogExtent    = 12.0 // grids up to 4096 per dimension
-	maxLogTotal     = 36.0
-	maxLogBlock     = 10.0 // blocks up to 1024
-	maxLogChunk     = 4.0  // chunks up to 16
-	maxLogWS        = 32.0 // tile working sets up to 4 GiB
-	maxLogTiles     = 36.0
-	maxLogInner     = 14.0 // bx*(u+1) up to 1024*9
+	maxAccesses = 512.0
+	maxLogBlock = 10.0 // blocks up to 1024
+	maxLogChunk = 4.0  // chunks up to 16
+	maxLogWS    = 32.0 // tile working sets up to 4 GiB
+	maxLogTiles = 36.0
+	maxLogInner = 14.0 // bx*(u+1) up to 1024*9
 )
 
 // Vector is a sparse feature vector with the fixed dimensionality Dim.
@@ -153,12 +134,8 @@ func (v Vector) NNZ() int { return len(v.Idx) }
 // feature had zero weight, which keeps persisted models valid across encoding
 // growth. Indices are sorted ascending, so the scan stops at the first
 // out-of-range one.
-func (v Vector) Dot(w []float64) float64 { return v.dotFrom(0, w) }
-
-// dotFrom continues a dot product from the partial sum s. Plan.ScoreInto
-// takes a head's partial sum through it and then adds the tail's products,
-// computed as product computes them, in the same index order.
-func (v Vector) dotFrom(s float64, w []float64) float64 {
+func (v Vector) Dot(w []float64) float64 {
+	var s float64
 	for i, idx := range v.Idx {
 		if int(idx) >= len(w) {
 			break
@@ -248,17 +225,15 @@ type Encoder struct{}
 func NewEncoder() *Encoder { return &Encoder{} }
 
 // Encode produces the feature vector for the execution (q.Kernel, q.Size, t):
-// the instance's head followed by t's tail, the same components Plan scores.
-// Every emitted component lies in [0, 1].
+// the components Plan scores, every one in [0, 1] and at an index at or
+// above TailStart.
 func (e *Encoder) Encode(q stencil.Instance, t tunespace.Vector) Vector {
-	// Size the builder exactly once: at most one pattern cell per shape
-	// point plus the fixed named blocks. Dataset generation calls Encode
-	// once per training point, so append-regrowth here is a dominant
-	// allocation source.
-	b := newBuilder(q.Kernel.Shape.Size() + headNamed + maxTail)
-	p := e.plan(q, &b)
 	var ts [maxTail]term
-	p.tailTerms(t, &ts)
+	e.Plan(q).tailTerms(t, &ts)
+	// Dataset generation calls Encode once per training point, so the
+	// builder is sized exactly once: append-regrowth here would be a
+	// dominant allocation source.
+	b := newBuilder(maxTail)
 	for _, tm := range &ts {
 		b.put(int(tm.idx), tm.val)
 	}
@@ -266,23 +241,19 @@ func (e *Encoder) Encode(q stencil.Instance, t tunespace.Vector) Vector {
 }
 
 // Plan is the per-instance half of the encoding. Ranking a candidate set
-// encodes one instance q against thousands of tuning vectors; everything
-// that depends on q alone is computed once here: the head (pattern block,
-// kernel summary and size block) and the q-derived constants the tail
-// reads. Each tuning vector then pays only for its tail, and ScoreInto
-// computes each tail group once per distinct value of the parameters it
-// reads.
+// encodes one instance q against thousands of tuning vectors; the constants
+// the components read of q are computed once here. Each tuning vector then
+// pays only for its own components, and ScoreInto computes each group once
+// per distinct value of the parameters it reads.
 //
-// Every head index lies below idxBx and every tail index at or above it, so
-// an encoded vector is its head followed by its tail in ascending index
-// order. Dot sums in that order, and ScoreInto adds the same products in the
-// same order, which makes it bit-identical to Encode followed by Dot,
+// A candidate's components follow in ascending index order. Dot sums in that
+// order, and ScoreInto adds the same products in the same order from the
+// same +0 start, which makes it bit-identical to Encode followed by Dot,
 // including the rule that indices beyond an older, narrower weight vector
 // count as zero.
 //
 // A Plan is read-only once built and safe for concurrent use.
 type Plan struct {
-	head    Vector
 	size    stencil.Size
 	density float64 // per-cell loads over maxAccesses
 	// Element size and buffer count stay separate factors: the tile working
@@ -293,53 +264,12 @@ type Plan struct {
 	dtype   float64 // data type feature value
 }
 
-// headNamed is the number of named (non-pattern) head components: six
-// kernel-summary and four size features.
-const headNamed = 10
-
 // Plan returns the encoding plan of instance q.
 func (e *Encoder) Plan(q stencil.Instance) *Plan {
-	b := newBuilder(q.Kernel.Shape.Size() + headNamed)
-	p := e.plan(q, &b)
-	p.head = b.vector()
-	return &p
-}
-
-// plan emits q's head into b and returns the plan's constants; the caller
-// decides whether the head becomes the plan's or the start of a vector.
-func (e *Encoder) plan(q stencil.Instance, b *builder) Plan {
 	k := q.Kernel
-	sz := q.Size
-	accesses := k.Shape.TotalAccesses()
-
-	// Dense pattern block: cell (x,y,z) at flat index
-	// ((z+R)*side + (y+R))*side + (x+R). Points() is already in ascending
-	// (z,y,x) order, matching increasing flat indices.
-	for _, p := range k.Shape.Points() {
-		if p.ChebyshevNorm() > PatternRadius {
-			continue
-		}
-		flat := ((p.Z+PatternRadius)*patternSide+(p.Y+PatternRadius))*patternSide +
-			(p.X + PatternRadius)
-		m := float64(k.Shape.Multiplicity(p))
-		b.put(flat, clamp01(m/maxMultiplicity))
-	}
-	b.put(idxPoints, clamp01(float64(k.Shape.Size())/maxPoints))
-	b.put(idxAccesses, clamp01(float64(accesses)/maxAccesses))
-	b.put(idxMaxOffset, clamp01(float64(k.Shape.MaxOffset())/PatternRadius))
-	b.put(idxDims, float64(k.Dims()-2)) // 0 for 2-D, 1 for 3-D
-	b.put(idxBuffers, clamp01(float64(k.Buffers)/maxBuffers))
-	b.put(idxDType, k.Type.FeatureValue())
-
-	// Size block.
-	b.put(idxSizeX, clamp01(log2(float64(sz.X))/maxLogExtent))
-	b.put(idxSizeY, clamp01(log2(float64(sz.Y))/maxLogExtent))
-	b.put(idxSizeZ, clamp01(log2(float64(sz.Z))/maxLogExtent))
-	b.put(idxSizeTotal, clamp01(log2(float64(sz.Points()))/maxLogTotal))
-
-	return Plan{
-		size:    sz,
-		density: float64(accesses) / maxAccesses,
+	return &Plan{
+		size:    q.Size,
+		density: float64(k.Shape.TotalAccesses()) / maxAccesses,
 		bytes:   float64(k.Type.Bytes()),
 		buffers: float64(k.Buffers),
 		dtype:   k.Type.FeatureValue(),

@@ -68,43 +68,31 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
-func TestPatternBlockMatchesShape(t *testing.T) {
-	e := NewEncoder()
-	q := laplacianInstance() // 7-point star
-	v := e.Encode(q, someTuning())
-	// Centre point at flat index ((0+3)*7+(0+3))*7+(0+3) = 171.
-	if got := v.Get(171); math.Abs(got-1.0/3.0) > 1e-12 {
-		t.Errorf("centre pattern cell = %v, want 1/3", got)
-	}
-	// +x neighbour at 172.
-	if got := v.Get(172); math.Abs(got-1.0/3.0) > 1e-12 {
-		t.Errorf("+x pattern cell = %v, want 1/3", got)
-	}
-	// A corner never accessed by the laplacian.
-	if got := v.Get(0); got != 0 {
-		t.Errorf("corner cell = %v, want 0", got)
-	}
-}
-
-func TestWaveMultiplicityEncoded(t *testing.T) {
-	e := NewEncoder()
-	q := stencil.Instance{Kernel: stencil.Wave(), Size: stencil.Size3D(128, 128, 128)}
-	v := e.Encode(q, someTuning())
-	// Wave reads the centre twice -> multiplicity 2 -> 2/3.
-	if got := v.Get(171); math.Abs(got-2.0/3.0) > 1e-12 {
-		t.Errorf("wave centre cell = %v, want 2/3", got)
-	}
-}
-
+// TestDTypeFeature pins the data type's one way into the encoding: its
+// coupling with the x block edge, 0 for float and log2(bx)/10 for double.
 func TestDTypeFeature(t *testing.T) {
 	e := NewEncoder()
 	vf := e.Encode(blurInstance(), tunespace.Vector{Bx: 64, By: 32, Bz: 1, U: 4, C: 2})
-	vd := e.Encode(laplacianInstance(), someTuning())
-	if vf.Get(idxDType) != 0 {
-		t.Errorf("float dtype feature = %v, want 0", vf.Get(idxDType))
+	vd := e.Encode(laplacianInstance(), someTuning()) // bx = 64
+	if got := vf.Get(idxDTypeBx); got != 0 {
+		t.Errorf("float dtype*log-bx = %v, want 0", got)
 	}
-	if vd.Get(idxDType) != 1 {
-		t.Errorf("double dtype feature = %v, want 1", vd.Get(idxDType))
+	if got, want := vd.Get(idxDTypeBx), 6/maxLogBlock; got != want {
+		t.Errorf("double dtype*log-bx = %v, want %v", got, want)
+	}
+}
+
+// TestEncodeEmitsNoInstanceOnlyIndex: no encoding of a Table III instance
+// holds a component below TailStart, for any vector of the fused predefined
+// set.
+func TestEncodeEmitsNoInstanceOnlyIndex(t *testing.T) {
+	e := NewEncoder()
+	for _, q := range stencil.Benchmarks() {
+		for _, c := range tunespace.NewSpace(q.Kernel.Dims()).PredefinedFused(1, 2, 3, 4) {
+			if v := e.Encode(q, c); v.NNZ() == 0 || v.Idx[0] < TailStart {
+				t.Fatalf("%s %v: encoding %v starts below TailStart %d", q.ID(), c, v.Idx, TailStart)
+			}
+		}
 	}
 }
 
@@ -247,12 +235,15 @@ func TestBuilderPanicsOnOutOfOrder(t *testing.T) {
 	b.put(3, 1)
 }
 
+// TestDimConstant pins the index layout persisted models were fitted
+// against: the encoding starts at 353, past the retired 7³ pattern block and
+// ten instance-only features, and spans 441 indices.
 func TestDimConstant(t *testing.T) {
-	if Dim <= patternBlock {
-		t.Fatalf("Dim = %d should exceed pattern block %d", Dim, patternBlock)
+	if TailStart != 353 || idxBx != TailStart {
+		t.Fatalf("TailStart = %d, idxBx = %d, want 353", TailStart, idxBx)
 	}
-	if patternBlock != 343 {
-		t.Fatalf("pattern block = %d, want 343 (7^3)", patternBlock)
+	if Dim != 441 {
+		t.Fatalf("Dim = %d, want 441", Dim)
 	}
 }
 
@@ -277,8 +268,8 @@ func TestFeatureNamesUniqueAndTotal(t *testing.T) {
 }
 
 func TestFeatureNamesKnownValues(t *testing.T) {
-	if got := Name(171); got != "pattern(0,0,0)" {
-		t.Errorf("centre pattern name = %q", got)
+	if got := Name(171); got != "retired(171)" {
+		t.Errorf("retired index name = %q", got)
 	}
 	if got := Name(idxBx); got != "log-bx" {
 		t.Errorf("bx name = %q", got)

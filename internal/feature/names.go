@@ -19,34 +19,11 @@ func Name(idx int) string {
 	if idx < 0 || idx >= Dim {
 		return fmt.Sprintf("invalid(%d)", idx)
 	}
-	if idx < patternBlock {
-		z := idx / (patternSide * patternSide)
-		rem := idx % (patternSide * patternSide)
-		y := rem / patternSide
-		x := rem % patternSide
-		return fmt.Sprintf("pattern(%d,%d,%d)", x-PatternRadius, y-PatternRadius, z-PatternRadius)
-	}
 	switch {
-	case idx == idxPoints:
-		return "points"
-	case idx == idxAccesses:
-		return "accesses"
-	case idx == idxMaxOffset:
-		return "max-offset"
-	case idx == idxDims:
-		return "dims"
-	case idx == idxBuffers:
-		return "buffers"
-	case idx == idxDType:
-		return "dtype"
-	case idx == idxSizeX:
-		return "log-size-x"
-	case idx == idxSizeY:
-		return "log-size-y"
-	case idx == idxSizeZ:
-		return "log-size-z"
-	case idx == idxSizeTotal:
-		return "log-size-total"
+	case idx < TailStart:
+		// Unused indices of the instance-only components no ranking
+		// sees; a unique label each keeps persisted name lists aligned.
+		return fmt.Sprintf("retired(%d)", idx)
 	case idx == idxBx:
 		return "log-bx"
 	case idx == idxBy:

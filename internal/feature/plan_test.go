@@ -64,14 +64,14 @@ func TestPlanScoreBitIdenticalToEncodeDot(t *testing.T) {
 }
 
 // planWeights returns a random full-width weight vector and its
-// truncations: cuts inside the pattern block, inside the size block, inside
-// the tuning block and at the pre-fusion width.
+// truncations: cuts at two widths that end before TailStart, inside the
+// tuning block and at the pre-fusion width.
 func planWeights(rng *rand.Rand) [][]float64 {
 	full := make([]float64, Dim)
 	for i := range full {
 		full[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
 	}
-	return [][]float64{full, full[:200], full[:idxSizeZ], full[:idxBx+3], full[:idxFuse]}
+	return [][]float64{full, full[:200], full[:TailStart-2], full[:idxBx+3], full[:idxFuse]}
 }
 
 // scoreChecker holds Encode·w for a universe of candidates under every

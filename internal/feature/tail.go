@@ -252,7 +252,7 @@ func product(tm term, w []float64) float64 {
 		return negZero
 	}
 	// The conversion forbids fusing the product into a later addition, as
-	// in dotFrom.
+	// in Dot.
 	return float64(tm.val * w[tm.idx])
 }
 
@@ -340,9 +340,8 @@ type fuseKey struct {
 // once its scorer has seen a set as large, and concurrent calls take
 // different scorers.
 type scorer struct {
-	p    *Plan
-	w    []float64
-	head float64 // the head's partial sum
+	p *Plan
+	w []float64
 
 	axes   [3]table[int, [5]float64]
 	unroll table[int, [4]float64]
@@ -429,7 +428,7 @@ func acquire(p *Plan, w []float64) *scorer {
 	if s == nil {
 		s = newScorer()
 	}
-	s.p, s.w, s.head = p, w, p.head.dotFrom(0, w)
+	s.p, s.w = p, w
 	for a := range s.axes {
 		s.axes[a].empty()
 	}
@@ -559,12 +558,12 @@ func (s *scorer) fuseOf(ws float64, k int) *[5]float64 {
 }
 
 // ScoreInto sets out[i] to Encode(q, cands[i]).Dot(w) for the plan's
-// instance q, bit for bit, without building any vector: the head's partial
-// sum is taken once, and each tail group's products with w are computed
-// once per distinct value of what the group reads (see scorer). Any order
-// of the candidates, repeats, and any split of a set across calls give the
-// same scores. out must be at least as long as cands. It takes its scorer
-// from the idle list, so in steady state it allocates nothing.
+// instance q, bit for bit, without building any vector: each group's
+// products with w are computed once per distinct value of what the group
+// reads (see scorer). Any order of the candidates, repeats, and any split of
+// a set across calls give the same scores. out must be at least as long as
+// cands. It takes its scorer from the idle list, so in steady state it
+// allocates nothing.
 func (p *Plan) ScoreInto(out, w []float64, cands []tunespace.Vector) {
 	s := acquire(p, w)
 	s.score(out, cands)
@@ -593,9 +592,9 @@ func (s *scorer) chunks(cands []tunespace.Vector, yield func(first int, scores [
 	}
 }
 
-// score sets out[i] to the score of cands[i]: the head's partial sum, then
-// each tail component's product with w, added in slot order. It is the one
-// copy of those additions.
+// score sets out[i] to the score of cands[i]: each component's product with
+// w, added in slot order to a sum that starts at +0. It is the one copy of
+// those additions.
 //
 // A candidate reads its products where the tables keep them; nothing is
 // copied per candidate. The groups that read only the tile shape and depth
@@ -604,16 +603,15 @@ func (s *scorer) chunks(cands []tunespace.Vector, yield func(first int, scores [
 // candidate of the run reads them. A candidate looks up the groups of its
 // own u and c only where they differ from its predecessor's (the predefined
 // sets vary c fastest), and finds them in byU and byC with one comparison
-// when its run has met its u or c before. Each
-// candidate then adds the head and its products slot by slot: Dot's
-// additions in Dot's order (an absent component adds −0, which changes no
-// bits), so the order of the candidates, repeats, and how a set is split
-// across calls cannot change any score. TestPlanScoreBitIdenticalToEncodeDot
-// pins the additions below against the slot order. The loop scores one
-// candidate at a time: scoring four side by side, one accumulator each,
-// measured slower, because an out-of-order core already overlaps the
-// independent sums of consecutive candidates and the lanes' extra pointers
-// cost loads.
+// when its run has met its u or c before. Each candidate then adds its
+// products slot by slot: Dot's additions in Dot's order (an absent component
+// adds −0, which changes no bits), so the order of the candidates, repeats,
+// and how a set is split across calls cannot change any score.
+// TestPlanScoreBitIdenticalToEncodeDot pins the additions below against the
+// slot order. The loop scores one candidate at a time: scoring four side by
+// side, one accumulator each, measured slower, because an out-of-order core
+// already overlaps the independent sums of consecutive candidates and the
+// lanes' extra pointers cost loads.
 func (s *scorer) score(out []float64, cands []tunespace.Vector) {
 	out = out[:len(cands)]
 	var (
@@ -664,7 +662,7 @@ func (s *scorer) score(out []float64, cands []tunespace.Vector) {
 
 		// Each product is its group's term at that position of the group's
 		// slot list; the comments name the slots.
-		v := s.head
+		var v float64  // +0, as Dot's sum starts
 		v += ax[0]     // slotBx
 		v += ay[0]     // slotBy
 		v += az[0]     // slotBz

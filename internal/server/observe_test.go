@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/feature"
 	"repro/internal/store"
 	"repro/internal/svmrank"
 	"repro/internal/wal"
@@ -235,7 +236,7 @@ func swapStore(t *testing.T, names ...string) (string, *store.Store) {
 func saveVariant(t *testing.T, st *store.Store, base *store.Artifact, name string, bump float64) {
 	t.Helper()
 	w := append([]float64(nil), base.Model.W...)
-	w[0] += bump * 0.125
+	w[feature.TailStart] += bump * 0.125 // the first weight any score reads
 	a := *base
 	a.Name = name
 	a.Model = &svmrank.Model{W: w, C: base.Model.C}

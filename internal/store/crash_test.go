@@ -15,9 +15,11 @@ import (
 // to simulate a kill between writeAtomic's tmp write and its rename, and the
 // orphan sweep that cleans up afterwards.
 
+// crashArtifact returns an artifact of irregular weights, zero below
+// feature.TailStart as Save requires.
 func crashArtifact(name string) *Artifact {
 	w := make([]float64, feature.Dim)
-	for i := range w {
+	for i := feature.TailStart; i < len(w); i++ {
 		w[i] = float64(i%7) - 3
 	}
 	return &Artifact{
@@ -135,7 +137,7 @@ func TestTornWriteResave(t *testing.T) {
 		t.Fatal(err)
 	}
 	v2 := crashArtifact("m")
-	v2.Model.W[0] = 42 // distinguishable new content
+	v2.Model.W[feature.TailStart] = 42 // distinguishable new content
 	withCrashOn(t, manifestFile)
 	expectPanic(t, func() { st.Save(v2) })
 	testHookBeforeRename = nil
@@ -144,7 +146,7 @@ func TestTornWriteResave(t *testing.T) {
 		// Loading may only succeed if it returns a consistent artifact; with
 		// model.json already replaced and the old manifest in place, the hash
 		// check must have failed — reaching here means mixing went unnoticed.
-		t.Fatalf("mixed artifact loaded silently (W[0]=%v)", a.Model.W[0])
+		t.Fatalf("mixed artifact loaded silently (W[%d]=%v)", feature.TailStart, a.Model.W[feature.TailStart])
 	}
 	if err := st.Save(v2); err != nil {
 		t.Fatal(err)
@@ -153,8 +155,8 @@ func TestTornWriteResave(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Save after crash did not repair: %v", err)
 	}
-	if a.Model.W[0] != 42 {
-		t.Fatalf("repair did not land v2: W[0]=%v", a.Model.W[0])
+	if a.Model.W[feature.TailStart] != 42 {
+		t.Fatalf("repair did not land v2: W[%d]=%v", feature.TailStart, a.Model.W[feature.TailStart])
 	}
 }
 

@@ -258,8 +258,11 @@ func (s *Store) Save(a *Artifact) error {
 	if err := validName(a.Name); err != nil {
 		return err
 	}
-	if a.Model == nil || len(a.Model.W) == 0 {
+	if a.Model == nil {
 		return fmt.Errorf("store: artifact %q has no model weights", a.Name)
+	}
+	if err := checkWeights(a.Model.W); err != nil {
+		return fmt.Errorf("store: artifact %q: %w", a.Name, err)
 	}
 	meta := a.Meta
 	if meta.FeatureDim == 0 {
@@ -366,14 +369,9 @@ func LoadDir(dir string) (*Artifact, error) {
 	if len(pm.W) != pm.FeatureDim {
 		return nil, fmt.Errorf("store: artifact %s: %d weights, declared dim %d", dir, len(pm.W), pm.FeatureDim)
 	}
-	if pm.FeatureDim > feature.Dim {
-		return nil, fmt.Errorf("store: artifact %s was trained with feature dim %d, this build encodes only %d",
-			dir, pm.FeatureDim, feature.Dim)
+	if err := checkWeights(pm.W); err != nil {
+		return nil, fmt.Errorf("store: artifact %s: %w", dir, err)
 	}
-	// A smaller dim means the model predates features appended since (the
-	// encoding only ever grows at the tail). The weights load unchanged —
-	// feature.Vector.Dot treats indices past len(W) as zero weight — so the
-	// artifact keeps scoring exactly as it did when trained.
 	a := &Artifact{
 		Name:  m.Name,
 		Model: &svmrank.Model{W: pm.W, C: pm.C},
@@ -393,6 +391,29 @@ func LoadDir(dir string) (*Artifact, error) {
 		}
 	}
 	return a, nil
+}
+
+// checkWeights refuses weights this build cannot score as they were fitted.
+// The encoding emits no index below feature.TailStart, so weights that end
+// at or before it rank nothing, and a non-zero or NaN weight below it would
+// be dropped silently. Weights past feature.Dim index features this build
+// does not encode. A narrower model predates features appended since (the
+// encoding only ever grows at the end): its weights load unchanged, and
+// feature.Vector.Dot treats indices past len(W) as zero weight, so it keeps
+// scoring exactly as it did when trained.
+func checkWeights(w []float64) error {
+	if len(w) <= feature.TailStart {
+		return fmt.Errorf("%d weights end before the first encoded feature, index %d", len(w), feature.TailStart)
+	}
+	if len(w) > feature.Dim {
+		return fmt.Errorf("%d weights, this build encodes only %d features", len(w), feature.Dim)
+	}
+	for i, v := range w[:feature.TailStart] {
+		if v != 0 { // NaN too
+			return fmt.Errorf("weight %d is %v, below the first encoded feature, index %d", i, v, feature.TailStart)
+		}
+	}
+	return nil
 }
 
 // Info summarizes one stored artifact for listings.

@@ -2,11 +2,16 @@ package store_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	stenciltune "repro"
@@ -167,8 +172,9 @@ func TestGoldenFixture(t *testing.T) {
 
 func testArtifact(name string) *store.Artifact {
 	w := make([]float64, feature.Dim)
-	for i := range w {
-		// Deterministic, irregular weights exercising exact float round-trip.
+	// Deterministic, irregular weights exercising exact float round-trip,
+	// zero below feature.TailStart as Save requires.
+	for i := feature.TailStart; i < len(w); i++ {
 		w[i] = float64(i*i%97)/97.0 - 0.5
 	}
 	return &store.Artifact{
@@ -300,5 +306,81 @@ func TestListAndLoadPath(t *testing.T) {
 	}
 	if err := st.Save(&store.Artifact{Name: ".hidden", Model: testArtifact("x").Model}); err == nil {
 		t.Error("Save with hidden name succeeded")
+	}
+}
+
+// rewriteModel replaces the weights of a saved artifact on disk and updates
+// its manifest entry, as a foreign tool writing its own artifact would.
+func rewriteModel(t *testing.T, dir string, w []float64) {
+	t.Helper()
+	b, err := json.Marshal(map[string]any{"feature_dim": len(w), "w": w, "c": 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "model.json"), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mpath := filepath.Join(dir, "manifest.json")
+	mb, err := os.ReadFile(mpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(mb, &m); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(b)
+	for _, f := range m["files"].([]any) {
+		if e := f.(map[string]any); e["path"] == "model.json" {
+			e["sha256"], e["bytes"] = hex.EncodeToString(sum[:]), len(b)
+		}
+	}
+	if mb, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mpath, mb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWeightsGuard: Save and Load refuse weights that cannot score as they
+// were fitted: a non-zero or NaN weight below feature.TailStart, where no
+// feature is encoded, weights that end before it, and weights wider than
+// feature.Dim. The artifact is refused when saved and, written by another
+// tool, when loaded.
+func TestWeightsGuard(t *testing.T) {
+	head := testArtifact("m").Model.W
+	head[171] = 0.5
+	nan := testArtifact("m").Model.W
+	nan[0] = math.NaN()
+	for _, c := range []struct {
+		name, want string
+		w          []float64
+	}{
+		{"head weight", "weight 171", head},
+		{"NaN head weight", "weight 0", nan},
+		{"300 wide", "300 weights", make([]float64, 300)},
+		{"wider than Dim", "442 weights", make([]float64, feature.Dim+1)},
+	} {
+		st, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := testArtifact("m")
+		a.Meta.FeatureDim = 0
+		a.Model.W = c.w
+		if err := st.Save(a); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Save error %v, want one naming %q", c.name, err, c.want)
+		}
+		if slices.ContainsFunc(c.w, math.IsNaN) {
+			continue // JSON has no NaN, so only Save can be handed one
+		}
+		if err := st.Save(testArtifact("m")); err != nil {
+			t.Fatal(err)
+		}
+		rewriteModel(t, filepath.Join(st.Dir(), "m"), c.w)
+		if _, err := st.Load("m"); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Load error %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }

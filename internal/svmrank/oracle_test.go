@@ -109,11 +109,12 @@ func oracleDCD(d *Dataset, pairs []Pair, opt Options) ([]float64, int) {
 	return w, epoch
 }
 
-// packingDataset builds random queries whose vectors exercise every case of
-// the live-component rule: a head shared by the query except where an
-// example perturbs it (so some head indices are live), tail values drawn
-// from a small set (so some tail indices hold equal values across a pair and
-// are dead), and components at and past feature.Dim that Dot ignores.
+// packingDataset builds random queries whose vectors exercise the packing:
+// low indices shared by the query except where an example perturbs them
+// (Train must fit them as the oracle does, although the encoding emits no
+// such index), tail values drawn from a small set (so some indices hold equal
+// values across a pair and cancel in it), negative values, and components at
+// and past feature.Dim that Dot ignores.
 func packingDataset(rng *rand.Rand, queries, perQuery int) *Dataset {
 	const headLen, tailLo = 40, 360
 	levels := []float64{0, 0.25, 0.5, 1, -0.75, 1e-3}

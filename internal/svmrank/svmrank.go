@@ -11,14 +11,13 @@
 // one pair: the sum is not divided by the pair or query count. The solver is
 // dual coordinate descent, the standard exact solver for the L1-hinge linear
 // SVM. It operates on implicit difference vectors: pairs are stored as index
-// pairs, and Train first packs every example's live components into one
-// arena. A component is dead when every pair holds it with the same value in
-// both members or in neither; the head that all executions of an instance
-// share is dead in every within-query pair (the default 3,840-point set keeps
-// 31 of a vector's 73 components, 88 of 441 weights). A dead weight stays
-// exactly +0, so dropping dead components changes no margin, step or weight:
-// the result is bit-identical to running on the full sparse vectors (see
-// arena).
+// pairs, and Train first packs every example's components into one arena.
+// The encoding holds no component that an instance's executions all share,
+// since such a component would cancel in every within-query pair, so the
+// solver needs no filter for components no pair can move: the default
+// 3,840-point set has about 31 components per vector, over all 88 encoded
+// indices of the 441. The result is bit-identical to running on the full
+// sparse vectors (see arena).
 package svmrank
 
 import (
@@ -305,7 +304,7 @@ func Train(d *Dataset, opt Options) (*Model, Stats, error) {
 	}
 
 	start := time.Now()
-	a := pack(d, pairs)
+	a := pack(d)
 	w, epochs := trainDCD(d, a, pairs, opt)
 
 	stats := Stats{
@@ -314,7 +313,7 @@ func Train(d *Dataset, opt Options) (*Model, Stats, error) {
 		TrainTime: time.Since(start),
 	}
 	var reg float64
-	for _, v := range w[:len(a.live)] {
+	for _, v := range w[:feature.Dim] {
 		reg += v * v
 	}
 	obj := 0.5 * reg
@@ -326,106 +325,49 @@ func Train(d *Dataset, opt Options) (*Model, Stats, error) {
 		}
 	}
 	stats.Objective = obj
-	return &Model{W: a.unpack(w), C: opt.C}, stats, nil
+	return &Model{W: slices.Clone(w[:feature.Dim]), C: opt.C}, stats, nil
 }
 
-// arena is the training set reduced to its live components, packed for the
-// solver. A feature index is dead when every pair holds it in neither member
-// or in both with the same finite value; every other index below feature.Dim
-// is live, and indices at or past feature.Dim are dropped as Dot drops them.
-// The solver runs on a compact weight vector with one slot per live index.
+// arena is the training set packed for the solver: each example's
+// components below feature.Dim, in ascending index order, with the feature
+// index as a uint16 slot of the solver's weight vector. Indices at or past
+// feature.Dim are dropped, as Dot drops them.
 //
-// Dropping the dead indices changes no bit of the result. A dead index's
-// weight starts at +0 and stays there: a DCD step adds s·v and then −s·v,
-// and +0 + p − p = +0 for any finite p. So every product a dead component adds to a dot product is ±0, and adding ±0
-// leaves a partial sum that starts at +0 unchanged (such a sum is never −0).
-// Every margin, α step, weight, the objective and the violation count are
-// therefore those of the full sparse vectors. The rule reads only the pairs,
-// so it holds for any data, not just for vectors whose head a query shares.
+// The arena holds exactly the components Dot reads, in Dot's order, and
+// diffDot and addDiff do the oracle's arithmetic on them in the oracle's
+// order, so every margin, α step, weight, the objective and the violation
+// count are those of the full sparse vectors. A weight no component reaches
+// stays +0, as the oracle's does.
 type arena struct {
-	off  []int32   // example e's components are idx/val[off[e]:off[e+1]]
-	idx  []uint16  // slot in the compact weight vector, ascending per example
-	val  []float64 // component value
-	live []int32   // live[j] is the feature index of slot j
+	off []int32   // example e's components are idx/val[off[e]:off[e+1]]
+	idx []uint16  // feature index, ascending per example
+	val []float64 // component value
 }
 
-// slots is the capacity of the compact weight vector. Every feature index
+// slots is the capacity of the solver's weight vector. Every feature index
 // fits a slot: the blank array below fails to compile if Dim outgrows it.
 const slots = 1 << 16
 
 var _ [slots - feature.Dim]struct{}
 
-// weights is the solver's compact weight vector, slots 0..len(live)-1 in
-// use. A uint16 slot indexes it with no bounds check.
+// weights is the solver's weight vector, slots 0..feature.Dim-1 in use. A
+// uint16 slot indexes it with no bounds check.
 type weights [slots]float64
 
-// pack builds the arena of d's live components under pairs.
-func pack(d *Dataset, pairs []Pair) *arena {
-	live := make([]bool, feature.Dim)
-	for _, p := range pairs {
-		markLive(live, d.Examples[p.I].X, d.Examples[p.J].X)
-	}
+// pack builds the arena of d.
+func pack(d *Dataset) *arena {
 	a := &arena{off: make([]int32, 1, d.Len()+1)}
-	slot := make([]uint16, feature.Dim)
-	for k, l := range live {
-		if l {
-			slot[k] = uint16(len(a.live))
-			a.live = append(a.live, int32(k))
-		}
-	}
 	for _, e := range d.Examples {
 		for i, k := range e.X.Idx {
-			if int(k) >= len(live) {
+			if k >= feature.Dim {
 				break
 			}
-			if live[k] {
-				a.idx = append(a.idx, slot[k])
-				a.val = append(a.val, e.X.Val[i])
-			}
+			a.idx = append(a.idx, uint16(k))
+			a.val = append(a.val, e.X.Val[i])
 		}
 		a.off = append(a.off, int32(len(a.idx)))
 	}
 	return a
-}
-
-// markLive sets live[k] for every index below len(live) that one pair's
-// members x and y do not hold with the same finite value, by an ordered merge
-// of their indices.
-func markLive(live []bool, x, y feature.Vector) {
-	i, j := 0, 0
-	for i < len(x.Idx) || j < len(y.Idx) {
-		var k int32
-		switch {
-		case j == len(y.Idx) || (i < len(x.Idx) && x.Idx[i] < y.Idx[j]):
-			k = x.Idx[i]
-			i++
-		case i == len(x.Idx) || y.Idx[j] < x.Idx[i]:
-			k = y.Idx[j]
-			j++
-		default:
-			k = x.Idx[i]
-			v := x.Val[i]
-			i++
-			j++
-			if v == y.Val[j-1] && v-v == 0 {
-				continue // equal and finite
-			}
-		}
-		if int(k) >= len(live) {
-			return
-		}
-		live[k] = true
-	}
-}
-
-// unpack scatters the compact weights into a full weight vector of
-// feature.Dim entries, +0 at every dead index.
-func (a *arena) unpack(w *weights) []float64 {
-	full := make([]float64, feature.Dim)
-	for j, k := range a.live {
-		full[k] = w[j]
-	}
-	return full
 }
 
 // example returns example e's packed components.
