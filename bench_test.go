@@ -600,20 +600,16 @@ func BenchmarkSearchEngines(b *testing.B) {
 	}
 }
 
-// searchBenchEngines is the shared workload of the batched-vs-sequential
-// search benchmarks: the paper's base engine on a Simulate-backed objective
-// (Gradient 256³, the heaviest Fig. 5 panel).
+// searchBenchEngines is the workload of BenchmarkSearchSequential: the
+// paper's base engine on a Simulate-backed objective (Gradient 256³, the
+// heaviest Fig. 5 panel).
 func searchBenchEngines() []search.Engine {
 	return []search.Engine{search.NewGenerationalGA()}
 }
 
 const searchBenchBudget = 2048
 
-// searchBenchWorkers is ≥4 on every machine; real overlap obviously needs
-// the cores to exist.
-func searchBenchWorkers() int { return max(4, runtime.GOMAXPROCS(0)) }
-
-// BenchmarkSearchSequential is the baseline: every candidate evaluated one
+// BenchmarkSearchSequential times one search: every candidate evaluated one
 // at a time on the calling goroutine (Engine.Search).
 func BenchmarkSearchSequential(b *testing.B) {
 	eval := perfmodel.New(machine.XeonE52680v3())
@@ -633,34 +629,11 @@ func BenchmarkSearchSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchBatched runs the same engines through SearchBatch with a
-// concurrent batch evaluator; per-generation candidate sets evaluate in
-// parallel. The Result is bit-identical to the sequential run (asserted by
-// TestBatchedMatchesSequential); only the wall clock differs.
-func BenchmarkSearchBatched(b *testing.B) {
-	eval := perfmodel.New(machine.XeonE52680v3())
-	q := stencil.Instance{Kernel: stencil.Gradient(), Size: stencil.Size3D(256, 256, 256)}
-	space := tunespace.NewSpace(3)
-	workers := searchBenchWorkers()
-	for _, e := range searchBenchEngines() {
-		b.Run(e.Name(), func(b *testing.B) {
-			obj := core.BatchObjectiveFor(dataset.Batched(eval, workers), q)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r := e.SearchBatch(space, obj, searchBenchBudget, 1)
-				if r.BestValue <= 0 {
-					b.Fatal("no solution")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkDatasetGenerate measures training-set generation at the paper's
-// headline size, sequentially and with all cores (per-instance RNG streams
-// make both produce the identical Set).
+// headline size, sequentially and on at least 4 workers (per-instance RNG
+// streams make both produce the identical Set).
 func BenchmarkDatasetGenerate(b *testing.B) {
-	for _, workers := range []int{1, searchBenchWorkers()} {
+	for _, workers := range []int{1, max(4, runtime.GOMAXPROCS(0))} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			eval := perfmodel.New(machine.XeonE52680v3())
 			b.ReportAllocs()

@@ -56,7 +56,6 @@ type options struct {
 	models        string
 	addr          string
 	cacheSize     int
-	workers       int
 	timeout       time.Duration
 	drain         time.Duration
 	maxBody       int64
@@ -87,7 +86,6 @@ func main() {
 	flag.StringVar(&opts.models, "models", "models", "model store directory (written by stencil-train -save)")
 	flag.StringVar(&opts.addr, "addr", ":8080", "listen address")
 	flag.IntVar(&opts.cacheSize, "cache", 4096, "response cache capacity in entries (sharded LRU)")
-	flag.IntVar(&opts.workers, "workers", -1, "evaluation workers per request for hybrid/predict (-1 = all cores, 1 = sequential)")
 	flag.DurationVar(&opts.timeout, "timeout", 30*time.Second, "per-request timeout; expiry cancels the request context and stops evaluation work")
 	flag.DurationVar(&opts.drain, "drain", 10*time.Second, "graceful-shutdown budget for draining in-flight requests")
 	flag.Int64Var(&opts.maxBody, "max-body", server.DefaultMaxBodyBytes, "request body size cap in bytes; over-limit requests get 413 (0 or negative: the default)")
@@ -153,7 +151,6 @@ func run(opts options) error {
 	s, err := server.New(server.Config{
 		ModelDir:          opts.models,
 		CacheSize:         opts.cacheSize,
-		Workers:           opts.workers,
 		MaxBodyBytes:      opts.maxBody,
 		MeasureQueueDepth: opts.measureQueue,
 		WAL:               walLog,

@@ -45,7 +45,6 @@ func serveOpts() options {
 		models:       fixtureModelDir,
 		addr:         "127.0.0.1:0",
 		cacheSize:    64,
-		workers:      1,
 		timeout:      10 * time.Second,
 		drain:        10 * time.Second,
 		maxBody:      1 << 20,

@@ -68,7 +68,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for fresh training")
 	topk := flag.Int("topk", 0, "hybrid mode: additionally evaluate the top-k ranked candidates and pick the measured best")
 	mode := flag.String("mode", "sim", "evaluation substrate for -topk and reporting: sim or measure")
-	workers := flag.Int("workers", -1, "concurrent evaluations for fresh training and -topk (-1 = all cores, 1 = sequential); results are identical for any value")
+	workers := flag.Int("workers", -1, "concurrent training-set generation workers for fresh training (-1 = all cores, 1 = sequential); the model is identical for any value")
 	serverURL := flag.String("server", "", "tune through a running stencil-serve instance at this base URL instead of locally; -model then names a server-side model (empty = server default), and -points/-seed/-workers are ignored")
 	clientID := flag.String("client-id", "", "stable identity sent as X-Client-ID for the server's per-client rate limiter (default: the remote address)")
 	serverTimeout := flag.Duration("server-timeout", 2*time.Minute, "overall deadline for the -server call, retries included")
@@ -120,14 +120,14 @@ func main() {
 		}
 	}
 
-	var eval stenciltune.BatchEvaluator
+	var eval stenciltune.Evaluator
 	switch *mode {
 	case "sim":
-		eval = stenciltune.BatchedEvaluator(stenciltune.Simulator(), *workers)
+		eval = stenciltune.Simulator()
 	case "measure":
-		// Measured evaluators batch natively (serialized for timing
-		// fidelity) and own a worker pool that must be released on exit.
-		eval = stenciltune.BatchedEvaluator(stenciltune.Measured(), *workers)
+		// Measured evaluators own a worker pool that must be released on
+		// exit.
+		eval = stenciltune.Measured()
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 	}

@@ -18,11 +18,10 @@ import (
 )
 
 func main() {
-	// Fan the simulator out to all cores, then memoize on top, so
-	// configurations proposed by several engines are costed once and each
-	// generation's cache misses evaluate concurrently. Neither wrapper
-	// changes any result — only how fast it arrives.
-	eval := stenciltune.MemoizedEvaluator(stenciltune.BatchedEvaluator(stenciltune.Simulator(), -1))
+	// Memoize the simulator, so configurations proposed by several engines
+	// are costed once. The cache changes no result, only how fast it
+	// arrives.
+	eval := stenciltune.MemoizedEvaluator(stenciltune.Simulator())
 	q := stenciltune.Instance{
 		Kernel: stenciltune.Gradient(),
 		Size:   stenciltune.Size3D(256, 256, 256),
@@ -38,10 +37,10 @@ func main() {
 
 	fmt.Printf("%-26s %14s %16s\n", "method", "best runtime", "evaluations spent")
 
-	// Iterative search baselines, 1024 evaluations each, batched through
-	// the evaluator stack above.
+	// Iterative search baselines, 1024 evaluations each, through the
+	// memoized evaluator above.
 	for _, engine := range stenciltune.SearchEngines() {
-		res, err := stenciltune.RunSearchBatched(engine, q, eval, 1024, 7, -1)
+		res, err := stenciltune.RunSearch(engine, q, eval, 1024, 7)
 		if err != nil {
 			log.Fatal(err)
 		}

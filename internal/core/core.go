@@ -139,11 +139,10 @@ type HybridResult struct {
 // while the set is scored a chunk at a time (svmrank.Top), never by
 // sorting the whole set or holding a score per candidate, and is exactly
 // the head of Rank's order. With k ≪ |cands| this turns a 1024-evaluation
-// search into a handful of runs. The k measurements are submitted as one
-// batch (a concurrency-capable objective overlaps them); the winner is
-// picked in rank order, so results never depend on the batch schedule. It
-// fails when no score is a number above −Inf.
-func (t *Tuner) HybridTopK(q stencil.Instance, cands []tunespace.Vector, k int, obj search.BatchObjective) (HybridResult, error) {
+// search into a handful of runs. The k candidates are evaluated in rank
+// order, and the first strict minimum wins. It fails when no score is a
+// number above −Inf.
+func (t *Tuner) HybridTopK(q stencil.Instance, cands []tunespace.Vector, k int, obj search.Objective) (HybridResult, error) {
 	if k <= 0 {
 		return HybridResult{}, fmt.Errorf("core: k = %d must be positive", k)
 	}
@@ -164,13 +163,9 @@ func (t *Tuner) HybridTopK(q stencil.Instance, cands []tunespace.Vector, k int, 
 	order := sel.Indices()
 	res := HybridResult{RankedFrom: len(cands), ModelBest: cands[order[0]], RankTime: time.Since(start)}
 	res.Evaluations = len(order)
-	top := make([]tunespace.Vector, len(order))
 	for i, o := range order {
-		top[i] = cands[o]
-	}
-	for i, val := range obj(top) {
-		if i == 0 || val < res.BestValue {
-			res.Best = top[i]
+		if val := obj(cands[o]); i == 0 || val < res.BestValue {
+			res.Best = cands[o]
 			res.BestValue = val
 		}
 	}
@@ -182,13 +177,6 @@ func (t *Tuner) HybridTopK(q stencil.Instance, cands []tunespace.Vector, k int, 
 // ObjectiveFor wraps an Evaluator into a search objective for one instance.
 func ObjectiveFor(eval dataset.Evaluator, q stencil.Instance) search.Objective {
 	return func(v tunespace.Vector) float64 { return eval.Runtime(q, v) }
-}
-
-// BatchObjectiveFor wraps a BatchEvaluator into a search batch objective for
-// one instance; engines running SearchBatch through it overlap each
-// generation's evaluations as far as the evaluator allows.
-func BatchObjectiveFor(eval dataset.BatchEvaluator, q stencil.Instance) search.BatchObjective {
-	return func(vs []tunespace.Vector) []float64 { return eval.RuntimeBatch(q, vs) }
 }
 
 // TopOfRanking is a convenience for analyses: it returns the candidates

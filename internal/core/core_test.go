@@ -1,14 +1,12 @@
 package core
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
-	"repro/internal/search"
 	"repro/internal/stencil"
 	"repro/internal/svmrank"
 	"repro/internal/tunespace"
@@ -164,7 +162,7 @@ func TestHybridTopK(t *testing.T) {
 	eval, tuner := trainOnce(t)
 	q := lap128()
 	cands := tunespace.NewSpace(3).Predefined()
-	obj := search.SequentialBatch(ObjectiveFor(eval, q))
+	obj := ObjectiveFor(eval, q)
 
 	res, err := tuner.HybridTopK(q, cands, 16, obj)
 	if err != nil {
@@ -257,41 +255,5 @@ func TestBestMatchesRankHead(t *testing.T) {
 	}
 	if best != cands[order[0]] {
 		t.Errorf("Best = %v, Rank head = %v", best, cands[order[0]])
-	}
-}
-
-// TestHybridTopKBatchedMatchesSequential: the hybrid coupling must pick the
-// same winner whether the top-k measurements run one at a time or fan out.
-func TestHybridTopKBatchedMatchesSequential(t *testing.T) {
-	eval, tuner := trainOnce(t)
-	q := lap128()
-	cands := tunespace.NewSpace(3).Predefined()
-
-	seq, err := tuner.HybridTopK(q, cands, 16, search.SequentialBatch(ObjectiveFor(eval, q)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bat, err := tuner.HybridTopK(q, cands, 16, BatchObjectiveFor(dataset.Batched(eval, 4), q))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Best != bat.Best || seq.BestValue != bat.BestValue || seq.Evaluations != bat.Evaluations {
-		t.Errorf("batched hybrid diverged: %+v vs %+v", seq, bat)
-	}
-}
-
-// TestBatchObjectiveForOrdering: values must land at their input indices.
-func TestBatchObjectiveForOrdering(t *testing.T) {
-	eval := perfmodel.New(machine.XeonE52680v3())
-	q := lap128()
-	obj := BatchObjectiveFor(dataset.Batched(eval, 8), q)
-	space := tunespace.NewSpace(3)
-	rng := rand.New(rand.NewSource(1))
-	vs := space.RandomSet(rng, 50)
-	got := obj(vs)
-	for i, v := range vs {
-		if want := eval.Runtime(q, v); got[i] != want {
-			t.Fatalf("slot %d: %v != %v", i, got[i], want)
-		}
 	}
 }

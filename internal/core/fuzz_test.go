@@ -77,9 +77,9 @@ func FuzzSelection(f *testing.F) {
 				t.Fatalf("%s: Best %v, ArgMax of the scores %v", q.ID(), best, want)
 			}
 			var got []tunespace.Vector
-			if _, err := tu.HybridTopK(q, cands, k, func(vs []tunespace.Vector) []float64 {
-				got = slices.Clone(vs)
-				return make([]float64, len(vs))
+			if _, err := tu.HybridTopK(q, cands, k, func(v tunespace.Vector) float64 {
+				got = append(got, v)
+				return 0
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -215,9 +215,9 @@ func TestSelectionMatchesFullScores(t *testing.T) {
 					}
 					for _, k := range []int{1, 4, 300} {
 						var got []tunespace.Vector
-						_, err := tu.HybridTopK(q, cands, k, func(vs []tunespace.Vector) []float64 {
-							got = slices.Clone(vs)
-							return make([]float64, len(vs))
+						_, err := tu.HybridTopK(q, cands, k, func(v tunespace.Vector) float64 {
+							got = append(got, v)
+							return 0
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -271,9 +271,9 @@ func TestSelectionFailsWhenNothingScores(t *testing.T) {
 		if _, err := tu.Best(q, cands); err == nil {
 			t.Errorf("%s weights: Best picked a candidate", name)
 		}
-		if _, err := tu.HybridTopK(q, cands, 4, func(vs []tunespace.Vector) []float64 {
-			t.Errorf("%s weights: HybridTopK measured %d candidates", name, len(vs))
-			return make([]float64, len(vs))
+		if _, err := tu.HybridTopK(q, cands, 4, func(tunespace.Vector) float64 {
+			t.Errorf("%s weights: HybridTopK measured a candidate", name)
+			return 0
 		}); err == nil {
 			t.Errorf("%s weights: HybridTopK picked candidates", name)
 		}
@@ -286,12 +286,10 @@ func TestHybridModelBestIsBest(t *testing.T) {
 	tu := randomTuner(5)
 	q := lap128()
 	cands := tunespace.NewSpace(3).Predefined()
-	res, err := tu.HybridTopK(q, cands, 3, func(vs []tunespace.Vector) []float64 {
-		out := make([]float64, len(vs))
-		for i := range out {
-			out[i] = float64(len(vs) - i)
-		}
-		return out
+	left := 3.0
+	res, err := tu.HybridTopK(q, cands, 3, func(tunespace.Vector) float64 {
+		left--
+		return left
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -314,12 +312,8 @@ func TestHybridModelBestIsBest(t *testing.T) {
 // models make most scores tie, and the objective ties too, so both the
 // selection's and the winner's tie-breaking are exercised.
 func TestHybridTopKMatchesRankThenSlice(t *testing.T) {
-	obj := func(vs []tunespace.Vector) []float64 {
-		out := make([]float64, len(vs))
-		for i, v := range vs {
-			out[i] = float64((v.Bx*7+v.By*13+v.Bz*3+v.U*5+v.C)%11) + 0.5
-		}
-		return out
+	obj := func(v tunespace.Vector) float64 {
+		return float64((v.Bx*7+v.By*13+v.Bz*3+v.U*5+v.C)%11) + 0.5
 	}
 	sparse := make([]float64, feature.Dim)
 	for i := len(sparse) - 8; i < len(sparse); i++ {
@@ -347,9 +341,9 @@ func TestHybridTopKMatchesRankThenSlice(t *testing.T) {
 					top[i] = cands[order[i]]
 				}
 				want := HybridResult{ModelBest: top[0], Evaluations: len(top)}
-				for i, v := range obj(top) {
-					if i == 0 || v < want.BestValue {
-						want.Best, want.BestValue = top[i], v
+				for i, v := range top {
+					if val := obj(v); i == 0 || val < want.BestValue {
+						want.Best, want.BestValue = v, val
 					}
 				}
 				if got.Best != want.Best || got.BestValue != want.BestValue ||

@@ -341,15 +341,6 @@ func generateInstance(eval Evaluator, q stencil.Instance, n int, rng *rand.Rand,
 		executions: make([]Execution, 0, len(vectors)),
 		examples:   make([]svmrank.Example, 0, len(vectors)),
 	}
-	if be, ok := eval.(BatchEvaluator); ok {
-		// Batch-capable evaluators cost the whole draw in one call (the
-		// heuristic sampler already spent its refinement probes above).
-		runtimes := be.RuntimeBatch(q, vectors)
-		for i, tv := range vectors {
-			p.add(q, tv, runtimes[i])
-		}
-		return p
-	}
 	for _, tv := range vectors {
 		p.add(q, tv, eval.Runtime(q, tv))
 	}

@@ -33,66 +33,46 @@ func testVectors(n int) []tunespace.Vector {
 	return out
 }
 
-func TestBatchedPreservesOrder(t *testing.T) {
-	q := testInstance()
-	vs := testVectors(37)
-	seq := evaluator()
-	want := make([]float64, len(vs))
-	for i, tv := range vs {
-		want[i] = seq.Runtime(q, tv)
-	}
-	for _, workers := range []int{1, 2, 4, 8, 100} {
-		be := Batched(evaluator(), workers)
-		got := be.RuntimeBatch(q, vs)
-		for i := range vs {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: result %d = %v, want %v", workers, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestBatchedReturnsBatchEvaluatorsUnchanged(t *testing.T) {
-	inner := Memoized(evaluator())
-	if got := Batched(inner, 4); got != inner {
-		t.Error("Batched re-wrapped an evaluator that already batches")
-	}
-}
-
 func TestMemoizedCachesAcrossCalls(t *testing.T) {
 	c := &countingEval{inner: evaluator()}
 	m := Memoized(c)
 	q := testInstance()
 	vs := testVectors(10)
 
-	first := m.RuntimeBatch(q, vs)
+	first := runtimes(m, q, vs)
 	if got := c.calls.Load(); got != 10 {
-		t.Fatalf("first batch: %d evaluations, want 10", got)
+		t.Fatalf("first pass: %d evaluations, want 10", got)
 	}
-	second := m.RuntimeBatch(q, vs)
+	second := runtimes(m, q, vs)
 	if got := c.calls.Load(); got != 10 {
-		t.Errorf("repeat batch re-evaluated: %d calls", got)
+		t.Errorf("repeat pass re-evaluated: %d calls", got)
 	}
 	for i := range vs {
 		if first[i] != second[i] {
 			t.Fatalf("cached value %d differs", i)
 		}
-		if m.Runtime(q, vs[i]) != first[i] {
-			t.Fatalf("single-call path misses cache at %d", i)
-		}
-	}
-	if got := c.calls.Load(); got != 10 {
-		t.Errorf("Runtime path re-evaluated cached keys: %d calls", got)
 	}
 }
 
+// runtimes evaluates vs in order, the way a search generation or a predict
+// request's vector list reaches the evaluator.
+func runtimes(e Evaluator, q stencil.Instance, vs []tunespace.Vector) []float64 {
+	out := make([]float64, len(vs))
+	for i, v := range vs {
+		out[i] = e.Runtime(q, v)
+	}
+	return out
+}
+
+// TestMemoizedDedupesWithinBatch: a list of vectors that repeats some of
+// them evaluates each distinct vector once.
 func TestMemoizedDedupesWithinBatch(t *testing.T) {
 	c := &countingEval{inner: evaluator()}
 	m := Memoized(c)
 	q := testInstance()
 	v := tunespace.Vector{Bx: 32, By: 16, Bz: 8, U: 2, C: 2}
 	w := tunespace.Vector{Bx: 64, By: 16, Bz: 8, U: 2, C: 2}
-	out := m.RuntimeBatch(q, []tunespace.Vector{v, w, v, v, w})
+	out := runtimes(m, q, []tunespace.Vector{v, w, v, v, w})
 	if got := c.calls.Load(); got != 2 {
 		t.Errorf("%d evaluations for 2 distinct vectors", got)
 	}
@@ -121,12 +101,8 @@ func TestMemoizedConcurrentUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for rep := 0; rep < 20; rep++ {
-				if g%2 == 0 {
-					m.RuntimeBatch(q, vs)
-				} else {
-					for _, tv := range vs {
-						m.Runtime(q, tv)
-					}
+				for i := range vs {
+					m.Runtime(q, vs[(i+g)%len(vs)])
 				}
 			}
 		}(g)
@@ -172,18 +148,6 @@ func TestGenerateParallelMatchesSequentialHeuristic(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSetsIdentical(t, seq, par)
-}
-
-func TestGenerateWithBatchEvaluator(t *testing.T) {
-	plain, err := Generate(evaluator(), Options{TargetPoints: 960, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	batched, err := Generate(Batched(evaluator(), 4), Options{TargetPoints: 960, Seed: 5, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSetsIdentical(t, plain, batched)
 }
 
 func assertSetsIdentical(t *testing.T, a, b *Set) {
@@ -243,11 +207,11 @@ func TestMemoizedCachesNaNRuntimes(t *testing.T) {
 	m := Memoized(e)
 	q := testInstance()
 
-	first := m.RuntimeBatch(q, []tunespace.Vector{bad, good})
+	first := runtimes(m, q, []tunespace.Vector{bad, good})
 	if !math.IsNaN(first[0]) || math.IsNaN(first[1]) {
-		t.Fatalf("first batch wrong: %v", first)
+		t.Fatalf("first pass wrong: %v", first)
 	}
-	second := m.RuntimeBatch(q, []tunespace.Vector{bad, good})
+	second := runtimes(m, q, []tunespace.Vector{bad, good})
 	if !math.IsNaN(second[0]) {
 		t.Errorf("cached NaN slot answered %v (filled from another vector?)", second[0])
 	}

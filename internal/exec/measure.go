@@ -240,44 +240,33 @@ func (m *Measurer) MeasureBatch(q stencil.Instance, ts []tunespace.Vector) ([]fl
 }
 
 // Session is one caller's view of a Measurer with the evaluator contract
-// of the perfmodel simulator: Runtime and RuntimeBatch report seconds, and a
-// configuration the executor cannot run reports math.Inf(1) at its slot.
-// The session keeps the executor's first such error, so a caller whose
-// every measurement failed can report why instead of an infinite time.
-// Measurements still serialize on the shared Measurer.
+// of the perfmodel simulator: Runtime reports seconds, and a configuration
+// the executor cannot run reports math.Inf(1). The session keeps the
+// executor's first such error, so a caller whose every measurement failed
+// can report why instead of an infinite time. A session belongs to one
+// goroutine; its measurements serialize on the shared Measurer.
 type Session struct {
 	m   *Measurer
-	mu  sync.Mutex
 	err error
 }
 
 // Session returns a fresh per-caller session on the measurer.
 func (m *Measurer) Session() *Session { return &Session{m: m} }
 
-// Runtime measures one tuning vector.
+// Runtime measures one tuning vector through Measure, keeping its error.
 func (s *Session) Runtime(q stencil.Instance, t tunespace.Vector) float64 {
-	return s.RuntimeBatch(q, []tunespace.Vector{t})[0]
-}
-
-// RuntimeBatch measures a batch through MeasureBatch, keeping its error.
-func (s *Session) RuntimeBatch(q stencil.Instance, ts []tunespace.Vector) []float64 {
-	out, err := s.m.MeasureBatch(q, ts)
+	secs, err := s.m.Measure(q, t)
 	if err != nil {
-		s.mu.Lock()
 		if s.err == nil {
 			s.err = err
 		}
-		s.mu.Unlock()
+		return math.Inf(1)
 	}
-	return out
+	return secs
 }
 
 // Err returns the first measurement error of the session, or nil.
-func (s *Session) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
+func (s *Session) Err() error { return s.err }
 
 // measureLocked is Measure's body for q's executable kernel k; callers hold
 // m.mu. It dispatches to the runner and workspace cache matching the

@@ -26,7 +26,6 @@
 package middleware
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"runtime/debug"
@@ -58,16 +57,10 @@ func writeJSONError(w http.ResponseWriter, code int, msg string) {
 // RequestIDHeader is the wire header for request correlation IDs.
 const RequestIDHeader = "X-Request-ID"
 
-// RequestIDFrom returns the correlation ID injected by RequestID, or "".
-// The ID lives in the context under obs's key, so the server, the logger
-// and the client library all read the same value.
-func RequestIDFrom(ctx context.Context) string {
-	return obs.RequestIDFrom(ctx)
-}
-
 // RequestID propagates the client's X-Request-ID (or generates a fresh
 // 16-hex-digit one) into the request context and echoes it on the response,
-// so one ID correlates client logs, server logs and panic reports.
+// so one ID correlates client logs, server logs and panic reports. The ID
+// lives under obs's context key: obs.RequestIDFrom reads it.
 func RequestID() func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -110,7 +103,7 @@ func Recover(logger *obs.Logger, reg *obs.Registry) func(http.Handler) http.Hand
 				}
 				panics.Inc()
 				logger.Error("panic recovered",
-					obs.F("request_id", RequestIDFrom(r.Context())),
+					obs.F("request_id", obs.RequestIDFrom(r.Context())),
 					obs.F("method", r.Method),
 					obs.F("path", r.URL.Path),
 					obs.F("panic", fmt.Sprint(rec)),

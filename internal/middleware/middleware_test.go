@@ -49,7 +49,7 @@ func TestChainOrder(t *testing.T) {
 func TestRequestIDGeneratedAndPropagated(t *testing.T) {
 	var seen string
 	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		seen = RequestIDFrom(r.Context())
+		seen = obs.RequestIDFrom(r.Context())
 	}), RequestID())
 
 	// Generated when absent.

@@ -30,15 +30,9 @@ func NewGenerationalGA() *GenerationalGA {
 // Name implements Engine.
 func (*GenerationalGA) Name() string { return "genetic algorithm" }
 
-// Search implements Engine.
+// Search implements Engine. A generation's children are bred against the
+// frozen parent population; no proposal depends on a sibling's fitness.
 func (g *GenerationalGA) Search(space tunespace.Space, obj Objective, budget int, seed int64) Result {
-	return g.SearchBatch(space, SequentialBatch(obj), budget, seed)
-}
-
-// SearchBatch implements Engine. A generation's children are bred against
-// the frozen parent population — no proposal depends on a sibling's fitness
-// — so the whole brood is submitted as one batch.
-func (g *GenerationalGA) SearchBatch(space tunespace.Space, obj BatchObjective, budget int, seed int64) Result {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(seed))
 	t := newTracker(obj, budget)
@@ -55,18 +49,16 @@ func (g *GenerationalGA) SearchBatch(space tunespace.Space, obj BatchObjective, 
 		if n <= 0 {
 			break // degenerate config (elites fill the population)
 		}
-		children := make([]tunespace.Vector, n)
-		for i := range children {
+		for range n {
 			a := tournament(pop, rng, g.TournamentK)
 			b := tournament(pop, rng, g.TournamentK)
 			child := a.v
 			if rng.Float64() < g.CrossoverP {
 				child = space.Crossover(rng, a.v, b.v)
 			}
-			children[i] = space.Mutate(rng, child, g.MutationRate)
-		}
-		for i, fit := range t.evalBatch(children) {
-			next = append(next, individual{children[i], fit})
+			child = space.Mutate(rng, child, g.MutationRate)
+			fit, _ := t.eval(child)
+			next = append(next, individual{child, fit})
 		}
 		pop = next
 	}
@@ -78,8 +70,7 @@ func (g *GenerationalGA) SearchBatch(space tunespace.Space, obj BatchObjective, 
 
 // SteadyStateGA breeds one child at a time and replaces the current worst
 // individual when the child improves on it — the "sGA" of Fig. 4. Each
-// proposal depends on the previous replacement, so the engine is inherently
-// sequential: under SearchBatch it submits single-candidate batches.
+// proposal depends on the previous replacement.
 type SteadyStateGA struct {
 	PopSize      int
 	TournamentK  int
@@ -96,12 +87,6 @@ func (*SteadyStateGA) Name() string { return "sGA" }
 
 // Search implements Engine.
 func (g *SteadyStateGA) Search(space tunespace.Space, obj Objective, budget int, seed int64) Result {
-	return g.SearchBatch(space, SequentialBatch(obj), budget, seed)
-}
-
-// SearchBatch implements Engine. Only the initial population evaluates as a
-// real batch; see the type comment for why breeding cannot.
-func (g *SteadyStateGA) SearchBatch(space tunespace.Space, obj BatchObjective, budget int, seed int64) Result {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(seed))
 	t := newTracker(obj, budget)
@@ -134,10 +119,8 @@ func (g *SteadyStateGA) SearchBatch(space tunespace.Space, obj BatchObjective, b
 
 // DifferentialEvolution implements DE/rand/1/bin adapted to the integer
 // tuning space via Space.Blend, in its textbook synchronous form: every
-// trial of a generation is built against the same population snapshot, the
-// generation is evaluated as one batch, and selection is applied afterwards.
-// (Synchronous generations are both the canonical DE formulation and what
-// makes the population batchable.)
+// trial of a generation is built against the same population snapshot, and
+// selection is applied once the whole generation is evaluated.
 type DifferentialEvolution struct {
 	PopSize    int
 	F          float64 // differential weight
@@ -157,11 +140,6 @@ func (*DifferentialEvolution) Name() string { return "differential evolution" }
 
 // Search implements Engine.
 func (de *DifferentialEvolution) Search(space tunespace.Space, obj Objective, budget int, seed int64) Result {
-	return de.SearchBatch(space, SequentialBatch(obj), budget, seed)
-}
-
-// SearchBatch implements Engine.
-func (de *DifferentialEvolution) SearchBatch(space tunespace.Space, obj BatchObjective, budget int, seed int64) Result {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(seed))
 	t := newTracker(obj, budget)
@@ -176,9 +154,9 @@ func (de *DifferentialEvolution) SearchBatch(space tunespace.Space, obj BatchObj
 			mutant := space.Blend(pop[a].v, pop[b].v, pop[c].v, de.F)
 			trials[i] = binCrossover(rng, space, mutant, pop[i].v, de.CrossoverP)
 		}
-		for i, fit := range t.evalBatch(trials) {
-			if fit < pop[i].fit {
-				pop[i] = individual{trials[i], fit}
+		for i, v := range trials {
+			if fit, _ := t.eval(v); fit < pop[i].fit {
+				pop[i] = individual{v, fit}
 			}
 		}
 	}
@@ -218,14 +196,9 @@ func NewEvolutionStrategy() *EvolutionStrategy {
 // Name implements Engine.
 func (*EvolutionStrategy) Name() string { return "evolutive strategy" }
 
-// Search implements Engine.
+// Search implements Engine. All λ offspring of a generation mutate the same
+// frozen parent set.
 func (es *EvolutionStrategy) Search(space tunespace.Space, obj Objective, budget int, seed int64) Result {
-	return es.SearchBatch(space, SequentialBatch(obj), budget, seed)
-}
-
-// SearchBatch implements Engine. All λ offspring of a generation mutate the
-// same frozen parent set, so they evaluate as one batch.
-func (es *EvolutionStrategy) SearchBatch(space tunespace.Space, obj BatchObjective, budget int, seed int64) Result {
 	start := time.Now()
 	rng := rand.New(rand.NewSource(seed))
 	t := newTracker(obj, budget)
@@ -236,16 +209,14 @@ func (es *EvolutionStrategy) SearchBatch(space tunespace.Space, obj BatchObjecti
 		mu := min(es.Mu, len(pop))
 		parents := pop[:mu]
 		n := min(es.Lambda, t.remaining())
-		children := make([]tunespace.Vector, n)
-		for k := range children {
+		next := append(make([]individual, 0, mu+n), parents...)
+		for range n {
 			p := parents[rng.Intn(len(parents))]
-			children[k] = space.Mutate(rng, p.v, es.MutationRate)
+			child := space.Mutate(rng, p.v, es.MutationRate)
+			fit, _ := t.eval(child)
+			next = append(next, individual{child, fit})
 		}
-		offspring := make([]individual, 0, n)
-		for k, fit := range t.evalBatch(children) {
-			offspring = append(offspring, individual{children[k], fit})
-		}
-		pop = append(append([]individual(nil), parents...), offspring...)
+		pop = next
 	}
 	return t.result(es.Name(), start)
 }
@@ -253,22 +224,18 @@ func (es *EvolutionStrategy) SearchBatch(space tunespace.Space, obj BatchObjecti
 // ---------------------------------------------------------------------------
 // Shared helpers
 
-// initPopulation draws and evaluates the initial population as one batch;
-// random draws never depend on results, so the trajectory matches the old
-// draw-evaluate-draw loop exactly.
+// initPopulation draws and evaluates the initial population of up to n
+// random individuals, within the remaining budget.
 func initPopulation(space tunespace.Space, rng *rand.Rand, t *tracker, n int) []individual {
 	n = min(n, t.remaining())
 	if n <= 0 {
 		return nil
 	}
-	vs := make([]tunespace.Vector, n)
-	for i := range vs {
-		vs[i] = space.Random(rng)
-	}
-	vals := t.evalBatch(vs)
 	pop := make([]individual, n)
 	for i := range pop {
-		pop[i] = individual{vs[i], vals[i]}
+		v := space.Random(rng)
+		fit, _ := t.eval(v)
+		pop[i] = individual{v, fit}
 	}
 	return pop
 }

@@ -19,27 +19,6 @@ import (
 // (lower is better). Each call counts against the engine's budget.
 type Objective func(tunespace.Vector) float64
 
-// BatchObjective evaluates a set of tuning vectors and returns their runtimes
-// in input order (one value per vector). Implementations may evaluate the
-// vectors concurrently; engines never submit a vector whose proposal depends
-// on a sibling's result, so any schedule is legal. Each *vector* counts
-// against the engine's budget exactly as with Objective.
-type BatchObjective func([]tunespace.Vector) []float64
-
-// SequentialBatch adapts a plain Objective into a BatchObjective that
-// evaluates one vector at a time on the calling goroutine. It is the
-// evaluation substrate behind every engine's Search method, which makes
-// "sequential run" and "batched run with one worker" the same code path.
-func SequentialBatch(obj Objective) BatchObjective {
-	return func(vs []tunespace.Vector) []float64 {
-		out := make([]float64, len(vs))
-		for i, v := range vs {
-			out[i] = obj(v)
-		}
-		return out
-	}
-}
-
 // HistoryPoint records the best value known after a given number of
 // evaluations.
 type HistoryPoint struct {
@@ -81,21 +60,13 @@ type Engine interface {
 	// Search minimizes obj over the space within the evaluation budget,
 	// evaluating candidates one at a time on the calling goroutine.
 	Search(space tunespace.Space, obj Objective, budget int, seed int64) Result
-	// SearchBatch is Search with batched evaluation: the engine submits each
-	// generation's (or chunk's) independent candidates as one BatchObjective
-	// call, which may run them concurrently. Results are committed in
-	// proposal order, so for a deterministic objective the returned Result
-	// (Best, BestValue, History) is bit-identical to Search under the same
-	// seed. Search is implemented as SearchBatch over SequentialBatch(obj).
-	SearchBatch(space tunespace.Space, obj BatchObjective, budget int, seed int64) Result
 }
 
-// tracker wraps a batch objective with budget accounting and best-so-far
-// history. Evaluations may be scheduled concurrently by the BatchObjective,
-// but accounting is committed in proposal order — the deterministic-ordering
-// layer that keeps batched and sequential runs bit-identical.
+// tracker wraps an objective with budget accounting and best-so-far
+// history. It calls the objective once for each first-seen vector, in
+// proposal order.
 type tracker struct {
-	batch   BatchObjective
+	obj     Objective
 	budget  int
 	used    int
 	best    tunespace.Vector
@@ -106,9 +77,9 @@ type tracker struct {
 	memo map[tunespace.Vector]float64
 }
 
-func newTracker(batch BatchObjective, budget int) *tracker {
+func newTracker(obj Objective, budget int) *tracker {
 	return &tracker{
-		batch:   batch,
+		obj:     obj,
 		budget:  budget,
 		bestVal: inf(),
 		history: make([]HistoryPoint, 0, budget),
@@ -122,63 +93,34 @@ func inf() float64 { return math.Inf(1) }
 func (t *tracker) exhausted() bool { return t.used >= t.budget }
 
 // remaining returns how many evaluations the budget still allows. Engines
-// use it to size a generation's batch — the same cut-off the sequential
-// loops applied one proposal at a time.
+// use it to size a generation, so that every proposal of it is charged.
 func (t *tracker) remaining() int { return t.budget - t.used }
 
-// evalBatch evaluates the proposals in vs, truncated to the remaining
-// budget, and returns the runtime of each accepted proposal in order. Every
-// accepted proposal charges one evaluation against the budget — the paper
-// runs each engine for a fixed number of iterations, so proposing an
-// already-seen configuration still costs an iteration (otherwise a converged
-// engine that keeps re-proposing its optimum would loop forever). Only
-// first-seen vectors reach the objective (the memo supplies the rest), and
-// best/history bookkeeping is committed strictly in proposal order.
-func (t *tracker) evalBatch(vs []tunespace.Vector) []float64 {
-	n := min(len(vs), t.remaining())
-	if n == 0 {
-		return nil
-	}
-	vs = vs[:n]
-	var fresh []tunespace.Vector
-	for _, v := range vs {
-		if _, seen := t.memo[v]; !seen {
-			t.memo[v] = math.NaN() // placeholder: claims the slot for batch dedup
-			fresh = append(fresh, v)
-		}
-	}
-	if len(fresh) > 0 {
-		vals := t.batch(fresh)
-		for i, v := range fresh {
-			t.memo[v] = vals[i]
-		}
-	}
-	out := make([]float64, n)
-	for i, v := range vs {
-		val := t.memo[v]
-		t.used++
-		if val < t.bestVal {
-			t.bestVal = val
-			t.best = v
-		}
-		t.history = append(t.history, HistoryPoint{Evaluation: t.used, Value: t.bestVal, Vector: t.best})
-		out[i] = val
-	}
-	return out
-}
-
-// eval evaluates a single vector — the path the inherently sequential
-// steady-state GA uses, since each of its proposals depends on the previous
-// result. It returns the
-// runtime and false when the budget is exhausted.
+// eval charges one evaluation for v and returns its runtime, or false when
+// the budget is exhausted. The paper runs each engine for a fixed number of
+// iterations, so proposing an already-seen configuration still costs an
+// iteration (otherwise a converged engine that keeps re-proposing its
+// optimum would loop forever); only first-seen vectors reach the objective,
+// and the memo supplies the rest.
 func (t *tracker) eval(v tunespace.Vector) (float64, bool) {
+	val, seen := t.memo[v]
 	if t.exhausted() {
-		if val, ok := t.memo[v]; ok {
+		if seen {
 			return val, true // answering from cache is free after exhaustion
 		}
 		return inf(), false
 	}
-	return t.evalBatch([]tunespace.Vector{v})[0], true
+	if !seen {
+		val = t.obj(v)
+		t.memo[v] = val
+	}
+	t.used++
+	if val < t.bestVal {
+		t.bestVal = val
+		t.best = v
+	}
+	t.history = append(t.history, HistoryPoint{Evaluation: t.used, Value: t.bestVal, Vector: t.best})
+	return val, true
 }
 
 func (t *tracker) result(name string, start time.Time) Result {

@@ -156,7 +156,7 @@ func TestMemoAvoidsRecomputationButChargesBudget(t *testing.T) {
 		calls++
 		return 1
 	}
-	tr := newTracker(SequentialBatch(obj), 10)
+	tr := newTracker(obj, 10)
 	v := tunespace.Vector{Bx: 4, By: 4, Bz: 4, U: 0, C: 1}
 	tr.eval(v)
 	tr.eval(v)
@@ -174,7 +174,7 @@ func TestTrackerTerminatesOnConvergedEngine(t *testing.T) {
 	// its budget rather than loop (the regression behind this test hung
 	// Fig. 4 for minutes).
 	obj := func(v tunespace.Vector) float64 { return 1 }
-	tr := newTracker(SequentialBatch(obj), 5)
+	tr := newTracker(obj, 5)
 	v := tunespace.Vector{Bx: 4, By: 4, Bz: 4, U: 0, C: 1}
 	for i := 0; i < 5; i++ {
 		if _, ok := tr.eval(v); !ok {
@@ -188,7 +188,7 @@ func TestTrackerTerminatesOnConvergedEngine(t *testing.T) {
 
 func TestTrackerBudgetExhaustion(t *testing.T) {
 	obj := func(v tunespace.Vector) float64 { return float64(v.Bx) }
-	tr := newTracker(SequentialBatch(obj), 2)
+	tr := newTracker(obj, 2)
 	a := tunespace.Vector{Bx: 4, By: 4, Bz: 4, U: 0, C: 1}
 	b := tunespace.Vector{Bx: 8, By: 4, Bz: 4, U: 0, C: 1}
 	c := tunespace.Vector{Bx: 16, By: 4, Bz: 4, U: 0, C: 1}

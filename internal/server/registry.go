@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/machine"
 	"repro/internal/perfmodel"
 	"repro/internal/store"
@@ -23,9 +24,9 @@ type loadedModel struct {
 	art   *store.Artifact
 	tuner *core.Tuner
 	// sim is the deterministic evaluator for this model's machine
-	// description (the training default when the artifact carries none).
-	// *perfmodel.Model is read-only and safe for any concurrency.
-	sim *perfmodel.Model
+	// description (the training default when the artifact carries none):
+	// a read-only *perfmodel.Model, safe for any concurrency.
+	sim dataset.Evaluator
 }
 
 // regState is one immutable generation of the registry: the loaded models, a

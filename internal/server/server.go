@@ -16,11 +16,12 @@
 // Hot-path economics: responses are cached in a sharded LRU keyed by (model,
 // kernel structure, size, vector set, mode), and concurrent identical
 // requests coalesce through a singleflight group, so a thundering herd of
-// equal tune queries costs a single inference. Evaluation reuses the batch
-// pipeline — BatchedContext fan-out honoring the request context, Memoized
-// de-duplication — and mode=measure requests serialize wall-clock timing
-// through exec.Measurer.MeasureBatch for fidelity (the measurer's pooled
-// grids and compiled plans make repeats allocation-free).
+// equal tune queries costs a single inference. A request evaluates its
+// vectors one at a time on its own goroutine, through a per-request memo
+// that measures a repeated vector once and stops at the request's
+// cancellation; mode=measure requests time each vector under the shared
+// exec.Measurer's lock, whose pooled grids and compiled plans make repeats
+// allocation-free.
 package server
 
 import (
@@ -63,10 +64,6 @@ type Config struct {
 	ModelDir string
 	// CacheSize bounds the response LRU in entries (default 4096).
 	CacheSize int
-	// Workers bounds the evaluation fan-out per request for simulated
-	// prediction and hybrid tuning (0/1 sequential, negative GOMAXPROCS —
-	// the convention of every workers knob in this codebase; default -1).
-	Workers int
 	// MaxBodyBytes caps request bodies; an over-limit body is rejected
 	// with 413. Zero or negative means DefaultMaxBodyBytes, as in lb.Config.
 	MaxBodyBytes int64
@@ -104,7 +101,6 @@ type Server struct {
 	cache  *lruCache
 	flight flightGroup
 
-	workers int
 	maxBody int64
 	start   time.Time
 	build   buildinfo.Info
@@ -156,9 +152,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 4096
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = -1
-	}
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
 	}
@@ -179,7 +172,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		reg:          reg,
 		cache:        newLRU(cfg.CacheSize),
-		workers:      cfg.Workers,
 		maxBody:      cfg.MaxBodyBytes,
 		start:        time.Now(),
 		build:        buildinfo.Read(),
@@ -538,25 +530,25 @@ func (s *Server) respond(w http.ResponseWriter, source string, body []byte) {
 	w.Write([]byte("\n"))
 }
 
-// evaluatorFor builds the per-request evaluation stack for a mode:
-// request-scoped memoization over a context-honoring fan-out of the model's
-// simulator, or a session on the shared wall-clock measurer (which batches
-// natively, serialized for timing fidelity). Measure mode passes through the
+// evaluatorFor builds the per-request evaluator for a mode: a requestEval
+// over the model's simulator or over a session on the shared wall-clock
+// measurer, behind a request-scoped memo. Measure mode passes through the
 // admission gate, so the caller must invoke release (always non-nil) once
-// the evaluation is done; a full queue fails with a 503 shed error. failure
-// (always non-nil) reports the executor's first error of this request's
+// the evaluation is done: it records the request's one "measure" span and
+// frees the slot. A full queue fails with a 503 shed error. failure (always
+// non-nil) reports the executor's first error of this request's
 // measurements, nil in sim mode: a configuration the executor cannot run
 // evaluates to +Inf, and failure says why.
-func (s *Server) evaluatorFor(ctx context.Context, lm *loadedModel, mode string) (eval dataset.BatchEvaluator, failure func() error, release func(), err error) {
+func (s *Server) evaluatorFor(ctx context.Context, lm *loadedModel, mode string) (eval dataset.Evaluator, failure func() error, release func(), err error) {
 	noop := func() {}
 	none := func() error { return nil }
 	switch mode {
 	case "", "sim":
-		return dataset.Memoized(dataset.BatchedContext(ctx, lm.sim, s.workers)), none, noop, nil
+		return dataset.Memoized(&requestEval{ctx: ctx, inner: lm.sim}), none, noop, nil
 	case "measure":
 		s.m.measureRequests.Inc()
 		waitStart := time.Now()
-		release, err := s.admitMeasure()
+		free, err := s.admitMeasure()
 		s.recordSpan(ctx, "queue_wait", waitStart, time.Since(waitStart))
 		if err != nil {
 			return nil, none, noop, err
@@ -566,34 +558,43 @@ func (s *Server) evaluatorFor(ctx context.Context, lm *loadedModel, mode string)
 		}
 		m := s.getMeasurer()
 		if m == nil {
-			release()
+			free()
 			return nil, none, noop, fmt.Errorf("server is shutting down")
 		}
 		sess := m.Session()
-		return dataset.Memoized(spanEval{sess, ctx, s}), sess.Err, release, nil
+		re := &requestEval{ctx: ctx, inner: sess}
+		release := func() {
+			if !re.started.IsZero() {
+				s.recordSpan(ctx, "measure", re.started, time.Since(re.started))
+			}
+			free()
+		}
+		return dataset.Memoized(re), sess.Err, release, nil
 	default:
 		return nil, none, noop, fmt.Errorf("unknown mode %q (want sim or measure)", mode)
 	}
 }
 
-// spanEval records a "measure" span around each real evaluation. It sits
-// inside Memoized, so deduplicated repeats never record phantom spans.
-type spanEval struct {
-	inner dataset.BatchEvaluator
-	ctx   context.Context
-	s     *Server
+// requestEval evaluates one request's vectors on the request's goroutine.
+// It checks the request context before each vector and reports +Inf (the
+// sentinel of a configuration that cannot run) once the request is
+// cancelled, so a timed-out request stops costing the simulator or the
+// executor. started notes the first evaluation, where a measure-mode
+// request's "measure" span begins.
+type requestEval struct {
+	ctx     context.Context
+	inner   dataset.Evaluator
+	started time.Time
 }
 
-func (e spanEval) Runtime(q stencil.Instance, t tunespace.Vector) float64 {
-	start := time.Now()
-	defer func() { e.s.recordSpan(e.ctx, "measure", start, time.Since(start)) }()
+func (e *requestEval) Runtime(q stencil.Instance, t tunespace.Vector) float64 {
+	if e.ctx.Err() != nil {
+		return math.Inf(1)
+	}
+	if e.started.IsZero() {
+		e.started = time.Now()
+	}
 	return e.inner.Runtime(q, t)
-}
-
-func (e spanEval) RuntimeBatch(q stencil.Instance, ts []tunespace.Vector) []float64 {
-	start := time.Now()
-	defer func() { e.s.recordSpan(e.ctx, "measure", start, time.Since(start)) }()
-	return e.inner.RuntimeBatch(q, ts)
 }
 
 // ---------------------------------------------------------------------------
@@ -639,12 +640,12 @@ func (s *Server) handleTune(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		defer release()
-		hres, err := lm.tuner.HybridTopK(q, cands, req.TopK, core.BatchObjectiveFor(eval, q))
+		hres, err := lm.tuner.HybridTopK(q, cands, req.TopK, core.ObjectiveFor(eval, q))
 		if err != nil {
 			return nil, err
 		}
-		// A cancelled fan-out reports +Inf sentinels; never serve or
-		// cache such a poisoned result.
+		// A cancelled request's evaluator reports +Inf sentinels; never
+		// serve or cache such a poisoned result.
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -758,7 +759,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		defer release()
-		resp.Values = eval.RuntimeBatch(q, vs)
+		resp.Values = make([]float64, len(vs))
+		for i, v := range vs {
+			resp.Values[i] = eval.Runtime(q, v)
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}

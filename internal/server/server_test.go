@@ -14,6 +14,7 @@ import (
 
 	stenciltune "repro"
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/stencil"
 	"repro/internal/store"
 	"repro/internal/tunespace"
@@ -614,6 +615,129 @@ func TestMeasurePredict(t *testing.T) {
 	}
 	if n := int64(s.ObsRegistry().Value("stencilserve_measure_requests_total")); n != 1 {
 		t.Errorf("measure_requests = %d, want 1", n)
+	}
+}
+
+// measureOffsets is a 3-D offset kernel no other test in a server measures,
+// so its programs start uncompiled: the executor's program-cache counters
+// then count this request's measurements, one lookup per measured vector.
+const measureOffsets = `{"offsets":[[0,0,0],[1,0,0],[-1,0,0],[0,1,0],[0,0,-1],[1,1,0]]}`
+
+// programLookups returns the executor's program-cache hits and misses.
+func programLookups(s *Server) (hits, misses float64) {
+	reg := s.ObsRegistry()
+	return reg.Value("stencilserve_exec_cache_hits_total", "program"), reg.Value("stencilserve_exec_cache_misses_total", "program")
+}
+
+// cancellingSim forwards to the simulator, counting calls, and cancels the
+// request after the second one.
+type cancellingSim struct {
+	inner  dataset.Evaluator
+	calls  int
+	cancel context.CancelFunc
+}
+
+func (c *cancellingSim) Runtime(q stencil.Instance, t tunespace.Vector) float64 {
+	c.calls++
+	if c.calls == 2 {
+		c.cancel()
+	}
+	return c.inner.Runtime(q, t)
+}
+
+// TestCancelledRequestStopsEvaluating: once a request's context is
+// cancelled, its evaluator runs no further vector, in either mode, and the
+// request fails with 503 instead of serving +Inf sentinels.
+func TestCancelledRequestStopsEvaluating(t *testing.T) {
+	s := newTestServer(t)
+	h := s.Handler()
+	predict := func(ctx context.Context, mode string) int {
+		body := `{"model":"tiny","kernel":` + measureOffsets + `,"size":"32x32x32","mode":"` + mode + `","vectors":[` +
+			`{"bx":16,"by":8,"bz":8,"u":0,"c":1},{"bx":16,"by":8,"bz":8,"u":1,"c":1},{"bx":16,"by":8,"bz":8,"u":2,"c":1},` +
+			`{"bx":16,"by":8,"bz":8,"u":3,"c":1},{"bx":16,"by":8,"bz":8,"u":4,"c":1},{"bx":16,"by":8,"bz":8,"u":5,"c":1}]}`
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body)).WithContext(ctx)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w.Code
+	}
+
+	t.Run("sim", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		lm := s.reg.snapshot().models["tiny"]
+		sim := &cancellingSim{inner: lm.sim, cancel: cancel}
+		lm.sim = sim
+		defer func() { lm.sim = sim.inner }()
+		if code := predict(ctx, "sim"); code != http.StatusServiceUnavailable {
+			t.Errorf("cancelled sim predict: status %d, want 503", code)
+		}
+		if sim.calls != 2 {
+			t.Errorf("simulator ran %d of 6 vectors, want the 2 before the cancellation", sim.calls)
+		}
+	})
+
+	t.Run("measure", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("real execution")
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		s.testHookMeasure = cancel
+		defer func() { s.testHookMeasure = nil }()
+		if code := predict(ctx, "measure"); code != http.StatusServiceUnavailable {
+			t.Errorf("cancelled measure predict: status %d, want 503", code)
+		}
+		if hits, misses := programLookups(s); hits+misses != 0 {
+			t.Errorf("executor measured %v vectors after the cancellation, want 0", hits+misses)
+		}
+		if n := s.ObsRegistry().HistogramCount("stencilserve_stage_duration_seconds", "measure"); n != 0 {
+			t.Errorf("measure spans = %d for a request that measured nothing, want 0", n)
+		}
+	})
+}
+
+// TestMeasureSpanPerRequest: a measure-mode request records one "measure"
+// span for all the vectors it times, so the stage histogram counts
+// requests.
+func TestMeasureSpanPerRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real execution")
+	}
+	s := newTestServer(t)
+	h := s.Handler()
+	for i, r := range []struct{ path, body string }{
+		{"/v1/tune", `{"model":"tiny","kernel":"laplacian","size":"32x32x32","topk":4,"mode":"measure"}`},
+		{"/v1/predict", `{"model":"tiny","kernel":"laplacian","size":"32x32x32","mode":"measure","vectors":[` +
+			`{"bx":16,"by":8,"bz":8,"u":1,"c":1},{"bx":16,"by":8,"bz":8,"u":2,"c":1},{"bx":32,"by":8,"bz":8,"u":1,"c":1}]}`},
+	} {
+		if w, out := postJSON(t, h, r.path, r.body); w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %v", r.path, w.Code, out)
+		}
+		if n := s.ObsRegistry().HistogramCount("stencilserve_stage_duration_seconds", "measure"); n != uint64(i+1) {
+			t.Errorf("after %s: %d measure spans, want %d (one per request)", r.path, n, i+1)
+		}
+	}
+}
+
+// TestMeasurePredictMeasuresRepeatsOnce: a measure-mode predict that lists
+// a vector twice measures it once, and both copies report that value.
+func TestMeasurePredictMeasuresRepeatsOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real execution")
+	}
+	s := newTestServer(t)
+	v, w := `{"bx":16,"by":8,"bz":8,"u":1,"c":1}`, `{"bx":16,"by":8,"bz":8,"u":2,"c":1}`
+	body := `{"model":"tiny","kernel":` + measureOffsets + `,"size":"32x32x32","mode":"measure","vectors":[` + v + `,` + w + `,` + v + `]}`
+	rec, out := postJSON(t, s.Handler(), "/v1/predict", body)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("measure predict: status %d: %v", rec.Code, out)
+	}
+	vals := out["values"].([]any)
+	if len(vals) != 3 || vals[0] != vals[2] {
+		t.Errorf("values = %v, want the repeated vector's two copies equal", vals)
+	}
+	if hits, misses := programLookups(s); hits != 0 || misses != 2 {
+		t.Errorf("program cache hits, misses = %v, %v, want 0, 2 (each distinct vector measured once)", hits, misses)
 	}
 }
 

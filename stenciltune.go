@@ -22,21 +22,18 @@
 // and fast) or real timed execution of the stencils by the built-in blocked
 // multithreaded Go executor (Measure).
 //
-// # Batch evaluation and parallelism
+// # Evaluation and parallelism
 //
-// Every bulk consumer — search engines, training-set generation, hybrid
-// tuning, model scoring — works through batch interfaces. BatchedEvaluator
-// fans independent evaluations out to a bounded worker pool,
+// An Evaluator costs one tuning vector at a time on the caller's goroutine;
+// search engines, hybrid tuning and RunSearch all evaluate that way, and
 // MemoizedEvaluator caches (instance, tuning vector) runtimes across
-// consumers, TrainOptions.Workers parallelizes training-set generation, and
-// RunSearchBatched runs a search engine with per-generation batched
-// evaluation. All of it is deterministic: results are committed in proposal
-// order and RNG streams are derived per instance, so the same seed produces
-// bit-identical results at any worker count.
+// consumers. The one fan-out is training-set generation:
+// TrainOptions.Workers evaluates whole training instances concurrently. RNG
+// streams are derived per instance, so the same seed produces bit-identical
+// results at any worker count.
 package stenciltune
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -77,15 +74,10 @@ type (
 	TuningVector = tunespace.Vector
 	// Evaluator maps an execution to a runtime in seconds.
 	Evaluator = dataset.Evaluator
-	// BatchEvaluator additionally costs many tuning vectors of one instance
-	// per call (possibly concurrently), in input order.
-	BatchEvaluator = dataset.BatchEvaluator
 	// SearchResult is the outcome of an iterative search baseline.
 	SearchResult = search.Result
 	// SearchEngine is an iterative-compilation search method.
 	SearchEngine = search.Engine
-	// BatchObjective is the batched evaluation hook of SearchEngine.SearchBatch.
-	BatchObjective = search.BatchObjective
 )
 
 // Supported buffer element types (the two values of DataType).
@@ -130,8 +122,7 @@ const (
 // Simulator returns the deterministic Xeon E5-2680 v3 evaluator.
 func Simulator() Evaluator { return perfmodel.New(machine.XeonE52680v3()) }
 
-// measuredEvaluator adapts the real executor to the BatchEvaluator
-// interface.
+// measuredEvaluator adapts the real executor to the Evaluator interface.
 type measuredEvaluator struct {
 	m *exec.Measurer
 }
@@ -145,15 +136,6 @@ func (e measuredEvaluator) Runtime(q stencil.Instance, t tunespace.Vector) float
 		return inf()
 	}
 	return secs
-}
-
-// RuntimeBatch implements BatchEvaluator. The batch serializes onto the
-// measuring runner under one lock acquisition — interleaved wall-clock
-// timings would corrupt each other, so timing fidelity wins over overlap.
-// Invalid configurations report +Inf at their slot like Runtime does.
-func (e measuredEvaluator) RuntimeBatch(q stencil.Instance, ts []tunespace.Vector) []float64 {
-	out, _ := e.m.MeasureBatch(q, ts)
-	return out
 }
 
 func inf() float64 { return math.Inf(1) }
@@ -177,32 +159,18 @@ func Measured() Evaluator { return measuredEvaluator{m: exec.NewMeasurer()} }
 
 // CloseEvaluator releases resources held by evaluators that own persistent
 // worker pools (those from Measured, including ones wrapped by
-// BatchedEvaluator or MemoizedEvaluator); it is a no-op for any other
-// evaluator.
+// MemoizedEvaluator); it is a no-op for any other evaluator.
 func CloseEvaluator(e Evaluator) {
 	if c, ok := e.(interface{ Close() }); ok {
 		c.Close()
 	}
 }
 
-// BatchedEvaluator wraps an evaluator so batches evaluate on up to workers
-// goroutines. Workers follows the same convention as every workers knob in
-// this API: 0 or 1 is sequential, negative selects GOMAXPROCS. The wrapped
-// evaluator must be safe for concurrent use when more than one worker runs
-// — Simulator and Measured both are (the measurer serializes internally to
-// protect its timings). Results are always in input order. An evaluator
-// that already batches (Measured, MemoizedEvaluator) is returned unchanged
-// with its own scheduling policy, so to cache *and* fan out, wrap in this
-// order: MemoizedEvaluator(BatchedEvaluator(Simulator(), -1)).
-func BatchedEvaluator(e Evaluator, workers int) BatchEvaluator {
-	return dataset.Batched(e, workers)
-}
-
 // MemoizedEvaluator wraps an evaluator with a concurrency-safe cache keyed
 // by (instance, tuning vector), so repeated vectors — across search
 // generations, engines sharing the evaluator, or ranking/validation passes
 // — are never re-simulated or re-measured.
-func MemoizedEvaluator(e Evaluator) BatchEvaluator {
+func MemoizedEvaluator(e Evaluator) Evaluator {
 	return dataset.Memoized(e)
 }
 
@@ -369,11 +337,9 @@ func (t *Tuner) TunePredefined(q Instance) (TuningVector, time.Duration, error) 
 
 // HybridTune implements the paper's future-work coupling: rank the
 // predefined set for free, then measure only the top-k candidates with the
-// given evaluator and return the measured best. The k measurements are
-// submitted as one batch: pass a BatchedEvaluator (or any BatchEvaluator)
-// to overlap them; plain evaluators run sequentially. If no candidate
-// evaluates to a finite time the call fails; with a Measured evaluator the
-// error carries the executor's reason.
+// given evaluator, one at a time in rank order, and return the measured
+// best. If no candidate evaluates to a finite time the call fails; with a
+// Measured evaluator the error carries the executor's reason.
 func (t *Tuner) HybridTune(q Instance, k int, eval Evaluator) (TuningVector, float64, error) {
 	if eval == nil {
 		eval = Simulator()
@@ -384,7 +350,7 @@ func (t *Tuner) HybridTune(q Instance, k int, eval Evaluator) (TuningVector, flo
 		eval = sess
 	}
 	cands := tunespace.NewSpace(q.Kernel.Dims()).Predefined()
-	res, err := t.inner.HybridTopK(q, cands, k, core.BatchObjectiveFor(dataset.Batched(eval, 1), q))
+	res, err := t.inner.HybridTopK(q, cands, k, core.ObjectiveFor(eval, q))
 	if err != nil {
 		return TuningVector{}, 0, err
 	}
@@ -409,48 +375,21 @@ func PredefinedCandidates(dims int) []TuningVector {
 // strategy, steady-state GA).
 func SearchEngines() []SearchEngine { return search.Engines() }
 
-// RunSearchBatched tunes an instance with an iterative search baseline
-// under an evaluation budget, mirroring the paper's 1024-evaluation runs.
-// Each generation of the engine is costed as one batch on up to workers
-// goroutines (0 or 1 = sequential, negative = GOMAXPROCS; when
-// eval already implements BatchEvaluator its own scheduling policy wins and
-// workers is ignored — see BatchedEvaluator for how to compose wrappers).
-// Results are committed in proposal order, so for the deterministic
-// simulator the SearchResult — Best, BestValue and the full History — is
-// the same at every worker count under the same seed. The evaluator must be
-// safe for concurrent use when more than one worker runs; Measure-mode
-// evaluators serialize internally, so they gain timing fidelity but no
-// overlap.
-func RunSearchBatched(engine SearchEngine, q Instance, eval Evaluator, budget int, seed int64, workers int) (SearchResult, error) {
-	return RunSearchBatchedContext(context.Background(), engine, q, eval, budget, seed, workers)
-}
-
-// RunSearchBatchedContext is RunSearchBatched with cooperative cancellation:
-// when ctx is cancelled mid-search the evaluation fan-out stops doing work
-// (remaining evaluations report +Inf and return immediately), so a serving
-// request timeout bounds the search's cost. The engine still winds down its
-// remaining budget over the now-free objective, and the returned result is
-// only meaningful when ctx.Err() == nil — callers that time out should
-// discard it. With context.Background() the result is bit-identical to
-// RunSearchBatched.
-func RunSearchBatchedContext(ctx context.Context, engine SearchEngine, q Instance, eval Evaluator, budget int, seed int64, workers int) (SearchResult, error) {
-	if err := validateSearch(q, budget); err != nil {
+// RunSearch tunes an instance with an iterative search baseline under an
+// evaluation budget, mirroring the paper's 1024-evaluation runs. The engine
+// evaluates its proposals one at a time on the caller's goroutine, so for
+// the deterministic simulator the SearchResult (Best, BestValue and the full
+// History) depends only on the seed. A nil eval selects Simulator.
+func RunSearch(engine SearchEngine, q Instance, eval Evaluator, budget int, seed int64) (SearchResult, error) {
+	if err := q.Validate(); err != nil {
 		return SearchResult{}, err
+	}
+	if budget <= 0 {
+		return SearchResult{}, fmt.Errorf("stenciltune: budget %d must be positive", budget)
 	}
 	if eval == nil {
 		eval = Simulator()
 	}
 	space := tunespace.NewSpace(q.Kernel.Dims())
-	obj := core.BatchObjectiveFor(dataset.BatchedContext(ctx, eval, workers), q)
-	return engine.SearchBatch(space, obj, budget, seed), nil
-}
-
-func validateSearch(q Instance, budget int) error {
-	if err := q.Validate(); err != nil {
-		return err
-	}
-	if budget <= 0 {
-		return fmt.Errorf("stenciltune: budget %d must be positive", budget)
-	}
-	return nil
+	return engine.Search(space, core.ObjectiveFor(eval, q), budget, seed), nil
 }

@@ -120,17 +120,17 @@ func TestSearchEnginesExposed(t *testing.T) {
 func TestRunSearch(t *testing.T) {
 	e := SearchEngines()[0]
 	q := Instance{Kernel: Laplacian(), Size: Size3D(128, 128, 128)}
-	res, err := RunSearchBatched(e, q, nil, 64, 1, 1)
+	res, err := RunSearch(e, q, nil, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Evaluations != 64 || res.BestValue <= 0 {
 		t.Errorf("search result: %+v", res)
 	}
-	if _, err := RunSearchBatched(e, q, nil, 0, 1, 1); err == nil {
+	if _, err := RunSearch(e, q, nil, 0, 1); err == nil {
 		t.Error("zero budget accepted")
 	}
-	if _, err := RunSearchBatched(e, Instance{}, nil, 10, 1, 1); err == nil {
+	if _, err := RunSearch(e, Instance{}, nil, 10, 1); err == nil {
 		t.Error("invalid instance accepted")
 	}
 }
