@@ -39,6 +39,24 @@ func TestAllEnginesDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
+// TestBatchedRespectsBudget asserts that when the budget ends partway through
+// a generation, no engine charges more than its budget and the history keeps
+// exactly one entry per charged evaluation.
+func TestBatchedRespectsBudget(t *testing.T) {
+	space := tunespace.NewSpace(3)
+	for _, e := range batchTestEngines() {
+		for _, budget := range []int{1, 7, 65} {
+			r := e.Search(space, quadObjective, budget, 1)
+			if r.Evaluations > budget {
+				t.Errorf("%s: used %d evaluations, budget %d", e.Name(), r.Evaluations, budget)
+			}
+			if len(r.History) != r.Evaluations {
+				t.Errorf("%s: history length %d != evaluations %d", e.Name(), len(r.History), r.Evaluations)
+			}
+		}
+	}
+}
+
 // TestBatchDedupSingleEvaluation asserts that across a whole run, whose
 // generations re-propose elites' offspring and converged vectors, the
 // objective sees each distinct vector once, and only within the budget.
