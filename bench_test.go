@@ -368,6 +368,29 @@ func BenchmarkCompileNewKernel(b *testing.B) {
 // default 3 repetitions. The sweeps are sub-millisecond at n=32..64, so the
 // worker pool's dispatch and join costs show here.
 func BenchmarkMeasureBatch(b *testing.B) {
+	benchMeasure(b, []int{32, 48, 64}, func(m *exec.Measurer, q stencil.Instance, vectors []tunespace.Vector) error {
+		_, err := m.MeasureBatch(q, vectors)
+		return err
+	})
+}
+
+// BenchmarkMeasureSession times the same work as BenchmarkMeasureBatch
+// the way a measure tune runs it: one Session.Runtime call per vector,
+// each taking the measurer's lock and looking the kernel's executable up
+// again.
+func BenchmarkMeasureSession(b *testing.B) {
+	benchMeasure(b, []int{32, 48}, func(m *exec.Measurer, q stencil.Instance, vectors []tunespace.Vector) error {
+		s := m.Session()
+		for _, v := range vectors {
+			s.Runtime(q, v)
+		}
+		return s.Err()
+	})
+}
+
+// benchMeasure runs measure on a fresh measurer for each grid edge n: one
+// warm-up call, then one call per iteration, each on a fresh kernel.
+func benchMeasure(b *testing.B, ns []int, measure func(*exec.Measurer, stencil.Instance, []tunespace.Vector) error) {
 	vectors := []tunespace.Vector{
 		{Bx: 16, By: 8, Bz: 8, U: 4, C: 1},
 		{Bx: 16, By: 4, Bz: 16, U: 4, C: 1},
@@ -378,21 +401,22 @@ func BenchmarkMeasureBatch(b *testing.B) {
 	for _, t := range offsets12Exec().Terms[:10] {
 		pts = append(pts, t.Offset)
 	}
-	for _, n := range []int{32, 48, 64} {
+	for _, n := range ns {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			m := exec.NewMeasurer()
 			defer m.Close()
 			size := stencil.Size3D(n, n, n)
-			kernel := func() *stencil.Kernel {
-				return &stencil.Kernel{Name: "offsets10", Shape: shape.New(pts...), Buffers: 1, Type: stencil.Float64}
+			instance := func() stencil.Instance {
+				k := &stencil.Kernel{Name: "offsets10", Shape: shape.New(pts...), Buffers: 1, Type: stencil.Float64}
+				return stencil.Instance{Kernel: k, Size: size}
 			}
-			if _, err := m.MeasureBatch(stencil.Instance{Kernel: kernel(), Size: size}, vectors); err != nil { // warm workspace + pool
+			if err := measure(m, instance(), vectors); err != nil { // warm workspace + pool
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.MeasureBatch(stencil.Instance{Kernel: kernel(), Size: size}, vectors); err != nil {
+				if err := measure(m, instance(), vectors); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -12,13 +12,14 @@ import (
 	"repro/internal/tunespace"
 )
 
-// FuzzSelection checks the chunked selection against the full scores. The
+// FuzzSelection checks the selections against the full scores. The
 // input's first byte picks k and the weights: normal, small-integer (most
-// scores tie) or zero; the rest decodes into tuning vectors, seven bytes
-// each, clamped into the space. The list is repeated past several of the
-// scorer's chunks. Best must be the candidate svmrank.ArgMax picks from
-// Scores, and HybridTopK must measure the candidates TopK picks (topK), in
-// TopK's order.
+// scores tie), zero, or ±1e308, whose scores overflow to ±Inf and NaN; the
+// rest decodes into tuning vectors, seven bytes each, clamped into the
+// space. The list is repeated past several of the scorer's chunks. Best
+// must fail exactly when svmrank.ArgMax of Scores is −1 and otherwise be
+// the candidate it picks, and HybridTopK must fail then too and otherwise
+// measure the candidates TopK picks (topK), in TopK's order.
 func FuzzSelection(f *testing.F) {
 	f.Add([]byte{0, 2, 4, 8, 4, 0, 1, 1})
 	f.Add([]byte{0x41, 2, 4, 8, 4, 0, 1, 1, 8, 2, 16, 2, 1, 2})
@@ -30,16 +31,19 @@ func FuzzSelection(f *testing.F) {
 	five := []byte{1, 2, 3, 0, 1, 0, 1, 4, 5, 6, 2, 2, 0, 1, 7, 8, 9, 4, 4, 0, 2, 3, 3, 3, 8, 8, 0, 1, 6, 5, 4, 0, 3, 0, 3}
 	f.Add(append([]byte{0x83}, five...))
 	f.Add(append([]byte{0x43}, five...))
+	f.Add([]byte{0xc1, 2, 4, 8, 4, 0, 1, 1, 8, 2, 16, 2, 1, 2})
 	rng := rand.New(rand.NewSource(29))
-	normal, small := make([]float64, feature.Dim), make([]float64, feature.Dim)
+	normal, small, huge := make([]float64, feature.Dim), make([]float64, feature.Dim), make([]float64, feature.Dim)
 	for i := range normal {
 		normal[i] = rng.NormFloat64()
 		small[i] = float64(rng.Intn(3) - 1)
+		huge[i] = float64(rng.Intn(2)*2-1) * 1e308
 	}
 	tuners := []*Tuner{
 		New(&svmrank.Model{W: normal}),
 		New(&svmrank.Model{W: small}),
 		New(&svmrank.Model{W: make([]float64, feature.Dim)}),
+		New(&svmrank.Model{W: huge}),
 	}
 	instances := []stencil.Instance{
 		{Kernel: stencil.Blur(), Size: stencil.Size2D(1576, 344)},
@@ -70,18 +74,23 @@ func FuzzSelection(f *testing.F) {
 				t.Fatal(err)
 			}
 			best, err := tu.Best(q, cands)
-			if err != nil {
-				t.Fatal(err)
+			argMax := svmrank.ArgMax(scores)
+			if (err != nil) != (argMax < 0) {
+				t.Fatalf("%s: Best error %v, ArgMax of the scores %d", q.ID(), err, argMax)
 			}
-			if want := cands[svmrank.ArgMax(scores)]; best != want {
-				t.Fatalf("%s: Best %v, ArgMax of the scores %v", q.ID(), best, want)
+			if argMax >= 0 && best != cands[argMax] {
+				t.Fatalf("%s: Best %v, ArgMax of the scores %v", q.ID(), best, cands[argMax])
 			}
 			var got []tunespace.Vector
-			if _, err := tu.HybridTopK(q, cands, k, func(v tunespace.Vector) float64 {
+			_, err = tu.HybridTopK(q, cands, k, func(v tunespace.Vector) float64 {
 				got = append(got, v)
 				return 0
-			}); err != nil {
-				t.Fatal(err)
+			})
+			if (err != nil) != (argMax < 0) {
+				t.Fatalf("%s: HybridTopK error %v, ArgMax of the scores %d", q.ID(), err, argMax)
+			}
+			if argMax < 0 {
+				continue
 			}
 			want := topK(scores, k)
 			if len(got) != len(want) {

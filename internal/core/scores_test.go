@@ -126,7 +126,9 @@ func coldSizes(dims, n int) []stencil.Size {
 // BenchmarkTunerBest ranks each predefined set with Best. The cold rows
 // rank it for eight cold-drawn sizes in turn: their tile shapes have many
 // distinct working sets, tile counts and group counts, which the
-// power-of-two sizes of the other rows never show.
+// power-of-two sizes of the other rows never show. The shuffled row ranks
+// the 3-D set in a random order, where every run of one tile shape has one
+// candidate: Best's worst order, as it bounds every candidate.
 func BenchmarkTunerBest(b *testing.B) {
 	tu := randomTuner(1)
 	blur := stencil.Instance{Kernel: stencil.Blur(), Size: stencil.Size2D(1024, 768)}
@@ -144,13 +146,18 @@ func BenchmarkTunerBest(b *testing.B) {
 		{"2D", []stencil.Instance{blur}},
 		{"3D", []stencil.Instance{lap128()}},
 		{"3D-fused", []stencil.Instance{lap128()}},
+		{"3D-shuffled", []stencil.Instance{lap128()}},
 		{"2D-cold", cold(stencil.Blur())},
 		{"3D-cold", cold(stencil.Laplacian())},
 	} {
 		cands := tunespace.NewSpace(bc.qs[0].Kernel.Dims()).Predefined()
-		if bc.name == "3D-fused" {
+		switch bc.name {
+		case "3D-fused":
 			// 34,560 candidates: every depth K = 1..4 of the 3-D set.
 			cands = tunespace.NewSpace(3).PredefinedFused(1, 2, 3, 4)
+		case "3D-shuffled":
+			cands = slices.Clone(cands)
+			rand.New(rand.NewSource(1)).Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 		}
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -33,6 +33,19 @@
 // allocated. Plan.ScoreChunks hands the same scores over a fixed-size chunk
 // at a time, for callers that select the best candidates without a score
 // vector.
+//
+// Selection note. Plan.Best returns the first index of the highest score
+// without scoring every candidate. A score is the sum of three parts: the
+// products of the tile shape (bx, by, bz, K), of the pair (bx, u) and of
+// the pair (tile count, c). A bound pass walks the runs of candidates that
+// share a shape and bounds each from its shape's sum and the largest
+// (bx, u) and (tile count, c) sums over the run's u and c values, plus a
+// rounding margin of 1e-13·Σ|w| (the derivation is at boundSlack). An
+// exact pass scores the run of the highest bound first, then only the runs
+// whose bound reaches the best score so far, with ScoreInto's additions.
+// The predefined sets are full products of shapes × u × c, so a bound is
+// its run's best score up to the margin, and one run of 16 candidates of
+// the 1,600 or 8,640 is scored exactly unless runs tie.
 package feature
 
 import (

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -141,16 +142,27 @@ type tileShape struct {
 	ws, tiles float64
 }
 
+// span is what a tile shape reads of one block edge: the effective tile
+// extent, which never exceeds the grid, and the number of tiles covering
+// the axis.
+type span struct {
+	ext, n float64
+}
+
+// spanOf returns the span of block edge b on axis a (0, 1, 2 for x, y, z).
+func (p *Plan) spanOf(a, b int) span {
+	n := [3]int{p.size.X, p.size.Y, p.size.Z}[a]
+	return span{float64(min(b, n)), float64(ceilDiv(n, max(1, b)))}
+}
+
+// shapeOf returns the tile shape of the spans x, y and z.
+func (p *Plan) shapeOf(x, y, z span) tileShape {
+	return tileShape{ws: x.ext * y.ext * z.ext * p.bytes * p.buffers, tiles: x.n * y.n * z.n}
+}
+
 // tileShapeOf returns the tile shape of block edges (bx, by, bz).
 func (p *Plan) tileShapeOf(bx, by, bz int) tileShape {
-	sz := p.size
-	// Effective tile extents never exceed the grid.
-	return tileShape{
-		ws: float64(min(bx, sz.X)) * float64(min(by, sz.Y)) * float64(min(bz, sz.Z)) *
-			p.bytes * p.buffers,
-		tiles: float64(ceilDiv(sz.X, bx)) * float64(ceilDiv(sz.Y, by)) *
-			float64(ceilDiv(sz.Z, max(1, bz))),
-	}
+	return p.shapeOf(p.spanOf(0, bx), p.spanOf(1, by), p.spanOf(2, bz))
 }
 
 // wsTerms returns the components of a tile working set of ws bytes: the
@@ -326,8 +338,9 @@ type fuseKey struct {
 // memoizes each group's products (its terms times w) under exactly the
 // values the group's formulas read, one table per group:
 //
-//   - each axis by its block edge, unroll by u, chunk by c and the inner
-//     stream by (bx, u);
+//   - each axis by its block edge (with the edge's span, which the tile
+//     shape reads), unroll by u, chunk by c and the inner stream by
+//     (bx, u);
 //   - the working-set terms by the tile's working set, the tile-count term
 //     by the tile count and the dispatch-group terms by the group count
 //     tiles/c: those values repeat across many shapes;
@@ -343,7 +356,7 @@ type scorer struct {
 	p *Plan
 	w []float64
 
-	axes   [3]table[int, [5]float64]
+	axes   [3]table[int, axisEntry]
 	unroll table[int, [4]float64]
 	chunk  table[int, [3]float64]
 	inner  table[[2]int, [2]float64]
@@ -358,7 +371,30 @@ type scorer struct {
 	byU [16]uPair
 	byC [16]cPair
 
+	// uMax holds the largest unroll + inner-stream sum over a set of u
+	// values (bit u of the key's second field) at x-edge bx, and cMax the
+	// largest chunk + dispatch-group sum over a set of c values on a shape
+	// of a tile count, for best.
+	uMax table[[2]int, float64]
+	cMax table[cSetKey, float64]
+	// runs holds best's runs of one call, reused across calls.
+	runs []run
+
 	buf [chunkLen]float64 // the scores ScoreChunks hands over
+}
+
+// cSetKey is what scorer.cMax reads: a tile count and a set of c values,
+// bit c set for each.
+type cSetKey struct {
+	tiles float64
+	cs    uint32
+}
+
+// run is a maximal run of candidates [lo, hi) sharing (bx, by, bz, K), and
+// an upper bound on their scores.
+type run struct {
+	lo, hi int
+	bound  float64
 }
 
 // uPair is an entry of scorer.byU: the unroll and inner-stream products of
@@ -387,7 +423,9 @@ const chunkLen = 256
 // extents, for 8 choices of which axes clip and at most 27 exponent sums),
 // 540 tile counts, 2,160 group counts (540 tile counts over 4 chunk sizes)
 // and 3 fused depths over the working sets. The unroll and chunk tables
-// hold every legal value.
+// hold every legal value. Best keys its run maxima by (bx, u set) and
+// (tile count, c set): at most 10 and 540 keys on a predefined set in its
+// order.
 func newScorer() *scorer {
 	s := &scorer{
 		unroll: newTable[int, [4]float64](5),
@@ -397,9 +435,11 @@ func newScorer() *scorer {
 		tiles:  newTable[float64, [1]float64](10),
 		groups: newTable[float64, [3]float64](12),
 		fuse:   newTable[fuseKey, [5]float64](10),
+		uMax:   newTable[[2]int, float64](7),
+		cMax:   newTable[cSetKey, float64](10),
 	}
 	for a := range s.axes {
-		s.axes[a] = newTable[int, [5]float64](5)
+		s.axes[a] = newTable[int, axisEntry](5)
 	}
 	return s
 }
@@ -439,6 +479,8 @@ func acquire(p *Plan, w []float64) *scorer {
 	s.tiles.empty()
 	s.groups.empty()
 	s.fuse.empty()
+	s.uMax.empty()
+	s.cMax.empty()
 	for i := range s.byU {
 		// Keys no candidate has.
 		s.byU[i] = uPair{u: math.MinInt}
@@ -465,11 +507,19 @@ func (s *scorer) fill(dst []float64, g group) {
 	}
 }
 
-// axisOf returns the products of block edge b on axis a.
-func (s *scorer) axisOf(a, b int) *[5]float64 {
+// axisEntry is what the scorer keeps of a block edge on one axis: the
+// products of its terms and its span.
+type axisEntry struct {
+	prod [5]float64
+	span span
+}
+
+// axisOf returns the products and the span of block edge b on axis a.
+func (s *scorer) axisOf(a, b int) *axisEntry {
 	e, hit := s.axes[a].get(uint64(b), b)
 	if !hit {
-		s.fill(e[:], s.p.axisTerms(a, b))
+		s.fill(e.prod[:], s.p.axisTerms(a, b))
+		e.span = s.p.spanOf(a, b)
 	}
 	return e
 }
@@ -615,13 +665,14 @@ func (s *scorer) chunks(cands []tunespace.Vector, yield func(first int, scores [
 func (s *scorer) score(out []float64, cands []tunespace.Vector) {
 	out = out[:len(cands)]
 	var (
-		sh               tileShape
-		ax, ay, az, fuse *[5]float64
-		unroll, ws       *[4]float64
-		tiles            *[1]float64
-		chunk, groups    *[3]float64
-		inner            *[2]float64
-		prev             *tunespace.Vector
+		sh            tileShape
+		ax, ay, az    *axisEntry
+		fuse          *[5]float64
+		unroll, ws    *[4]float64
+		tiles         *[1]float64
+		chunk, groups *[3]float64
+		inner         *[2]float64
+		prev          *tunespace.Vector
 	)
 	for i := range cands {
 		t := &cands[i]
@@ -637,7 +688,7 @@ func (s *scorer) score(out []float64, cands []tunespace.Vector) {
 			if first || t.Bz != prev.Bz {
 				az = s.axisOf(2, t.Bz)
 			}
-			sh = s.p.tileShapeOf(t.Bx, t.By, t.Bz)
+			sh = s.p.shapeOf(ax.span, ay.span, az.span)
 			ws, tiles = s.wsOf(sh.ws), s.tilesOf(sh.tiles)
 			// An unfused candidate adds no fusion products.
 			if t.K > 1 {
@@ -662,37 +713,37 @@ func (s *scorer) score(out []float64, cands []tunespace.Vector) {
 
 		// Each product is its group's term at that position of the group's
 		// slot list; the comments name the slots.
-		var v float64  // +0, as Dot's sum starts
-		v += ax[0]     // slotBx
-		v += ay[0]     // slotBy
-		v += az[0]     // slotBz
-		v += unroll[0] // slotUnroll
-		v += chunk[0]  // slotChunk
-		v += ax[1]     // slotBx2
-		v += ay[1]     // slotBy2
-		v += az[1]     // slotBz2
-		v += unroll[1] // slotUnroll2
-		v += chunk[1]  // slotChunk2
-		v += ws[0]     // slotTileWS
-		v += ws[1]     // slotTileWS2
-		v += ax[2]     // slotFracX
-		v += ay[2]     // slotFracY
-		v += az[2]     // slotFracZ
-		v += tiles[0]  // slotNumTiles
-		v += groups[0] // slotTileGroups
-		v += groups[1] // slotTileGroups2
-		v += unroll[2] // slotUnrollDensity
-		v += inner[0]  // slotInnerStream
-		v += inner[1]  // slotInnerStream2
-		v += ax[4]     // slotDTypeBx
-		v += ws[2]     // slotDensityWS
-		v += ws[3]     // slotWSBin
-		v += ax[3]     // slotBxBin
-		v += ay[3]     // slotByBin
-		v += az[3]     // slotBzBin
-		v += unroll[3] // slotUnrollBin
-		v += chunk[2]  // slotChunkBin
-		v += groups[2] // slotBalanceBin
+		var v float64   // +0, as Dot's sum starts
+		v += ax.prod[0] // slotBx
+		v += ay.prod[0] // slotBy
+		v += az.prod[0] // slotBz
+		v += unroll[0]  // slotUnroll
+		v += chunk[0]   // slotChunk
+		v += ax.prod[1] // slotBx2
+		v += ay.prod[1] // slotBy2
+		v += az.prod[1] // slotBz2
+		v += unroll[1]  // slotUnroll2
+		v += chunk[1]   // slotChunk2
+		v += ws[0]      // slotTileWS
+		v += ws[1]      // slotTileWS2
+		v += ax.prod[2] // slotFracX
+		v += ay.prod[2] // slotFracY
+		v += az.prod[2] // slotFracZ
+		v += tiles[0]   // slotNumTiles
+		v += groups[0]  // slotTileGroups
+		v += groups[1]  // slotTileGroups2
+		v += unroll[2]  // slotUnrollDensity
+		v += inner[0]   // slotInnerStream
+		v += inner[1]   // slotInnerStream2
+		v += ax.prod[4] // slotDTypeBx
+		v += ws[2]      // slotDensityWS
+		v += ws[3]      // slotWSBin
+		v += ax.prod[3] // slotBxBin
+		v += ay.prod[3] // slotByBin
+		v += az.prod[3] // slotBzBin
+		v += unroll[3]  // slotUnrollBin
+		v += chunk[2]   // slotChunkBin
+		v += groups[2]  // slotBalanceBin
 		if t.K > 1 {
 			v += fuse[0] // slotFuse
 			v += fuse[1] // slotFuse2
@@ -702,4 +753,199 @@ func (s *scorer) score(out []float64, cands []tunespace.Vector) {
 		}
 		out[i] = v
 	}
+}
+
+// Best returns the index of the highest of the scores ScoreInto gives cands
+// under w, the first one on a tie, or −1 when no score is a number above
+// −Inf: svmrank.ArgMax of those scores. It scores exactly only the
+// candidates that can still win (see scorer.best). In steady state it
+// allocates nothing.
+func (p *Plan) Best(w []float64, cands []tunespace.Vector) int {
+	s := acquire(p, w)
+	i, _ := s.best(cands)
+	s.release()
+	return i
+}
+
+// boundSlack is the margin a run's bound adds per unit of Σ|w|, so that the
+// rounding of two sums cannot put a score above its run's bound.
+//
+// Every term value lies in [0, 1] and a candidate reads each feature index
+// at most once, so a candidate's products, and the products a bound adds
+// (a shape's, one u's and one c's), sum in magnitude to at most Σ|w|.
+// Recursive summation of n terms in any order errs by at most
+// (n−1)·2⁻⁵³·Σ|terms| to first order (Higham, Accuracy and Stability of
+// Numerical Algorithms, §4.2). A score adds at most 35 products and a bound
+// at most 37 and its margin, so each lands within 40·2⁻⁵³·Σ|w| of its exact
+// sum, and an exact score never exceeds its run's exact bound. A computed
+// score therefore exceeds the computed bound without margin by less than
+// 80·2⁻⁵³·Σ|w| ≈ 8.9e-15·Σ|w|, which 1e-13·Σ|w| covers more than ten times
+// over.
+const boundSlack = 1e-13
+
+// best is Plan.Best on a bound scorer; it also returns how many candidates
+// it scored exactly. It runs two passes.
+//
+// The bound pass walks the maximal runs of equal (bx, by, bz, K), the runs
+// score looks the shape groups up once for. A candidate's score is the
+// sum of its shape's products (the axes, the working set, the tile count
+// and the fusion terms), its (bx, u) products (unroll and inner stream) and
+// its (tile count, c) products (chunk and dispatch groups). So no candidate
+// of a run scores above the shape's sum plus the largest (bx, u) sum over
+// the run's u values plus the largest (tile count, c) sum over its c
+// values, plus boundSlack·Σ|w| for rounding. On the predefined sets, full
+// products of shapes × u × c, the bound is the run's best score up to that
+// margin. Weights whose Σ|w| overflows or is NaN make every bound Inf or
+// NaN, which is never pruned, so such a model scores every candidate. So
+// does a run with a u or c outside [0, 32), and a run of one candidate:
+// its bound would cost the lookups its score does.
+//
+// The exact pass scores the run of the highest bound first, through score,
+// and then, in index order, every other run whose bound is not below the
+// best score so far, adjacent runs in one call: a pruned run's scores are
+// all below that score, so none of them can win or tie. A higher score
+// wins, or an equal one at a lower index, as ArgMax keeps the first of
+// equal scores.
+func (s *scorer) best(cands []tunespace.Vector) (best, scored int) {
+	var abs float64
+	for _, x := range s.w {
+		abs += math.Abs(x)
+	}
+	s.bounds(cands, boundSlack*abs)
+	if len(s.runs) == 0 {
+		return -1, 0
+	}
+	first := 0
+	for i, r := range s.runs {
+		if r.bound > s.runs[first].bound {
+			first = i
+		}
+	}
+	top := math.Inf(-1)
+	best = -1
+	exact := func(lo, hi int) {
+		scored += hi - lo
+		for ; lo < hi; lo += chunkLen {
+			out := s.buf[:min(chunkLen, hi-lo)]
+			s.score(out, cands[lo:lo+len(out)])
+			for j, v := range out {
+				if v > top || v == top && lo+j < best {
+					best, top = lo+j, v
+				}
+			}
+		}
+	}
+	exact(s.runs[first].lo, s.runs[first].hi)
+	lo := -1 // the first candidate of the runs waiting to be scored
+	for i, r := range s.runs {
+		if i == first || r.bound < top {
+			if lo >= 0 {
+				exact(lo, r.lo)
+				lo = -1
+			}
+		} else if lo < 0 {
+			lo = r.lo
+		}
+	}
+	if lo >= 0 {
+		exact(lo, len(cands))
+	}
+	return best, scored
+}
+
+// bounds sets s.runs to the runs of cands and their bounds (see best),
+// each with margin added. Adjacent runs of bound +Inf share one entry.
+func (s *scorer) bounds(cands []tunespace.Vector, margin float64) {
+	runs := s.runs[:0]
+	var (
+		ax, ay, az *axisEntry
+		prev       *tunespace.Vector
+	)
+	inf := math.Inf(1)
+	for lo := 0; lo < len(cands); {
+		// The run's u and c values, bit u of us and bit c of cs; or is
+		// their bitwise or, which is below 32 only if all are in [0, 32).
+		t := &cands[lo]
+		us, cs, or := uint32(1)<<(t.U&31), uint32(1)<<(t.C&31), t.U|t.C
+		hi := lo + 1
+		for ; hi < len(cands); hi++ {
+			v := &cands[hi]
+			if v.Bx != t.Bx || v.By != t.By || v.Bz != t.Bz || v.K != t.K {
+				break
+			}
+			us |= 1 << (v.U & 31)
+			cs |= 1 << (v.C & 31)
+			or |= v.U | v.C
+		}
+		// A run of one candidate, or with a u or c outside [0, 32), is
+		// left unbounded.
+		bound := inf
+		if hi-lo > 1 && uint(or) < 32 {
+			if prev == nil || t.Bx != prev.Bx {
+				ax = s.axisOf(0, t.Bx)
+			}
+			if prev == nil || t.By != prev.By {
+				ay = s.axisOf(1, t.By)
+			}
+			if prev == nil || t.Bz != prev.Bz {
+				az = s.axisOf(2, t.Bz)
+			}
+			prev = t
+			sh := s.p.shapeOf(ax.span, ay.span, az.span)
+			bound = sum(ax.prod[:]) + sum(ay.prod[:]) + sum(az.prod[:]) + sum(s.wsOf(sh.ws)[:]) + s.tilesOf(sh.tiles)[0] +
+				s.uMaxOf(t.Bx, us) + s.cMaxOf(sh.tiles, cs) + margin
+			if t.K > 1 {
+				bound += sum(s.fuseOf(sh.ws, t.K)[:])
+			}
+		}
+		if n := len(runs); bound == inf && n > 0 && runs[n-1].bound == inf {
+			// Neither can be pruned: one entry scores both.
+			runs[n-1].hi = hi
+		} else {
+			runs = append(runs, run{lo, hi, bound})
+		}
+		lo = hi
+	}
+	s.runs = runs
+}
+
+// uMaxOf returns the largest unroll + inner-stream sum at x-edge bx over
+// the u values of set us, or −Inf for an empty set.
+func (s *scorer) uMaxOf(bx int, us uint32) float64 {
+	e, hit := s.uMax.get(uint64(bx)<<32^uint64(us), [2]int{bx, int(us)})
+	if !hit {
+		*e = math.Inf(-1)
+		for b := us; b != 0; b &= b - 1 {
+			u := bits.TrailingZeros32(b)
+			if v := sum(s.unrollOf(u)[:]) + sum(s.innerOf(bx, u)[:]); v > *e {
+				*e = v
+			}
+		}
+	}
+	return *e
+}
+
+// cMaxOf returns the largest chunk + dispatch-group sum on a shape of the
+// given tile count over the c values of set cs, or −Inf for an empty set.
+func (s *scorer) cMaxOf(tiles float64, cs uint32) float64 {
+	e, hit := s.cMax.get(math.Float64bits(tiles)^uint64(cs)<<40, cSetKey{tiles, cs})
+	if !hit {
+		*e = math.Inf(-1)
+		for b := cs; b != 0; b &= b - 1 {
+			c := bits.TrailingZeros32(b)
+			if v := sum(s.chunkOf(c)[:]) + sum(s.groupsOf(tileShape{tiles: tiles}.groups(c))[:]); v > *e {
+				*e = v
+			}
+		}
+	}
+	return *e
+}
+
+// sum returns the sum of xs.
+func sum(xs []float64) float64 {
+	var v float64
+	for _, x := range xs {
+		v += x
+	}
+	return v
 }
