@@ -127,8 +127,9 @@ func coldSizes(dims, n int) []stencil.Size {
 // rank it for eight cold-drawn sizes in turn: their tile shapes have many
 // distinct working sets, tile counts and group counts, which the
 // power-of-two sizes of the other rows never show. The shuffled row ranks
-// the 3-D set in a random order, where every run of one tile shape has one
-// candidate: Best's worst order, as it bounds every candidate.
+// the 3-D set in a random order, where a run of one tile shape holds one
+// candidate, so Best can prune no run and scores every candidate: its
+// worst order.
 func BenchmarkTunerBest(b *testing.B) {
 	tu := randomTuner(1)
 	blur := stencil.Instance{Kernel: stencil.Blur(), Size: stencil.Size2D(1024, 768)}
